@@ -18,8 +18,9 @@ plain-text rendering of the same data; timing and error diagnostics go
 to stderr, so JSON output is byte-identical across runs with the same
 inputs.  Exit codes: 0 success or all-pass, 1 negative outcome (invalid
 topology, witness not found, campaign violation), 2 input error, 3
-resource cap exceeded.  ``FTOP_CAP`` in the environment overrides the
-default generation cap; ``--cap`` overrides both.
+resource cap exceeded, 4 internal invariant broken (a bug in ftop, not
+bad input).  ``FTOP_CAP`` in the environment overrides the default
+generation cap; ``--cap`` overrides both.
 
 A ``--space``/``--fn`` argument is first tried as a filesystem path and
 then as the name of a bundled document, so ``ftop validate example1.json``
@@ -44,7 +45,7 @@ from .documents import (
     parse_space,
     set_as_data,
 )
-from .errors import DocumentError, FtopError, ResourceCapError
+from .errors import DocumentError, FtopError, HierarchyInvariantError, ResourceCapError
 from .functions import classify_function
 from .oracle import GridSpec, SearchTarget, find_witness, run_campaign
 from .semiclass import classify_set
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_BUG = 4
 
 
 def _read_document(name: str) -> str:
@@ -295,6 +297,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidTopologyError as exc:
         print(f"error[invalid-topology]: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except HierarchyInvariantError as exc:
+        print(f"error[bug]: internal invariant broken, not an input error: {exc}", file=sys.stderr)
+        return EXIT_BUG
     except (FtopError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -32,7 +32,7 @@ class UniverseMismatchError(FtopError, ValueError):
 
 
 class BackendMismatchError(FtopError, TypeError):
-    """Finite and piecewise-linear values were mixed in one operation."""
+    """A value was combined with a set or space of another backend."""
 
 
 class ResourceCapError(FtopError, RuntimeError):

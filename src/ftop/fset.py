@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .degrees import ONE, ZERO, as_degree
-from .errors import UniverseMismatchError
+from .errors import BackendMismatchError, UniverseMismatchError
 
 __all__ = ["Universe", "FiniteFuzzySet", "join_family", "inf_family"]
 
@@ -117,10 +117,11 @@ class FiniteFuzzySet:
     def by_label(self) -> dict[str, Fraction]:
         return dict(zip(self.universe.labels, self.degrees))
 
-    def _require_same_universe(self, other: "FiniteFuzzySet") -> None:
+    def _require_compatible(self, other: object) -> None:
+        """Raise unless ``other`` is a finite set over the same universe."""
         if not isinstance(other, FiniteFuzzySet):
-            raise TypeError(f"expected FiniteFuzzySet, got {type(other).__name__}")
-        if other.universe != self.universe:
+            raise BackendMismatchError(f"expected FiniteFuzzySet, got {type(other).__name__}")
+        if other.universe is not self.universe and other.universe != self.universe:
             raise UniverseMismatchError(
                 f"universes differ: {self.universe.labels} vs {other.universe.labels}"
             )
@@ -128,36 +129,24 @@ class FiniteFuzzySet:
     def complement(self) -> "FiniteFuzzySet":
         return FiniteFuzzySet(self.universe, tuple(ONE - value for value in self.degrees))
 
-    def meet(self, other: "FiniteFuzzySet") -> "FiniteFuzzySet":
-        self._require_same_universe(other)
-        return FiniteFuzzySet(
-            self.universe, tuple(map(min, self.degrees, other.degrees))
-        )
-
-    def join(self, other: "FiniteFuzzySet") -> "FiniteFuzzySet":
-        self._require_same_universe(other)
-        return FiniteFuzzySet(
-            self.universe, tuple(map(max, self.degrees, other.degrees))
-        )
-
-    def join_many(self, others: Sequence["FiniteFuzzySet"]) -> "FiniteFuzzySet":
-        """Join of self with every set in ``others``, in one pass."""
+    def _pointwise(self, op, others: tuple["FiniteFuzzySet", ...]) -> "FiniteFuzzySet":
         columns = [self.degrees]
         for other in others:
-            self._require_same_universe(other)
+            self._require_compatible(other)
             columns.append(other.degrees)
-        return FiniteFuzzySet(self.universe, tuple(map(max, *columns))) if others else self
+        return FiniteFuzzySet(self.universe, tuple(map(op, *columns))) if others else self
 
-    def meet_many(self, others: Sequence["FiniteFuzzySet"]) -> "FiniteFuzzySet":
-        columns = [self.degrees]
-        for other in others:
-            self._require_same_universe(other)
-            columns.append(other.degrees)
-        return FiniteFuzzySet(self.universe, tuple(map(min, *columns))) if others else self
+    def meet(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
+        """Pointwise minimum of self and every set in ``others``, in one pass."""
+        return self._pointwise(min, others)
+
+    def join(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
+        """Pointwise maximum of self and every set in ``others``, in one pass."""
+        return self._pointwise(max, others)
 
     def leq(self, other: "FiniteFuzzySet") -> bool:
         """Pointwise order: true iff ``self(x) <= other(x)`` everywhere."""
-        self._require_same_universe(other)
+        self._require_compatible(other)
         return all(a <= b for a, b in zip(self.degrees, other.degrees))
 
     def is_zero(self) -> bool:
@@ -198,7 +187,7 @@ def join_family(
         if universe is None:
             raise ValueError("empty family needs an explicit universe")
         return FiniteFuzzySet.zero(universe)
-    return sets[0].join_many(sets[1:])
+    return sets[0].join(*sets[1:])
 
 
 def inf_family(
@@ -210,4 +199,4 @@ def inf_family(
         if universe is None:
             raise ValueError("empty family needs an explicit universe")
         return FiniteFuzzySet.one(universe)
-    return sets[0].meet_many(sets[1:])
+    return sets[0].meet(*sets[1:])

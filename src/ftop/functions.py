@@ -20,6 +20,7 @@ under arbitrary point maps leave the piecewise-linear class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .degrees import ZERO
@@ -88,7 +89,7 @@ class FuzzyFunction:
         universe = _require_finite(domain, "domain")
         return cls(domain, codomain, tuple((x, mapping[x]) for x in universe if x in mapping))
 
-    @property
+    @cached_property
     def _map(self) -> dict[str, str]:
         return dict(self.mapping)
 
@@ -97,9 +98,7 @@ class FuzzyFunction:
 
     def preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:
         """Pull a codomain fuzzy set back along the map: ``x -> beta(f(x))``."""
-        codomain_universe = self.codomain.universe
-        if beta.universe != codomain_universe:
-            beta._require_same_universe(FiniteFuzzySet.zero(codomain_universe))
+        self.codomain.members[0]._require_compatible(beta)
         mapping = self._map
         domain_universe = self.domain.universe
         return FiniteFuzzySet(
@@ -108,10 +107,9 @@ class FuzzyFunction:
 
     def image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:
         """Push a domain fuzzy set forward: sup over each fiber, 0 if empty."""
-        domain_universe = self.domain.universe
-        if alpha.universe != domain_universe:
-            alpha._require_same_universe(FiniteFuzzySet.zero(domain_universe))
+        self.domain.members[0]._require_compatible(alpha)
         mapping = self._map
+        domain_universe = self.domain.universe
         codomain_universe = self.codomain.universe
         best = {y: ZERO for y in codomain_universe}
         for x, value in zip(domain_universe, alpha.degrees):

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .degrees import ONE, ZERO, as_degree
+from .errors import BackendMismatchError
 
 __all__ = ["PLFuzzySet"]
 
@@ -120,30 +121,21 @@ class PLFuzzySet:
                 crossings.append(x0 + t * (x1 - x0))
         return sorted(set(xs) | set(crossings))
 
-    def _pointwise(self, other: "PLFuzzySet", op) -> "PLFuzzySet":
-        self._require_pl(other)
-        xs = self._merged_grid(other)
-        return PLFuzzySet(tuple((x, op(self.at(x), other.at(x))) for x in xs))
-
-    def meet(self, other: "PLFuzzySet") -> "PLFuzzySet":
-        """Pointwise minimum."""
-        return self._pointwise(other, min)
-
-    def join(self, other: "PLFuzzySet") -> "PLFuzzySet":
-        """Pointwise maximum."""
-        return self._pointwise(other, max)
-
-    def join_many(self, others: Sequence["PLFuzzySet"]) -> "PLFuzzySet":
+    def _pointwise(self, op, others: tuple["PLFuzzySet", ...]) -> "PLFuzzySet":
         result = self
         for other in others:
-            result = result.join(other)
+            self._require_compatible(other)
+            xs = result._merged_grid(other)
+            result = PLFuzzySet(tuple((x, op(result.at(x), other.at(x))) for x in xs))
         return result
 
-    def meet_many(self, others: Sequence["PLFuzzySet"]) -> "PLFuzzySet":
-        result = self
-        for other in others:
-            result = result.meet(other)
-        return result
+    def meet(self, *others: "PLFuzzySet") -> "PLFuzzySet":
+        """Pointwise minimum of self and every set in ``others``, folded pairwise."""
+        return self._pointwise(min, others)
+
+    def join(self, *others: "PLFuzzySet") -> "PLFuzzySet":
+        """Pointwise maximum of self and every set in ``others``, folded pairwise."""
+        return self._pointwise(max, others)
 
     def complement(self) -> "PLFuzzySet":
         return PLFuzzySet(tuple((x, ONE - y) for x, y in self.breakpoints))
@@ -155,7 +147,7 @@ class PLFuzzySet:
         on every merged segment, and a linear inequality on a segment holds
         iff it holds at both ends.
         """
-        self._require_pl(other)
+        self._require_compatible(other)
         xs = sorted(set(self.grid()) | set(other.grid()))
         return all(self.at(x) <= other.at(x) for x in xs)
 
@@ -171,9 +163,10 @@ class PLFuzzySet:
     def sort_key(self) -> tuple[Breakpoint, ...]:
         return self.breakpoints
 
-    def _require_pl(self, other: "PLFuzzySet") -> None:
+    def _require_compatible(self, other: object) -> None:
+        """Raise unless ``other`` is a PL set; all of them share ``[0, 1]``."""
         if not isinstance(other, PLFuzzySet):
-            raise TypeError(f"expected PLFuzzySet, got {type(other).__name__}")
+            raise BackendMismatchError(f"expected PLFuzzySet, got {type(other).__name__}")
 
     def __repr__(self) -> str:
         inside = ", ".join(f"({x}, {y})" for x, y in self.breakpoints)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol, Sequence
 
-from .errors import BackendMismatchError, ResourceCapError
+from .errors import FtopError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe
 
 __all__ = [
@@ -40,18 +40,23 @@ DEFAULT_GENERATION_CAP = 4096
 
 
 class FuzzyValue(Protocol):
-    """What a set backend must provide for topology-level code."""
+    """What a set backend must provide for topology-level code.
+
+    ``meet(*others)`` and ``join(*others)`` are the pointwise min and max
+    of the value and any number of others.  ``_require_compatible(other)``
+    raises ``BackendMismatchError`` for a value of another backend and
+    ``UniverseMismatchError`` for one over another universe.
+    """
 
     def complement(self) -> "FuzzyValue": ...
-    def meet(self, other: "FuzzyValue") -> "FuzzyValue": ...
-    def join(self, other: "FuzzyValue") -> "FuzzyValue": ...
-    def meet_many(self, others: Sequence["FuzzyValue"]) -> "FuzzyValue": ...
-    def join_many(self, others: Sequence["FuzzyValue"]) -> "FuzzyValue": ...
+    def meet(self, *others: "FuzzyValue") -> "FuzzyValue": ...
+    def join(self, *others: "FuzzyValue") -> "FuzzyValue": ...
     def leq(self, other: "FuzzyValue") -> bool: ...
     def is_zero(self) -> bool: ...
     def bottom(self) -> "FuzzyValue": ...
     def top(self) -> "FuzzyValue": ...
     def sort_key(self): ...
+    def _require_compatible(self, other: object) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class AxiomViolation:
     witnesses: tuple
 
 
-class InvalidTopologyError(ValueError):
+class InvalidTopologyError(FtopError, ValueError):
     def __init__(self, violations: Sequence[AxiomViolation]):
         super().__init__("; ".join(v.detail for v in violations))
         self.violations = tuple(violations)
@@ -76,12 +81,7 @@ class InvalidTopologyError(ValueError):
 def _check_backend_uniform(values: Sequence[FuzzyValue]) -> None:
     first = values[0]
     for value in values[1:]:
-        if type(value) is not type(first):
-            raise BackendMismatchError(
-                f"mixed backends: {type(first).__name__} and {type(value).__name__}"
-            )
-        if isinstance(first, FiniteFuzzySet) and value.universe != first.universe:
-            first._require_same_universe(value)  # raises UniverseMismatchError
+        first._require_compatible(value)
 
 
 def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
@@ -200,10 +200,6 @@ class FuzzyTopology:
     def _member_set(self) -> frozenset:
         return frozenset(self.members)
 
-    @cached_property
-    def _closed_set(self) -> frozenset:
-        return frozenset(self.closed_members)
-
     @property
     def universe(self) -> Universe | None:
         """The finite universe, or None for the piecewise-linear backend."""
@@ -217,13 +213,7 @@ class FuzzyTopology:
         return iter(self.members)
 
     def _check_value(self, s: FuzzyValue) -> None:
-        first = self.members[0]
-        if type(s) is not type(first):
-            raise BackendMismatchError(
-                f"topology backend is {type(first).__name__}, got {type(s).__name__}"
-            )
-        if isinstance(first, FiniteFuzzySet):
-            first._require_same_universe(s)
+        self.members[0]._require_compatible(s)
 
     def interior(self, s: FuzzyValue) -> FuzzyValue:
         """Largest open set below ``s``: the join of all members below it."""
@@ -232,7 +222,7 @@ class FuzzyTopology:
         cached = self._cache.get(key)
         if cached is None:
             below = [member for member in self.members if member.leq(s)]
-            cached = self._cache[key] = self.bottom.join_many(below)
+            cached = self._cache[key] = self.bottom.join(*below)
         return cached
 
     def closure(self, s: FuzzyValue) -> FuzzyValue:
@@ -242,7 +232,7 @@ class FuzzyTopology:
         cached = self._cache.get(key)
         if cached is None:
             above = [closed for closed in self.closed_members if s.leq(closed)]
-            cached = self._cache[key] = self.top.meet_many(above)
+            cached = self._cache[key] = self.top.meet(*above)
         return cached
 
     def is_open(self, s: FuzzyValue) -> bool:
@@ -252,5 +242,4 @@ class FuzzyTopology:
 
     def is_closed(self, s: FuzzyValue) -> bool:
         """True iff the complement of ``s`` is a member."""
-        self._check_value(s)
-        return s in self._closed_set
+        return self.is_open(s.complement())

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ftop.cli import main
+from ftop.errors import HierarchyInvariantError
 
 FINITE_SPACE = {
     "kind": "finite",
@@ -124,6 +125,17 @@ def test_classify_unknown_name(capsys):
     assert code == 2
     assert out == ""
     assert "error[unresolved-name]" in err
+
+
+def test_invariant_failure_is_reported_as_a_bug(capsys, monkeypatch):
+    def broken(space, value):
+        raise HierarchyInvariantError("simulated operator bug")
+
+    monkeypatch.setattr("ftop.cli.classify_set", broken)
+    code, out, err = run(capsys, "classify", "set", "alpha", "--space", "example1.json")
+    assert code == 4
+    assert out == ""
+    assert "error[bug]" in err and "simulated operator bug" in err
 
 
 def test_classify_fn(capsys, tmp_path):

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftop import FiniteFuzzySet, Universe, UniverseMismatchError, inf_family, join_family
+from ftop import (
+    BackendMismatchError,
+    FiniteFuzzySet,
+    FtopError,
+    PLFuzzySet,
+    Universe,
+    UniverseMismatchError,
+    inf_family,
+    join_family,
+)
 
 from helpers import AB, M1, M2, ONE2, ZERO2, fs
 
@@ -66,6 +75,24 @@ def test_cross_universe_operations_are_rejected():
         fs(0, 0).meet(other)
     with pytest.raises(UniverseMismatchError):
         fs(0, 0).leq(other)
+    with pytest.raises(UniverseMismatchError):
+        fs(0, 0).join(M1, other)
+
+
+def test_equal_universes_need_not_be_the_same_object():
+    twin = FiniteFuzzySet.of(Universe.of("a", "b"), ("1/2", 0))
+    assert twin.universe is not AB
+    assert M1.join(twin) == fs("1/2", "1/3")
+    assert twin.leq(M2)
+
+
+def test_other_backends_are_rejected():
+    for operation in (ZERO2.meet, ZERO2.join, ZERO2.leq):
+        with pytest.raises(BackendMismatchError) as err:
+            operation(PLFuzzySet.zero())
+        assert isinstance(err.value, FtopError) and isinstance(err.value, TypeError)
+    with pytest.raises(BackendMismatchError):
+        ZERO2.join(M1, PLFuzzySet.zero())
 
 
 def test_known_lattice_values():
@@ -121,13 +148,13 @@ class TestLatticeLaws:
 
     @given(pair_sets, st.lists(pair_sets, max_size=5))
     def test_many_folds_match_binary(self, s, others):
-        """join_many/meet_many equal the binary folds."""
+        """Variadic join/meet equal the binary folds."""
         expected_join, expected_meet = s, s
         for t in others:
             expected_join = expected_join.join(t)
             expected_meet = expected_meet.meet(t)
-        assert s.join_many(others) == expected_join
-        assert s.meet_many(others) == expected_meet
+        assert s.join(*others) == expected_join
+        assert s.meet(*others) == expected_meet
 
 
 def test_ordering_key_sorts_pointwise_lexicographically():

@@ -13,18 +13,20 @@ import random
 import pytest
 
 from ftop import (
+    BackendMismatchError,
     FiniteFuzzySet,
     FuzzyFunction,
     FunctionClassification,
     HierarchyInvariantError,
     Universe,
+    UniverseMismatchError,
     classify_function,
     generate,
     validate,
 )
 from ftop.oracle import GridSpec, grid_degrees, random_topology
 
-from helpers import M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
+from helpers import MU, M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
 
 UV = Universe.of("u", "v")
 
@@ -64,6 +66,18 @@ def test_preimage_composes_with_the_point_map():
     assert f.preimage(ys(0, 0)) == ZERO2
     assert f.preimage(ys(1, 1)) == ONE2
     assert f.preimage(ys("1/3", "2/3")) == fs("1/3", "2/3")
+
+
+def test_lifts_reject_sets_from_the_wrong_side_or_backend():
+    f = reference_map()
+    with pytest.raises(UniverseMismatchError):
+        f.preimage(M1)
+    with pytest.raises(UniverseMismatchError):
+        f.image(ys(0, 0))
+    with pytest.raises(BackendMismatchError):
+        f.preimage(MU)
+    with pytest.raises(BackendMismatchError):
+        f.image(MU)
 
 
 def test_image_takes_fiberwise_suprema():

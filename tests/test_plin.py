@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ftop import DegreeRangeError, PLFuzzySet
+from ftop import BackendMismatchError, DegreeRangeError, FtopError, PLFuzzySet
 
-from helpers import ALPHA, BETA, LAM, MU, SIGMA, pl
+from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, pl
 
 degrees = st.builds(
     lambda n, d: Fraction(min(n, d), d),
@@ -95,6 +95,15 @@ def test_crossing_points_become_breakpoints():
     assert rising.join(falling).at("1/2") == Fraction(1, 2)
 
 
+def test_finite_sets_are_rejected():
+    for operation in (MU.meet, MU.join, MU.leq):
+        with pytest.raises(BackendMismatchError) as err:
+            operation(ZERO2)
+        assert isinstance(err.value, FtopError) and isinstance(err.value, TypeError)
+    with pytest.raises(BackendMismatchError):
+        MU.meet(LAM, ZERO2)
+
+
 def test_complement_of_known_set():
     assert LAM.complement() == pl(("0", "0"), ("1/4", "0"), ("1/2", "1"), ("1", "1"))
 
@@ -127,8 +136,8 @@ class TestPointwiseAgreement:
         for g in others:
             expected_join = expected_join.join(g)
             expected_meet = expected_meet.meet(g)
-        assert f.join_many(others) == expected_join
-        assert f.meet_many(others) == expected_meet
+        assert f.join(*others) == expected_join
+        assert f.meet(*others) == expected_meet
 
 
 def test_constants_and_zero_check():

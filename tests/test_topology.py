@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from ftop import (
     BackendMismatchError,
     FiniteFuzzySet,
+    FtopError,
     InvalidTopologyError,
     PLFuzzySet,
     ResourceCapError,
     Universe,
+    UniverseMismatchError,
     check_axioms,
     generate,
     validate,
@@ -58,9 +60,34 @@ def test_pl_family_missing_the_join_is_invalid():
     assert violation.witnesses[-1] == SIGMA
 
 
+def test_invalid_topology_error_is_an_ftop_error():
+    assert issubclass(InvalidTopologyError, FtopError)
+    assert issubclass(InvalidTopologyError, ValueError)
+
+
 def test_mixed_backends_are_rejected():
     with pytest.raises(BackendMismatchError):
         validate([ZERO2, MU, ONE2])
+    with pytest.raises(BackendMismatchError):
+        validate([PLFuzzySet.zero(), ZERO2, PLFuzzySet.one()])
+
+
+def test_queries_from_another_backend_are_rejected():
+    space = t_fin()
+    for operator in (space.interior, space.closure, space.is_open, space.is_closed):
+        with pytest.raises(BackendMismatchError) as err:
+            operator(MU)
+        assert isinstance(err.value, FtopError) and isinstance(err.value, TypeError)
+    with pytest.raises(BackendMismatchError):
+        t_pl().interior(M1)
+
+
+def test_queries_over_another_universe_are_rejected():
+    other = FiniteFuzzySet.zero(Universe.of("x", "y"))
+    with pytest.raises(UniverseMismatchError):
+        t_fin().interior(other)
+    with pytest.raises(UniverseMismatchError):
+        validate([ZERO2, other, ONE2])
 
 
 def test_validate_deduplicates_and_orders_members():
