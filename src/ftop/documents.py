@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from .degrees import as_degree, format_rational
-from .errors import DegreeRangeError, DocumentError
+from .errors import BackendMismatchError, DegreeRangeError, DocumentError
 from .fset import FiniteFuzzySet, Universe
 from .functions import FuzzyFunction
 from .plin import PLFuzzySet
@@ -389,7 +389,7 @@ def document_for_space(space: FuzzyTopology) -> SpaceDocument:
     """
     universe = space.universe
     if universe is None:
-        raise TypeError("only finite spaces can be described automatically")
+        raise BackendMismatchError("only finite spaces can be described automatically")
     sets: list[tuple[str, SetBody]] = []
     topology: list[str] = []
     counter = 0

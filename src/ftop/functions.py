@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .degrees import ZERO
-from .errors import HierarchyInvariantError
+from .errors import BackendMismatchError, HierarchyInvariantError
 from .fset import FiniteFuzzySet, Universe
 from .semiclass import is_semiopen, is_somewhat_open, is_somewhat_semiopen
 from .topology import FuzzyTopology
@@ -54,7 +54,7 @@ OPENNESS_CLASSES = (
 def _require_finite(space: FuzzyTopology, side: str) -> Universe:
     universe = space.universe
     if universe is None:
-        raise TypeError(f"{side} space must use the finite backend")
+        raise BackendMismatchError(f"{side} space must use the finite backend")
     return universe
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import HierarchyInvariantError, OffGridError, ResourceCapError
+from .errors import BackendMismatchError, HierarchyInvariantError, OffGridError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe, join_family
 from .functions import FuzzyFunction, classify_function
 from .semiclass import (
@@ -104,7 +104,7 @@ class GridSpec:
 def _require_finite_universe(space: FuzzyTopology) -> Universe:
     universe = space.universe
     if universe is None:
-        raise TypeError("grid enumeration needs the finite backend")
+        raise BackendMismatchError("grid enumeration needs the finite backend")
     return universe
 
 

@@ -8,6 +8,10 @@ again piecewise-linear with rational breakpoints, because segment crossings
 solve linear equations; everything here is computed exactly, with no
 epsilon anywhere.
 
+Binary operations (meet, join, order) sweep both breakpoint lists once
+with two pointers, so one of them on sets with m and n breakpoints costs
+O(m + n) exact rational steps; variadic meet and join fold pairwise.
+
 Construction always canonicalizes (interior breakpoints collinear with
 their neighbours are dropped), so structural equality coincides with
 pointwise equality and sets can be used as dict keys and topology members.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .degrees import ONE, ZERO, as_degree
 from .errors import BackendMismatchError
@@ -44,6 +48,38 @@ def _canonicalize(points: Sequence[Breakpoint]) -> tuple[Breakpoint, ...]:
         result.append(points[index])
     result.append(points[-1])
     return tuple(result)
+
+
+def _interpolate(left: Breakpoint, right: Breakpoint, x: Fraction) -> Fraction:
+    (x0, y0), (x1, y1) = left, right
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _walk(
+    p: Sequence[Breakpoint], q: Sequence[Breakpoint]
+) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Yield ``(x, f(x), g(x))`` at every breakpoint x of either f or g, in order.
+
+    ``p`` and ``q`` are the breakpoint lists of f and g.  Two pointers walk
+    both lists once, so the sweep takes O(m + n) steps for m and n
+    breakpoints: at an x where only one function has a breakpoint, the
+    other is interpolated on its current segment, whose right end is the
+    breakpoint its pointer rests on.  Both lists start at 0 and end at 1,
+    so the pointers leave their lists together.
+    """
+    i = j = 0
+    while i < len(p):
+        (px, py), (qx, qy) = p[i], q[j]
+        if px == qx:
+            yield px, py, qy
+            i += 1
+            j += 1
+        elif px < qx:
+            yield px, py, _interpolate(q[j - 1], q[j], px)
+            i += 1
+        else:
+            yield qx, _interpolate(p[i - 1], p[i], qx), qy
+            j += 1
 
 
 @dataclass(frozen=True)
@@ -92,41 +128,32 @@ class PLFuzzySet:
         """Evaluate at a rational point by exact linear interpolation."""
         x = as_degree(x)  # the domain is [0, 1], same range as degrees
         points = self.breakpoints
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            if x0 <= x <= x1:
-                if x == x0:
-                    return y0
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        for left, right in zip(points, points[1:]):
+            if left[0] <= x <= right[0]:
+                return left[1] if x == left[0] else _interpolate(left, right, x)
         raise AssertionError("unreachable: breakpoints cover [0, 1]")
 
-    def grid(self) -> tuple[Fraction, ...]:
-        """The x-coordinates of the breakpoints."""
-        return tuple(x for x, _ in self.breakpoints)
-
-    def _merged_grid(self, other: "PLFuzzySet") -> list[Fraction]:
-        """Union of both grids plus any interior segment crossings.
+    def _pointwise(self, op, others: tuple["PLFuzzySet", ...]) -> "PLFuzzySet":
+        """Fold ``op`` (min or max) over ``others``, one linear sweep per pair.
 
         Between consecutive merged x-coordinates both functions are linear,
         so the difference changes sign inside a cell only if it has strictly
         opposite signs at the cell ends; the crossing then solves a linear
-        equation and is rational.
+        equation and is rational, and becomes a breakpoint of the result.
         """
-        xs = sorted(set(self.grid()) | set(other.grid()))
-        crossings: list[Fraction] = []
-        for x0, x1 in zip(xs, xs[1:]):
-            d0 = self.at(x0) - other.at(x0)
-            d1 = self.at(x1) - other.at(x1)
-            if (d0 > 0 and d1 < 0) or (d0 < 0 and d1 > 0):
-                t = d0 / (d0 - d1)
-                crossings.append(x0 + t * (x1 - x0))
-        return sorted(set(xs) | set(crossings))
-
-    def _pointwise(self, op, others: tuple["PLFuzzySet", ...]) -> "PLFuzzySet":
         result = self
         for other in others:
             self._require_compatible(other)
-            xs = result._merged_grid(other)
-            result = PLFuzzySet(tuple((x, op(result.at(x), other.at(x))) for x in xs))
+            points: list[Breakpoint] = []
+            x0 = a0 = d0 = ZERO
+            for x, a, b in _walk(result.breakpoints, other.breakpoints):
+                d = a - b
+                if (d0 > 0 and d < 0) or (d0 < 0 and d > 0):
+                    t = d0 / (d0 - d)  # both functions meet at x0 + t * (x - x0)
+                    points.append((x0 + t * (x - x0), a0 + t * (a - a0)))
+                points.append((x, op(a, b)))
+                x0, a0, d0 = x, a, d
+            result = PLFuzzySet(tuple(points))
         return result
 
     def meet(self, *others: "PLFuzzySet") -> "PLFuzzySet":
@@ -141,15 +168,14 @@ class PLFuzzySet:
         return PLFuzzySet(tuple((x, ONE - y) for x, y in self.breakpoints))
 
     def leq(self, other: "PLFuzzySet") -> bool:
-        """Pointwise order, decided exactly.
+        """Pointwise order, decided exactly in one sweep of O(m + n) steps.
 
         Checking the merged breakpoints suffices: both functions are linear
         on every merged segment, and a linear inequality on a segment holds
-        iff it holds at both ends.
+        iff it holds at both ends.  The sweep stops at the first violation.
         """
         self._require_compatible(other)
-        xs = sorted(set(self.grid()) | set(other.grid()))
-        return all(self.at(x) <= other.at(x) for x in xs)
+        return all(a <= b for _, a, b in _walk(self.breakpoints, other.breakpoints))
 
     def is_zero(self) -> bool:
         return all(y == ZERO for _, y in self.breakpoints)

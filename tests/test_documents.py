@@ -6,8 +6,10 @@ from importlib import resources
 import pytest
 
 from ftop import (
+    BackendMismatchError,
     DocumentError,
     FiniteFuzzySet,
+    FtopError,
     InvalidTopologyError,
     PLFuzzySet,
     build_function,
@@ -20,7 +22,7 @@ from ftop import (
     print_space,
 )
 
-from helpers import ALPHA, LAM, MU, SIGMA, fs, t_fin
+from helpers import ALPHA, LAM, MU, SIGMA, fs, t_fin, t_pl
 
 FINITE_DOC = """
 {
@@ -200,3 +202,9 @@ def test_document_for_space_describes_and_rebuilds():
     assert doc.topology[0] == "0" and doc.topology[-1] == "1"
     assert build_topology(doc).members == space.members
     assert parse_space(print_space(doc)) == doc
+
+
+def test_document_for_space_rejects_pl_spaces():
+    with pytest.raises(FtopError) as err:
+        document_for_space(t_pl())
+    assert isinstance(err.value, BackendMismatchError)

@@ -15,6 +15,7 @@ import pytest
 from ftop import (
     BackendMismatchError,
     FiniteFuzzySet,
+    FtopError,
     FuzzyFunction,
     FunctionClassification,
     HierarchyInvariantError,
@@ -56,8 +57,11 @@ def test_mapping_must_be_total_and_well_aimed():
 
 
 def test_pl_spaces_are_rejected():
-    with pytest.raises(TypeError):
+    with pytest.raises(FtopError) as err:
         FuzzyFunction.from_mapping(t_pl(), t_codomain(), {})
+    assert isinstance(err.value, BackendMismatchError) and isinstance(err.value, TypeError)
+    with pytest.raises(BackendMismatchError):
+        FuzzyFunction(t_codomain(), t_pl(), ())
 
 
 def test_preimage_composes_with_the_point_map():

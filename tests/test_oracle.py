@@ -4,7 +4,9 @@ import pytest
 
 import ftop.oracle as oracle
 from ftop import (
+    BackendMismatchError,
     FiniteFuzzySet,
+    FtopError,
     OffGridError,
     ResourceCapError,
     Universe,
@@ -24,7 +26,7 @@ from ftop.oracle import (
     run_campaign,
 )
 
-from helpers import AB, M2, ONE2, ZERO2, fs, t_fin
+from helpers import AB, M2, ONE2, ZERO2, fs, t_fin, t_pl
 
 
 def indiscrete():
@@ -42,6 +44,12 @@ def test_grid_spec_counts():
     assert GridSpec(1, 1).size == 2
     assert GridSpec(2, 2).size == 9
     assert GridSpec(3, 4).size == 125
+
+
+def test_pl_spaces_are_rejected():
+    with pytest.raises(FtopError) as err:
+        check_space(t_pl(), GridSpec(2, 2))
+    assert isinstance(err.value, BackendMismatchError)
 
 
 def test_grid_spec_budget_guard():
