@@ -10,8 +10,13 @@ operation is pure.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .degrees import ONE, ZERO, as_degree
@@ -52,10 +57,14 @@ class Universe:
     def __contains__(self, label: object) -> bool:
         return label in self.labels
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {label: index for index, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise KeyError(f"label {label!r} not in universe {self.labels}") from None
 
 
@@ -127,14 +136,14 @@ class FiniteFuzzySet:
             )
 
     def complement(self) -> "FiniteFuzzySet":
-        return FiniteFuzzySet(self.universe, tuple(ONE - value for value in self.degrees))
+        return _trusted(self.universe, tuple(ONE - value for value in self.degrees))
 
     def _pointwise(self, op, others: tuple["FiniteFuzzySet", ...]) -> "FiniteFuzzySet":
         columns = [self.degrees]
         for other in others:
             self._require_compatible(other)
             columns.append(other.degrees)
-        return FiniteFuzzySet(self.universe, tuple(map(op, *columns))) if others else self
+        return _trusted(self.universe, tuple(map(op, *columns))) if others else self
 
     def meet(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
         """Pointwise minimum of self and every set in ``others``, in one pass."""
@@ -172,6 +181,73 @@ class FiniteFuzzySet:
             f"{label}: {value}" for label, value in zip(self.universe.labels, self.degrees)
         )
         return f"FiniteFuzzySet({{{inside}}})"
+
+
+def _trusted(universe: Universe, degrees: tuple[Fraction, ...]) -> FiniteFuzzySet:
+    """Build a set from degrees already known valid, skipping ``__post_init__``.
+
+    Only lattice results come through here: min, max and ``1 - v`` of
+    degrees in ``[0, 1]`` stay in ``[0, 1]``, one per point of the universe.
+    """
+    value = object.__new__(FiniteFuzzySet)
+    object.__setattr__(value, "universe", universe)
+    object.__setattr__(value, "degrees", degrees)
+    return value
+
+
+class _MemberIndex:
+    """Greatest-member-below queries on a finite topology, by integer bitmasks.
+
+    Bits number the members in lexicographic order of their degrees.  That
+    order extends the pointwise one, so a member strictly below another
+    gets the lower bit.  Every degree is stored as the integer ``m(x) * L``,
+    where ``L`` is the lcm of all member denominators, and each point keeps
+    its distinct stored values in ascending order, each with the mask of
+    the members at or below that value there.
+
+    ``m(x) <= s(x)`` iff ``m(x) * L <= floor(s(x) * L)``, because
+    ``m(x) * L`` is an integer, so the members below a query ``s`` are the
+    AND of one prefix mask per point, and queries never change ``L``.
+    The members are trusted to be closed under join, as in
+    ``FuzzyTopology``: then the join of the members below ``s`` is one of
+    them and lies above all the others, so it has the highest set bit.
+    """
+
+    def __init__(self, members: Sequence[FiniteFuzzySet]):
+        ordered = sorted(members, key=FiniteFuzzySet.sort_key)
+        self._members = tuple(ordered)
+        self._complements = tuple(member.complement() for member in ordered)
+        self._scale = scale = math.lcm(
+            *(degree.denominator for member in ordered for degree in member.degrees)
+        )
+        self._columns = []
+        for column in zip(*(member.degrees for member in ordered)):
+            masks: dict[int, int] = {}
+            for bit, degree in enumerate(column):
+                value = degree.numerator * scale // degree.denominator
+                masks[value] = masks.get(value, 0) | 1 << bit
+            values = sorted(masks)
+            self._columns.append((values, list(accumulate((masks[v] for v in values), or_))))
+
+    def interior(self, s: FiniteFuzzySet) -> FiniteFuzzySet:
+        """The greatest member below ``s``: thresholds ``floor(s(x) * L)``."""
+        scale, mask = self._scale, -1
+        for (values, prefix), d in zip(self._columns, s.degrees):
+            mask &= prefix[bisect_right(values, d.numerator * scale // d.denominator) - 1]
+        return self._members[mask.bit_length() - 1]
+
+    def closure(self, s: FiniteFuzzySet) -> FiniteFuzzySet:
+        """The complement of the greatest member below ``1 - s``.
+
+        ``m(x) <= 1 - s(x)`` iff ``m(x) * L <= L - ceil(s(x) * L)``, and that
+        dual threshold is ``floor((q - p) * L / q)`` for ``s(x) = p / q``, so
+        the member is selected without computing ``1 - s``.
+        """
+        scale, mask = self._scale, -1
+        for (values, prefix), d in zip(self._columns, s.degrees):
+            q = d.denominator
+            mask &= prefix[bisect_right(values, (q - d.numerator) * scale // q) - 1]
+        return self._complements[mask.bit_length() - 1]
 
 
 def join_family(

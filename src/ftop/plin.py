@@ -15,6 +15,8 @@ O(m + n) exact rational steps; variadic meet and join fold pairwise.
 Construction always canonicalizes (interior breakpoints collinear with
 their neighbours are dropped), so structural equality coincides with
 pointwise equality and sets can be used as dict keys and topology members.
+The public constructor also validates every breakpoint; lattice results,
+computed from valid sets, skip that validation.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ class PLFuzzySet:
                     points.append((x0 + t * (x - x0), a0 + t * (a - a0)))
                 points.append((x, op(a, b)))
                 x0, a0, d0 = x, a, d
-            result = PLFuzzySet(tuple(points))
+            result = _trusted(_canonicalize(points))
         return result
 
     def meet(self, *others: "PLFuzzySet") -> "PLFuzzySet":
@@ -165,7 +167,8 @@ class PLFuzzySet:
         return self._pointwise(max, others)
 
     def complement(self) -> "PLFuzzySet":
-        return PLFuzzySet(tuple((x, ONE - y) for x, y in self.breakpoints))
+        # y -> 1 - y keeps collinearity, so the result is canonical already.
+        return _trusted(tuple((x, ONE - y) for x, y in self.breakpoints))
 
     def leq(self, other: "PLFuzzySet") -> bool:
         """Pointwise order, decided exactly in one sweep of O(m + n) steps.
@@ -197,3 +200,14 @@ class PLFuzzySet:
     def __repr__(self) -> str:
         inside = ", ".join(f"({x}, {y})" for x, y in self.breakpoints)
         return f"PLFuzzySet([{inside}])"
+
+
+def _trusted(points: tuple[Breakpoint, ...]) -> PLFuzzySet:
+    """Wrap canonical, valid breakpoints without ``__post_init__``.
+
+    Only lattice results come through here: their x-coordinates are the
+    increasing merged grid of valid sets and their values stay in ``[0, 1]``.
+    """
+    value = object.__new__(PLFuzzySet)
+    object.__setattr__(value, "breakpoints", points)
+    return value

@@ -111,16 +111,25 @@ class SetClassification:
 
 
 def classify_set(space: FuzzyTopology, s: FuzzyValue) -> SetClassification:
-    """All four set-level verdicts plus the operator values behind them."""
+    """All four set-level verdicts plus the operator values behind them.
+
+    Each of ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))`` and ``Int(Cl(s))`` is
+    computed once, and the verdicts and semi-operators follow from the
+    definitions above; ``s`` is open iff ``Int(s) = s``, since the interior
+    is a member below ``s``.
+    """
     interior = space.interior(s)
     closure = space.closure(s)
+    closure_of_interior = space.closure(interior)
+    inner = s.meet(closure_of_interior)
+    zero = s.is_zero()
     return SetClassification(
-        is_open=space.is_open(s),
-        is_semiopen=is_semiopen(space, s),
-        is_somewhat_open=is_somewhat_open(space, s),
-        is_somewhat_semiopen=is_somewhat_semiopen(space, s),
+        is_open=interior == s,
+        is_semiopen=s.leq(closure_of_interior),
+        is_somewhat_open=zero or not interior.is_zero(),
+        is_somewhat_semiopen=zero or not inner.is_zero(),
         interior=interior,
         closure=closure,
-        semi_interior=semi_interior(space, s),
-        semi_closure=semi_closure(space, s),
+        semi_interior=inner,
+        semi_closure=s.join(space.interior(closure)),
     )

@@ -3,13 +3,19 @@
 A topology is a finite family of fuzzy sets that contains the constant 0
 and constant 1 and is closed under binary meet and binary join.  For a
 finite family, pairwise closure already gives closure under all finite
-meets and all joins of subfamilies, so the interior and closure operators
-become exactly computable folds:
+meets and all joins of subfamilies, so each operator selects one member:
 
-* interior of ``s``  = join of every member below ``s`` (largest open set
-  below ``s``);
-* closure of ``s``   = meet of every complement-of-member above ``s``
-  (smallest closed set above ``s``).
+* interior of ``s`` = the greatest member below ``s``: the join of all
+  members below ``s`` is itself a member, and below ``s``;
+* closure of ``s`` = ``1 - Int(1 - s)``, the complement of the greatest
+  member below ``1 - s``: ``s <= 1 - m`` iff ``m <= 1 - s``, so the
+  closed sets above ``s`` are the complements of the members below
+  ``1 - s``, and their meet is the complement of their join.
+
+On the finite backend an integer bitmask index (``fset._MemberIndex``)
+looks the member up, for closure with dual thresholds instead of
+computing ``1 - s``; the piecewise-linear backend folds ``join`` over the
+members below ``s``.
 
 Membership is semantic: a set is open iff it *equals* some member, not iff
 it is listed under the same name.  Members are kept deduplicated and in a
@@ -23,7 +29,7 @@ from functools import cached_property
 from typing import Protocol, Sequence
 
 from .errors import FtopError, ResourceCapError
-from .fset import FiniteFuzzySet, Universe
+from .fset import FiniteFuzzySet, Universe, _MemberIndex
 
 __all__ = [
     "FuzzyValue",
@@ -173,15 +179,11 @@ class FuzzyTopology:
     """An immutable, validated finite fuzzy topology.
 
     Construct through :func:`validate` or :func:`generate`; the constructor
-    itself trusts its input.  Operator results are memoized per instance,
-    which is safe because members never change and all queries are pure.
+    itself trusts its input.  Queries keep no state: interior and closure
+    pick an existing member (or its complement), so nothing is memoized.
     """
 
     members: tuple[FuzzyValue, ...]
-
-    @cached_property
-    def _cache(self) -> dict:
-        return {}
 
     @cached_property
     def bottom(self) -> FuzzyValue:
@@ -192,13 +194,12 @@ class FuzzyTopology:
         return self.members[0].top()
 
     @cached_property
-    def closed_members(self) -> tuple[FuzzyValue, ...]:
-        """Complements of the members: every fuzzy closed set of the space."""
-        return tuple(member.complement() for member in self.members)
-
-    @cached_property
     def _member_set(self) -> frozenset:
         return frozenset(self.members)
+
+    @cached_property
+    def _index(self) -> _MemberIndex:
+        return _MemberIndex(self.members)
 
     @property
     def universe(self) -> Universe | None:
@@ -216,24 +217,18 @@ class FuzzyTopology:
         self.members[0]._require_compatible(s)
 
     def interior(self, s: FuzzyValue) -> FuzzyValue:
-        """Largest open set below ``s``: the join of all members below it."""
+        """Largest open set below ``s``: the greatest member below it."""
         self._check_value(s)
-        key = ("int", s)
-        cached = self._cache.get(key)
-        if cached is None:
-            below = [member for member in self.members if member.leq(s)]
-            cached = self._cache[key] = self.bottom.join(*below)
-        return cached
+        if isinstance(s, FiniteFuzzySet):
+            return self._index.interior(s)
+        return self.bottom.join(*[member for member in self.members if member.leq(s)])
 
     def closure(self, s: FuzzyValue) -> FuzzyValue:
-        """Smallest closed set above ``s``: the meet of all closed sets above it."""
+        """Smallest closed set above ``s``: ``1 - Int(1 - s)``."""
         self._check_value(s)
-        key = ("cl", s)
-        cached = self._cache.get(key)
-        if cached is None:
-            above = [closed for closed in self.closed_members if s.leq(closed)]
-            cached = self._cache[key] = self.top.meet(*above)
-        return cached
+        if isinstance(s, FiniteFuzzySet):
+            return self._index.closure(s)
+        return self.interior(s.complement()).complement()
 
     def is_open(self, s: FuzzyValue) -> bool:
         """True iff ``s`` semantically equals a member."""

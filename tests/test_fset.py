@@ -37,9 +37,10 @@ def test_universe_rejects_bad_labels():
 def test_universe_lookup():
     assert len(AB) == 2
     assert "a" in AB and "c" not in AB
-    assert AB.index("b") == 1
-    with pytest.raises(KeyError):
+    assert [AB.index(label) for label in AB] == [0, 1]
+    with pytest.raises(KeyError, match="label 'z' not in universe"):
         AB.index("z")
+    assert AB == Universe.of("a", "b") and hash(AB) == hash(Universe.of("a", "b"))
 
 
 def test_of_mapping_requires_exact_label_cover():
@@ -135,6 +136,12 @@ class TestLatticeLaws:
     def test_de_morgan(self, s, t):
         """1−(s∨t) = (1−s)∧(1−t)."""
         assert s.join(t).complement() == s.complement().meet(t.complement())
+
+    @given(pair_sets, pair_sets)
+    def test_results_pass_the_constructor_checks(self, s, t):
+        """Lattice results are built unchecked; the public checks accept them."""
+        for result in (s.join(t), s.meet(t), s.complement()):
+            assert FiniteFuzzySet(result.universe, result.degrees) == result
 
     @given(pair_sets)
     def test_complement_involution(self, s):

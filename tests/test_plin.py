@@ -192,6 +192,8 @@ class TestPointwiseAgreement:
         for x in sample_points(f, g, low, high):
             assert low.at(x) == min(f.at(x), g.at(x))
             assert high.at(x) == max(f.at(x), g.at(x))
+        for result in (low, high):  # built unchecked, yet valid and canonical
+            assert PLFuzzySet(result.breakpoints).breakpoints == result.breakpoints
 
     @given(pl_sets(), pl_sets())
     def test_order_matches_pointwise_comparison(self, f, g):
@@ -205,6 +207,7 @@ class TestPointwiseAgreement:
         for x in sample_points(f):
             assert flipped.at(x) == 1 - f.at(x)
         assert flipped.complement() == f
+        assert PLFuzzySet(flipped.breakpoints).breakpoints == flipped.breakpoints
 
     @given(pl_sets(), st.lists(pl_sets(), max_size=4))
     def test_many_folds_match_binary(self, f, others):

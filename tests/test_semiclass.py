@@ -13,6 +13,7 @@ from ftop import (
     PLFuzzySet,
     SetClassification,
     classify_set,
+    generate,
     is_semiclosed,
     is_semiopen,
     is_somewhat_open,
@@ -21,7 +22,7 @@ from ftop import (
     semi_interior,
 )
 
-from helpers import ALPHA, BETA, LAM, M2, MU, ZERO2, fs, t_fin, t_pl
+from helpers import ALPHA, BETA, LAM, M2, MU, SIGMA, ZERO2, fs, t_fin, t_pl
 
 from test_topology import pair_sets, small_spaces
 
@@ -112,6 +113,38 @@ def test_impossible_verdict_combinations_are_refused():
             semi_interior=ZERO2,
             semi_closure=ZERO2,
         )
+
+
+def assert_classification_matches_definitions(space, s):
+    """``classify_set`` derives all eight fields from four operator values;
+    each must equal the standalone definition."""
+    c = classify_set(space, s)
+    assert c.is_open == space.is_open(s)
+    assert c.is_semiopen == is_semiopen(space, s)
+    assert c.is_somewhat_open == is_somewhat_open(space, s)
+    assert c.is_somewhat_semiopen == is_somewhat_semiopen(space, s)
+    assert c.interior == space.interior(s)
+    assert c.closure == space.closure(s)
+    assert c.semi_interior == semi_interior(space, s)
+    assert c.semi_closure == semi_closure(space, s)
+
+
+@settings(deadline=None)
+@given(small_spaces, pair_sets)
+def test_classify_set_matches_definitions_on_finite_spaces(space, s):
+    assert_classification_matches_definitions(space, s)
+    for member in space.members:
+        assert_classification_matches_definitions(space, member)
+
+
+@pytest.mark.parametrize(
+    "space", [t_pl(), generate([ALPHA, BETA.complement()])], ids=["t_pl", "alpha-beta"]
+)
+def test_classify_set_matches_definitions_on_pl_spaces(space):
+    queries = [ALPHA, BETA, MU, ALPHA.meet(LAM), BETA.join(SIGMA), PLFuzzySet.constant("1/2")]
+    for s in [*queries, *space.members]:
+        for query in (s, s.complement()):
+            assert_classification_matches_definitions(space, query)
 
 
 class TestSemiOperatorLaws:

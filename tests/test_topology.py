@@ -2,8 +2,11 @@
 
 Expected interior/closure values for the two reference spaces were
 derived by hand from the member lists (filter the members pointwise,
-fold with join or meet) before being frozen here.
+fold with join or meet) before being frozen here.  That fold is also
+kept below, verbatim, as the reference the operators must reproduce.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,15 @@ from ftop import (
     BackendMismatchError,
     FiniteFuzzySet,
     FtopError,
+    FuzzyTopology,
+    GridSpec,
     InvalidTopologyError,
     PLFuzzySet,
     ResourceCapError,
     Universe,
     UniverseMismatchError,
     check_axioms,
+    enumerate_grid_sets,
     generate,
     validate,
 )
@@ -186,3 +192,104 @@ class TestOperatorLaws:
         low, high = s.meet(t), s.join(t)
         assert space.interior(low).leq(space.interior(high))
         assert space.closure(low).leq(space.closure(high))
+
+
+# The fold the greatest-member selection replaced, kept verbatim as the
+# reference: join every member below s, meet every closed set above s.
+
+
+def reference_interior(space, s):
+    return space.bottom.join(*[m for m in space.members if m.leq(s)])
+
+
+def reference_closure(space, s):
+    return space.top.meet(*[m.complement() for m in space.members if s.leq(m.complement())])
+
+
+def assert_operators_match_reference(space, queries):
+    members = set(space.members)
+    for s in queries:
+        interior, closure = space.interior(s), space.closure(s)
+        assert interior == reference_interior(space, s)
+        assert closure == reference_closure(space, s)
+        assert interior in members
+        assert closure.complement() in members
+
+
+@st.composite
+def spaces_with_queries(draw):
+    """A generated space on a 1/k grid and queries with their own denominators.
+
+    Query degrees with denominators 3, 4, 5, 7 or 12 mostly fall between
+    the member degrees, which pins the floor and ceil thresholds of the
+    kernel.
+    """
+    universe = Universe(("u", "v", "w")[: draw(st.integers(1, 3))])
+    k = draw(st.sampled_from([1, 2, 3, 4, 6]))
+
+    def grid_set(denominators):
+        return FiniteFuzzySet(
+            universe,
+            tuple(Fraction(draw(st.integers(0, d)), d) for d in denominators),
+        )
+
+    subbasis = [grid_set([k] * len(universe)) for _ in range(draw(st.integers(0, 4)))]
+    space = generate(subbasis, universe=universe)
+    off_grid = st.sampled_from([3, 4, 5, 7, 12])
+    queries = [grid_set([draw(off_grid) for _ in universe]) for _ in range(6)]
+    return space, [*queries, *space.members, *(m.complement() for m in space.members)]
+
+
+def grid_queries(universe):
+    """Every set over ``universe`` on the 1/5 grid and on the 1/12 grid."""
+    for k in (5, 12):
+        yield from enumerate_grid_sets(GridSpec(len(universe), k), universe)
+
+
+class TestFiniteKernelMatchesFold:
+    @settings(max_examples=150, deadline=None)
+    @given(spaces_with_queries())
+    def test_random_spaces(self, space_and_queries):
+        space, queries = space_and_queries
+        assert_operators_match_reference(space, queries)
+
+    @settings(deadline=None)
+    @given(spaces_with_queries(), st.randoms(use_true_random=False))
+    def test_member_order_is_not_trusted(self, space_and_queries, rng):
+        """A space built directly from shuffled members answers the same."""
+        space, queries = space_and_queries
+        members = list(space.members)
+        rng.shuffle(members)
+        shuffled = FuzzyTopology(tuple(members))
+        for s in queries:
+            assert shuffled.interior(s) == space.interior(s)
+            assert shuffled.closure(s) == space.closure(s)
+        assert_operators_match_reference(shuffled, queries)
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            validate(list(enumerate_grid_sets(GridSpec(2, 4), Universe.of("a", "b")))),
+            validate([ZERO2, ONE2]),
+            generate([FiniteFuzzySet.of(Universe.of("p"), ["1/3"])]),
+            t_fin(),
+        ],
+        ids=["discrete-on-quarters", "indiscrete", "one-point", "t_fin"],
+    )
+    def test_named_spaces_on_every_grid_query(self, space):
+        assert_operators_match_reference(space, grid_queries(space.universe))
+
+    def test_queries_leave_no_state_behind(self):
+        space = generate([fs(1, "1/3"), fs("1/2", 1), fs("1/4", "3/4")])
+        fixed = {"members", "bottom", "top", "_member_set", "_index"}
+        for s in grid_queries(space.universe):
+            space.interior(s)
+            space.closure(s)
+            space.is_open(s)
+        assert set(vars(space)) <= fixed
+
+
+def test_pl_operators_match_the_fold():
+    space = t_pl()
+    queries = [ALPHA, BETA, *space.members, *(m.complement() for m in space.members)]
+    assert_operators_match_reference(space, queries)
