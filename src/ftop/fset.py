@@ -186,8 +186,10 @@ class FiniteFuzzySet:
 def _trusted(universe: Universe, degrees: tuple[Fraction, ...]) -> FiniteFuzzySet:
     """Build a set from degrees already known valid, skipping ``__post_init__``.
 
-    Only lattice results come through here: min, max and ``1 - v`` of
-    degrees in ``[0, 1]`` stay in ``[0, 1]``, one per point of the universe.
+    Only values valid by construction come through here: lattice results
+    (min, max and ``1 - v`` of degrees in ``[0, 1]`` stay in ``[0, 1]``),
+    grid sets of ``oracle.enumerate_grid_sets`` and the preimages and
+    images of ``functions.FuzzyFunction``, one degree per point each.
     """
     value = object.__new__(FiniteFuzzySet)
     object.__setattr__(value, "universe", universe)

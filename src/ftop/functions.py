@@ -9,9 +9,11 @@ it acts on fuzzy sets through the usual lifts
 and is classified eight ways: four continuity classes (preimages of the
 codomain's opens are open / semiopen / somewhat open / somewhat semiopen)
 and the four mirror-image openness classes on images of the domain's
-opens.  Both quadruples obey the same implication chain as sets do, with
-the two somewhat classes provably coinciding; :class:`FunctionClassification`
-enforces that chain at construction.
+opens.  Each lifted set is classified once by ``semiclass.classify_set``,
+whose four verdicts, in chain order, decide the four classes of its side.
+Both quadruples obey the same implication chain as sets do, with the two
+somewhat classes provably coinciding; :class:`FunctionClassification`
+enforces that chain at construction through ``semiclass._require_chain``.
 
 Only the finite backend is supported: images of piecewise-linear sets
 under arbitrary point maps leave the piecewise-linear class.
@@ -24,9 +26,9 @@ from functools import cached_property
 from typing import Mapping
 
 from .degrees import ZERO
-from .errors import BackendMismatchError, HierarchyInvariantError
-from .fset import FiniteFuzzySet, Universe
-from .semiclass import is_semiopen, is_somewhat_open, is_somewhat_semiopen
+from .errors import BackendMismatchError
+from .fset import FiniteFuzzySet, Universe, _trusted
+from .semiclass import _require_chain, classify_set
 from .topology import FuzzyTopology
 
 __all__ = [
@@ -101,9 +103,7 @@ class FuzzyFunction:
         self.codomain.members[0]._require_compatible(beta)
         mapping = self._map
         domain_universe = self.domain.universe
-        return FiniteFuzzySet(
-            domain_universe, tuple(beta.at(mapping[x]) for x in domain_universe)
-        )
+        return _trusted(domain_universe, tuple(beta.at(mapping[x]) for x in domain_universe))
 
     def image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:
         """Push a domain fuzzy set forward: sup over each fiber, 0 if empty."""
@@ -116,7 +116,7 @@ class FuzzyFunction:
             y = mapping[x]
             if value > best[y]:
                 best[y] = value
-        return FiniteFuzzySet(codomain_universe, tuple(best[y] for y in codomain_universe))
+        return _trusted(codomain_universe, tuple(best[y] for y in codomain_universe))
 
 
 @dataclass(frozen=True)
@@ -141,22 +141,8 @@ class FunctionClassification:
     witnesses: Mapping[str, FiniteFuzzySet] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for weaker, stronger in (
-            ("fuzzy_semicontinuous", "fuzzy_continuous"),
-            ("somewhat_fuzzy_continuous", "fuzzy_semicontinuous"),
-            ("fuzzy_semiopen_fn", "fuzzy_open"),
-            ("somewhat_fuzzy_open_fn", "fuzzy_semiopen_fn"),
-        ):
-            if getattr(self, stronger) and not getattr(self, weaker):
-                raise HierarchyInvariantError(f"{stronger} without {weaker}")
-        if self.somewhat_fuzzy_continuous != self.somewhat_fuzzy_semicontinuous:
-            raise HierarchyInvariantError(
-                "somewhat continuity verdicts disagree with their provable equivalence"
-            )
-        if self.somewhat_fuzzy_open_fn != self.somewhat_fuzzy_semiopen_fn:
-            raise HierarchyInvariantError(
-                "somewhat openness verdicts disagree with their provable equivalence"
-            )
+        for names in (CONTINUITY_CLASSES, OPENNESS_CLASSES):
+            _require_chain({name: getattr(self, name) for name in names})
 
     def verdicts(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in CONTINUITY_CLASSES + OPENNESS_CLASSES}
@@ -166,29 +152,23 @@ def classify_function(f: FuzzyFunction) -> FunctionClassification:
     """Decide all eight classes by exhausting the relevant member lists.
 
     Universal quantification over opens reduces to iteration because both
-    topologies are finite; the first failing member (in canonical member
-    order) is recorded as the witness for its class.
+    topologies are finite.  Each preimage of a codomain open and each image
+    of a domain open is classified once, and its four set verdicts, in
+    chain order, are the verdicts of the four classes on its side; the
+    first failing member (in canonical member order) is recorded as the
+    witness for its class.
     """
-    verdicts = {name: True for name in CONTINUITY_CLASSES + OPENNESS_CLASSES}
+    verdicts: dict[str, bool] = {}
     witnesses: dict[str, FiniteFuzzySet] = {}
-
-    def note(name: str, holds: bool, member: FiniteFuzzySet) -> None:
-        if not holds and verdicts[name]:
-            verdicts[name] = False
-            witnesses[name] = member
-
-    domain, codomain = f.domain, f.codomain
-    for beta in codomain.members:
-        back = f.preimage(beta)
-        note("fuzzy_continuous", domain.is_open(back), beta)
-        note("fuzzy_semicontinuous", is_semiopen(domain, back), beta)
-        note("somewhat_fuzzy_continuous", is_somewhat_open(domain, back), beta)
-        note("somewhat_fuzzy_semicontinuous", is_somewhat_semiopen(domain, back), beta)
-    for alpha in domain.members:
-        forward = f.image(alpha)
-        note("fuzzy_open", codomain.is_open(forward), alpha)
-        note("fuzzy_semiopen_fn", is_semiopen(codomain, forward), alpha)
-        note("somewhat_fuzzy_open_fn", is_somewhat_open(codomain, forward), alpha)
-        note("somewhat_fuzzy_semiopen_fn", is_somewhat_semiopen(codomain, forward), alpha)
-
+    for names, space, members, lift in (
+        (CONTINUITY_CLASSES, f.domain, f.codomain.members, f.preimage),
+        (OPENNESS_CLASSES, f.codomain, f.domain.members, f.image),
+    ):
+        verdicts.update(dict.fromkeys(names, True))
+        for member in members:
+            held = classify_set(space, lift(member)).verdicts().values()
+            for name, holds in zip(names, held):
+                if not holds and verdicts[name]:
+                    verdicts[name] = False
+                    witnesses[name] = member
     return FunctionClassification(**verdicts, witnesses=witnesses)

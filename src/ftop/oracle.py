@@ -5,9 +5,11 @@ this module is slow and literal, so the two can check each other.  It
 enumerates every fuzzy set whose degrees lie on the grid {0, 1/k, .., 1},
 recomputes the semi-interior straight from its definition (join of all
 semiopen sets below the argument), generates reproducible random spaces,
-re-verifies the proved inequalities and equivalences on every grid set,
 and searches for the sets witnessing that the openness hierarchy is
-strict.
+strict.  Its space check classifies every grid set once with
+``semiclass.classify_set``, whose construction enforces the implication
+chain, and re-verifies on that classification the three proved laws the
+chain does not state.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
@@ -26,13 +28,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import BackendMismatchError, HierarchyInvariantError, OffGridError, ResourceCapError
-from .fset import FiniteFuzzySet, Universe, join_family
+from .fset import FiniteFuzzySet, Universe, _trusted, join_family
 from .functions import FuzzyFunction, classify_function
 from .semiclass import (
+    SetClassification,
+    classify_set,
     is_semiopen,
     is_somewhat_open,
     is_somewhat_semiopen,
-    semi_closure,
     semi_interior,
 )
 from .topology import FuzzyTopology, generate
@@ -135,7 +138,9 @@ def enumerate_grid_sets(
 
     Order is over (element index, degree) with earlier elements most
     significant, so the first set satisfying any predicate is canonical
-    and stable across runs.
+    and stable across runs.  The sets skip constructor validation: the
+    spec and the universe size are checked here, and grid degrees lie in
+    ``[0, 1]``.
     """
     if universe is None:
         universe = spec.universe()
@@ -144,7 +149,7 @@ def enumerate_grid_sets(
             f"universe has {len(universe)} points but spec expects {spec.universe_size}"
         )
     for degrees in itertools.product(spec.degrees(), repeat=spec.universe_size):
-        yield FiniteFuzzySet(universe, degrees)
+        yield _trusted(universe, degrees)
 
 
 def brute_semi_interior(
@@ -191,44 +196,24 @@ def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopol
     return generate(subbasis, universe=universe)
 
 
-def _holds_interior_below_semi_interior(space: FuzzyTopology, s: FiniteFuzzySet) -> bool:
-    return space.interior(s).leq(semi_interior(space, s))
-
-
-def _holds_semi_closure_below_closure(space: FuzzyTopology, s: FiniteFuzzySet) -> bool:
-    return semi_closure(space, s).leq(space.closure(s))
-
-
-def _holds_semiopen_iff_closures_agree(space: FuzzyTopology, s: FiniteFuzzySet) -> bool:
-    if s.is_zero():
-        return True
-    closures_agree = space.closure(s) == space.closure(space.interior(s))
-    return is_semiopen(space, s) == closures_agree
-
-
-def _holds_nonzero_semiopen_has_nonzero_interior(
-    space: FuzzyTopology, s: FiniteFuzzySet
+def _holds_semiopen_iff_closures_agree(
+    space: FuzzyTopology, s: FiniteFuzzySet, c: SetClassification
 ) -> bool:
-    if s.is_zero() or not is_semiopen(space, s):
-        return True
-    return not space.interior(s).is_zero()
+    return s.is_zero() or c.is_semiopen == (c.closure == space.closure(c.interior))
 
 
-def _holds_somewhat_open_iff_somewhat_semiopen(
-    space: FuzzyTopology, s: FiniteFuzzySet
-) -> bool:
-    return is_somewhat_open(space, s) == is_somewhat_semiopen(space, s)
-
-
-# Each entry restates one proved law as an executable predicate; names
-# describe the behaviour checked, and every law must hold for every set
-# in every space, so any violation is an operator bug.
-SPACE_CHECKS: tuple[tuple[str, Callable[[FuzzyTopology, FiniteFuzzySet], bool]], ...] = (
-    ("interior-below-semi-interior", _holds_interior_below_semi_interior),
-    ("semi-closure-below-closure", _holds_semi_closure_below_closure),
+# Each entry restates one proved law as an executable predicate of a grid
+# set and its classification; names describe the behaviour checked, and
+# every law must hold for every set in every space, so any violation is an
+# operator bug.  The implication chain is not repeated here: constructing
+# the classification enforces it, and check_space reports a refusal as the
+# violation "implication-chain".
+SPACE_CHECKS: tuple[
+    tuple[str, Callable[[FuzzyTopology, FiniteFuzzySet, SetClassification], bool]], ...
+] = (
+    ("interior-below-semi-interior", lambda space, s, c: c.interior.leq(c.semi_interior)),
+    ("semi-closure-below-closure", lambda space, s, c: c.semi_closure.leq(c.closure)),
     ("semiopen-iff-closures-agree", _holds_semiopen_iff_closures_agree),
-    ("nonzero-semiopen-has-nonzero-interior", _holds_nonzero_semiopen_has_nonzero_interior),
-    ("somewhat-open-iff-somewhat-semiopen", _holds_somewhat_open_iff_somewhat_semiopen),
 )
 
 
@@ -248,18 +233,25 @@ class SpaceCheckReport:
 def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     """Re-verify every proved law on every grid set of the space.
 
-    Stops at the first violating (check, set) pair.  Requires all
-    topology degrees on the grid so that interiors and closures are
-    grid sets themselves and the sweep is exhaustive rather than a
-    sample.
+    Each grid set is classified once by :func:`classify_set`.  A refusal
+    of that classification (its verdicts break the implication chain) is
+    the violation ``"implication-chain"``; otherwise every law of
+    :data:`SPACE_CHECKS` is checked on the classification.  Stops at the
+    first violating (check, set) pair.  Requires all topology degrees on
+    the grid so that interiors and closures are grid sets themselves and
+    the sweep is exhaustive rather than a sample.
     """
     universe = _require_finite_universe(space)
     _require_on_grid(_topology_degrees(space), spec.k, "topology")
     checked = 0
     for s in enumerate_grid_sets(spec, universe):
         checked += 1
+        try:
+            c = classify_set(space, s)
+        except HierarchyInvariantError:
+            return SpaceCheckReport(False, checked, SpaceCheckViolation("implication-chain", s))
         for name, holds in SPACE_CHECKS:
-            if not holds(space, s):
+            if not holds(space, s, c):
                 return SpaceCheckReport(False, checked, SpaceCheckViolation(name, s))
     return SpaceCheckReport(True, checked)
 

@@ -14,12 +14,22 @@ which yields the implication chain
 
     open  =>  semiopen  =>  somewhat open  <=>  somewhat semiopen
 
-rendered here as a hard invariant of :class:`SetClassification`.
+stated once, by :func:`_require_chain`, and enforced by
+:class:`SetClassification` and, per quadruple, by
+``functions.FunctionClassification``.
+
+Besides the standalone definitions, :func:`classify_set` is the only code
+that turns interiors and closures into verdicts: ``functions.classify_function``
+classifies every lifted set with it, and ``oracle.check_space`` checks its
+laws on what it returns.  The standalone predicates and semi-operators
+restate the definitions one at a time; the tests and the brute-force
+oracle hold ``classify_set`` to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import HierarchyInvariantError
 from .topology import FuzzyTopology, FuzzyValue
@@ -71,12 +81,24 @@ def is_somewhat_semiopen(space: FuzzyTopology, s: FuzzyValue) -> bool:
     return s.is_zero() or not semi_interior(space, s).is_zero()
 
 
+def _require_chain(verdicts: Mapping[str, bool]) -> None:
+    """Refuse four verdicts, strongest first, that break the implication chain.
+
+    The order is open, semiopen, somewhat open, somewhat semiopen, or the
+    same four classes lifted to a function; by theorem the chain always
+    holds, so a refusal means an operator bug.
+    """
+    strong, semi, somewhat, somewhat_semi = verdicts.values()
+    if (strong and not semi) or (semi and not somewhat) or somewhat != somewhat_semi:
+        shown = ", ".join(f"{name}={held}" for name, held in verdicts.items())
+        raise HierarchyInvariantError(f"impossible verdict combination: {shown}")
+
+
 @dataclass(frozen=True)
 class SetClassification:
     """The four openness verdicts for one set, with operator evidence.
 
-    Refuses construction when the verdicts break the implication chain;
-    by theorem they never do, so a refusal means an operator bug.
+    Refuses construction when the verdicts break the implication chain.
     """
 
     is_open: bool
@@ -89,17 +111,7 @@ class SetClassification:
     semi_closure: FuzzyValue
 
     def __post_init__(self) -> None:
-        chain_ok = (
-            (not self.is_open or self.is_semiopen)
-            and (not self.is_semiopen or self.is_somewhat_open)
-            and self.is_somewhat_open == self.is_somewhat_semiopen
-        )
-        if not chain_ok:
-            raise HierarchyInvariantError(
-                f"impossible verdict combination: open={self.is_open}, "
-                f"semiopen={self.is_semiopen}, somewhat_open={self.is_somewhat_open}, "
-                f"somewhat_semiopen={self.is_somewhat_semiopen}"
-            )
+        _require_chain(self.verdicts())
 
     def verdicts(self) -> dict[str, bool]:
         return {

@@ -8,6 +8,7 @@ with that same witness.  Both facts were derived by enumerating the
 member lists by hand before being frozen here.
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,11 +24,16 @@ from ftop import (
     UniverseMismatchError,
     classify_function,
     generate,
+    is_semiopen,
+    is_somewhat_open,
+    is_somewhat_semiopen,
     validate,
 )
+from ftop.functions import CONTINUITY_CLASSES, OPENNESS_CLASSES
 from ftop.oracle import GridSpec, grid_degrees, random_topology
 
 from helpers import MU, M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
+from test_semiclass import CHAIN_QUADRUPLES
 
 UV = Universe.of("u", "v")
 
@@ -146,6 +152,17 @@ def test_chain_breaking_verdicts_are_refused():
         )
 
 
+def test_each_side_of_the_function_chain_is_refused_on_its_own():
+    for continuity in itertools.product((False, True), repeat=4):
+        for openness in itertools.product((False, True), repeat=4):
+            fields = dict(zip(CONTINUITY_CLASSES + OPENNESS_CLASSES, continuity + openness))
+            if continuity in CHAIN_QUADRUPLES and openness in CHAIN_QUADRUPLES:
+                assert FunctionClassification(**fields).verdicts() == fields
+            else:
+                with pytest.raises(HierarchyInvariantError):
+                    FunctionClassification(**fields)
+
+
 def random_triple(seed):
     rng = random.Random(f"triple-{seed}")
     k = rng.randint(1, 3)
@@ -222,3 +239,62 @@ def test_witnesses_recheck_as_failures():
                 assert not checks[name](f, witness)
                 seen += 1
     assert seen > 0
+
+
+def reference_classify_function(f: FuzzyFunction) -> FunctionClassification:
+    """The eight-way derivation through the standalone predicates, kept as
+    it stood before classify_function read classify_set: one ``note`` per
+    class and lifted set, the first failing member as witness."""
+    verdicts = {name: True for name in CONTINUITY_CLASSES + OPENNESS_CLASSES}
+    witnesses: dict[str, FiniteFuzzySet] = {}
+
+    def note(name: str, holds: bool, member: FiniteFuzzySet) -> None:
+        if not holds and verdicts[name]:
+            verdicts[name] = False
+            witnesses[name] = member
+
+    domain, codomain = f.domain, f.codomain
+    for beta in codomain.members:
+        back = f.preimage(beta)
+        note("fuzzy_continuous", domain.is_open(back), beta)
+        note("fuzzy_semicontinuous", is_semiopen(domain, back), beta)
+        note("somewhat_fuzzy_continuous", is_somewhat_open(domain, back), beta)
+        note("somewhat_fuzzy_semicontinuous", is_somewhat_semiopen(domain, back), beta)
+    for alpha in domain.members:
+        forward = f.image(alpha)
+        note("fuzzy_open", codomain.is_open(forward), alpha)
+        note("fuzzy_semiopen_fn", is_semiopen(codomain, forward), alpha)
+        note("somewhat_fuzzy_open_fn", is_somewhat_open(codomain, forward), alpha)
+        note("somewhat_fuzzy_semiopen_fn", is_somewhat_semiopen(codomain, forward), alpha)
+
+    return FunctionClassification(**verdicts, witnesses=witnesses)
+
+
+def test_classification_matches_the_predicate_reference():
+    space = t_fin()
+    identity = FuzzyFunction.from_mapping(space, space, {"a": "a", "b": "b"})
+    maps = [identity, reference_map(), *(random_triple(seed) for seed in range(60))]
+    failures = 0
+    for f in maps:
+        c = classify_function(f)
+        reference = reference_classify_function(f)
+        assert c.verdicts() == reference.verdicts()
+        assert list(c.witnesses.items()) == list(reference.witnesses.items())
+        failures += len(reference.witnesses)
+    assert failures > 0
+
+
+def test_lifts_pass_the_public_constructor():
+    for seed in range(60):
+        f = random_triple(seed)
+        lifted = [f.preimage(b) for b in f.codomain.members]
+        lifted += [f.image(a) for a in f.domain.members]
+        rng = random.Random(f"lift-{seed}")
+        degs = grid_degrees(6)
+        for _ in range(3):
+            beta = FiniteFuzzySet(f.codomain.universe, tuple(rng.choice(degs) for _ in f.codomain.universe))
+            alpha = FiniteFuzzySet(f.domain.universe, tuple(rng.choice(degs) for _ in f.domain.universe))
+            lifted += [f.preimage(beta), f.image(alpha)]
+        for value in lifted:
+            rebuilt = FiniteFuzzySet(value.universe, value.degrees)
+            assert rebuilt == value and hash(rebuilt) == hash(value)

@@ -7,6 +7,7 @@ from ftop import (
     BackendMismatchError,
     FiniteFuzzySet,
     FtopError,
+    HierarchyInvariantError,
     OffGridError,
     ResourceCapError,
     Universe,
@@ -69,6 +70,13 @@ def test_enumeration_is_lexicographic_and_complete():
     assert sets[-1] == ONE2
 
 
+def test_enumerated_sets_pass_the_public_constructor():
+    for spec in (GridSpec(1, 1), GridSpec(2, 6), GridSpec(3, 4), GridSpec(4, 2)):
+        for g in enumerate_grid_sets(spec):
+            rebuilt = FiniteFuzzySet(g.universe, g.degrees)
+            assert rebuilt == g and hash(rebuilt) == hash(g)
+
+
 def test_enumeration_universe_must_match_spec():
     with pytest.raises(ValueError):
         list(enumerate_grid_sets(GridSpec(3, 2), AB))
@@ -125,7 +133,7 @@ def test_check_space_requires_topology_on_grid():
 
 
 def test_check_space_reports_first_violation(monkeypatch):
-    def never_holds(space, s):
+    def never_holds(space, s, c):
         return s.is_zero()
 
     monkeypatch.setattr(oracle, "SPACE_CHECKS", (("always-false-probe", never_holds),))
@@ -134,6 +142,40 @@ def test_check_space_reports_first_violation(monkeypatch):
     assert report.violation.check == "always-false-probe"
     assert report.violation.subject == fs(0, 1)
     assert report.sets_checked == 2
+
+
+def chain_breaking_on_third_call(monkeypatch):
+    """Make ``oracle.classify_set`` refuse the third set it is given."""
+    seen = []
+    honest = oracle.classify_set
+
+    def broken(space, s):
+        seen.append(s)
+        if len(seen) == 3:
+            raise HierarchyInvariantError("simulated operator bug")
+        return honest(space, s)
+
+    monkeypatch.setattr(oracle, "classify_set", broken)
+    return seen
+
+
+def test_check_space_reports_a_chain_refusal(monkeypatch):
+    seen = chain_breaking_on_third_call(monkeypatch)
+    report = check_space(t_fin(), GridSpec(2, 6))
+    assert not report.ok
+    assert report.violation.check == "implication-chain"
+    assert report.violation.subject == seen[2] == fs(0, "1/3")
+    assert report.sets_checked == 3
+
+
+def test_campaign_lists_a_chain_refusal_with_its_seed(monkeypatch):
+    seen = chain_breaking_on_third_call(monkeypatch)
+    result = run_campaign(2, 2, 2)
+    assert not result.ok
+    (failure,) = result.failures
+    assert failure.phase == "space-laws" and failure.seed == 0
+    assert failure.detail == f"implication-chain fails on {seen[2]!r}"
+    assert result.sets_checked == 3 + 9
 
 
 def test_search_target_parsing():

@@ -5,6 +5,8 @@ hand from the member lists or by the grid brute force in
 ``ftop.oracle`` (see test_oracle for the agreement checks).
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -113,6 +115,34 @@ def test_impossible_verdict_combinations_are_refused():
             semi_interior=ZERO2,
             semi_closure=ZERO2,
         )
+
+
+CHAIN_QUADRUPLES = {
+    (True, True, True, True),
+    (False, True, True, True),
+    (False, False, True, True),
+    (False, False, False, False),
+}
+
+
+def classification_with(quadruple):
+    names = ("is_open", "is_semiopen", "is_somewhat_open", "is_somewhat_semiopen")
+    return SetClassification(
+        **dict(zip(names, quadruple)),
+        interior=ZERO2,
+        closure=ZERO2,
+        semi_interior=ZERO2,
+        semi_closure=ZERO2,
+    )
+
+
+def test_exactly_the_chain_quadruples_are_accepted():
+    for quadruple in itertools.product((False, True), repeat=4):
+        if quadruple in CHAIN_QUADRUPLES:
+            assert tuple(classification_with(quadruple).verdicts().values()) == quadruple
+        else:
+            with pytest.raises(HierarchyInvariantError):
+                classification_with(quadruple)
 
 
 def assert_classification_matches_definitions(space, s):
