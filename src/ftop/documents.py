@@ -188,8 +188,8 @@ def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
             )
         pairs.append((_degree(entry[0], pair_where), _degree(entry[1], pair_where)))
     try:
-        return PLFuzzySet.from_breakpoints(pairs)
-    except (TypeError, ValueError) as exc:
+        return PLFuzzySet(tuple(pairs))
+    except ValueError as exc:
         raise DocumentError("bad-breakpoints", str(exc), f"{where}.breakpoints") from exc
 
 
@@ -367,9 +367,7 @@ def build_topology(doc: SpaceDocument, *, cap: int | None = None) -> FuzzyTopolo
                 "schema", "a complete topology cannot be an empty list", "$.topology"
             )
         return validate(values)
-    if not values and doc.kind == "pl":
-        values = [PLFuzzySet.zero()]
-    return generate(values, universe=doc.universe_object(), cap=cap)
+    return generate(values or [doc.resolve("0")], cap=cap)
 
 
 def build_function(doc: FunctionDocument, *, cap: int | None = None) -> FuzzyFunction:

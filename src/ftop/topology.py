@@ -17,6 +17,9 @@ looks the member up, for closure with dual thresholds instead of
 computing ``1 - s``; the piecewise-linear backend folds ``join`` over the
 members below ``s``.
 
+:func:`check_axioms` and :func:`generate` share one pairwise step that skips
+comparable pairs: if ``a <= b``, the meet is ``a`` and the join is ``b``.
+
 Membership is semantic: a set is open iff it *equals* some member, not iff
 it is listed under the same name.  Members are kept deduplicated and in a
 canonical order so that reports and witness selection are deterministic.
@@ -84,10 +87,16 @@ class InvalidTopologyError(FtopError, ValueError):
         self.violations = tuple(violations)
 
 
-def _check_backend_uniform(values: Sequence[FuzzyValue]) -> None:
-    first = values[0]
-    for value in values[1:]:
-        first._require_compatible(value)
+def _incomparable_pairs(members: Sequence[FuzzyValue], start: int = 0):
+    """Yield ``(a, b, a.meet(b), a.join(b))`` per incomparable pair, ``a`` first.
+
+    ``b`` runs from index ``start`` on.  ``a.leq(b)`` with ``a = members[0]``
+    checks every visited ``b`` for its backend and universe.
+    """
+    for i, a in enumerate(members):
+        for b in members[max(i + 1, start) :]:
+            if not (a.leq(b) or b.leq(a)):
+                yield a, b, a.meet(b), a.join(b)
 
 
 def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
@@ -95,11 +104,11 @@ def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
 
     Pairwise meet/join closure is checked against semantic membership; for
     a finite family this is equivalent to closure under all finite meets
-    and arbitrary joins of subfamilies.
+    and arbitrary joins of subfamilies.  Violations come in member order of
+    ``(a, b)``, after any missing constant, with a pair's meet before its join.
     """
     if not opens:
         raise ValueError("a topology candidate must be a non-empty family")
-    _check_backend_uniform(opens)
     members = list(dict.fromkeys(opens))
     member_set = set(members)
     violations: list[AxiomViolation] = []
@@ -108,18 +117,15 @@ def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
         violations.append(AxiomViolation("i", "the constant-0 set is not a member", (bottom,)))
     if top not in member_set:
         violations.append(AxiomViolation("i", "the constant-1 set is not a member", (top,)))
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            low = a.meet(b)
-            if low not in member_set:
-                violations.append(
-                    AxiomViolation("ii", "a pairwise meet is not a member", (a, b, low))
-                )
-            high = a.join(b)
-            if high not in member_set:
-                violations.append(
-                    AxiomViolation("iii", "a pairwise join is not a member", (a, b, high))
-                )
+    for a, b, low, high in _incomparable_pairs(members):
+        if low not in member_set:
+            violations.append(
+                AxiomViolation("ii", "a pairwise meet is not a member", (a, b, low))
+            )
+        if high not in member_set:
+            violations.append(
+                AxiomViolation("iii", "a pairwise join is not a member", (a, b, high))
+            )
     return violations
 
 
@@ -139,15 +145,14 @@ def generate(
 ) -> "FuzzyTopology":
     """Smallest topology containing ``subbasis``: the meet/join fixpoint.
 
-    ``universe`` is required only for an empty subbasis on the finite
-    backend, where there is otherwise nothing to infer the constants from.
-    A ``cap`` on the member count (default 4096, overridable) turns the
-    potential exponential blow-up into a loud error instead of a silent
-    truncation.
+    Each round combines only the pairs that involve a member new in the
+    previous round.  ``universe`` is needed only for an empty finite
+    subbasis.  A ``cap`` on the member count (default 4096, overridable)
+    turns the potential exponential blow-up into a loud error instead of a
+    silent truncation.
     """
     cap = DEFAULT_GENERATION_CAP if cap is None else cap
     if subbasis:
-        _check_backend_uniform(list(subbasis))
         bottom, top = subbasis[0].bottom(), subbasis[0].top()
     elif universe is not None:
         bottom, top = FiniteFuzzySet.zero(universe), FiniteFuzzySet.one(universe)
@@ -155,22 +160,17 @@ def generate(
         raise ValueError("an empty subbasis needs a universe to pick the constants from")
 
     family: dict[FuzzyValue, None] = dict.fromkeys([bottom, top, *subbasis])
-    frontier = list(family)
-    while frontier:
-        fresh: dict[FuzzyValue, None] = {}
-        existing = list(family)
-        for a in frontier:
-            for b in existing:
-                for combined in (a.meet(b), a.join(b)):
-                    if combined not in family and combined not in fresh:
-                        fresh[combined] = None
-        if len(family) + len(fresh) > cap:
+    start = 0
+    while start < len(family):
+        members = list(family)
+        for _, _, low, high in _incomparable_pairs(members, start):
+            family[low] = family[high] = None
+        if len(family) > cap:
             raise ResourceCapError(
                 f"generated family exceeds the cap of {cap} members; "
                 "raise the cap explicitly if this is intended"
             )
-        family.update(fresh)
-        frontier = list(fresh)
+        start = len(members)
     return FuzzyTopology(tuple(sorted(family, key=lambda v: v.sort_key())))
 
 

@@ -159,6 +159,19 @@ def test_subbasis_documents_are_closed_before_use():
     assert len(space) == 5
 
 
+@pytest.mark.parametrize(
+    "header, constants",
+    [
+        ('"kind": "finite", "universe": ["a", "b"]', (fs(0, 0), fs(1, 1))),
+        ('"kind": "pl"', (PLFuzzySet.zero(), PLFuzzySet.one())),
+    ],
+    ids=["finite", "pl"],
+)
+def test_empty_subbasis_documents_give_the_indiscrete_space(header, constants):
+    text = '{%s, "sets": {}, "topology": [], "topology_is": "subbasis"}' % header
+    assert build_topology(parse_space(text)).members == constants
+
+
 def test_function_document_round_trip_and_build():
     text = json.dumps(
         {

@@ -1,0 +1,60 @@
+"""Golden CLI reports: ``--format json`` stdout must match byte for byte.
+
+Each case runs ``ftop.cli.main`` in a fresh working directory holding the
+documents of ``tests/golden/input``, so reports echo relative names and
+bundled documents (``example1.json``) resolve by name.  The expected
+stdout lives in ``tests/golden/<case>.json``; regenerate a file only for
+a deliberate change of the report format, never to absorb a new result.
+"""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from ftop.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "validate-example1": (["validate", "example1.json"], 0),
+    "classify-set-alpha": (["classify", "set", "alpha", "--space", "example1.json"], 0),
+    "validate-subbasis": (["validate", "subbasis.json"], 0),
+    "classify-set-subbasis": (["classify", "set", "q", "--space", "subbasis.json"], 0),
+    "validate-incomplete": (["validate", "incomplete.json"], 1),
+    "classify-fn": (["classify", "fn", "--fn", "function.json"], 0),
+    "search-found": (
+        ["search", "--target", "semiopen-not-open", "--space", "finite.json", "--grid", "2"],
+        0,
+    ),
+    "search-none": (
+        [
+            "search",
+            "--target",
+            "somewhat-semiopen-not-somewhat-open",
+            "--space",
+            "finite.json",
+            "--grid",
+            "2",
+        ],
+        1,
+    ),
+    "verify": (["verify", "--seeds", "6", "--universe-size", "2", "--grid", "2"], 0),
+}
+
+
+def run_case(argv, workdir, monkeypatch, capsys):
+    """Exit code and stdout of ``ftop --format json <argv>`` run in ``workdir``."""
+    for document in (GOLDEN / "input").iterdir():
+        shutil.copy(document, workdir / document.name)
+    monkeypatch.chdir(workdir)
+    code = main(["--format", "json", *argv])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_json_report_matches_golden(case, tmp_path, monkeypatch, capsys):
+    argv, expected_code = CASES[case]
+    code, out = run_case(argv, tmp_path, monkeypatch, capsys)
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.json").read_bytes()

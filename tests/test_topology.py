@@ -3,10 +3,15 @@
 Expected interior/closure values for the two reference spaces were
 derived by hand from the member lists (filter the members pointwise,
 fold with join or meet) before being frozen here.  That fold is also
-kept below, verbatim, as the reference the operators must reproduce.
+kept below, verbatim, as the reference the operators must reproduce, and
+so are the pair loops ``check_axioms`` and ``generate`` ran before they
+shared one pairwise step.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from ftop import (
     generate,
     validate,
 )
+from ftop.topology import DEFAULT_GENERATION_CAP, AxiomViolation, FuzzyValue
 
 from helpers import ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, fs, t_fin, t_pl
 
@@ -119,6 +125,33 @@ def test_generate_closes_under_meet_and_join():
 def test_generate_cap_is_a_loud_error():
     with pytest.raises(ResourceCapError):
         generate([fs(1, "1/3"), fs("1/2", 1)], cap=3)
+
+
+XY_ZERO = FiniteFuzzySet.zero(Universe.of("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "subbasis, error",
+    [
+        ([M1, MU], BackendMismatchError),
+        ([MU, M1, M2], BackendMismatchError),
+        ([M1, M2, MU], BackendMismatchError),
+        ([ZERO2, PLFuzzySet.one()], BackendMismatchError),
+        ([M1, M2, XY_ZERO], UniverseMismatchError),
+        ([XY_ZERO, M1], UniverseMismatchError),
+    ],
+    ids=[
+        "fin-pl",
+        "pl-fin-fin",
+        "stray-pl-last",
+        "pl-constant-last",
+        "stray-universe-last",
+        "universe-first",
+    ],
+)
+def test_generate_rejects_mixed_backends_and_universes(subbasis, error):
+    with pytest.raises(error):
+        generate(subbasis)
 
 
 def test_finite_interior_and_closure_reference_values():
@@ -293,3 +326,197 @@ def test_pl_operators_match_the_fold():
     space = t_pl()
     queries = [ALPHA, BETA, *space.members, *(m.complement() for m in space.members)]
     assert_operators_match_reference(space, queries)
+
+
+# The pair loops that ``_incomparable_pairs`` replaced, kept verbatim apart
+# from the names as the reference: they combine every pair, comparable or
+# not, and ``generate`` every ordered pair that involves a new member.
+
+
+def _check_backend_uniform(values: Sequence[FuzzyValue]) -> None:
+    first = values[0]
+    for value in values[1:]:
+        first._require_compatible(value)
+
+
+def reference_check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
+    """Report every axiom violation in a candidate family (empty = valid).
+
+    Pairwise meet/join closure is checked against semantic membership; for
+    a finite family this is equivalent to closure under all finite meets
+    and arbitrary joins of subfamilies.
+    """
+    if not opens:
+        raise ValueError("a topology candidate must be a non-empty family")
+    _check_backend_uniform(opens)
+    members = list(dict.fromkeys(opens))
+    member_set = set(members)
+    violations: list[AxiomViolation] = []
+    bottom, top = members[0].bottom(), members[0].top()
+    if bottom not in member_set:
+        violations.append(AxiomViolation("i", "the constant-0 set is not a member", (bottom,)))
+    if top not in member_set:
+        violations.append(AxiomViolation("i", "the constant-1 set is not a member", (top,)))
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            low = a.meet(b)
+            if low not in member_set:
+                violations.append(
+                    AxiomViolation("ii", "a pairwise meet is not a member", (a, b, low))
+                )
+            high = a.join(b)
+            if high not in member_set:
+                violations.append(
+                    AxiomViolation("iii", "a pairwise join is not a member", (a, b, high))
+                )
+    return violations
+
+
+def reference_generate(
+    subbasis: Sequence[FuzzyValue],
+    *,
+    universe: Universe | None = None,
+    cap: int | None = None,
+) -> "FuzzyTopology":
+    """Smallest topology containing ``subbasis``: the meet/join fixpoint.
+
+    ``universe`` is required only for an empty subbasis on the finite
+    backend, where there is otherwise nothing to infer the constants from.
+    A ``cap`` on the member count (default 4096, overridable) turns the
+    potential exponential blow-up into a loud error instead of a silent
+    truncation.
+    """
+    cap = DEFAULT_GENERATION_CAP if cap is None else cap
+    if subbasis:
+        _check_backend_uniform(list(subbasis))
+        bottom, top = subbasis[0].bottom(), subbasis[0].top()
+    elif universe is not None:
+        bottom, top = FiniteFuzzySet.zero(universe), FiniteFuzzySet.one(universe)
+    else:
+        raise ValueError("an empty subbasis needs a universe to pick the constants from")
+
+    family: dict[FuzzyValue, None] = dict.fromkeys([bottom, top, *subbasis])
+    frontier = list(family)
+    while frontier:
+        fresh: dict[FuzzyValue, None] = {}
+        existing = list(family)
+        for a in frontier:
+            for b in existing:
+                for combined in (a.meet(b), a.join(b)):
+                    if combined not in family and combined not in fresh:
+                        fresh[combined] = None
+        if len(family) + len(fresh) > cap:
+            raise ResourceCapError(
+                f"generated family exceeds the cap of {cap} members; "
+                "raise the cap explicitly if this is intended"
+            )
+        family.update(fresh)
+        frontier = list(fresh)
+    return FuzzyTopology(tuple(sorted(family, key=lambda v: v.sort_key())))
+
+
+@st.composite
+def finite_subbases(draw):
+    """Up to three sets on a 1/k grid over one to three points."""
+    universe = Universe(("u", "v", "w")[: draw(st.integers(1, 3))])
+    k = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    degrees = st.tuples(*[st.integers(0, k).map(lambda n: Fraction(n, k)) for _ in universe])
+    sets = draw(st.lists(degrees.map(lambda d: FiniteFuzzySet(universe, d)), max_size=3))
+    return sets, universe
+
+
+@st.composite
+def pl_subbases(draw):
+    """One to three PL sets with breakpoints on the quarters of [0, 1]."""
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    inner = st.lists(st.sampled_from(["1/4", "1/2", "3/4"]), unique=True).map(
+        lambda xs: sorted(xs, key=Fraction)
+    )
+
+    def pl_set(xs):
+        return PLFuzzySet.from_breakpoints(
+            (x, Fraction(draw(st.integers(0, k)), k)) for x in ["0", *xs, "1"]
+        )
+
+    return [pl_set(draw(inner)) for _ in range(draw(st.integers(1, 3)))], None
+
+
+subbases = st.one_of(finite_subbases(), pl_subbases())
+
+
+@contextmanager
+def recorded_pairs():
+    """Record the pairs that ``meet`` combines, on both backends.
+
+    ``leq`` fails at once on an ordered pair it has already compared, so a
+    step that revisits pairs fails here instead of looping forever.
+    """
+    compared, combined = set(), []
+
+    def patched(cls):
+        leq, meet = cls.leq, cls.meet
+
+        def once_leq(self, other):
+            assert (self, other) not in compared, "a pair was compared twice"
+            compared.add((self, other))
+            return leq(self, other)
+
+        def recorded_meet(self, *others):
+            combined.extend((self, other) for other in others)
+            return meet(self, *others)
+
+        return mock.patch.multiple(cls, leq=once_leq, meet=recorded_meet)
+
+    with patched(FiniteFuzzySet), patched(PLFuzzySet):
+        yield combined
+
+
+def assert_each_incomparable_pair_combined_once(members, combined):
+    """``combined`` holds every incomparable pair of ``members`` exactly once."""
+    incomparable = {
+        frozenset((a, b))
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+        if not (a.leq(b) or b.leq(a))
+    }
+    assert len(combined) == len(incomparable)
+    assert {frozenset(pair) for pair in combined} == incomparable
+
+
+def generated_or_capped(generator, subbasis, universe, cap):
+    try:
+        return generator(subbasis, universe=universe, cap=cap).members
+    except ResourceCapError:
+        return ResourceCapError
+
+
+class TestPairwiseStepMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(subbases, st.data())
+    def test_check_axioms(self, subbasis_and_universe, data):
+        """Same violations in the same order, on random and on holed closures."""
+        subbasis, universe = subbasis_and_universe
+        closed = reference_generate(subbasis, universe=universe).members
+        keep = data.draw(st.lists(st.booleans(), min_size=len(closed), max_size=len(closed)))
+        holed = [m for m, kept in zip(closed, keep) if kept] or list(closed)
+        for family in (subbasis, holed, [*subbasis, *holed]):
+            if not family:
+                continue
+            with recorded_pairs() as combined:
+                violations = check_axioms(family)
+            assert violations == reference_check_axioms(family)
+            assert_each_incomparable_pair_combined_once(list(dict.fromkeys(family)), combined)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subbases)
+    def test_generate(self, subbasis_and_universe):
+        """Same members, and the same cap outcome for every cap up to size + 1."""
+        subbasis, universe = subbasis_and_universe
+        with recorded_pairs() as combined:
+            members = generate(subbasis, universe=universe).members
+        assert members == reference_generate(subbasis, universe=universe).members
+        assert_each_incomparable_pair_combined_once(members, combined)
+        for cap in range(1, len(members) + 2):
+            assert generated_or_capped(generate, subbasis, universe, cap) == (
+                generated_or_capped(reference_generate, subbasis, universe, cap)
+            )
