@@ -5,7 +5,9 @@ semi-interior/semi-closure operators, the open < semiopen < somewhat-open
 classification of sets and the matching eight-way classification of crisp
 maps, plus a brute-force oracle that re-derives everything over finite
 degree grids.  All arithmetic is exact: degrees are ``fractions.Fraction``
-values end to end, and floats are rejected at every boundary.
+values at every boundary and inside the piecewise-linear backend, the
+finite backend holds them as integer numerators over one scale per set,
+and floats are rejected at every boundary.
 """
 
 from .degrees import ONE, ZERO, as_degree, format_rational, parse_rational
@@ -54,6 +56,7 @@ from .semiclass import (
     is_somewhat_semiopen,
     semi_closure,
     semi_interior,
+    set_verdicts,
 )
 from .topology import (
     AxiomViolation,
@@ -85,6 +88,7 @@ __all__ = [
     "generate",
     "SetClassification",
     "classify_set",
+    "set_verdicts",
     "is_semiopen",
     "is_semiclosed",
     "semi_interior",

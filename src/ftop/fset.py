@@ -6,17 +6,22 @@ and the order is pointwise ``<=``; together these make the sets over one
 universe a complete distributive lattice with the all-zero set at the
 bottom and the all-one set at the top.  All values are immutable and every
 operation is pure.
+
+Degrees are held as integer numerators over one integer scale per set, so
+the lattice operations, the order and the interior/closure kernel run on
+plain ints.  They stay exact rationals: ``Fraction`` appears only at the
+boundary, in the public constructor and the derived ``degrees`` view.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import or_
+from operator import itemgetter, le, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .degrees import ONE, ZERO, as_degree
@@ -68,25 +73,59 @@ class Universe:
             raise KeyError(f"label {label!r} not in universe {self.labels}") from None
 
 
-@dataclass(frozen=True)
 class FiniteFuzzySet:
     """A fuzzy set over a finite universe, one exact degree per point.
 
-    Structural equality is semantic equality: two sets are equal iff they
-    share a universe and agree at every point.
+    The degree at point ``i`` is ``nums[i] / scale``, where ``scale`` is
+    the lcm of the reduced denominators, or equivalently the one positive
+    scale with ``gcd(scale, *nums) == 1``.  That form is canonical, so
+    structural equality is semantic equality: two sets are equal iff they
+    share a universe and agree at every point, and ``==`` and ``hash``
+    compare the integers only.  ``degrees`` is a derived read-only tuple
+    of Fractions for documents, reports and ordering.
     """
 
-    universe: Universe
-    degrees: tuple[Fraction, ...]
+    __slots__ = ("universe", "scale", "nums")
 
-    def __post_init__(self) -> None:
-        if len(self.degrees) != len(self.universe):
-            raise ValueError(
-                f"{len(self.degrees)} degrees for universe of size {len(self.universe)}"
-            )
-        for value in self.degrees:
+    universe: Universe
+    scale: int
+    nums: tuple[int, ...]
+
+    def __init__(self, universe: Universe, degrees: Sequence[Fraction]) -> None:
+        if len(degrees) != len(universe):
+            raise ValueError(f"{len(degrees)} degrees for universe of size {len(universe)}")
+        for value in degrees:
             if not isinstance(value, Fraction) or value < ZERO or value > ONE:
                 raise ValueError(f"invalid degree {value!r}; use as_degree()")
+        scale = math.lcm(*(value.denominator for value in degrees))
+        nums = tuple(value.numerator * (scale // value.denominator) for value in degrees)
+        _assign(self, universe, scale, nums)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _trusted, (self.universe, self.scale, self.nums)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FiniteFuzzySet:
+            return NotImplemented
+        return (
+            self.nums == other.nums
+            and self.scale == other.scale
+            and (self.universe is other.universe or self.universe == other.universe)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.nums))
+
+    @property
+    def degrees(self) -> tuple[Fraction, ...]:
+        scale = self.scale
+        return tuple(Fraction(n, scale) for n in self.nums)
 
     @classmethod
     def of(cls, universe: Universe, degrees: Mapping[str, object] | Iterable[object]) -> "FiniteFuzzySet":
@@ -114,14 +153,14 @@ class FiniteFuzzySet:
 
     @classmethod
     def zero(cls, universe: Universe) -> "FiniteFuzzySet":
-        return cls(universe, (ZERO,) * len(universe))
+        return _trusted(universe, 1, (0,) * len(universe))
 
     @classmethod
     def one(cls, universe: Universe) -> "FiniteFuzzySet":
-        return cls(universe, (ONE,) * len(universe))
+        return _trusted(universe, 1, (1,) * len(universe))
 
     def at(self, label: str) -> Fraction:
-        return self.degrees[self.universe.index(label)]
+        return Fraction(self.nums[self.universe.index(label)], self.scale)
 
     def by_label(self) -> dict[str, Fraction]:
         return dict(zip(self.universe.labels, self.degrees))
@@ -136,14 +175,23 @@ class FiniteFuzzySet:
             )
 
     def complement(self) -> "FiniteFuzzySet":
-        return _trusted(self.universe, tuple(ONE - value for value in self.degrees))
+        """``1 - v`` pointwise; ``scale - n`` keeps the scale canonical."""
+        scale = self.scale
+        return _trusted(self.universe, scale, tuple(scale - n for n in self.nums))
 
     def _pointwise(self, op, others: tuple["FiniteFuzzySet", ...]) -> "FiniteFuzzySet":
-        columns = [self.degrees]
+        scale = self.scale
         for other in others:
             self._require_compatible(other)
-            columns.append(other.degrees)
-        return _trusted(self.universe, tuple(map(op, *columns))) if others else self
+            if other.scale != scale:
+                scale = math.lcm(scale, other.scale)
+        if not others:
+            return self
+        columns = [
+            value.nums if value.scale == scale else _rescaled(value, scale)
+            for value in (self, *others)
+        ]
+        return _reduced(self.universe, scale, tuple(map(op, *columns)))
 
     def meet(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
         """Pointwise minimum of self and every set in ``others``, in one pass."""
@@ -154,18 +202,22 @@ class FiniteFuzzySet:
         return self._pointwise(max, others)
 
     def leq(self, other: "FiniteFuzzySet") -> bool:
-        """Pointwise order: true iff ``self(x) <= other(x)`` everywhere."""
+        """Pointwise order: true iff ``self(x) <= other(x)`` everywhere.
+
+        On different scales ``a / p <= b / q`` is compared as ``a * q <= b * p``.
+        """
         self._require_compatible(other)
-        return all(a <= b for a, b in zip(self.degrees, other.degrees))
+        p, q = self.scale, other.scale
+        if p == q:
+            return all(map(le, self.nums, other.nums))
+        return all(a * q <= b * p for a, b in zip(self.nums, other.nums))
 
     def is_zero(self) -> bool:
-        return all(value == ZERO for value in self.degrees)
+        return not any(self.nums)
 
     def support(self) -> tuple[str, ...]:
         """Labels with strictly positive degree."""
-        return tuple(
-            label for label, value in zip(self.universe.labels, self.degrees) if value > ZERO
-        )
+        return tuple(label for label, n in zip(self.universe.labels, self.nums) if n)
 
     def bottom(self) -> "FiniteFuzzySet":
         return FiniteFuzzySet.zero(self.universe)
@@ -183,27 +235,53 @@ class FiniteFuzzySet:
         return f"FiniteFuzzySet({{{inside}}})"
 
 
-def _trusted(universe: Universe, degrees: tuple[Fraction, ...]) -> FiniteFuzzySet:
-    """Build a set from degrees already known valid, skipping ``__post_init__``.
+def _assign(value: FiniteFuzzySet, universe: Universe, scale: int, nums: tuple[int, ...]) -> None:
+    object.__setattr__(value, "universe", universe)
+    object.__setattr__(value, "scale", scale)
+    object.__setattr__(value, "nums", nums)
 
-    Only values valid by construction come through here: lattice results
-    (min, max and ``1 - v`` of degrees in ``[0, 1]`` stay in ``[0, 1]``),
-    grid sets of ``oracle.enumerate_grid_sets`` and the preimages and
-    images of ``functions.FuzzyFunction``, one degree per point each.
+
+def _trusted(universe: Universe, scale: int, nums: tuple[int, ...]) -> FiniteFuzzySet:
+    """Build a set from a canonical ``(scale, nums)`` pair, skipping all checks.
+
+    Only pairs canonical by construction come through here: each of
+    ``0 <= n <= scale`` holds and ``gcd(scale, *nums) == 1``.  Complements
+    keep their scale, since ``gcd(scale, scale - n) == gcd(scale, n)``;
+    everything else goes through :func:`_reduced` first.
     """
     value = object.__new__(FiniteFuzzySet)
-    object.__setattr__(value, "universe", universe)
-    object.__setattr__(value, "degrees", degrees)
+    _assign(value, universe, scale, nums)
     return value
+
+
+def _reduced(universe: Universe, scale: int, nums: tuple[int, ...]) -> FiniteFuzzySet:
+    """The set ``nums / scale``, canonical after dividing out ``gcd(scale, *nums)``.
+
+    For lattice results, grid sets of ``oracle.enumerate_grid_sets`` and the
+    preimages and images of ``functions.FuzzyFunction``: their numerators lie
+    in ``[0, scale]`` by construction, but may share a factor with it.
+    """
+    g = math.gcd(scale, *nums)
+    if g != 1:
+        scale //= g
+        nums = tuple(n // g for n in nums)
+    return _trusted(universe, scale, nums)
+
+
+def _rescaled(value: FiniteFuzzySet, scale: int) -> tuple[int, ...]:
+    """The numerators of ``value`` over ``scale``, a multiple of its own scale."""
+    factor = scale // value.scale
+    return tuple(n * factor for n in value.nums)
 
 
 class _MemberIndex:
     """Greatest-member-below queries on a finite topology, by integer bitmasks.
 
-    Bits number the members in lexicographic order of their degrees.  That
-    order extends the pointwise one, so a member strictly below another
-    gets the lower bit.  Every degree is stored as the integer ``m(x) * L``,
-    where ``L`` is the lcm of all member denominators, and each point keeps
+    Every degree is stored as the integer ``m(x) * L``, where ``L`` is the
+    lcm of the member scales, so ``m(x) * L = n * L // scale`` exactly.
+    Bits number the members in lexicographic order of those integers,
+    which is the order of their degrees and extends the pointwise one, so
+    a member strictly below another gets the lower bit.  Each point keeps
     its distinct stored values in ascending order, each with the mask of
     the members at or below that value there.
 
@@ -216,39 +294,35 @@ class _MemberIndex:
     """
 
     def __init__(self, members: Sequence[FiniteFuzzySet]):
-        ordered = sorted(members, key=FiniteFuzzySet.sort_key)
-        self._members = tuple(ordered)
-        self._complements = tuple(member.complement() for member in ordered)
-        self._scale = scale = math.lcm(
-            *(degree.denominator for member in ordered for degree in member.degrees)
-        )
+        self._scale = scale = math.lcm(*(member.scale for member in members))
+        rows = sorted(((_rescaled(member, scale), member) for member in members), key=itemgetter(0))
+        self._members = tuple(member for _, member in rows)
+        self._complements = tuple(member.complement() for member in self._members)
         self._columns = []
-        for column in zip(*(member.degrees for member in ordered)):
+        for column in zip(*(values for values, _ in rows)):
             masks: dict[int, int] = {}
-            for bit, degree in enumerate(column):
-                value = degree.numerator * scale // degree.denominator
+            for bit, value in enumerate(column):
                 masks[value] = masks.get(value, 0) | 1 << bit
             values = sorted(masks)
             self._columns.append((values, list(accumulate((masks[v] for v in values), or_))))
 
     def interior(self, s: FiniteFuzzySet) -> FiniteFuzzySet:
-        """The greatest member below ``s``: thresholds ``floor(s(x) * L)``."""
-        scale, mask = self._scale, -1
-        for (values, prefix), d in zip(self._columns, s.degrees):
-            mask &= prefix[bisect_right(values, d.numerator * scale // d.denominator) - 1]
+        """The greatest member below ``s``: thresholds ``n * L // scale``."""
+        scale, q, mask = self._scale, s.scale, -1
+        for (values, prefix), n in zip(self._columns, s.nums):
+            mask &= prefix[bisect_right(values, n * scale // q) - 1]
         return self._members[mask.bit_length() - 1]
 
     def closure(self, s: FiniteFuzzySet) -> FiniteFuzzySet:
         """The complement of the greatest member below ``1 - s``.
 
-        ``m(x) <= 1 - s(x)`` iff ``m(x) * L <= L - ceil(s(x) * L)``, and that
-        dual threshold is ``floor((q - p) * L / q)`` for ``s(x) = p / q``, so
-        the member is selected without computing ``1 - s``.
+        ``1 - s(x)`` is ``(scale - n) / scale``, so the dual threshold is
+        ``(scale - n) * L // scale`` and the member is selected without
+        computing ``1 - s``.
         """
-        scale, mask = self._scale, -1
-        for (values, prefix), d in zip(self._columns, s.degrees):
-            q = d.denominator
-            mask &= prefix[bisect_right(values, (q - d.numerator) * scale // q) - 1]
+        scale, q, mask = self._scale, s.scale, -1
+        for (values, prefix), n in zip(self._columns, s.nums):
+            mask &= prefix[bisect_right(values, (q - n) * scale // q) - 1]
         return self._complements[mask.bit_length() - 1]
 
 

@@ -9,7 +9,7 @@ it acts on fuzzy sets through the usual lifts
 and is classified eight ways: four continuity classes (preimages of the
 codomain's opens are open / semiopen / somewhat open / somewhat semiopen)
 and the four mirror-image openness classes on images of the domain's
-opens.  Each lifted set is classified once by ``semiclass.classify_set``,
+opens.  Each lifted set is classified once by ``semiclass.set_verdicts``,
 whose four verdicts, in chain order, decide the four classes of its side.
 Both quadruples obey the same implication chain as sets do, with the two
 somewhat classes provably coinciding; :class:`FunctionClassification`
@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .degrees import ZERO
 from .errors import BackendMismatchError
-from .fset import FiniteFuzzySet, Universe, _trusted
-from .semiclass import _require_chain, classify_set
+from .fset import FiniteFuzzySet, Universe, _reduced
+from .semiclass import _require_chain, set_verdicts
 from .topology import FuzzyTopology
 
 __all__ = [
@@ -101,22 +100,23 @@ class FuzzyFunction:
     def preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:
         """Pull a codomain fuzzy set back along the map: ``x -> beta(f(x))``."""
         self.codomain.members[0]._require_compatible(beta)
-        mapping = self._map
+        mapping, index, nums = self._map, beta.universe.index, beta.nums
         domain_universe = self.domain.universe
-        return _trusted(domain_universe, tuple(beta.at(mapping[x]) for x in domain_universe))
+        return _reduced(
+            domain_universe, beta.scale, tuple(nums[index(mapping[x])] for x in domain_universe)
+        )
 
     def image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:
         """Push a domain fuzzy set forward: sup over each fiber, 0 if empty."""
         self.domain.members[0]._require_compatible(alpha)
         mapping = self._map
-        domain_universe = self.domain.universe
         codomain_universe = self.codomain.universe
-        best = {y: ZERO for y in codomain_universe}
-        for x, value in zip(domain_universe, alpha.degrees):
+        best = dict.fromkeys(codomain_universe, 0)
+        for x, n in zip(self.domain.universe, alpha.nums):
             y = mapping[x]
-            if value > best[y]:
-                best[y] = value
-        return _trusted(codomain_universe, tuple(best[y] for y in codomain_universe))
+            if n > best[y]:
+                best[y] = n
+        return _reduced(codomain_universe, alpha.scale, tuple(best.values()))
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def classify_function(f: FuzzyFunction) -> FunctionClassification:
     ):
         verdicts.update(dict.fromkeys(names, True))
         for member in members:
-            held = classify_set(space, lift(member)).verdicts().values()
+            held = set_verdicts(space, lift(member)).values()
             for name, holds in zip(names, held):
                 if not holds and verdicts[name]:
                     verdicts[name] = False

@@ -25,10 +25,10 @@ import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import BackendMismatchError, HierarchyInvariantError, OffGridError, ResourceCapError
-from .fset import FiniteFuzzySet, Universe, _trusted, join_family
+from .fset import FiniteFuzzySet, Universe, _reduced, join_family
 from .functions import FuzzyFunction, classify_function
 from .semiclass import (
     SetClassification,
@@ -111,24 +111,20 @@ def _require_finite_universe(space: FuzzyTopology) -> Universe:
     return universe
 
 
-def _off_grid(degrees: Iterable[Fraction], k: int) -> list[Fraction]:
-    return [d for d in degrees if (d * k).denominator != 1]
+def _require_on_grid(sets: Sequence[FiniteFuzzySet], k: int, what: str) -> None:
+    """Raise unless every set lies on the 1/k grid, that is ``k % scale == 0``.
 
-
-def _require_on_grid(degrees: Iterable[Fraction], k: int, what: str) -> None:
-    degrees = list(degrees)
-    misses = _off_grid(degrees, k)
-    if misses:
-        needed = math.lcm(*(d.denominator for d in degrees))
+    The smallest grid holding every degree is the lcm of the scales.
+    """
+    off = [s for s in sets if k % s.scale]
+    if off:
+        example = next(d for d in off[0].degrees if (d * k).denominator != 1)
+        needed = math.lcm(*(s.scale for s in sets))
         raise OffGridError(
-            f"{what} has degrees off the 1/{k} grid (e.g. {misses[0]}); "
+            f"{what} has degrees off the 1/{k} grid (e.g. {example}); "
             f"the smallest grid holding every degree is k={needed}",
             required_k=needed,
         )
-
-
-def _topology_degrees(space: FuzzyTopology) -> set[Fraction]:
-    return {d for member in space.members for d in member.degrees}
 
 
 def enumerate_grid_sets(
@@ -148,8 +144,9 @@ def enumerate_grid_sets(
         raise ValueError(
             f"universe has {len(universe)} points but spec expects {spec.universe_size}"
         )
-    for degrees in itertools.product(spec.degrees(), repeat=spec.universe_size):
-        yield _trusted(universe, degrees)
+    k = spec.k
+    for nums in itertools.product(range(k + 1), repeat=spec.universe_size):
+        yield _reduced(universe, k, nums)
 
 
 def brute_semi_interior(
@@ -165,9 +162,7 @@ def brute_semi_interior(
     that identity.
     """
     universe = _require_finite_universe(space)
-    _require_on_grid(
-        [*_topology_degrees(space), *s.degrees], spec.k, "the topology or queried set"
-    )
+    _require_on_grid([*space.members, s], spec.k, "the topology or queried set")
     below = [
         g
         for g in enumerate_grid_sets(spec, universe)
@@ -199,7 +194,7 @@ def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopol
 def _holds_semiopen_iff_closures_agree(
     space: FuzzyTopology, s: FiniteFuzzySet, c: SetClassification
 ) -> bool:
-    return s.is_zero() or c.is_semiopen == (c.closure == space.closure(c.interior))
+    return s.is_zero() or c.is_semiopen == (c.closure == c.closure_of_interior)
 
 
 # Each entry restates one proved law as an executable predicate of a grid
@@ -242,7 +237,7 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     the sweep is exhaustive rather than a sample.
     """
     universe = _require_finite_universe(space)
-    _require_on_grid(_topology_degrees(space), spec.k, "topology")
+    _require_on_grid(space.members, spec.k, "topology")
     checked = 0
     for s in enumerate_grid_sets(spec, universe):
         checked += 1
@@ -398,7 +393,7 @@ def run_campaign(
 
         s = _random_grid_set(rng, space.universe, degrees)
         closed_form = semi_interior(space, s)
-        if not _off_grid(closed_form.degrees, spec.k):
+        if spec.k % closed_form.scale == 0:
             agreements += 1
             brute = brute_semi_interior(space, s, spec)
             if closed_form != brute:

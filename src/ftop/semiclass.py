@@ -15,15 +15,16 @@ which yields the implication chain
     open  =>  semiopen  =>  somewhat open  <=>  somewhat semiopen
 
 stated once, by :func:`_require_chain`, and enforced by
-:class:`SetClassification` and, per quadruple, by
-``functions.FunctionClassification``.
+:class:`SetClassification`, by :func:`set_verdicts` and, per quadruple,
+by ``functions.FunctionClassification``.
 
-Besides the standalone definitions, :func:`classify_set` is the only code
-that turns interiors and closures into verdicts: ``functions.classify_function``
-classifies every lifted set with it, and ``oracle.check_space`` checks its
-laws on what it returns.  The standalone predicates and semi-operators
-restate the definitions one at a time; the tests and the brute-force
-oracle hold ``classify_set`` to them.
+Besides the standalone definitions, one derivation (``_derive``) turns
+interiors and closures into verdicts.  :func:`set_verdicts` returns its
+verdicts alone, which is all ``functions.classify_function`` reads of a
+lifted set; :func:`classify_set` adds the evidence, and
+``oracle.check_space`` checks its laws on what it returns.  The
+standalone predicates and semi-operators restate the definitions one at
+a time; the tests and the brute-force oracle hold both to them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "is_somewhat_open",
     "is_somewhat_semiopen",
     "SetClassification",
+    "set_verdicts",
     "classify_set",
 ]
 
@@ -98,7 +100,9 @@ def _require_chain(verdicts: Mapping[str, bool]) -> None:
 class SetClassification:
     """The four openness verdicts for one set, with operator evidence.
 
-    Refuses construction when the verdicts break the implication chain.
+    ``closure_of_interior`` is ``Cl(Int(s))``, the value that decides
+    ``is_semiopen``.  Refuses construction when the verdicts break the
+    implication chain.
     """
 
     is_open: bool
@@ -107,6 +111,7 @@ class SetClassification:
     is_somewhat_semiopen: bool
     interior: FuzzyValue
     closure: FuzzyValue
+    closure_of_interior: FuzzyValue
     semi_interior: FuzzyValue
     semi_closure: FuzzyValue
 
@@ -122,26 +127,50 @@ class SetClassification:
         }
 
 
-def classify_set(space: FuzzyTopology, s: FuzzyValue) -> SetClassification:
-    """All four set-level verdicts plus the operator values behind them.
+def _derive(space: FuzzyTopology, s: FuzzyValue):
+    """The four verdicts, strongest first, from ``Int(s)`` and ``Cl(Int(s))``.
 
-    Each of ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))`` and ``Int(Cl(s))`` is
-    computed once, and the verdicts and semi-operators follow from the
-    definitions above; ``s`` is open iff ``Int(s) = s``, since the interior
-    is a member below ``s``.
+    Returns the verdict dict with ``Int(s)``, ``Cl(Int(s))`` and the
+    semi-interior ``s /\\ Cl(Int(s))``; ``s`` is open iff ``Int(s) = s``,
+    since the interior is a member below ``s``.  The chain is not checked.
     """
     interior = space.interior(s)
-    closure = space.closure(s)
     closure_of_interior = space.closure(interior)
     inner = s.meet(closure_of_interior)
     zero = s.is_zero()
+    verdicts = {
+        "open": interior == s,
+        "semiopen": s.leq(closure_of_interior),
+        "somewhat_open": zero or not interior.is_zero(),
+        "somewhat_semiopen": zero or not inner.is_zero(),
+    }
+    return verdicts, interior, closure_of_interior, inner
+
+
+def set_verdicts(space: FuzzyTopology, s: FuzzyValue) -> dict[str, bool]:
+    """The four verdicts of :func:`classify_set`, without the evidence.
+
+    Costs two operator calls where :func:`classify_set` makes four, and
+    refuses the same chain-breaking verdicts.
+    """
+    verdicts = _derive(space, s)[0]
+    _require_chain(verdicts)
+    return verdicts
+
+
+def classify_set(space: FuzzyTopology, s: FuzzyValue) -> SetClassification:
+    """All four set-level verdicts plus the operator values behind them.
+
+    The verdicts come from the same derivation as :func:`set_verdicts`;
+    the evidence adds ``Cl(s)`` and ``Int(Cl(s))`` for the semi-closure.
+    """
+    verdicts, interior, closure_of_interior, inner = _derive(space, s)
+    closure = space.closure(s)
     return SetClassification(
-        is_open=interior == s,
-        is_semiopen=s.leq(closure_of_interior),
-        is_somewhat_open=zero or not interior.is_zero(),
-        is_somewhat_semiopen=zero or not inner.is_zero(),
+        *verdicts.values(),
         interior=interior,
         closure=closure,
+        closure_of_interior=closure_of_interior,
         semi_interior=inner,
         semi_closure=s.join(space.interior(closure)),
     )

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: reports, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ftop
 from ftop.cli import main
 from ftop.errors import HierarchyInvariantError
 
@@ -251,3 +256,37 @@ def test_text_format_is_the_default(capsys):
     assert "valid: true" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_repeated_calls_match_fresh_processes(capsys, tmp_path, monkeypatch):
+    """One process reuses one parser: every call prints and exits as a fresh
+    ``python -m ftop.cli`` would, also after a usage error and with either
+    position of ``--format``."""
+    path = write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
+    calls = [
+        ["--format", "json", "validate", "example1.json"],
+        ["classify", "set", "alpha", "--space", "example1.json", "--format", "json"],
+        ["classify", "set"],
+        ["validate", path],
+        ["--format", "json", "verify", "--seeds", "2", "--universe-size", "2", "--grid", "2"],
+        ["--format", "xml", "validate", path],
+        ["classify", "set", "beta", "--space", "example1.json"],
+        ["search", "--target", "open-not-open", "--space", path, "--grid", "2"],
+        ["--format", "json", "validate", path, "--cap", "3"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(ftop.__file__).parents[1]))
+    codes = set()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ftop.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        codes.add(code)
+    assert codes == {0, 2, 3}

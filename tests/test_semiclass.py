@@ -22,6 +22,7 @@ from ftop import (
     is_somewhat_semiopen,
     semi_closure,
     semi_interior,
+    set_verdicts,
 )
 
 from helpers import ALPHA, BETA, LAM, M2, MU, SIGMA, ZERO2, fs, t_fin, t_pl
@@ -101,6 +102,7 @@ def test_impossible_verdict_combinations_are_refused():
             is_somewhat_semiopen=True,
             interior=ZERO2,
             closure=ZERO2,
+            closure_of_interior=ZERO2,
             semi_interior=ZERO2,
             semi_closure=ZERO2,
         )
@@ -112,9 +114,25 @@ def test_impossible_verdict_combinations_are_refused():
             is_somewhat_semiopen=False,
             interior=ZERO2,
             closure=ZERO2,
+            closure_of_interior=ZERO2,
             semi_interior=ZERO2,
             semi_closure=ZERO2,
         )
+
+
+def test_set_verdicts_refuses_a_broken_chain():
+    class Broken:
+        """Int(s) = s but Cl(Int(s)) = 0: open and not semiopen."""
+
+        def interior(self, s):
+            return s
+
+        def closure(self, s):
+            return s.bottom()
+
+    for classify in (set_verdicts, classify_set):
+        with pytest.raises(HierarchyInvariantError):
+            classify(Broken(), fs("1/2", 0))
 
 
 CHAIN_QUADRUPLES = {
@@ -131,6 +149,7 @@ def classification_with(quadruple):
         **dict(zip(names, quadruple)),
         interior=ZERO2,
         closure=ZERO2,
+        closure_of_interior=ZERO2,
         semi_interior=ZERO2,
         semi_closure=ZERO2,
     )
@@ -157,6 +176,8 @@ def assert_classification_matches_definitions(space, s):
     assert c.closure == space.closure(s)
     assert c.semi_interior == semi_interior(space, s)
     assert c.semi_closure == semi_closure(space, s)
+    assert c.closure_of_interior == space.closure(space.interior(s))
+    assert set_verdicts(space, s) == c.verdicts()
 
 
 @settings(deadline=None)
