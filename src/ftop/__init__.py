@@ -5,9 +5,8 @@ semi-interior/semi-closure operators, the open < semiopen < somewhat-open
 classification of sets and the matching eight-way classification of crisp
 maps, plus a brute-force oracle that re-derives everything over finite
 degree grids.  All arithmetic is exact: degrees are ``fractions.Fraction``
-values at every boundary and inside the piecewise-linear backend, the
-finite backend holds them as integer numerators over one scale per set,
-and floats are rejected at every boundary.
+values at every boundary, both backends hold them as integer numerators
+over one scale per set, and floats are rejected at every boundary.
 """
 
 from .degrees import ONE, ZERO, as_degree, format_rational, parse_rational

@@ -326,6 +326,9 @@ class _MemberIndex:
         return self._complements[mask.bit_length() - 1]
 
 
+FiniteFuzzySet._index_type = _MemberIndex
+
+
 def join_family(
     sets: Sequence[FiniteFuzzySet], universe: Universe | None = None
 ) -> FiniteFuzzySet:

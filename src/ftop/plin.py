@@ -8,19 +8,33 @@ again piecewise-linear with rational breakpoints, because segment crossings
 solve linear equations; everything here is computed exactly, with no
 epsilon anywhere.
 
-Binary operations (meet, join, order) sweep both breakpoint lists once
-with two pointers, so one of them on sets with m and n breakpoints costs
-O(m + n) exact rational steps; variadic meet and join fold pairwise.
+Each set holds one positive integer ``scale`` and integer tuples ``xs`` and
+``ys``: breakpoint i is ``(xs[i] / scale, ys[i] / scale)``.  The form is
+canonical: interior breakpoints collinear with their neighbours are dropped
+and ``gcd(scale, *xs, *ys) == 1``, so structural equality is pointwise
+equality and ``==`` and ``hash`` compare integers.  ``breakpoints`` is a
+derived tuple of Fractions for documents, reports and ordering.
 
-Construction always canonicalizes (interior breakpoints collinear with
-their neighbours are dropped), so structural equality coincides with
-pointwise equality and sets can be used as dict keys and topology members.
-The public constructor also validates every breakpoint; lattice results,
-computed from valid sets, skip that validation.
+Binary operations (meet, join, order) sweep both breakpoint lists once
+with two pointers, on the lcm of the two scales, so one of them on sets
+with m and n breakpoints costs O(m + n) integer steps.  A value
+interpolated on a segment of width ``d`` is kept as a numerator over
+``d * scale``, so comparisons cross-multiply instead of dividing.
+Variadic meet and join fold pairwise.  The public constructor validates
+every breakpoint; lattice results, computed from valid sets, skip that.
+A topology's interior and closure select a member by its exact mass
+(``_MemberIndex``), with no join built.
+
+Tuples are built from lists, never from generators: CPython builds a
+tuple from a generator by resizing it, and when such a tuple is freed it
+joins the free list for its length, which then only grows, up to 2000
+tuples per length (600 ``classify set`` requests kept 1.6 MB that way).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -31,87 +45,58 @@ from .errors import BackendMismatchError
 __all__ = ["PLFuzzySet"]
 
 Breakpoint = tuple[Fraction, Fraction]
+Ints = tuple[int, ...]
+Column = Sequence[int]  # stored ``Ints`` or a rescaled list
 
 
-def _canonicalize(points: Sequence[Breakpoint]) -> tuple[Breakpoint, ...]:
-    """Drop interior points collinear with their neighbours.
-
-    An interior point is removable iff the segment from the last kept point
-    to the next point passes through it; testing against the last *kept*
-    point (not the raw predecessor) collapses whole collinear runs.
-    """
-    result: list[Breakpoint] = [points[0]]
-    for index in range(1, len(points) - 1):
-        x0, y0 = result[-1]
-        x1, y1 = points[index]
-        x2, y2 = points[index + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        result.append(points[index])
-    result.append(points[-1])
-    return tuple(result)
-
-
-def _interpolate(left: Breakpoint, right: Breakpoint, x: Fraction) -> Fraction:
-    (x0, y0), (x1, y1) = left, right
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def _walk(
-    p: Sequence[Breakpoint], q: Sequence[Breakpoint]
-) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """Yield ``(x, f(x), g(x))`` at every breakpoint x of either f or g, in order.
-
-    ``p`` and ``q`` are the breakpoint lists of f and g.  Two pointers walk
-    both lists once, so the sweep takes O(m + n) steps for m and n
-    breakpoints: at an x where only one function has a breakpoint, the
-    other is interpolated on its current segment, whose right end is the
-    breakpoint its pointer rests on.  Both lists start at 0 and end at 1,
-    so the pointers leave their lists together.
-    """
-    i = j = 0
-    while i < len(p):
-        (px, py), (qx, qy) = p[i], q[j]
-        if px == qx:
-            yield px, py, qy
-            i += 1
-            j += 1
-        elif px < qx:
-            yield px, py, _interpolate(q[j - 1], q[j], px)
-            i += 1
-        else:
-            yield qx, _interpolate(p[i - 1], p[i], qx), qy
-            j += 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class PLFuzzySet:
-    """A continuous piecewise-linear membership function on ``[0, 1]``."""
+    """A continuous piecewise-linear membership function on ``[0, 1]``.
 
-    breakpoints: tuple[Breakpoint, ...]
+    Breakpoint i is ``(xs[i] / scale, ys[i] / scale)``, in the canonical
+    form of the module docstring.
+    """
 
-    def __post_init__(self) -> None:
-        points = self.breakpoints
+    scale: int
+    xs: Ints
+    ys: Ints
+
+    def __init__(self, breakpoints: Sequence[Breakpoint]) -> None:
+        """Validate ``(x, y)`` Fraction pairs and store them canonically.
+
+        Exactness is checked first, so every malformed breakpoint raises
+        ``ValueError``; then the endpoints, the x order and the y range,
+        on the integer numerators over the lcm of the denominators.
+        """
+        points = tuple(breakpoints)
         if len(points) < 2:
             raise ValueError("need at least the two endpoint breakpoints")
-        if points[0][0] != ZERO or points[-1][0] != ONE:
-            raise ValueError("breakpoints must start at x=0 and end at x=1")
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            if x1 <= x0:
-                raise ValueError(f"x-coordinates must strictly increase: {x0} then {x1}")
         for x, y in points:
             if not isinstance(x, Fraction) or not isinstance(y, Fraction):
                 raise ValueError(f"breakpoint ({x!r}, {y!r}) is not exact-rational")
-            if y < ZERO or y > ONE:
-                raise ValueError(f"membership value {y} outside [0, 1]")
-        canonical = _canonicalize(points)
-        if canonical != points:
-            object.__setattr__(self, "breakpoints", canonical)
+        scale = math.lcm(*[value.denominator for point in points for value in point])
+        xs = [x.numerator * (scale // x.denominator) for x, _ in points]
+        ys = [y.numerator * (scale // y.denominator) for _, y in points]
+        if xs[0] != 0 or xs[-1] != scale:
+            raise ValueError("breakpoints must start at x=0 and end at x=1")
+        for i in range(1, len(xs)):
+            if xs[i] <= xs[i - 1]:
+                x0, x1 = points[i - 1][0], points[i][0]
+                raise ValueError(f"x-coordinates must strictly increase: {x0} then {x1}")
+        for y, (_, value) in zip(ys, points):
+            if y < 0 or y > scale:
+                raise ValueError(f"membership value {value} outside [0, 1]")
+        _assign(self, *_reduced(scale, [(x, y, 1) for x, y in zip(xs, ys)]))
+
+    @property
+    def breakpoints(self) -> tuple[Breakpoint, ...]:
+        scale = self.scale
+        return tuple([(Fraction(x, scale), Fraction(y, scale)) for x, y in zip(self.xs, self.ys)])
 
     @classmethod
     def from_breakpoints(cls, pairs: Iterable[tuple[object, object]]) -> "PLFuzzySet":
         """Build from ``(x, y)`` pairs of ints, Fractions, or "p/q" strings."""
-        return cls(tuple((as_degree(x), as_degree(y)) for x, y in pairs))
+        return cls([(as_degree(x), as_degree(y)) for x, y in pairs])
 
     @classmethod
     def constant(cls, value: object) -> "PLFuzzySet":
@@ -120,42 +105,28 @@ class PLFuzzySet:
 
     @classmethod
     def zero(cls) -> "PLFuzzySet":
-        return cls.constant(0)
+        return _trusted(1, (0, 1), (0, 0))
 
     @classmethod
     def one(cls) -> "PLFuzzySet":
-        return cls.constant(1)
+        return _trusted(1, (0, 1), (1, 1))
 
     def at(self, x: Fraction | int | str) -> Fraction:
         """Evaluate at a rational point by exact linear interpolation."""
-        x = as_degree(x)  # the domain is [0, 1], same range as degrees
-        points = self.breakpoints
-        for left, right in zip(points, points[1:]):
-            if left[0] <= x <= right[0]:
-                return left[1] if x == left[0] else _interpolate(left, right, x)
-        raise AssertionError("unreachable: breakpoints cover [0, 1]")
+        position = as_degree(x) * self.scale  # the domain is [0, 1], same range as degrees
+        xs, ys = self.xs, self.ys
+        i = bisect_left(xs, position)
+        if xs[i] == position:
+            return Fraction(ys[i], self.scale)
+        x0, y0 = xs[i - 1], ys[i - 1]
+        return (y0 + (ys[i] - y0) * (position - x0) / (xs[i] - x0)) / self.scale
 
     def _pointwise(self, op, others: tuple["PLFuzzySet", ...]) -> "PLFuzzySet":
-        """Fold ``op`` (min or max) over ``others``, one linear sweep per pair.
-
-        Between consecutive merged x-coordinates both functions are linear,
-        so the difference changes sign inside a cell only if it has strictly
-        opposite signs at the cell ends; the crossing then solves a linear
-        equation and is rational, and becomes a breakpoint of the result.
-        """
+        """Fold ``op`` (min or max) over ``others``, one linear sweep per pair."""
         result = self
         for other in others:
             self._require_compatible(other)
-            points: list[Breakpoint] = []
-            x0 = a0 = d0 = ZERO
-            for x, a, b in _walk(result.breakpoints, other.breakpoints):
-                d = a - b
-                if (d0 > 0 and d < 0) or (d0 < 0 and d > 0):
-                    t = d0 / (d0 - d)  # both functions meet at x0 + t * (x - x0)
-                    points.append((x0 + t * (x - x0), a0 + t * (a - a0)))
-                points.append((x, op(a, b)))
-                x0, a0, d0 = x, a, d
-            result = _trusted(_canonicalize(points))
+            result = _combine(op, result, other)
         return result
 
     def meet(self, *others: "PLFuzzySet") -> "PLFuzzySet":
@@ -167,8 +138,9 @@ class PLFuzzySet:
         return self._pointwise(max, others)
 
     def complement(self) -> "PLFuzzySet":
-        # y -> 1 - y keeps collinearity, so the result is canonical already.
-        return _trusted(tuple((x, ONE - y) for x, y in self.breakpoints))
+        """``1 - y`` pointwise; ``scale - y`` keeps collinearity and the gcd."""
+        scale = self.scale
+        return _trusted(scale, self.xs, tuple([scale - y for y in self.ys]))
 
     def leq(self, other: "PLFuzzySet") -> bool:
         """Pointwise order, decided exactly in one sweep of O(m + n) steps.
@@ -178,10 +150,10 @@ class PLFuzzySet:
         iff it holds at both ends.  The sweep stops at the first violation.
         """
         self._require_compatible(other)
-        return all(a <= b for _, a, b in _walk(self.breakpoints, other.breakpoints))
+        return _leq(self, other)
 
     def is_zero(self) -> bool:
-        return all(y == ZERO for _, y in self.breakpoints)
+        return not any(self.ys)
 
     def bottom(self) -> "PLFuzzySet":
         return PLFuzzySet.zero()
@@ -202,12 +174,188 @@ class PLFuzzySet:
         return f"PLFuzzySet([{inside}])"
 
 
-def _trusted(points: tuple[Breakpoint, ...]) -> PLFuzzySet:
-    """Wrap canonical, valid breakpoints without ``__post_init__``.
+def _assign(value: PLFuzzySet, scale: int, xs: Ints, ys: Ints) -> None:
+    object.__setattr__(value, "scale", scale)
+    object.__setattr__(value, "xs", xs)
+    object.__setattr__(value, "ys", ys)
 
-    Only lattice results come through here: their x-coordinates are the
-    increasing merged grid of valid sets and their values stay in ``[0, 1]``.
+
+def _trusted(scale: int, xs: Ints, ys: Ints) -> PLFuzzySet:
+    """Build a set from a canonical ``(scale, xs, ys)`` triple, skipping all checks.
+
+    Only triples canonical by construction come through here; lattice
+    results go through :func:`_reduced` first.
     """
     value = object.__new__(PLFuzzySet)
-    object.__setattr__(value, "breakpoints", points)
+    _assign(value, scale, xs, ys)
     return value
+
+
+def _reduced(scale: int, points: Sequence[tuple[int, int, int]]) -> tuple[int, Ints, Ints]:
+    """The canonical form of valid breakpoints ``(x / (k * scale), y / (k * scale))``.
+
+    An interior point is dropped iff the segment from the last kept point
+    to the next point passes through it; testing against the last *kept*
+    point (not the raw predecessor) collapses whole collinear runs.  The
+    test cross-multiplies the slopes with each point's own ``k``, so it
+    runs on small numbers; only the kept points are brought to the lcm of
+    their ``k``.  Then ``gcd(scale, *xs, *ys)`` is divided out.
+    """
+    kept = [points[0]]
+    for i in range(1, len(points) - 1):
+        x0, y0, k0 = kept[-1]
+        x1, y1, k1 = points[i]
+        x2, y2, k2 = points[i + 1]
+        if (y1 * k0 - y0 * k1) * (x2 * k1 - x1 * k2) != (y2 * k1 - y1 * k2) * (x1 * k0 - x0 * k1):
+            kept.append(points[i])
+    kept.append(points[-1])
+    common = math.lcm(*[k for _, _, k in kept])
+    scale *= common
+    xs = [x * (common // k) for x, _, k in kept]
+    ys = [y * (common // k) for _, y, k in kept]
+    g = math.gcd(scale, *xs, *ys)
+    if g != 1:
+        scale //= g
+        xs = [x // g for x in xs]
+        ys = [y // g for y in ys]
+    return scale, tuple(xs), tuple(ys)
+
+
+def _on_scale(value: PLFuzzySet, scale: int) -> tuple[Column, Column]:
+    """The ``xs`` and ``ys`` of ``value`` over ``scale``, a multiple of its own."""
+    if value.scale == scale:
+        return value.xs, value.ys
+    factor = scale // value.scale
+    return [x * factor for x in value.xs], [y * factor for y in value.ys]
+
+
+def _common(f: PLFuzzySet, g: PLFuzzySet) -> tuple[int, Column, Column, Column, Column]:
+    """The lcm ``L`` of both scales, then ``xs`` and ``ys`` of f and of g over it."""
+    scale = math.lcm(f.scale, g.scale)
+    return (scale, *_on_scale(f, scale), *_on_scale(g, scale))
+
+
+def _walk(fx: Column, fy: Column, gx: Column, gy: Column) -> Iterator[tuple[int, int, int, int]]:
+    """Yield ``(x, a, b, d)`` at every breakpoint of f or g, in order.
+
+    The four columns are the breakpoints of f and g over one scale ``L``.
+    At each merged point ``x / L``, f and g take the values ``a / (d * L)``
+    and ``b / (d * L)``.  Two pointers walk both lists once, so the sweep
+    takes O(m + n) steps for m and n breakpoints.  Where both functions
+    have a breakpoint, ``d = 1``.  Where only one has, the other is
+    interpolated on its current segment, whose right end is the breakpoint
+    its pointer rests on; ``d`` is that segment's width, so the
+    interpolated numerator is an integer, and the own value is multiplied
+    by ``d``.  Both lists start at 0 and end at 1, so the pointers leave
+    their lists together.
+    """
+    i = j = 0
+    while i < len(fx):
+        x, u = fx[i], gx[j]
+        if x == u:
+            yield x, fy[i], gy[j], 1
+            i += 1
+            j += 1
+        elif x < u:
+            x0, y0 = gx[j - 1], gy[j - 1]
+            d = u - x0
+            yield x, fy[i] * d, y0 * d + (gy[j] - y0) * (x - x0), d
+            i += 1
+        else:
+            x0, y0 = fx[i - 1], fy[i - 1]
+            d = x - x0
+            yield u, y0 * d + (fy[i] - y0) * (u - x0), gy[j] * d, d
+            j += 1
+
+
+def _leq(f: PLFuzzySet, g: PLFuzzySet) -> bool:
+    """``f <= g`` at every merged breakpoint, hence everywhere."""
+    _, fx, fy, gx, gy = _common(f, g)
+    return all(a <= b for _, a, b, _ in _walk(fx, fy, gx, gy))
+
+
+def _below_complement(f: PLFuzzySet, g: PLFuzzySet) -> bool:
+    """``f <= 1 - g``, tested as ``f(x) + g(x) <= 1`` without building ``1 - g``."""
+    scale, fx, fy, gx, gy = _common(f, g)
+    return all(a + b <= d * scale for _, a, b, d in _walk(fx, fy, gx, gy))
+
+
+def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
+    """``op`` (min or max) of f and g, crossings included, canonical.
+
+    Between consecutive merged points both functions are linear, so their
+    difference changes sign inside a cell only if it has strictly opposite
+    signs at the cell ends.  With differences ``e0 / d0`` and ``e1 / d1``
+    there (over ``L``), the crossing lies at ``t = e0 d1 / (e0 d1 - e1 d0)``
+    of the cell; it is rational and becomes a breakpoint of the result.
+
+    Each result point is held as numerators ``(x, y)`` over ``k * L``,
+    with the factor ``gcd(k, x, y)`` divided out, until :func:`_reduced`
+    brings the kept points to one scale.
+    """
+    scale, fx, fy, gx, gy = _common(f, g)
+    out: list[tuple[int, int, int]] = []
+    x0 = a0 = e0 = 0
+    d0 = 1
+    for x, a, b, d in _walk(fx, fy, gx, gy):
+        e = a - b
+        if (e0 > 0 and e < 0) or (e0 < 0 and e > 0):
+            tn, td = e0 * d, e0 * d - e * d0
+            if td < 0:
+                tn, td = -tn, -td
+            k = d0 * d * td
+            cx = (x0 * td + tn * (x - x0)) * d0 * d
+            cy = a0 * d * td + tn * (a * d0 - a0 * d)
+            c = math.gcd(k, cx, cy)
+            out.append((cx // c, cy // c, k // c))
+        y = op(a, b)
+        c = math.gcd(d, y)  # x * d shares every factor of d
+        out.append((x * (d // c), y // c, d // c))
+        x0, a0, e0, d0 = x, a, e, d
+    return _trusted(*_reduced(scale, out))
+
+
+def _mass(value: PLFuzzySet) -> int:
+    """``2 * scale**2`` times ``∫ value`` over ``[0, 1]``, by the trapezoid rule."""
+    xs, ys = value.xs, value.ys
+    return sum((x1 - x0) * (y0 + y1) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+
+
+class _MemberIndex:
+    """Greatest-member-below queries on a PL topology, by exact mass.
+
+    For continuous functions the mass ``∫ m`` is strictly monotone: if
+    ``m <= m'`` and ``m != m'``, they differ on an interval, so
+    ``∫ m < ∫ m'``.  The members are trusted to be closed under join, as
+    in ``FuzzyTopology``: then the members below ``s`` have a greatest
+    one, and every other member below ``s`` lies under it and has less
+    mass.  So with the members sorted once by descending mass, the first
+    member below ``s`` is ``Int(s)``; no join is built.  Masses are
+    compared as integers over the lcm ``L`` of the member scales.
+    """
+
+    def __init__(self, members: Sequence[PLFuzzySet]):
+        scale = math.lcm(*[member.scale for member in members])
+        self._members = tuple(
+            sorted(members, key=lambda m: _mass(m) * (scale // m.scale) ** 2, reverse=True)
+        )
+        self._complements = tuple([member.complement() for member in self._members])
+
+    def interior(self, s: PLFuzzySet) -> PLFuzzySet:
+        """The first member, by descending mass, below ``s``."""
+        return next(member for member in self._members if _leq(member, s))
+
+    def closure(self, s: PLFuzzySet) -> PLFuzzySet:
+        """The complement of the first member ``m`` with ``m + s <= 1``.
+
+        ``m <= 1 - s`` iff ``m(x) + s(x) <= 1`` at every merged breakpoint,
+        so the member is selected without computing ``1 - s``.
+        """
+        return next(
+            complement
+            for member, complement in zip(self._members, self._complements)
+            if _below_complement(member, s)
+        )
+
+
+PLFuzzySet._index_type = _MemberIndex

@@ -12,10 +12,12 @@ meets and all joins of subfamilies, so each operator selects one member:
   closed sets above ``s`` are the complements of the members below
   ``1 - s``, and their meet is the complement of their join.
 
-On the finite backend an integer bitmask index (``fset._MemberIndex``)
-looks the member up, for closure with dual thresholds instead of
-computing ``1 - s``; the piecewise-linear backend folds ``join`` over the
-members below ``s``.
+Each backend supplies that lookup as an index built once per space, and
+neither computes ``1 - s`` for closure.  The finite index
+(``fset._MemberIndex``) ANDs integer bitmasks, with dual thresholds for
+closure.  The piecewise-linear index (``plin._MemberIndex``) sorts the
+members by exact mass, descending; interior is the first member below
+``s``, and closure the complement of the first with ``m(x) + s(x) <= 1``.
 
 :func:`check_axioms` and :func:`generate` share one pairwise step that skips
 comparable pairs: if ``a <= b``, the meet is ``a`` and the join is ``b``.
@@ -32,7 +34,7 @@ from functools import cached_property
 from typing import Protocol, Sequence
 
 from .errors import FtopError, ResourceCapError
-from .fset import FiniteFuzzySet, Universe, _MemberIndex
+from .fset import FiniteFuzzySet, Universe
 
 __all__ = [
     "FuzzyValue",
@@ -55,7 +57,12 @@ class FuzzyValue(Protocol):
     of the value and any number of others.  ``_require_compatible(other)``
     raises ``BackendMismatchError`` for a value of another backend and
     ``UniverseMismatchError`` for one over another universe.
+    ``_index_type(members)`` builds the backend's greatest-member index,
+    whose ``interior(s)`` and ``closure(s)`` select a member or its
+    complement.
     """
+
+    _index_type: type
 
     def complement(self) -> "FuzzyValue": ...
     def meet(self, *others: "FuzzyValue") -> "FuzzyValue": ...
@@ -198,8 +205,8 @@ class FuzzyTopology:
         return frozenset(self.members)
 
     @cached_property
-    def _index(self) -> _MemberIndex:
-        return _MemberIndex(self.members)
+    def _index(self):
+        return self.members[0]._index_type(self.members)
 
     @property
     def universe(self) -> Universe | None:
@@ -219,16 +226,12 @@ class FuzzyTopology:
     def interior(self, s: FuzzyValue) -> FuzzyValue:
         """Largest open set below ``s``: the greatest member below it."""
         self._check_value(s)
-        if isinstance(s, FiniteFuzzySet):
-            return self._index.interior(s)
-        return self.bottom.join(*[member for member in self.members if member.leq(s)])
+        return self._index.interior(s)
 
     def closure(self, s: FuzzyValue) -> FuzzyValue:
         """Smallest closed set above ``s``: ``1 - Int(1 - s)``."""
         self._check_value(s)
-        if isinstance(s, FiniteFuzzySet):
-            return self._index.closure(s)
-        return self.interior(s.complement()).complement()
+        return self._index.closure(s)
 
     def is_open(self, s: FuzzyValue) -> bool:
         """True iff ``s`` semantically equals a member."""

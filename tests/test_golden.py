@@ -39,6 +39,10 @@ CASES = {
         ],
         1,
     ),
+    "validate-pl-chain": (["validate", "pl-chain.json"], 0),
+    "classify-set-pl-chain": (["classify", "set", "q", "--space", "pl-chain.json"], 0),
+    "validate-pl-product": (["validate", "pl-product.json"], 0),
+    "classify-set-pl-product": (["classify", "set", "q", "--space", "pl-product.json"], 0),
     "verify": (["verify", "--seeds", "6", "--universe-size", "2", "--grid", "2"], 0),
 }
 

@@ -1,6 +1,6 @@
 """Piecewise-linear sets: construction, canonical form, exact lattice ops.
 
-Three independent checks back the lattice operations:
+Four independent checks back the lattice operations:
 
 * pointwise evaluation: any claimed meet/join/order result must agree
   with ``at()`` on every merged breakpoint and on the midpoint of every
@@ -9,14 +9,22 @@ Three independent checks back the lattice operations:
   both functions by a linear scan at every merged x; the linear sweep
   must reproduce its breakpoints and verdicts exactly;
 * a projection onto a finite universe: the PL operators, evaluated at the
-  projection points, must equal the finite-backend operators there.
+  projection points, must equal the finite-backend operators there;
+* the Fraction-based class the integer representation replaced
+  (``ReferencePLFuzzySet`` below): every operation and read-out must
+  agree with it.
 """
 
+import copy
+import math
+import pickle
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftop import (
@@ -33,6 +41,8 @@ from ftop import (
     semi_interior,
     validate,
 )
+from ftop.degrees import ONE, ZERO, as_degree
+from ftop.plin import _mass
 
 from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, pl
 
@@ -302,3 +312,328 @@ def test_constants_and_zero_check():
     assert PLFuzzySet.one().breakpoints == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)))
     assert MU.bottom() == PLFuzzySet.zero()
     assert MU.top() == PLFuzzySet.one()
+
+
+def test_malformed_breakpoints_raise_value_error():
+    """Exactness is checked before order, so a string or float coordinate
+    is a ``ValueError``, never a bare ``TypeError`` from comparing it."""
+    bad = [
+        ((Fraction(0), Fraction(0)), ("1/2", Fraction(1)), (Fraction(1), Fraction(0))),
+        ((Fraction(0), Fraction(0)), (Fraction(1, 2), "1"), (Fraction(1), Fraction(0))),
+        ((Fraction(0), Fraction(0)), (0.5, Fraction(1)), (Fraction(1), Fraction(0))),
+        ((Fraction(0), Fraction(0)), (Fraction(1), 1)),
+    ]
+    for points in bad:
+        with pytest.raises(ValueError, match="is not exact-rational"):
+            PLFuzzySet(points)
+
+
+# --- the integer representation against the Fraction-based original -------
+#
+# ``ReferencePLFuzzySet`` is the Fraction-based ``PLFuzzySet`` as it stood
+# before sets held integer coordinates over one scale, copied verbatim with
+# only the class and its module-level helpers renamed.
+
+Breakpoint = tuple[Fraction, Fraction]
+
+
+def reference_canonicalize(points: Sequence[Breakpoint]) -> tuple[Breakpoint, ...]:
+    """Drop interior points collinear with their neighbours.
+
+    An interior point is removable iff the segment from the last kept point
+    to the next point passes through it; testing against the last *kept*
+    point (not the raw predecessor) collapses whole collinear runs.
+    """
+    result: list[Breakpoint] = [points[0]]
+    for index in range(1, len(points) - 1):
+        x0, y0 = result[-1]
+        x1, y1 = points[index]
+        x2, y2 = points[index + 1]
+        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+            continue
+        result.append(points[index])
+    result.append(points[-1])
+    return tuple(result)
+
+
+def reference_interpolate(left: Breakpoint, right: Breakpoint, x: Fraction) -> Fraction:
+    (x0, y0), (x1, y1) = left, right
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def reference_walk(
+    p: Sequence[Breakpoint], q: Sequence[Breakpoint]
+) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Yield ``(x, f(x), g(x))`` at every breakpoint x of either f or g, in order.
+
+    ``p`` and ``q`` are the breakpoint lists of f and g.  Two pointers walk
+    both lists once, so the sweep takes O(m + n) steps for m and n
+    breakpoints: at an x where only one function has a breakpoint, the
+    other is interpolated on its current segment, whose right end is the
+    breakpoint its pointer rests on.  Both lists start at 0 and end at 1,
+    so the pointers leave their lists together.
+    """
+    i = j = 0
+    while i < len(p):
+        (px, py), (qx, qy) = p[i], q[j]
+        if px == qx:
+            yield px, py, qy
+            i += 1
+            j += 1
+        elif px < qx:
+            yield px, py, reference_interpolate(q[j - 1], q[j], px)
+            i += 1
+        else:
+            yield qx, reference_interpolate(p[i - 1], p[i], qx), qy
+            j += 1
+
+
+@dataclass(frozen=True)
+class ReferencePLFuzzySet:
+    """A continuous piecewise-linear membership function on ``[0, 1]``."""
+
+    breakpoints: tuple[Breakpoint, ...]
+
+    def __post_init__(self) -> None:
+        points = self.breakpoints
+        if len(points) < 2:
+            raise ValueError("need at least the two endpoint breakpoints")
+        if points[0][0] != ZERO or points[-1][0] != ONE:
+            raise ValueError("breakpoints must start at x=0 and end at x=1")
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            if x1 <= x0:
+                raise ValueError(f"x-coordinates must strictly increase: {x0} then {x1}")
+        for x, y in points:
+            if not isinstance(x, Fraction) or not isinstance(y, Fraction):
+                raise ValueError(f"breakpoint ({x!r}, {y!r}) is not exact-rational")
+            if y < ZERO or y > ONE:
+                raise ValueError(f"membership value {y} outside [0, 1]")
+        canonical = reference_canonicalize(points)
+        if canonical != points:
+            object.__setattr__(self, "breakpoints", canonical)
+
+    @classmethod
+    def from_breakpoints(cls, pairs: Iterable[tuple[object, object]]) -> "ReferencePLFuzzySet":
+        """Build from ``(x, y)`` pairs of ints, Fractions, or "p/q" strings."""
+        return cls(tuple((as_degree(x), as_degree(y)) for x, y in pairs))
+
+    @classmethod
+    def constant(cls, value: object) -> "ReferencePLFuzzySet":
+        degree = as_degree(value)
+        return cls(((ZERO, degree), (ONE, degree)))
+
+    @classmethod
+    def zero(cls) -> "ReferencePLFuzzySet":
+        return cls.constant(0)
+
+    @classmethod
+    def one(cls) -> "ReferencePLFuzzySet":
+        return cls.constant(1)
+
+    def at(self, x: Fraction | int | str) -> Fraction:
+        """Evaluate at a rational point by exact linear interpolation."""
+        x = as_degree(x)  # the domain is [0, 1], same range as degrees
+        points = self.breakpoints
+        for left, right in zip(points, points[1:]):
+            if left[0] <= x <= right[0]:
+                return left[1] if x == left[0] else reference_interpolate(left, right, x)
+        raise AssertionError("unreachable: breakpoints cover [0, 1]")
+
+    def _pointwise(self, op, others: tuple["ReferencePLFuzzySet", ...]) -> "ReferencePLFuzzySet":
+        """Fold ``op`` (min or max) over ``others``, one linear sweep per pair.
+
+        Between consecutive merged x-coordinates both functions are linear,
+        so the difference changes sign inside a cell only if it has strictly
+        opposite signs at the cell ends; the crossing then solves a linear
+        equation and is rational, and becomes a breakpoint of the result.
+        """
+        result = self
+        for other in others:
+            self._require_compatible(other)
+            points: list[Breakpoint] = []
+            x0 = a0 = d0 = ZERO
+            for x, a, b in reference_walk(result.breakpoints, other.breakpoints):
+                d = a - b
+                if (d0 > 0 and d < 0) or (d0 < 0 and d > 0):
+                    t = d0 / (d0 - d)  # both functions meet at x0 + t * (x - x0)
+                    points.append((x0 + t * (x - x0), a0 + t * (a - a0)))
+                points.append((x, op(a, b)))
+                x0, a0, d0 = x, a, d
+            result = reference_trusted(reference_canonicalize(points))
+        return result
+
+    def meet(self, *others: "ReferencePLFuzzySet") -> "ReferencePLFuzzySet":
+        """Pointwise minimum of self and every set in ``others``, folded pairwise."""
+        return self._pointwise(min, others)
+
+    def join(self, *others: "ReferencePLFuzzySet") -> "ReferencePLFuzzySet":
+        """Pointwise maximum of self and every set in ``others``, folded pairwise."""
+        return self._pointwise(max, others)
+
+    def complement(self) -> "ReferencePLFuzzySet":
+        # y -> 1 - y keeps collinearity, so the result is canonical already.
+        return reference_trusted(tuple((x, ONE - y) for x, y in self.breakpoints))
+
+    def leq(self, other: "ReferencePLFuzzySet") -> bool:
+        """Pointwise order, decided exactly in one sweep of O(m + n) steps.
+
+        Checking the merged breakpoints suffices: both functions are linear
+        on every merged segment, and a linear inequality on a segment holds
+        iff it holds at both ends.  The sweep stops at the first violation.
+        """
+        self._require_compatible(other)
+        return all(a <= b for _, a, b in reference_walk(self.breakpoints, other.breakpoints))
+
+    def is_zero(self) -> bool:
+        return all(y == ZERO for _, y in self.breakpoints)
+
+    def bottom(self) -> "ReferencePLFuzzySet":
+        return ReferencePLFuzzySet.zero()
+
+    def top(self) -> "ReferencePLFuzzySet":
+        return ReferencePLFuzzySet.one()
+
+    def sort_key(self) -> tuple[Breakpoint, ...]:
+        return self.breakpoints
+
+    def _require_compatible(self, other: object) -> None:
+        """Raise unless ``other`` is a PL set; all of them share ``[0, 1]``."""
+        if not isinstance(other, ReferencePLFuzzySet):
+            raise BackendMismatchError(f"expected PLFuzzySet, got {type(other).__name__}")
+
+    def __repr__(self) -> str:
+        inside = ", ".join(f"({x}, {y})" for x, y in self.breakpoints)
+        return f"PLFuzzySet([{inside}])"
+
+
+def reference_trusted(points: tuple[Breakpoint, ...]) -> ReferencePLFuzzySet:
+    """Wrap canonical, valid breakpoints without ``__post_init__``.
+
+    Only lattice results come through here: their x-coordinates are the
+    increasing merged grid of valid sets and their values stay in ``[0, 1]``.
+    """
+    value = object.__new__(ReferencePLFuzzySet)
+    object.__setattr__(value, "breakpoints", points)
+    return value
+
+
+# Denominators up to 12, 7 and 11 included, so that two sets mix scales
+# with no common factor.
+mixed_degrees = st.integers(min_value=1, max_value=12).flatmap(
+    lambda q: st.integers(min_value=0, max_value=q).map(lambda p: Fraction(p, q))
+)
+
+
+@st.composite
+def pl_pairs(draw, max_inner=6):
+    """A PL set and its reference twin, built from the same breakpoints."""
+    inner = draw(
+        st.lists(mixed_degrees.filter(lambda q: 0 < q < 1), unique=True, max_size=max_inner)
+    )
+    points = tuple((x, draw(mixed_degrees)) for x in [Fraction(0), *sorted(inner), Fraction(1)])
+    return PLFuzzySet(points), ReferencePLFuzzySet(points)
+
+
+def assert_same_set(value, reference):
+    """``value`` reads like ``reference`` and is canonical: it equals and
+    hashes like its rebuild through the public constructor."""
+    assert value.breakpoints == reference.breakpoints
+    assert value.sort_key() == reference.sort_key()
+    assert repr(value) == repr(reference)
+    assert value.is_zero() == reference.is_zero()
+    assert [value.at(x) for x in sample_points(reference)] == [
+        reference.at(x) for x in sample_points(reference)
+    ]
+    rebuilt = PLFuzzySet(reference.breakpoints)
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+    assert (rebuilt.scale, rebuilt.xs, rebuilt.ys) == (value.scale, value.xs, value.ys)
+    assert math.gcd(value.scale, *value.xs, *value.ys) == 1
+
+
+CROSSING_PAIR = [
+    (pl(("0", "1/7"), ("1/3", "1"), ("1", "0")), ReferencePLFuzzySet.from_breakpoints(
+        [("0", "1/7"), ("1/3", "1"), ("1", "0")])),
+    (pl(("0", "4/5"), ("5/11", "0"), ("1", "2/3")), ReferencePLFuzzySet.from_breakpoints(
+        [("0", "4/5"), ("5/11", "0"), ("1", "2/3")])),
+]
+
+
+def mass(value):
+    """``∫ value`` as a Fraction, from the integer kernel."""
+    return Fraction(_mass(value), 2 * value.scale**2)
+
+
+def trapezoid(value):
+    """``∫ value`` by the trapezoid rule on the Fraction view."""
+    points = value.breakpoints
+    return sum((x1 - x0) * (y0 + y1) / 2 for (x0, y0), (x1, y1) in zip(points, points[1:]))
+
+
+class TestIntegerRepresentationMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(pl_pairs(), min_size=1, max_size=4))
+    @example(CROSSING_PAIR)
+    def test_operations_agree(self, pairs):
+        """meet/join with 1-4 arguments, leq both ways, complement and the
+        read-outs agree with the reference, and every result is canonical."""
+        values = [value for value, _ in pairs]
+        references = [reference for _, reference in pairs]
+        first, ref_first = values[0], references[0]
+        results = [
+            (first.meet(*values[1:]), ref_first.meet(*references[1:])),
+            (first.join(*values[1:]), ref_first.join(*references[1:])),
+            *((value.complement(), reference.complement()) for value, reference in pairs),
+            *pairs,
+        ]
+        for value, reference in results:
+            assert_same_set(value, reference)
+        for (s, rs), (t, rt) in product(results, repeat=2):
+            assert s.leq(t) == rs.leq(rt)
+            assert (s == t) == (rs == rt)
+            assert s != t or hash(s) == hash(t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_pl_sets(), dense_pl_sets())
+    def test_dense_binary_operations_agree(self, f, g):
+        """Many crossings, shared x-coordinates and touching points."""
+        rf, rg = ReferencePLFuzzySet(f.breakpoints), ReferencePLFuzzySet(g.breakpoints)
+        assert_same_set(f.meet(g), rf.meet(rg))
+        assert_same_set(f.join(g), rf.join(rg))
+        assert f.leq(g) == rf.leq(rg) and g.leq(f) == rg.leq(rf)
+
+    def test_a_shrinking_scale_is_divided_out(self):
+        collinear = pl(("0", "0"), ("1/7", "1/7"), ("1", "1"))
+        assert (collinear.scale, collinear.xs, collinear.ys) == (1, (0, 1), (0, 1))
+        low = pl(("0", "1/7"), ("1/3", "2/7"), ("1", "0")).meet(PLFuzzySet.zero())
+        assert (low.scale, low.xs, low.ys) == (1, (0, 1), (0, 0))
+        assert low == PLFuzzySet.zero() and hash(low) == hash(PLFuzzySet.zero())
+        half = pl(("0", "1/2"), ("1/3", "1/6"), ("1", "1/2")).join(PLFuzzySet.constant("1/2"))
+        assert (half.scale, half.xs, half.ys) == (2, (0, 2), (1, 1))
+
+    def test_sets_stay_immutable_and_picklable(self):
+        for value in (MU, LAM.complement(), MU.join(LAM, ALPHA)):
+            with pytest.raises(FrozenInstanceError):
+                value.scale = 1
+            with pytest.raises(FrozenInstanceError):
+                del value.xs
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert twin == value and hash(twin) == hash(value)
+
+
+class TestMass:
+    @settings(max_examples=200, deadline=None)
+    @given(pl_pairs(), pl_pairs())
+    def test_mass_is_strictly_monotone(self, f_pair, g_pair):
+        """``m <= m'`` and ``m != m'`` imply ``∫ m < ∫ m'``."""
+        f, g = f_pair[0], g_pair[0]
+        for low, high in ((f.meet(g), f), (f, f.join(g)), (f.meet(g), g.join(f))):
+            assert low.leq(high)
+            assert (mass(low) < mass(high)) == (low != high)
+            assert mass(low) <= mass(high)
+
+    @given(pl_pairs())
+    def test_mass_is_the_exact_integral(self, pair):
+        value, reference = pair
+        assert mass(value) == trapezoid(reference)
+        assert mass(value) + mass(value.complement()) == 1
+

@@ -38,6 +38,7 @@ from ftop.topology import DEFAULT_GENERATION_CAP, AxiomViolation, FuzzyValue
 from helpers import ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, fs, t_fin, t_pl
 
 from test_fset import pair_sets
+from test_plin import pl_sets
 
 
 def test_valid_families_have_no_violations():
@@ -328,6 +329,72 @@ def test_pl_operators_match_the_fold():
     assert_operators_match_reference(space, queries)
 
 
+# The piecewise-linear operators as they stood before greatest-member
+# selection by mass, kept verbatim as the reference: interior folds join
+# over the members below s, and closure is 1 - Int(1 - s).
+
+
+def reference_pl_interior(space, s):
+    return space.bottom.join(*[member for member in space.members if member.leq(s)])
+
+
+def reference_pl_closure(space, s):
+    return reference_pl_interior(space, s.complement()).complement()
+
+
+pl_degrees = st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q)))
+
+
+def pl_xs(draw, lo, hi):
+    """Two to five strictly increasing x-coordinates from lo to hi inclusive."""
+    inner = draw(st.lists(pl_degrees.filter(lambda t: 0 < t < 1), unique=True, max_size=3))
+    return [lo, *(lo + (hi - lo) * t for t in sorted(inner)), hi]
+
+
+def pl_chain(draw, xs, length):
+    """``length`` nested value lists on ``xs``, bottom to top."""
+    columns = [sorted(draw(pl_degrees) for _ in range(length)) for _ in xs]
+    return [[column[j] for column in columns] for j in range(length)]
+
+
+@st.composite
+def pl_chain_spaces(draw):
+    """One to four nested members on one grid, with the constants: a chain."""
+    xs = pl_xs(draw, Fraction(0), Fraction(1))
+    members = [PLFuzzySet(tuple(zip(xs, ys))) for ys in pl_chain(draw, xs, draw(st.integers(1, 4)))]
+    return validate([PLFuzzySet.zero(), *members, PLFuzzySet.one()])
+
+
+@st.composite
+def pl_product_spaces(draw):
+    """Chains A on [0, 1/2] and B on [1/2, 1], both vanishing at 1/2: the
+    joins ``a \\/ b`` for a in {0} + A and b in {0} + B, with the constants,
+    are closed, because min and max act on the two halves separately."""
+    half = Fraction(1, 2)
+    left_xs = pl_xs(draw, Fraction(0), half)[:-1]
+    right_xs = pl_xs(draw, half, Fraction(1))[1:]
+    lefts = [[Fraction(0)] * len(left_xs), *pl_chain(draw, left_xs, draw(st.integers(1, 2)))]
+    rights = [[Fraction(0)] * len(right_xs), *pl_chain(draw, right_xs, draw(st.integers(1, 2)))]
+    members = [
+        PLFuzzySet((*zip(left_xs, left), (half, Fraction(0)), *zip(right_xs, right)))
+        for left in lefts
+        for right in rights
+    ]
+    return validate([*members, PLFuzzySet.one()])
+
+
+def assert_pl_operators_match_fold(space, queries):
+    for s in queries:
+        assert space.interior(s) == reference_pl_interior(space, s)
+        assert space.closure(s) == reference_pl_closure(space, s)
+    assert_operators_match_reference(space, queries)
+
+
+def pl_queries(draw, space):
+    drawn = draw(st.lists(pl_sets(), min_size=1, max_size=4))
+    return [*drawn, *space.members, *(m.complement() for m in space.members)]
+
+
 # The pair loops that ``_incomparable_pairs`` replaced, kept verbatim apart
 # from the names as the reference: they combine every pair, comparable or
 # not, and ``generate`` every ordered pair that involves a new member.
@@ -520,3 +587,24 @@ class TestPairwiseStepMatchesReference:
             assert generated_or_capped(generate, subbasis, universe, cap) == (
                 generated_or_capped(reference_generate, subbasis, universe, cap)
             )
+
+
+class TestPLSelectionMatchesFold:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(pl_chain_spaces(), pl_product_spaces()), st.data())
+    def test_chain_and_product_spaces(self, space, data):
+        assert_pl_operators_match_fold(space, pl_queries(data.draw, space))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pl_subbases(), st.data(), st.randoms(use_true_random=False))
+    def test_generated_spaces_with_crossings(self, subbasis, data, rng):
+        """Members that cross; the member order is not trusted."""
+        space = generate(subbasis[0], cap=200)  # a broken lattice fails, not hangs
+        queries = pl_queries(data.draw, space)
+        assert_pl_operators_match_fold(space, queries)
+        members = list(space.members)
+        rng.shuffle(members)
+        shuffled = FuzzyTopology(tuple(members))
+        for s in queries:
+            assert shuffled.interior(s) == space.interior(s)
+            assert shuffled.closure(s) == space.closure(s)
