@@ -5,8 +5,10 @@ semi-interior/semi-closure operators, the open < semiopen < somewhat-open
 classification of sets and the matching eight-way classification of crisp
 maps, plus a brute-force oracle that re-derives everything over finite
 degree grids.  All arithmetic is exact: degrees are ``fractions.Fraction``
-values at every boundary, both backends hold them as integer numerators
-over one scale per set, and floats are rejected at every boundary.
+values in the library API, both backends hold them as integer numerators
+over one scale per set, and documents are parsed and printed on those
+integers (``degrees.parse_degree``, ``degrees.format_ratio``), so a CLI
+request builds no Fraction.  Floats are rejected at every boundary.
 """
 
 from .degrees import ONE, ZERO, as_degree, format_rational, parse_rational

@@ -17,10 +17,12 @@ Reports go to stdout, as JSON (``--format json``) or as an equivalent
 plain-text rendering of the same data; timing and error diagnostics go
 to stderr, so JSON output is byte-identical across runs with the same
 inputs.  Exit codes: 0 success or all-pass, 1 negative outcome (invalid
-topology, witness not found, campaign violation), 2 input error, 3
-resource cap exceeded, 4 internal invariant broken (a bug in ftop, not
-bad input).  ``FTOP_CAP`` in the environment overrides the default
-generation cap; ``--cap`` overrides both.
+topology, witness not found, campaign violation), 2 input error (a
+``DocumentError`` with its code, such as a bad document, target, grid or
+cap, or an unreadable file), 3 resource cap exceeded, 4 a bug in ftop,
+not bad input: a broken internal invariant or any other exception.
+``FTOP_CAP`` in the environment overrides the default generation cap;
+``--cap`` overrides both.
 
 A ``--space``/``--fn`` argument is first tried as a filesystem path and
 then as the name of a bundled document, so ``ftop validate example1.json``
@@ -45,7 +47,7 @@ from .documents import (
     parse_space,
     set_as_data,
 )
-from .errors import DocumentError, FtopError, HierarchyInvariantError, ResourceCapError
+from .errors import DocumentError, HierarchyInvariantError, ResourceCapError
 from .functions import classify_function
 from .oracle import GridSpec, SearchTarget, find_witness, run_campaign
 from .semiclass import classify_set
@@ -61,19 +63,23 @@ EXIT_BUG = 4
 
 
 def _read_document(name: str) -> str:
-    path = Path(name)
-    if path.is_file():
-        return path.read_text(encoding="utf-8")
-    if "/" not in name and "\\" not in name:
-        bundled = resources.files("ftop") / "data" / name
-        if bundled.is_file():
-            return bundled.read_text(encoding="utf-8")
-    raise DocumentError("missing-file", f"no such file or bundled document: {name}")
+    """The document ``name`` as text; bytes that are not UTF-8 are an input error."""
+    source = Path(name)
+    if not source.is_file() and "/" not in name and "\\" not in name:
+        source = resources.files("ftop") / "data" / name
+    if not source.is_file():
+        raise DocumentError("missing-file", f"no such file or bundled document: {name}")
+    try:
+        return source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError("bad-encoding", f"{name} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _generation_cap(args: argparse.Namespace) -> int | None:
     cap = getattr(args, "cap", None)
     if cap is not None:
+        if cap < 1:
+            raise DocumentError("bad-cap", f"--cap must be positive, got {cap}")
         return cap
     env = os.environ.get("FTOP_CAP")
     if env is None:
@@ -85,6 +91,12 @@ def _generation_cap(args: argparse.Namespace) -> int | None:
     if cap < 1:
         raise DocumentError("bad-cap", f"FTOP_CAP must be positive, got {cap}")
     return cap
+
+
+def _require_positive(flag: str, value: int) -> None:
+    """Reject a ``--grid`` or ``--universe-size`` below 1 as an input error."""
+    if value < 1:
+        raise DocumentError("bad-grid", f"{flag} must be at least 1, got {value}")
 
 
 def _render_scalar(value: Any) -> str:
@@ -194,7 +206,11 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
     if doc.kind != "finite":
         raise DocumentError("schema", "search needs a finite-kind space", "$.kind")
     space = build_topology(doc, cap=_generation_cap(args))
-    target = SearchTarget.parse(args.target)
+    try:
+        target = SearchTarget.parse(args.target)
+    except ValueError as exc:
+        raise DocumentError("bad-target", str(exc)) from exc
+    _require_positive("--grid", args.grid)
     spec = GridSpec(len(space.universe), args.grid)
     witness = find_witness(space, target, spec)
     report: dict[str, Any] = {
@@ -214,6 +230,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    _require_positive("--universe-size", args.universe_size)
+    _require_positive("--grid", args.grid)
     cap = _generation_cap(args)
     kwargs = {} if cap is None else {"budget": cap}
     result = run_campaign(args.seeds, args.universe_size, args.grid, **kwargs)
@@ -304,9 +322,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HierarchyInvariantError as exc:
         print(f"error[bug]: internal invariant broken, not an input error: {exc}", file=sys.stderr)
         return EXIT_BUG
-    except (FtopError, ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # Input errors are DocumentErrors by now, so anything else is a bug.
+        import traceback  # only a bug report needs it; it slows every start
+
+        traceback.print_exc(file=sys.stderr)
+        print(
+            f"error[bug]: unexpected {type(exc).__name__}, not an input error: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_BUG
     elapsed = time.perf_counter() - started
     _emit(report, getattr(args, "format", "text"))
     print(f"{args.subcommand}: finished in {elapsed:.3f}s", file=sys.stderr)

@@ -1,20 +1,39 @@
 """Exact membership degrees: rationals in the closed unit interval.
 
-A degree is a plain :class:`fractions.Fraction`, which already guarantees
-the canonical reduced form, arbitrary precision, and exact comparison that
-every downstream verdict depends on.  This module adds the range check and
-the ``"p/q"`` wire format used by all serialized artifacts.  Floats are
-refused everywhere: there is no tolerance anywhere in this package.
+The public degree type is a plain :class:`fractions.Fraction`, which
+already guarantees the canonical reduced form, arbitrary precision, and
+exact comparison that every downstream verdict depends on.  This module
+adds the range check and the ``"p/q"`` wire format used by all serialized
+artifacts.  Floats are refused everywhere: there is no tolerance anywhere
+in this package.
+
+Documents are read and written on integers.  One regex reads a literal
+to its integer pair ``(p, q)``, as written and not reduced.
+:func:`parse_degree` returns that pair after checking ``0 <= p <= q`` on
+the integers; :func:`parse_rational` and :func:`as_degree` build their
+Fractions from the same reading.  :func:`format_ratio` prints a numerator
+over a scale in reduced form, and :func:`format_rational` prints a
+Fraction through it.  So a document that is parsed, computed on and
+printed builds no Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import DegreeRangeError
 
-__all__ = ["ZERO", "ONE", "as_degree", "parse_rational", "format_rational"]
+__all__ = [
+    "ZERO",
+    "ONE",
+    "as_degree",
+    "parse_degree",
+    "parse_rational",
+    "format_ratio",
+    "format_rational",
+]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -22,25 +41,54 @@ ONE = Fraction(1)
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
+def _literal(text: str) -> tuple[int, int]:
+    """The integers ``(p, q)`` of a ``"p/q"`` (or bare ``"p"``) literal."""
+    match = _RATIONAL_RE.match(text)
+    if match is None:
+        raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
+    numerator, denominator = match.groups()
+    return int(numerator), int(denominator) if denominator else 1
+
+
+def _in_range(p: int, q: int) -> tuple[int, int]:
+    """``(p, q)`` itself, if ``0 <= p / q <= 1`` for ``q >= 1``."""
+    if p < 0 or p > q:
+        raise DegreeRangeError(f"degree {format_ratio(p, q)} outside [0, 1]")
+    return p, q
+
+
+def parse_degree(text: str) -> tuple[int, int]:
+    """Parse a degree literal to ``(p, q)`` with ``0 <= p <= q`` and ``q >= 1``.
+
+    The pair is the literal's own, not reduced: ``"2/4"`` gives ``(2, 4)``.
+    A malformed literal is a ``ValueError``, one outside ``[0, 1]`` a
+    :class:`ftop.errors.DegreeRangeError` naming the reduced value.
+    """
+    return _in_range(*_literal(text))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the ``"p/q"`` (or bare ``"p"``) literal format.
 
     Only decimal integers with an optional positive denominator are
     accepted; anything else, including decimal-point notation, is a
-    ``ValueError``.
+    ``ValueError``.  The value need not be a degree.
     """
-    match = _RATIONAL_RE.match(text)
-    if match is None:
-        raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
-    numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator) if denominator else 1)
+    return Fraction(*_literal(text))
+
+
+def format_ratio(n: int, scale: int) -> str:
+    """Render ``n / scale`` (``scale >= 1``) in the reduced ``"p/q"`` (or ``"p"``) form."""
+    g = math.gcd(n, scale)
+    if g != 1:
+        n //= g
+        scale //= g
+    return str(n) if scale == 1 else f"{n}/{scale}"
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction in the reduced ``"p/q"`` (or ``"p"``) form."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_ratio(value.numerator, value.denominator)
 
 
 def as_degree(value: Fraction | int | str) -> Fraction:
@@ -52,7 +100,8 @@ def as_degree(value: Fraction | int | str) -> Fraction:
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"degrees must be exact rationals, got {value!r}")
-    degree = parse_rational(value) if isinstance(value, str) else Fraction(value)
-    if degree < ZERO or degree > ONE:
-        raise DegreeRangeError(f"degree {format_rational(degree)} outside [0, 1]")
+    if isinstance(value, str):
+        return Fraction(*parse_degree(value))
+    degree = Fraction(value)
+    _in_range(degree.numerator, degree.denominator)
     return degree

@@ -28,19 +28,27 @@ A function document wraps two space documents and a crisp point map::
 
 All parse failures raise :class:`ftop.errors.DocumentError` with a stable
 machine-readable ``code`` and a ``where`` path into the document.
+
+Degrees cross this boundary as integers: each literal is read to its
+``(p, q)`` pair by :func:`ftop.degrees.parse_degree`, a set is built from
+the numerators over the lcm of its denominators (PL breakpoints through
+``plin._from_ratios``, which applies the same rules as the public
+constructor), and printing formats each numerator over the set's scale.
+No Fraction is built on the way in or out.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Union
 
-from .degrees import as_degree, format_rational
+from .degrees import format_ratio, parse_degree
 from .errors import BackendMismatchError, DegreeRangeError, DocumentError
-from .fset import FiniteFuzzySet, Universe
+from .fset import FiniteFuzzySet, Universe, _reduced
 from .functions import FuzzyFunction
-from .plin import PLFuzzySet
+from .plin import PLFuzzySet, _from_ratios
 from .topology import FuzzyTopology, generate, validate
 
 __all__ = [
@@ -106,7 +114,8 @@ def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
         raise DocumentError("schema", f"unknown keys {unknown}", where)
 
 
-def _degree(value: Any, where: str):
+def _degree(value: Any, where: str) -> tuple[int, int]:
+    """The integers ``(p, q)`` of a degree literal, as :func:`parse_degree` gives them."""
     if not isinstance(value, str):
         raise DocumentError(
             "bad-rational",
@@ -114,7 +123,7 @@ def _degree(value: Any, where: str):
             where,
         )
     try:
-        return as_degree(value)
+        return parse_degree(value)
     except DegreeRangeError as exc:
         raise DocumentError("rational-range", str(exc), where) from exc
     except ValueError as exc:
@@ -169,9 +178,9 @@ def _parse_finite_body(node: Any, universe: Universe, where: str) -> FiniteFuzzy
         raise DocumentError(
             "schema", f"missing degrees for universe points {missing}", where
         )
-    return FiniteFuzzySet(
-        universe, tuple(_degree(mapping[label], f"{where}.{label}") for label in universe)
-    )
+    ratios = [_degree(mapping[label], f"{where}.{label}") for label in universe]
+    scale = math.lcm(*[q for _, q in ratios])
+    return _reduced(universe, scale, tuple([p * (scale // q) for p, q in ratios]))
 
 
 def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
@@ -186,9 +195,9 @@ def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
             raise DocumentError(
                 "bad-breakpoints", "a breakpoint is a [x, y] pair of rational strings", pair_where
             )
-        pairs.append((_degree(entry[0], pair_where), _degree(entry[1], pair_where)))
+        pairs.append((*_degree(entry[0], pair_where), *_degree(entry[1], pair_where)))
     try:
-        return PLFuzzySet(tuple(pairs))
+        return _from_ratios(pairs)
     except ValueError as exc:
         raise DocumentError("bad-breakpoints", str(exc), f"{where}.breakpoints") from exc
 
@@ -267,14 +276,15 @@ def parse_space(text: str) -> SpaceDocument:
 
 
 def set_as_data(value: SetBody) -> dict:
+    """The JSON-ready body of a set, every degree in reduced ``"p/q"`` form."""
+    scale = value.scale
     if isinstance(value, FiniteFuzzySet):
         return {
-            label: format_rational(degree)
-            for label, degree in zip(value.universe.labels, value.degrees)
+            label: format_ratio(n, scale) for label, n in zip(value.universe.labels, value.nums)
         }
     return {
         "breakpoints": [
-            [format_rational(x), format_rational(y)] for x, y in value.breakpoints
+            [format_ratio(x, scale), format_ratio(y, scale)] for x, y in zip(value.xs, value.ys)
         ]
     }
 

@@ -9,8 +9,14 @@ operation is pure.
 
 Degrees are held as integer numerators over one integer scale per set, so
 the lattice operations, the order and the interior/closure kernel run on
-plain ints.  They stay exact rationals: ``Fraction`` appears only at the
-boundary, in the public constructor and the derived ``degrees`` view.
+plain ints.  They stay exact rationals: ``Fraction`` appears only in the
+public constructor and the derived ``degrees`` view; documents build sets
+from integers through :func:`_reduced`.
+
+Tuples are built from lists, never from generators or ``map``: CPython
+builds a tuple from an iterator of unknown length by resizing it, and
+when such a tuple is freed it joins the free list for its length, which
+then only grows, up to 2000 tuples per length.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ class FiniteFuzzySet:
             if not isinstance(value, Fraction) or value < ZERO or value > ONE:
                 raise ValueError(f"invalid degree {value!r}; use as_degree()")
         scale = math.lcm(*(value.denominator for value in degrees))
-        nums = tuple(value.numerator * (scale // value.denominator) for value in degrees)
+        nums = tuple([value.numerator * (scale // value.denominator) for value in degrees])
         _assign(self, universe, scale, nums)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -125,7 +131,7 @@ class FiniteFuzzySet:
     @property
     def degrees(self) -> tuple[Fraction, ...]:
         scale = self.scale
-        return tuple(Fraction(n, scale) for n in self.nums)
+        return tuple([Fraction(n, scale) for n in self.nums])
 
     @classmethod
     def of(cls, universe: Universe, degrees: Mapping[str, object] | Iterable[object]) -> "FiniteFuzzySet":
@@ -141,9 +147,9 @@ class FiniteFuzzySet:
             extra = [label for label in degrees if label not in universe]
             if extra:
                 raise KeyError(f"degrees given for unknown labels {extra}")
-            values = tuple(as_degree(degrees[label]) for label in universe)
+            values = tuple([as_degree(degrees[label]) for label in universe])
         else:
-            values = tuple(as_degree(value) for value in degrees)
+            values = tuple([as_degree(value) for value in degrees])
         return cls(universe, values)
 
     @classmethod
@@ -177,7 +183,7 @@ class FiniteFuzzySet:
     def complement(self) -> "FiniteFuzzySet":
         """``1 - v`` pointwise; ``scale - n`` keeps the scale canonical."""
         scale = self.scale
-        return _trusted(self.universe, scale, tuple(scale - n for n in self.nums))
+        return _trusted(self.universe, scale, tuple([scale - n for n in self.nums]))
 
     def _pointwise(self, op, others: tuple["FiniteFuzzySet", ...]) -> "FiniteFuzzySet":
         scale = self.scale
@@ -191,7 +197,7 @@ class FiniteFuzzySet:
             value.nums if value.scale == scale else _rescaled(value, scale)
             for value in (self, *others)
         ]
-        return _reduced(self.universe, scale, tuple(map(op, *columns)))
+        return _reduced(self.universe, scale, tuple(list(map(op, *columns))))
 
     def meet(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
         """Pointwise minimum of self and every set in ``others``, in one pass."""
@@ -217,7 +223,7 @@ class FiniteFuzzySet:
 
     def support(self) -> tuple[str, ...]:
         """Labels with strictly positive degree."""
-        return tuple(label for label, n in zip(self.universe.labels, self.nums) if n)
+        return tuple([label for label, n in zip(self.universe.labels, self.nums) if n])
 
     def bottom(self) -> "FiniteFuzzySet":
         return FiniteFuzzySet.zero(self.universe)
@@ -227,6 +233,13 @@ class FiniteFuzzySet:
 
     def sort_key(self) -> tuple[Fraction, ...]:
         return self.degrees
+
+    def _order_key(self, scale: int) -> tuple[int, ...]:
+        """The numerators over ``scale``, a multiple of the own scale.
+
+        On one ``scale`` these keys order sets as ``sort_key`` does.
+        """
+        return self.nums if self.scale == scale else _rescaled(self, scale)
 
     def __repr__(self) -> str:
         inside = ", ".join(
@@ -264,14 +277,14 @@ def _reduced(universe: Universe, scale: int, nums: tuple[int, ...]) -> FiniteFuz
     g = math.gcd(scale, *nums)
     if g != 1:
         scale //= g
-        nums = tuple(n // g for n in nums)
+        nums = tuple([n // g for n in nums])
     return _trusted(universe, scale, nums)
 
 
 def _rescaled(value: FiniteFuzzySet, scale: int) -> tuple[int, ...]:
     """The numerators of ``value`` over ``scale``, a multiple of its own scale."""
     factor = scale // value.scale
-    return tuple(n * factor for n in value.nums)
+    return tuple([n * factor for n in value.nums])
 
 
 class _MemberIndex:
@@ -296,8 +309,8 @@ class _MemberIndex:
     def __init__(self, members: Sequence[FiniteFuzzySet]):
         self._scale = scale = math.lcm(*(member.scale for member in members))
         rows = sorted(((_rescaled(member, scale), member) for member in members), key=itemgetter(0))
-        self._members = tuple(member for _, member in rows)
-        self._complements = tuple(member.complement() for member in self._members)
+        self._members = tuple([member for _, member in rows])
+        self._complements = tuple([member.complement() for member in self._members])
         self._columns = []
         for column in zip(*(values for values, _ in rows)):
             masks: dict[int, int] = {}

@@ -103,7 +103,7 @@ class FuzzyFunction:
         mapping, index, nums = self._map, beta.universe.index, beta.nums
         domain_universe = self.domain.universe
         return _reduced(
-            domain_universe, beta.scale, tuple(nums[index(mapping[x])] for x in domain_universe)
+            domain_universe, beta.scale, tuple([nums[index(mapping[x])] for x in domain_universe])
         )
 
     def image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:

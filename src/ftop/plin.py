@@ -20,8 +20,10 @@ with two pointers, on the lcm of the two scales, so one of them on sets
 with m and n breakpoints costs O(m + n) integer steps.  A value
 interpolated on a segment of width ``d`` is kept as a numerator over
 ``d * scale``, so comparisons cross-multiply instead of dividing.
-Variadic meet and join fold pairwise.  The public constructor validates
-every breakpoint; lattice results, computed from valid sets, skip that.
+Variadic meet and join fold pairwise.  The public constructor and the
+document reader's integer entry (``_from_ratios``) validate every
+breakpoint through one helper; lattice results, computed from valid sets,
+skip that.
 A topology's interior and closure select a member by its exact mass
 (``_MemberIndex``), with no join built.
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .degrees import ONE, ZERO, as_degree
+from .degrees import ONE, ZERO, as_degree, format_ratio
 from .errors import BackendMismatchError
 
 __all__ = ["PLFuzzySet"]
@@ -65,28 +67,17 @@ class PLFuzzySet:
         """Validate ``(x, y)`` Fraction pairs and store them canonically.
 
         Exactness is checked first, so every malformed breakpoint raises
-        ``ValueError``; then the endpoints, the x order and the y range,
-        on the integer numerators over the lcm of the denominators.
+        ``ValueError``; then :func:`_validated` checks the rest on the
+        integer numerators over the lcm of the denominators.
         """
         points = tuple(breakpoints)
-        if len(points) < 2:
-            raise ValueError("need at least the two endpoint breakpoints")
         for x, y in points:
             if not isinstance(x, Fraction) or not isinstance(y, Fraction):
                 raise ValueError(f"breakpoint ({x!r}, {y!r}) is not exact-rational")
         scale = math.lcm(*[value.denominator for point in points for value in point])
         xs = [x.numerator * (scale // x.denominator) for x, _ in points]
         ys = [y.numerator * (scale // y.denominator) for _, y in points]
-        if xs[0] != 0 or xs[-1] != scale:
-            raise ValueError("breakpoints must start at x=0 and end at x=1")
-        for i in range(1, len(xs)):
-            if xs[i] <= xs[i - 1]:
-                x0, x1 = points[i - 1][0], points[i][0]
-                raise ValueError(f"x-coordinates must strictly increase: {x0} then {x1}")
-        for y, (_, value) in zip(ys, points):
-            if y < 0 or y > scale:
-                raise ValueError(f"membership value {value} outside [0, 1]")
-        _assign(self, *_reduced(scale, [(x, y, 1) for x, y in zip(xs, ys)]))
+        _assign(self, *_validated(scale, xs, ys))
 
     @property
     def breakpoints(self) -> tuple[Breakpoint, ...]:
@@ -164,6 +155,15 @@ class PLFuzzySet:
     def sort_key(self) -> tuple[Breakpoint, ...]:
         return self.breakpoints
 
+    def _order_key(self, scale: int) -> list[int]:
+        """``xs`` and ``ys`` over ``scale``, a multiple of the own scale, interleaved.
+
+        On one ``scale`` these keys order sets as ``sort_key`` does: both
+        compare x, then y, breakpoint by breakpoint, and a prefix first.
+        """
+        factor = scale // self.scale
+        return [value * factor for point in zip(self.xs, self.ys) for value in point]
+
     def _require_compatible(self, other: object) -> None:
         """Raise unless ``other`` is a PL set; all of them share ``[0, 1]``."""
         if not isinstance(other, PLFuzzySet):
@@ -189,6 +189,41 @@ def _trusted(scale: int, xs: Ints, ys: Ints) -> PLFuzzySet:
     value = object.__new__(PLFuzzySet)
     _assign(value, scale, xs, ys)
     return value
+
+
+def _validated(scale: int, xs: list[int], ys: list[int]) -> tuple[int, Ints, Ints]:
+    """The canonical form of breakpoints ``(xs[i] / scale, ys[i] / scale)``, if valid.
+
+    The one statement of the breakpoint rules: at least two breakpoints,
+    the first x is 0 and the last is 1, x strictly increases, and every y
+    lies in ``[0, 1]``.  A violation is a ``ValueError`` naming the values.
+    """
+    if len(xs) < 2:
+        raise ValueError("need at least the two endpoint breakpoints")
+    if xs[0] != 0 or xs[-1] != scale:
+        raise ValueError("breakpoints must start at x=0 and end at x=1")
+    for x0, x1 in zip(xs, xs[1:]):
+        if x1 <= x0:
+            raise ValueError(
+                "x-coordinates must strictly increase: "
+                f"{format_ratio(x0, scale)} then {format_ratio(x1, scale)}"
+            )
+    for y in ys:
+        if y < 0 or y > scale:
+            raise ValueError(f"membership value {format_ratio(y, scale)} outside [0, 1]")
+    return _reduced(scale, [(x, y, 1) for x, y in zip(xs, ys)])
+
+
+def _from_ratios(points: Sequence[tuple[int, int, int, int]]) -> PLFuzzySet:
+    """Validate breakpoints ``(px / qx, py / qy)`` given as integer quadruples.
+
+    The document reader's entry, with no Fraction: it brings every pair to
+    the lcm of the ``q`` and applies :func:`_validated`.
+    """
+    scale = math.lcm(*[q for _, qx, _, qy in points for q in (qx, qy)])
+    xs = [px * (scale // qx) for px, qx, _, _ in points]
+    ys = [py * (scale // qy) for _, _, py, qy in points]
+    return _trusted(*_validated(scale, xs, ys))
 
 
 def _reduced(scale: int, points: Sequence[tuple[int, int, int]]) -> tuple[int, Ints, Ints]:

@@ -24,14 +24,17 @@ comparable pairs: if ``a <= b``, the meet is ``a`` and the join is ``b``.
 
 Membership is semantic: a set is open iff it *equals* some member, not iff
 it is listed under the same name.  Members are kept deduplicated and in a
-canonical order so that reports and witness selection are deterministic.
+canonical order so that reports and witness selection are deterministic:
+the lexicographic order of ``sort_key()``, decided on integer keys over the
+lcm of the member scales, so no Fraction is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .errors import FtopError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe
@@ -59,10 +62,13 @@ class FuzzyValue(Protocol):
     ``UniverseMismatchError`` for one over another universe.
     ``_index_type(members)`` builds the backend's greatest-member index,
     whose ``interior(s)`` and ``closure(s)`` select a member or its
-    complement.
+    complement.  Every value holds its numerators over a positive integer
+    ``scale``, and ``_order_key(L)`` for a multiple ``L`` of it is an
+    integer sequence that orders values over ``L`` as ``sort_key`` does.
     """
 
     _index_type: type
+    scale: int
 
     def complement(self) -> "FuzzyValue": ...
     def meet(self, *others: "FuzzyValue") -> "FuzzyValue": ...
@@ -72,6 +78,7 @@ class FuzzyValue(Protocol):
     def bottom(self) -> "FuzzyValue": ...
     def top(self) -> "FuzzyValue": ...
     def sort_key(self): ...
+    def _order_key(self, scale: int) -> Sequence[int]: ...
     def _require_compatible(self, other: object) -> None: ...
 
 
@@ -104,6 +111,18 @@ def _incomparable_pairs(members: Sequence[FuzzyValue], start: int = 0):
         for b in members[max(i + 1, start) :]:
             if not (a.leq(b) or b.leq(a)):
                 yield a, b, a.meet(b), a.join(b)
+
+
+def _in_order(members: Iterable[FuzzyValue]) -> tuple[FuzzyValue, ...]:
+    """``members`` in ``sort_key`` order, compared as integers over one scale.
+
+    ``_order_key(L)`` over the lcm ``L`` of the member scales orders the
+    members exactly as their Fraction ``sort_key`` does, without building
+    a Fraction.
+    """
+    members = list(members)
+    scale = math.lcm(*[member.scale for member in members])
+    return tuple(sorted(members, key=lambda member: member._order_key(scale)))
 
 
 def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
@@ -141,7 +160,7 @@ def validate(opens: Sequence[FuzzyValue]) -> "FuzzyTopology":
     violations = check_axioms(opens)
     if violations:
         raise InvalidTopologyError(violations)
-    return FuzzyTopology(tuple(sorted(set(opens), key=lambda v: v.sort_key())))
+    return FuzzyTopology(_in_order(set(opens)))
 
 
 def generate(
@@ -178,7 +197,7 @@ def generate(
                 "raise the cap explicitly if this is intended"
             )
         start = len(members)
-    return FuzzyTopology(tuple(sorted(family, key=lambda v: v.sort_key())))
+    return FuzzyTopology(_in_order(family))
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,62 @@ def test_invariant_failure_is_reported_as_a_bug(capsys, monkeypatch):
     assert "error[bug]" in err and "simulated operator bug" in err
 
 
+@pytest.mark.parametrize("error", [ValueError("simulated bare ValueError"), TypeError("simulated TypeError")])
+def test_unexpected_exception_is_reported_as_a_bug(capsys, monkeypatch, error):
+    """Only a ``DocumentError`` or an ``OSError`` is an input error; anything
+    else an operator raises is a bug, even a ``ValueError``."""
+
+    def broken(space, value):
+        raise error
+
+    monkeypatch.setattr("ftop.cli.classify_set", broken)
+    code, out, err = run(capsys, "classify", "set", "alpha", "--space", "example1.json")
+    assert code == 4
+    assert out == ""
+    assert f"error[bug]: unexpected {type(error).__name__}" in err and str(error) in err
+    assert "Traceback (most recent call last)" in err
+
+
+def test_unparsable_target_is_an_input_error(capsys, tmp_path):
+    path = write_doc(tmp_path, "s.json", FINITE_SPACE)
+    code, out, err = run(capsys, "search", "--target", "shiny-not-open", "--space", path, "--grid", "2")
+    assert (code, out) == (2, "")
+    assert "error[bad-target]" in err and "unknown set class 'shiny'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--target", "semiopen-not-open", "--space", "s.json", "--grid", "0"],
+        ["verify", "--seeds", "1", "--universe-size", "2", "--grid", "0"],
+        ["verify", "--seeds", "1", "--universe-size", "0", "--grid", "2"],
+    ],
+)
+def test_grid_below_one_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
+    write_doc(tmp_path, "s.json", FINITE_SPACE)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error[bad-grid]" in err and "must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize("command", [["validate", "s.json"], ["verify", "--seeds", "1"]])
+def test_cap_below_one_is_an_input_error(capsys, tmp_path, monkeypatch, command):
+    write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command, "--cap", "0")
+    assert (code, out) == (2, "")
+    assert "error[bad-cap]" in err
+
+
+def test_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"kind": "finite", "universe": ["\xff"]}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert "error[bad-encoding]" in err
+
+
 def test_classify_fn(capsys, tmp_path):
     path = write_doc(tmp_path, "fn.json", FUNCTION_DOC)
     code, report, _ = run_json(capsys, "classify", "fn", "--fn", path)

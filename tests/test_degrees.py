@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftop import DegreeRangeError, as_degree, format_rational, parse_rational
+from ftop.degrees import format_ratio, parse_degree
 
 
 def test_parse_accepts_plain_and_fraction_forms():
@@ -54,3 +56,83 @@ class TestRoundTrip:
         """parse(format(q)) == q for every degree."""
         value = Fraction(min(num, den), den)
         assert parse_rational(format_rational(value)) == value
+
+
+# --- the integer parser against the Fraction path it replaced --------------
+#
+# ``reference_as_degree`` is ``as_degree`` on a string as it stood before
+# the integer parser: ``parse_rational`` built a Fraction, which was then
+# compared against 0 and 1 and printed with ``format_rational``.
+
+_REFERENCE_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+
+
+def reference_format(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def reference_as_degree(text: str) -> Fraction:
+    match = _REFERENCE_RE.match(text)
+    if match is None:
+        raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
+    numerator, denominator = match.groups()
+    degree = Fraction(int(numerator), int(denominator) if denominator else 1)
+    if degree < 0 or degree > 1:
+        raise DegreeRangeError(f"degree {reference_format(degree)} outside [0, 1]")
+    return degree
+
+
+def outcome(parse, text):
+    """``("ok", value)``, or ``(error type, message)`` if ``parse`` raises."""
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+EDGE_LITERALS = ["2/4", "0/7", "-0", "007/8", "1/0", "1/08", "3/2", "-1/3", "-2/6", "6/4", "0", "1"]
+digits = st.text("0123456789", min_size=1, max_size=4)
+literals = st.one_of(
+    st.sampled_from(EDGE_LITERALS),
+    st.builds(
+        lambda sign, p, q: f"{sign}{p}" if q is None else f"{sign}{p}/{q}",
+        st.sampled_from(["", "", "-"]),
+        digits,
+        st.none() | digits,
+    ),
+    st.text("0123456789/- .+e\u0663", max_size=6),
+)
+
+
+class TestIntegerParserMatchesFractionPath:
+    @settings(max_examples=400, deadline=None)
+    @given(literals)
+    def test_parse_degree_agrees(self, text):
+        """Same literals accepted and rejected, same value, same message."""
+        expected = outcome(reference_as_degree, text)
+        got = outcome(parse_degree, text)
+        if expected[0] == "ok":
+            assert got[0] == "ok"
+            p, q = got[1]
+            assert 0 <= p <= q and Fraction(p, q) == expected[1]
+        else:
+            assert got == expected
+        assert outcome(as_degree, text) == expected
+
+    def test_pairs_are_not_reduced(self):
+        assert parse_degree("2/4") == (2, 4)
+        assert parse_degree("007/8") == (7, 8)
+        assert parse_degree("-0") == (0, 1)
+        assert parse_degree("1") == (1, 1)
+        with pytest.raises(DegreeRangeError, match=r"^degree -1/3 outside \[0, 1\]$"):
+            parse_degree("-2/6")
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_degree("1/08")
+
+    @given(st.integers(-50, 50), st.integers(1, 60))
+    def test_format_ratio_matches_fraction(self, n, scale):
+        assert format_ratio(n, scale) == reference_format(Fraction(n, scale))
+        assert format_rational(Fraction(n, scale)) == reference_format(Fraction(n, scale))
+

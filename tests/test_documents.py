@@ -133,13 +133,49 @@ def test_reserved_names_cannot_be_redefined():
     assert code == "reserved-name" and where == "$.sets.0"
 
 
-def test_bad_breakpoints():
+def breakpoint_error(breakpoints):
+    """``(code, where, message)`` of the error a PL body raises."""
     template = '{"kind": "pl", "sets": {"s": {"breakpoints": %s}}, "topology": ["0", "1"], "topology_is": "complete"}'
-    assert error_code(template % '[["0", "0"]]')[0] == "bad-breakpoints"
-    assert error_code(template % '[["0", "0"], ["1/2", "1"]]')[0] == "bad-breakpoints"
-    assert error_code(template % '[["0", "0"], ["1"]]')[0] == "bad-breakpoints"
-    assert error_code(template % '[["0", "0"], ["3/4", "1"], ["1/2", "0"], ["1", "0"]]')[0] == "bad-breakpoints"
-    assert error_code(template % '"diagonal"')[0] == "schema"
+    with pytest.raises(DocumentError) as err:
+        parse_space(template % breakpoints)
+    return err.value.code, err.value.where, str(err.value).removeprefix(f"{err.value.where}: ")
+
+
+BAD_BREAKPOINTS = [
+    # (breakpoints, code, where, message); "6/8" and "2/4" are printed reduced
+    ("[]", "bad-breakpoints", "$.sets.s.breakpoints", "need at least the two endpoint breakpoints"),
+    ('[["0", "0"]]', "bad-breakpoints", "$.sets.s.breakpoints", "need at least the two endpoint breakpoints"),
+    ('[["0", "0"], ["1/2", "1"]]', "bad-breakpoints", "$.sets.s.breakpoints", "breakpoints must start at x=0 and end at x=1"),
+    ('[["1/3", "0"], ["1", "1"]]', "bad-breakpoints", "$.sets.s.breakpoints", "breakpoints must start at x=0 and end at x=1"),
+    ('[["0", "0"], ["1"]]', "bad-breakpoints", "$.sets.s.breakpoints[1]", "a breakpoint is a [x, y] pair of rational strings"),
+    (
+        '[["0", "0"], ["3/4", "1"], ["1/2", "0"], ["1", "0"]]',
+        "bad-breakpoints",
+        "$.sets.s.breakpoints",
+        "x-coordinates must strictly increase: 3/4 then 1/2",
+    ),
+    (
+        '[["0", "0"], ["6/8", "1"], ["2/4", "0"], ["1", "0"]]',
+        "bad-breakpoints",
+        "$.sets.s.breakpoints",
+        "x-coordinates must strictly increase: 3/4 then 1/2",
+    ),
+    (
+        '[["0", "0"], ["2/6", "1"], ["1/3", "0"], ["1", "0"]]',
+        "bad-breakpoints",
+        "$.sets.s.breakpoints",
+        "x-coordinates must strictly increase: 1/3 then 1/3",
+    ),
+    ('[["0", "0"], ["1", "4/3"]]', "rational-range", "$.sets.s.breakpoints[1]", "degree 4/3 outside [0, 1]"),
+    ('[["0", "0"], ["1", "1/2", "0"]]', "bad-breakpoints", "$.sets.s.breakpoints[1]", "a breakpoint is a [x, y] pair of rational strings"),
+    ('[["0", "0"], ["1", 1]]', "bad-rational", "$.sets.s.breakpoints[1]", 'expected a rational string like "1/2", got 1'),
+    ('"diagonal"', "schema", "$.sets.s.breakpoints", "breakpoints must be a JSON array, got str"),
+]
+
+
+def test_bad_breakpoints():
+    for breakpoints, *expected in BAD_BREAKPOINTS:
+        assert breakpoint_error(breakpoints) == tuple(expected), breakpoints
 
 
 def test_complete_lists_are_validated_against_the_axioms():

@@ -44,6 +44,18 @@ CASES = {
     "validate-pl-product": (["validate", "pl-product.json"], 0),
     "classify-set-pl-product": (["classify", "set", "q", "--space", "pl-product.json"], 0),
     "verify": (["verify", "--seeds", "6", "--universe-size", "2", "--grid", "2"], 0),
+    # Unreduced, mixed-denominator literals ("2/4", "0/7", "-0", "007/8")
+    # and a collinear PL breakpoint: the reports print every degree reduced.
+    "classify-set-unreduced-finite-q": (
+        ["classify", "set", "q", "--space", "unreduced-finite.json"],
+        0,
+    ),
+    "classify-set-unreduced-finite-t": (
+        ["classify", "set", "t", "--space", "unreduced-finite.json"],
+        0,
+    ),
+    "classify-set-unreduced-pl-q": (["classify", "set", "q", "--space", "unreduced-pl.json"], 0),
+    "classify-set-unreduced-pl-p": (["classify", "set", "p", "--space", "unreduced-pl.json"], 0),
 }
 
 

@@ -608,3 +608,23 @@ class TestPLSelectionMatchesFold:
         for s in queries:
             assert shuffled.interior(s) == space.interior(s)
             assert shuffled.closure(s) == space.closure(s)
+
+
+class TestMemberOrderMatchesSortKey:
+    """``validate`` and ``generate`` order members on integer keys over one
+    scale; the order must be the lexicographic order of the Fraction
+    ``sort_key``, on families whose members have different scales."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(st.lists(pair_sets, max_size=4), st.lists(pl_sets(), min_size=1, max_size=3)),
+        st.randoms(use_true_random=False),
+    )
+    def test_validate_and_generate(self, subbasis, rng):
+        space = generate(subbasis, universe=M1.universe, cap=400)
+        expected = tuple(sorted(space.members, key=lambda v: v.sort_key()))
+        assert space.members == expected
+        shuffled = list(space.members)
+        rng.shuffle(shuffled)
+        assert validate(shuffled).members == expected
+
