@@ -93,10 +93,10 @@ def _generation_cap(args: argparse.Namespace) -> int | None:
     return cap
 
 
-def _require_positive(flag: str, value: int) -> None:
-    """Reject a ``--grid`` or ``--universe-size`` below 1 as an input error."""
+def _require_positive(flag: str, value: int, code: str = "bad-grid") -> None:
+    """Reject a ``--grid``, ``--universe-size`` or ``--seeds`` below 1 as an input error."""
     if value < 1:
-        raise DocumentError("bad-grid", f"{flag} must be at least 1, got {value}")
+        raise DocumentError(code, f"{flag} must be at least 1, got {value}")
 
 
 def _render_scalar(value: Any) -> str:
@@ -230,6 +230,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    _require_positive("--seeds", args.seeds, "bad-seeds")
     _require_positive("--universe-size", args.universe_size)
     _require_positive("--grid", args.grid)
     cap = _generation_cap(args)
@@ -249,52 +250,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default=argparse.SUPPRESS,
-            help="report format",
-        )
+    # Options every subcommand takes.  ``--format`` is also accepted after
+    # the subcommand; SUPPRESS keeps the subcommand from overwriting a value
+    # given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--cap", type=int, help="generation cap for subbasis documents (verify: enumeration budget)"
+    )
+    common.add_argument(
+        "--format", choices=("text", "json"), default=argparse.SUPPRESS, help="report format"
+    )
 
-    p_validate = sub.add_parser("validate", help="check a space document")
+    p_validate = sub.add_parser("validate", parents=[common], help="check a space document")
     p_validate.add_argument("space", help="space document (path or bundled name)")
-    p_validate.add_argument("--cap", type=int, help="generation cap for subbasis documents")
-    add_format(p_validate)
     p_validate.set_defaults(handler=_cmd_validate)
 
     p_classify = sub.add_parser("classify", help="classify a set or a function")
     classify_sub = p_classify.add_subparsers(dest="what", required=True)
 
-    p_set = classify_sub.add_parser("set", help="four openness verdicts for one set")
+    p_set = classify_sub.add_parser(
+        "set", parents=[common], help="four openness verdicts for one set"
+    )
     p_set.add_argument("name", help="set name from the document (or 0/1)")
     p_set.add_argument("--space", required=True, help="space document (path or bundled name)")
-    p_set.add_argument("--cap", type=int, help="generation cap for subbasis documents")
-    add_format(p_set)
     p_set.set_defaults(handler=_cmd_classify_set)
 
-    p_fn = classify_sub.add_parser("fn", help="eight verdicts for a crisp map")
+    p_fn = classify_sub.add_parser("fn", parents=[common], help="eight verdicts for a crisp map")
     p_fn.add_argument("--fn", required=True, help="function document (path or bundled name)")
-    p_fn.add_argument("--cap", type=int, help="generation cap for subbasis documents")
-    add_format(p_fn)
     p_fn.set_defaults(handler=_cmd_classify_fn)
 
-    p_search = sub.add_parser("search", help="hunt for a class-separating set")
+    p_search = sub.add_parser("search", parents=[common], help="hunt for a class-separating set")
     p_search.add_argument(
         "--target", required=True, help="class combination, e.g. semiopen-not-open"
     )
     p_search.add_argument("--space", required=True, help="finite space document")
     p_search.add_argument("--grid", type=int, required=True, help="grid denominator k")
-    p_search.add_argument("--cap", type=int, help="generation cap for subbasis documents")
-    add_format(p_search)
     p_search.set_defaults(handler=_cmd_search)
 
-    p_verify = sub.add_parser("verify", help="run the randomized self-check campaign")
+    p_verify = sub.add_parser(
+        "verify", parents=[common], help="run the randomized self-check campaign"
+    )
     p_verify.add_argument("--seeds", type=int, default=100, help="number of seeded cases")
     p_verify.add_argument("--universe-size", type=int, default=3, help="points per universe")
     p_verify.add_argument("--grid", type=int, default=3, help="grid denominator k")
-    p_verify.add_argument("--cap", type=int, help="enumeration budget override")
-    add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

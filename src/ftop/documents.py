@@ -30,25 +30,25 @@ All parse failures raise :class:`ftop.errors.DocumentError` with a stable
 machine-readable ``code`` and a ``where`` path into the document.
 
 Degrees cross this boundary as integers: each literal is read to its
-``(p, q)`` pair by :func:`ftop.degrees.parse_degree`, a set is built from
-the numerators over the lcm of its denominators (PL breakpoints through
-``plin._from_ratios``, which applies the same rules as the public
-constructor), and printing formats each numerator over the set's scale.
-No Fraction is built on the way in or out.
+``(p, q)`` pair by :func:`ftop.degrees.parse_degree`, and the pairs go to
+the backend's one integer entry, ``fset._from_ratios`` or
+``plin._from_ratios``, which the public constructors use too; this module
+does no scale arithmetic.  Printing formats each numerator over the set's
+scale.  No Fraction is built on the way in or out.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Union
 
+from . import fset, plin
 from .degrees import format_ratio, parse_degree
 from .errors import BackendMismatchError, DegreeRangeError, DocumentError
-from .fset import FiniteFuzzySet, Universe, _reduced
+from .fset import FiniteFuzzySet, Universe
 from .functions import FuzzyFunction
-from .plin import PLFuzzySet, _from_ratios
+from .plin import PLFuzzySet
 from .topology import FuzzyTopology, generate, validate
 
 __all__ = [
@@ -178,9 +178,9 @@ def _parse_finite_body(node: Any, universe: Universe, where: str) -> FiniteFuzzy
         raise DocumentError(
             "schema", f"missing degrees for universe points {missing}", where
         )
-    ratios = [_degree(mapping[label], f"{where}.{label}") for label in universe]
-    scale = math.lcm(*[q for _, q in ratios])
-    return _reduced(universe, scale, tuple([p * (scale // q) for p, q in ratios]))
+    return fset._from_ratios(
+        universe, [_degree(mapping[label], f"{where}.{label}") for label in universe]
+    )
 
 
 def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
@@ -197,7 +197,7 @@ def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
             )
         pairs.append((*_degree(entry[0], pair_where), *_degree(entry[1], pair_where)))
     try:
-        return _from_ratios(pairs)
+        return plin._from_ratios(pairs)
     except ValueError as exc:
         raise DocumentError("bad-breakpoints", str(exc), f"{where}.breakpoints") from exc
 

@@ -10,8 +10,9 @@ operation is pure.
 Degrees are held as integer numerators over one integer scale per set, so
 the lattice operations, the order and the interior/closure kernel run on
 plain ints.  They stay exact rationals: ``Fraction`` appears only in the
-public constructor and the derived ``degrees`` view; documents build sets
-from integers through :func:`_reduced`.
+public constructor and the derived ``degrees`` view.  Every set built
+from degrees, by the public constructor or the document reader, comes
+from integer ratios ``(p, q)`` through the one entry :func:`_from_ratios`.
 
 Tuples are built from lists, never from generators or ``map``: CPython
 builds a tuple from an iterator of unknown length by resizing it, and
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -79,6 +80,7 @@ class Universe:
             raise KeyError(f"label {label!r} not in universe {self.labels}") from None
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False, slots=True)
 class FiniteFuzzySet:
     """A fuzzy set over a finite universe, one exact degree per point.
 
@@ -88,10 +90,8 @@ class FiniteFuzzySet:
     structural equality is semantic equality: two sets are equal iff they
     share a universe and agree at every point, and ``==`` and ``hash``
     compare the integers only.  ``degrees`` is a derived read-only tuple
-    of Fractions for documents, reports and ordering.
+    of Fractions for the library API, ``repr`` and ``sort_key``.
     """
-
-    __slots__ = ("universe", "scale", "nums")
 
     universe: Universe
     scale: int
@@ -103,18 +103,8 @@ class FiniteFuzzySet:
         for value in degrees:
             if not isinstance(value, Fraction) or value < ZERO or value > ONE:
                 raise ValueError(f"invalid degree {value!r}; use as_degree()")
-        scale = math.lcm(*(value.denominator for value in degrees))
-        nums = tuple([value.numerator * (scale // value.denominator) for value in degrees])
-        _assign(self, universe, scale, nums)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return _trusted, (self.universe, self.scale, self.nums)
+        canonical = _from_ratios(universe, [(v.numerator, v.denominator) for v in degrees])
+        _assign(self, universe, canonical.scale, canonical.nums)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not FiniteFuzzySet:
@@ -270,15 +260,28 @@ def _trusted(universe: Universe, scale: int, nums: tuple[int, ...]) -> FiniteFuz
 def _reduced(universe: Universe, scale: int, nums: tuple[int, ...]) -> FiniteFuzzySet:
     """The set ``nums / scale``, canonical after dividing out ``gcd(scale, *nums)``.
 
-    For lattice results, grid sets of ``oracle.enumerate_grid_sets`` and the
-    preimages and images of ``functions.FuzzyFunction``: their numerators lie
-    in ``[0, scale]`` by construction, but may share a factor with it.
+    For :func:`_from_ratios`, lattice results, the grid sets of ``oracle``
+    and the preimages and images of ``functions.FuzzyFunction``: their
+    numerators lie in ``[0, scale]`` by construction, but may share a
+    factor with it.
     """
     g = math.gcd(scale, *nums)
     if g != 1:
         scale //= g
         nums = tuple([n // g for n in nums])
     return _trusted(universe, scale, nums)
+
+
+def _from_ratios(universe: Universe, ratios: Sequence[tuple[int, int]]) -> FiniteFuzzySet:
+    """The set with degree ``p / q`` at point i, for ``ratios[i] = (p, q)``.
+
+    The one entry from degrees, for the public constructor and the
+    document reader, which check the count and ``0 <= p <= q`` first.  The
+    ratios are brought to the lcm of the ``q``; a document's pairs need
+    not be in lowest terms, so :func:`_reduced` divides out the gcd.
+    """
+    scale = math.lcm(*[q for _, q in ratios])
+    return _reduced(universe, scale, tuple([p * (scale // q) for p, q in ratios]))
 
 
 def _rescaled(value: FiniteFuzzySet, scale: int) -> tuple[int, ...]:

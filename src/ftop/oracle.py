@@ -171,10 +171,15 @@ def brute_semi_interior(
     return join_family(below, universe=universe)
 
 
-def _random_grid_set(
-    rng: random.Random, universe: Universe, degrees: tuple[Fraction, ...]
-) -> FiniteFuzzySet:
-    return FiniteFuzzySet(universe, tuple(rng.choice(degrees) for _ in universe))
+def _random_grid_set(rng: random.Random, universe: Universe, k: int) -> FiniteFuzzySet:
+    """A grid set with every numerator over ``k`` drawn uniformly from ``0..k``.
+
+    Built as :func:`enumerate_grid_sets` builds them.  ``randrange(k + 1)``
+    consumes the same draw as ``choice`` over :func:`grid_degrees` would,
+    so a seed gives the same set as a Fraction-grid draw, and recorded
+    ``verify`` reports stay reproducible.
+    """
+    return _reduced(universe, k, tuple([rng.randrange(k + 1) for _ in universe]))
 
 
 def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopology:
@@ -186,8 +191,7 @@ def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopol
     """
     rng = random.Random(seed)
     universe = spec.universe()
-    degrees = spec.degrees()
-    subbasis = [_random_grid_set(rng, universe, degrees) for _ in range(subbasis_size)]
+    subbasis = [_random_grid_set(rng, universe, spec.k) for _ in range(subbasis_size)]
     return generate(subbasis, universe=universe)
 
 
@@ -369,8 +373,9 @@ def run_campaign(
     chain.  All randomness derives from the seed index, so reports are
     bit-for-bit reproducible.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     spec = GridSpec(universe_size, k, budget)
-    degrees = spec.degrees()
     failures: list[CampaignFailure] = []
     sets_checked = 0
     agreements = 0
@@ -391,7 +396,7 @@ def run_campaign(
                 )
             )
 
-        s = _random_grid_set(rng, space.universe, degrees)
+        s = _random_grid_set(rng, space.universe, k)
         closed_form = semi_interior(space, s)
         if spec.k % closed_form.scale == 0:
             agreements += 1
@@ -405,11 +410,12 @@ def run_campaign(
                     )
                 )
 
+        codomain_universe = spec.universe()
         codomain_subbasis = [
-            _random_grid_set(rng, spec.universe(), degrees)
+            _random_grid_set(rng, codomain_universe, k)
             for _ in range(rng.randint(0, MAX_CAMPAIGN_SUBBASIS))
         ]
-        codomain = generate(codomain_subbasis, universe=spec.universe())
+        codomain = generate(codomain_subbasis, universe=codomain_universe)
         mapping = {x: rng.choice(codomain.universe.labels) for x in space.universe}
         fn = FuzzyFunction.from_mapping(space, codomain, mapping)
         functions += 1

@@ -13,17 +13,17 @@ Each set holds one positive integer ``scale`` and integer tuples ``xs`` and
 canonical: interior breakpoints collinear with their neighbours are dropped
 and ``gcd(scale, *xs, *ys) == 1``, so structural equality is pointwise
 equality and ``==`` and ``hash`` compare integers.  ``breakpoints`` is a
-derived tuple of Fractions for documents, reports and ordering.
+derived tuple of Fractions for the library API, ``repr`` and ``sort_key``.
 
 Binary operations (meet, join, order) sweep both breakpoint lists once
 with two pointers, on the lcm of the two scales, so one of them on sets
 with m and n breakpoints costs O(m + n) integer steps.  A value
 interpolated on a segment of width ``d`` is kept as a numerator over
 ``d * scale``, so comparisons cross-multiply instead of dividing.
-Variadic meet and join fold pairwise.  The public constructor and the
-document reader's integer entry (``_from_ratios``) validate every
-breakpoint through one helper; lattice results, computed from valid sets,
-skip that.
+Variadic meet and join fold pairwise.  Every set built from breakpoints,
+by the public constructor or the document reader, comes from integer
+ratios through the one entry :func:`_from_ratios`, which states the
+breakpoint rules; lattice results, computed from valid sets, skip it.
 A topology's interior and closure select a member by its exact mass
 (``_MemberIndex``), with no join built.
 
@@ -67,17 +67,16 @@ class PLFuzzySet:
         """Validate ``(x, y)`` Fraction pairs and store them canonically.
 
         Exactness is checked first, so every malformed breakpoint raises
-        ``ValueError``; then :func:`_validated` checks the rest on the
-        integer numerators over the lcm of the denominators.
+        ``ValueError``; then :func:`_from_ratios` checks the rest.
         """
         points = tuple(breakpoints)
         for x, y in points:
             if not isinstance(x, Fraction) or not isinstance(y, Fraction):
                 raise ValueError(f"breakpoint ({x!r}, {y!r}) is not exact-rational")
-        scale = math.lcm(*[value.denominator for point in points for value in point])
-        xs = [x.numerator * (scale // x.denominator) for x, _ in points]
-        ys = [y.numerator * (scale // y.denominator) for _, y in points]
-        _assign(self, *_validated(scale, xs, ys))
+        canonical = _from_ratios(
+            [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points]
+        )
+        _assign(self, canonical.scale, canonical.xs, canonical.ys)
 
     @property
     def breakpoints(self) -> tuple[Breakpoint, ...]:
@@ -191,13 +190,19 @@ def _trusted(scale: int, xs: Ints, ys: Ints) -> PLFuzzySet:
     return value
 
 
-def _validated(scale: int, xs: list[int], ys: list[int]) -> tuple[int, Ints, Ints]:
-    """The canonical form of breakpoints ``(xs[i] / scale, ys[i] / scale)``, if valid.
+def _from_ratios(points: Sequence[tuple[int, int, int, int]]) -> PLFuzzySet:
+    """The set with breakpoints ``(px / qx, py / qy)``, given as integer quadruples.
 
-    The one statement of the breakpoint rules: at least two breakpoints,
-    the first x is 0 and the last is 1, x strictly increases, and every y
-    lies in ``[0, 1]``.  A violation is a ``ValueError`` naming the values.
+    The one entry from breakpoints, for the public constructor and the
+    document reader, and the one statement of the breakpoint rules: at
+    least two breakpoints, the first x is 0 and the last is 1, x strictly
+    increases, and every y lies in ``[0, 1]``.  They are checked on the
+    numerators over the lcm of the ``q``; a violation is a ``ValueError``
+    naming the values.
     """
+    scale = math.lcm(*[q for _, qx, _, qy in points for q in (qx, qy)])
+    xs = [px * (scale // qx) for px, qx, _, _ in points]
+    ys = [py * (scale // qy) for _, _, py, qy in points]
     if len(xs) < 2:
         raise ValueError("need at least the two endpoint breakpoints")
     if xs[0] != 0 or xs[-1] != scale:
@@ -211,19 +216,7 @@ def _validated(scale: int, xs: list[int], ys: list[int]) -> tuple[int, Ints, Int
     for y in ys:
         if y < 0 or y > scale:
             raise ValueError(f"membership value {format_ratio(y, scale)} outside [0, 1]")
-    return _reduced(scale, [(x, y, 1) for x, y in zip(xs, ys)])
-
-
-def _from_ratios(points: Sequence[tuple[int, int, int, int]]) -> PLFuzzySet:
-    """Validate breakpoints ``(px / qx, py / qy)`` given as integer quadruples.
-
-    The document reader's entry, with no Fraction: it brings every pair to
-    the lcm of the ``q`` and applies :func:`_validated`.
-    """
-    scale = math.lcm(*[q for _, qx, _, qy in points for q in (qx, qy)])
-    xs = [px * (scale // qx) for px, qx, _, _ in points]
-    ys = [py * (scale // qy) for _, _, py, qy in points]
-    return _trusted(*_validated(scale, xs, ys))
+    return _trusted(*_reduced(scale, [(x, y, 1) for x, y in zip(xs, ys)]))
 
 
 def _reduced(scale: int, points: Sequence[tuple[int, int, int]]) -> tuple[int, Ints, Ints]:

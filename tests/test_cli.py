@@ -132,6 +132,13 @@ def test_classify_unknown_name(capsys):
     assert "error[unresolved-name]" in err
 
 
+def test_classifying_in_an_invalid_topology_is_an_input_error(capsys):
+    space = Path(__file__).parent / "golden" / "input" / "incomplete.json"
+    code, out, err = run(capsys, "classify", "set", "p", "--space", str(space))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[invalid-topology]: ")
+
+
 def test_invariant_failure_is_reported_as_a_bug(capsys, monkeypatch):
     def broken(space, value):
         raise HierarchyInvariantError("simulated operator bug")
@@ -180,6 +187,14 @@ def test_grid_below_one_is_an_input_error(capsys, tmp_path, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "error[bad-grid]" in err and "must be at least 1, got 0" in err
+
+
+def test_seeds_below_one_is_an_input_error(capsys):
+    code, out, err = run(
+        capsys, "--format", "json", "verify", "--seeds", "-2", "--universe-size", "2", "--grid", "2"
+    )
+    assert (code, out) == (2, "")
+    assert "error[bad-seeds]" in err and "--seeds must be at least 1, got -2" in err
 
 
 @pytest.mark.parametrize("command", [["validate", "s.json"], ["verify", "--seeds", "1"]])
@@ -296,6 +311,10 @@ def test_cap_env_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FTOP_CAP", "many")
     code, _, err = run(capsys, "validate", path)
     assert code == 2 and "error[bad-cap]" in err
+
+    monkeypatch.setenv("FTOP_CAP", "0")
+    code, _, err = run(capsys, "validate", path)
+    assert code == 2 and "error[bad-cap]" in err and "FTOP_CAP must be positive, got 0" in err
 
 
 def test_format_flag_works_in_both_positions(capsys):

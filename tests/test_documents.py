@@ -121,6 +121,7 @@ def test_schema_violations():
     assert error_code('{"kind": "finite", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "partial"}')[0] == "schema"
     assert error_code('{"kind": "finite", "sets": {}, "topology": [], "topology_is": "complete"}')[0] == "schema"
     assert error_code('{"kind": "finite", "universe": ["a", "a"], "sets": {}, "topology": [], "topology_is": "complete"}')[0] == "schema"
+    assert error_code('{"kind": "finite", "universe": ["a", 1], "sets": {}, "topology": [], "topology_is": "complete"}') == ("schema", "$.universe")
     assert error_code('{"kind": "pl", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "complete"}')[0] == "schema"
     assert error_code('{"kind": "finite", "universe": ["a"], "sets": {"s": {}}, "topology": [], "topology_is": "complete"}')[0] == "schema"
     assert error_code('{"kind": "finite", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "complete", "extra": 1}')[0] == "schema"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,18 @@ def test_random_topology_is_deterministic_and_valid():
     assert random_topology(spec, seed=8, subbasis_size=3).members != first.members
 
 
+def test_random_grid_sets_match_a_choice_over_the_fraction_grid():
+    """Seeds keep their spaces: each integer draw gives the set that
+    ``choice`` over ``grid_degrees(k)`` gives from the same generator."""
+    for k in (1, 2, 5):
+        universe = GridSpec(3, k).universe()
+        for seed in range(10):
+            ours, reference = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                degrees = tuple(reference.choice(grid_degrees(k)) for _ in universe)
+                assert oracle._random_grid_set(ours, universe, k) == FiniteFuzzySet(universe, degrees)
+
+
 def test_check_space_passes_on_reference_spaces():
     report = check_space(indiscrete(), GridSpec(2, 3))
     assert report.ok and report.sets_checked == 16 and report.violation is None
@@ -231,3 +244,5 @@ def test_campaign_is_deterministic_and_counts_evidence():
     assert 0 < first.agreements_checked <= 8
     data = first.as_dict()
     assert data["ok"] is True and data["failures"] == []
+    with pytest.raises(ValueError, match="seeds must be >= 1, got -2"):
+        run_campaign(-2, 2, 2)

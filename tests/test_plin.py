@@ -140,6 +140,8 @@ def test_construction_requires_unit_interval_cover():
 def test_construction_rejects_bad_degrees():
     with pytest.raises(DegreeRangeError):
         pl(("0", "0"), ("1", "3/2"))
+    with pytest.raises(ValueError, match=r"^membership value 3/2 outside \[0, 1\]$"):
+        PLFuzzySet([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(3, 2))])
     with pytest.raises(TypeError):
         PLFuzzySet.from_breakpoints([(0.0, 0.0), (1.0, 1.0)])
 
