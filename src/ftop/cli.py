@@ -79,7 +79,7 @@ def _generation_cap(args: argparse.Namespace) -> int | None:
     cap = getattr(args, "cap", None)
     if cap is not None:
         if cap < 1:
-            raise DocumentError("bad-cap", f"--cap must be positive, got {cap}")
+            raise DocumentError("bad-cap", f"must be positive, got {cap}", "--cap")
         return cap
     env = os.environ.get("FTOP_CAP")
     if env is None:
@@ -87,16 +87,16 @@ def _generation_cap(args: argparse.Namespace) -> int | None:
     try:
         cap = int(env)
     except ValueError:
-        raise DocumentError("bad-cap", f"FTOP_CAP must be an integer, got {env!r}")
+        raise DocumentError("bad-cap", f"must be an integer, got {env!r}", "FTOP_CAP")
     if cap < 1:
-        raise DocumentError("bad-cap", f"FTOP_CAP must be positive, got {cap}")
+        raise DocumentError("bad-cap", f"must be positive, got {cap}", "FTOP_CAP")
     return cap
 
 
 def _require_positive(flag: str, value: int, code: str = "bad-grid") -> None:
     """Reject a ``--grid``, ``--universe-size`` or ``--seeds`` below 1 as an input error."""
     if value < 1:
-        raise DocumentError(code, f"{flag} must be at least 1, got {value}")
+        raise DocumentError(code, f"must be at least 1, got {value}", flag)
 
 
 def _render_scalar(value: Any) -> str:
@@ -209,7 +209,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
     try:
         target = SearchTarget.parse(args.target)
     except ValueError as exc:
-        raise DocumentError("bad-target", str(exc)) from exc
+        raise DocumentError("bad-target", str(exc), "--target") from exc
     _require_positive("--grid", args.grid)
     spec = GridSpec(len(space.universe), args.grid)
     witness = find_witness(space, target, spec)

@@ -68,7 +68,8 @@ class DocumentError(FtopError, ValueError):
     """A space or function document failed to parse or validate.
 
     ``code`` is a stable machine-readable identifier; ``where`` is a
-    dot-path into the document pointing at the offending node.
+    dot-path into the document pointing at the offending node, or the
+    flag or environment variable that holds a bad value.
     """
 
     def __init__(self, code: str, message: str, where: str = "$"):

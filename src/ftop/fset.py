@@ -90,7 +90,9 @@ class FiniteFuzzySet:
     structural equality is semantic equality: two sets are equal iff they
     share a universe and agree at every point, and ``==`` and ``hash``
     compare the integers only.  ``degrees`` is a derived read-only tuple
-    of Fractions for the library API, ``repr`` and ``sort_key``.
+    of Fractions for the library API, ``repr`` and ``sort_key``.  Setting
+    or deleting a field raises ``FrozenInstanceError``; any other name
+    raises ``TypeError`` or ``AttributeError``, by CPython version.
     """
 
     universe: Universe

@@ -97,9 +97,6 @@ class GridSpec:
     def size(self) -> int:
         return (self.k + 1) ** self.universe_size
 
-    def degrees(self) -> tuple[Fraction, ...]:
-        return grid_degrees(self.k)
-
     def universe(self) -> Universe:
         return Universe.of(*string.ascii_lowercase[: self.universe_size])
 

@@ -56,7 +56,9 @@ class PLFuzzySet:
     """A continuous piecewise-linear membership function on ``[0, 1]``.
 
     Breakpoint i is ``(xs[i] / scale, ys[i] / scale)``, in the canonical
-    form of the module docstring.
+    form of the module docstring.  Setting or deleting a field raises
+    ``FrozenInstanceError``; any other name raises ``TypeError`` or
+    ``AttributeError``, by CPython version.
     """
 
     scale: int

@@ -19,8 +19,11 @@ closure.  The piecewise-linear index (``plin._MemberIndex``) sorts the
 members by exact mass, descending; interior is the first member below
 ``s``, and closure the complement of the first with ``m(x) + s(x) <= 1``.
 
-:func:`check_axioms` and :func:`generate` share one pairwise step that skips
-comparable pairs: if ``a <= b``, the meet is ``a`` and the join is ``b``.
+Fuzzy sets under pointwise min and max form a distributive lattice, so
+the lattice a subbasis generates is the set of joins of its finite meets:
+:func:`generate` builds it in a meet pass and then a join pass.
+:func:`check_axioms` and both passes skip comparable pairs: if ``a <= b``,
+the meet is ``a`` and the join is ``b``.
 
 Membership is semantic: a set is open iff it *equals* some member, not iff
 it is listed under the same name.  Members are kept deduplicated and in a
@@ -101,18 +104,6 @@ class InvalidTopologyError(FtopError, ValueError):
         self.violations = tuple(violations)
 
 
-def _incomparable_pairs(members: Sequence[FuzzyValue], start: int = 0):
-    """Yield ``(a, b, a.meet(b), a.join(b))`` per incomparable pair, ``a`` first.
-
-    ``b`` runs from index ``start`` on.  ``a.leq(b)`` with ``a = members[0]``
-    checks every visited ``b`` for its backend and universe.
-    """
-    for i, a in enumerate(members):
-        for b in members[max(i + 1, start) :]:
-            if not (a.leq(b) or b.leq(a)):
-                yield a, b, a.meet(b), a.join(b)
-
-
 def _in_order(members: Iterable[FuzzyValue]) -> tuple[FuzzyValue, ...]:
     """``members`` in ``sort_key`` order, compared as integers over one scale.
 
@@ -143,15 +134,19 @@ def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
         violations.append(AxiomViolation("i", "the constant-0 set is not a member", (bottom,)))
     if top not in member_set:
         violations.append(AxiomViolation("i", "the constant-1 set is not a member", (top,)))
-    for a, b, low, high in _incomparable_pairs(members):
-        if low not in member_set:
-            violations.append(
-                AxiomViolation("ii", "a pairwise meet is not a member", (a, b, low))
-            )
-        if high not in member_set:
-            violations.append(
-                AxiomViolation("iii", "a pairwise join is not a member", (a, b, high))
-            )
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if a.leq(b) or b.leq(a):
+                continue
+            low, high = a.meet(b), a.join(b)
+            if low not in member_set:
+                violations.append(
+                    AxiomViolation("ii", "a pairwise meet is not a member", (a, b, low))
+                )
+            if high not in member_set:
+                violations.append(
+                    AxiomViolation("iii", "a pairwise join is not a member", (a, b, high))
+                )
     return violations
 
 
@@ -163,19 +158,45 @@ def validate(opens: Sequence[FuzzyValue]) -> "FuzzyTopology":
     return FuzzyTopology(_in_order(set(opens)))
 
 
+def _close(family: dict, generators: Iterable[FuzzyValue], combine, cap: int) -> dict:
+    """Add each generator ``g`` to ``family``, with ``combine(m, g)`` for each member ``m``.
+
+    A member comparable with ``g`` is skipped: its meet and join with ``g``
+    are ``m`` or ``g``.  The first member is compared with each generator
+    first, which checks the generator's backend and universe.  The cap is
+    checked after each generator, so ``family`` holds at most about twice
+    the cap.
+    """
+    for g in generators:
+        grown = [combine(m, g) for m in family if not (m.leq(g) or g.leq(m))]
+        family[g] = None
+        family.update(dict.fromkeys(grown))
+        if len(family) > cap:
+            raise ResourceCapError(
+                f"generated family exceeds the cap of {cap} members; "
+                "raise the cap explicitly if this is intended"
+            )
+    return family
+
+
 def generate(
     subbasis: Sequence[FuzzyValue],
     *,
     universe: Universe | None = None,
     cap: int | None = None,
 ) -> "FuzzyTopology":
-    """Smallest topology containing ``subbasis``: the meet/join fixpoint.
+    """Smallest topology containing ``subbasis``: the joins of its finite meets.
 
-    Each round combines only the pairs that involve a member new in the
-    previous round.  ``universe`` is needed only for an empty finite
-    subbasis.  A ``cap`` on the member count (default 4096, overridable)
-    turns the potential exponential blow-up into a loud error instead of a
-    silent truncation.
+    A meet pass builds the base ``{meet(A) : A a subset of subbasis}`` from
+    ``{1}``, the empty meet, and a join pass all joins of base members
+    from ``{0}``, the empty join.  The joins are closed under meet too:
+    in a distributive lattice ``(a | b) & c = (a & c) | (b & c)``, and a
+    meet of base members is a base member (Birkhoff, *Lattice Theory*,
+    1967).  ``universe`` is needed only for an empty finite subbasis.  A
+    ``cap`` on the member count (default 4096, overridable) turns the
+    potential exponential blow-up into a loud error instead of a silent
+    truncation.  Both passes only grow and hold only members of the
+    result, so one of them exceeds the cap iff the result does.
     """
     cap = DEFAULT_GENERATION_CAP if cap is None else cap
     if subbasis:
@@ -184,20 +205,8 @@ def generate(
         bottom, top = FiniteFuzzySet.zero(universe), FiniteFuzzySet.one(universe)
     else:
         raise ValueError("an empty subbasis needs a universe to pick the constants from")
-
-    family: dict[FuzzyValue, None] = dict.fromkeys([bottom, top, *subbasis])
-    start = 0
-    while start < len(family):
-        members = list(family)
-        for _, _, low, high in _incomparable_pairs(members, start):
-            family[low] = family[high] = None
-        if len(family) > cap:
-            raise ResourceCapError(
-                f"generated family exceeds the cap of {cap} members; "
-                "raise the cap explicitly if this is intended"
-            )
-        start = len(members)
-    return FuzzyTopology(_in_order(family))
+    base = _close({top: None}, subbasis, lambda m, g: m.meet(g), cap)
+    return FuzzyTopology(_in_order(_close({bottom: None}, base, lambda m, g: m.join(g), cap)))
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,7 @@ def test_seeds_below_one_is_an_input_error(capsys):
         capsys, "--format", "json", "verify", "--seeds", "-2", "--universe-size", "2", "--grid", "2"
     )
     assert (code, out) == (2, "")
-    assert "error[bad-seeds]" in err and "--seeds must be at least 1, got -2" in err
+    assert "error[bad-seeds]" in err and "--seeds: must be at least 1, got -2" in err
 
 
 @pytest.mark.parametrize("command", [["validate", "s.json"], ["verify", "--seeds", "1"]])
@@ -314,7 +314,7 @@ def test_cap_env_variable(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setenv("FTOP_CAP", "0")
     code, _, err = run(capsys, "validate", path)
-    assert code == 2 and "error[bad-cap]" in err and "FTOP_CAP must be positive, got 0" in err
+    assert code == 2 and "error[bad-cap]" in err and "FTOP_CAP: must be positive, got 0" in err
 
 
 def test_format_flag_works_in_both_positions(capsys):

@@ -428,6 +428,23 @@ class TestIntegerRepresentationMatchesReference:
             assert space.closure(value).degrees == outer.complement().degrees
 
 
+def test_fields_and_other_attributes_stay_read_only():
+    """A field raises ``FrozenInstanceError``; another name raises
+    ``TypeError`` from the dataclass ``__setattr__`` on a slotted class
+    (CPython 3.10-3.13) or an ``AttributeError``, by CPython version."""
+    s = fs("1/2", "1/3")
+    before = ((s.universe, s.scale, s.nums), hash(s))
+    with pytest.raises(FrozenInstanceError):
+        s.scale = 1
+    with pytest.raises(FrozenInstanceError):
+        del s.nums
+    with pytest.raises((TypeError, AttributeError)):
+        s.extra = 1
+    with pytest.raises((TypeError, AttributeError)):
+        del s.extra
+    assert ((s.universe, s.scale, s.nums), hash(s)) == before
+
+
 def test_sets_stay_immutable_and_picklable():
     s = fs("1/2", "1/3")
     with pytest.raises(FrozenInstanceError):

@@ -43,6 +43,9 @@ CASES = {
     "classify-set-pl-chain": (["classify", "set", "q", "--space", "pl-chain.json"], 0),
     "validate-pl-product": (["validate", "pl-product.json"], 0),
     "classify-set-pl-product": (["classify", "set", "q", "--space", "pl-product.json"], 0),
+    # Four crossing PL sets: the closure is the free distributive lattice, 168 members.
+    "validate-pl-subbasis": (["validate", "pl-subbasis.json"], 0),
+    "classify-set-pl-subbasis": (["classify", "set", "q", "--space", "pl-subbasis.json"], 0),
     "verify": (["verify", "--seeds", "6", "--universe-size", "2", "--grid", "2"], 0),
     # Unreduced, mixed-denominator literals ("2/4", "0/7", "-0", "007/8")
     # and a collinear PL breakpoint: the reports print every degree reduced.

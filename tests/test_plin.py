@@ -612,6 +612,21 @@ class TestIntegerRepresentationMatchesReference:
         half = pl(("0", "1/2"), ("1/3", "1/6"), ("1", "1/2")).join(PLFuzzySet.constant("1/2"))
         assert (half.scale, half.xs, half.ys) == (2, (0, 2), (1, 1))
 
+    def test_fields_and_other_attributes_stay_read_only(self):
+        """As for finite sets: ``FrozenInstanceError`` on a field, and
+        ``TypeError`` or ``AttributeError``, by CPython version, on another name."""
+        value = MU.join(LAM)
+        before = ((value.scale, value.xs, value.ys), hash(value))
+        with pytest.raises(FrozenInstanceError):
+            value.ys = ()
+        with pytest.raises(FrozenInstanceError):
+            del value.scale
+        with pytest.raises((TypeError, AttributeError)):
+            value.extra = 1
+        with pytest.raises((TypeError, AttributeError)):
+            del value.extra
+        assert ((value.scale, value.xs, value.ys), hash(value)) == before
+
     def test_sets_stay_immutable_and_picklable(self):
         for value in (MU, LAM.complement(), MU.join(LAM, ALPHA)):
             with pytest.raises(FrozenInstanceError):

@@ -5,7 +5,8 @@ derived by hand from the member lists (filter the members pointwise,
 fold with join or meet) before being frozen here.  That fold is also
 kept below, verbatim, as the reference the operators must reproduce, and
 so are the pair loops ``check_axioms`` and ``generate`` ran before they
-shared one pairwise step.
+skipped comparable pairs, and before ``generate`` became a meet pass and
+a join pass.
 """
 
 from contextlib import contextmanager
@@ -395,9 +396,10 @@ def pl_queries(draw, space):
     return [*drawn, *space.members, *(m.complement() for m in space.members)]
 
 
-# The pair loops that ``_incomparable_pairs`` replaced, kept verbatim apart
-# from the names as the reference: they combine every pair, comparable or
-# not, and ``generate`` every ordered pair that involves a new member.
+# The pair loops of ``check_axioms`` and of the round-based ``generate``
+# before they skipped comparable pairs, kept verbatim apart from the names
+# as the reference: they combine every pair, comparable or not, and
+# ``generate`` every ordered pair that involves a new member.
 
 
 def _check_backend_uniform(values: Sequence[FuzzyValue]) -> None:
@@ -579,14 +581,32 @@ class TestPairwiseStepMatchesReference:
     def test_generate(self, subbasis_and_universe):
         """Same members, and the same cap outcome for every cap up to size + 1."""
         subbasis, universe = subbasis_and_universe
-        with recorded_pairs() as combined:
-            members = generate(subbasis, universe=universe).members
+        members = generate(subbasis, universe=universe).members
         assert members == reference_generate(subbasis, universe=universe).members
-        assert_each_incomparable_pair_combined_once(members, combined)
         for cap in range(1, len(members) + 2):
             assert generated_or_capped(generate, subbasis, universe, cap) == (
                 generated_or_capped(reference_generate, subbasis, universe, cap)
             )
+
+
+def test_generate_stops_at_the_cap_before_building_the_base():
+    """Sixteen sets whose 2**16 meets are all distinct: the meet pass stops
+    soon after it passes the cap, long before the base is complete."""
+    universe = Universe(tuple(f"p{i}" for i in range(16)))
+    subbasis = [
+        FiniteFuzzySet.of(universe, ["0" if j == i else "1" for j in range(16)]) for i in range(16)
+    ]
+    cap, calls = 64, []
+    meet = FiniteFuzzySet.meet
+
+    def counted_meet(self, *others):
+        calls.append(None)
+        assert len(calls) < 4 * cap, "the cap was not checked while building the base"
+        return meet(self, *others)
+
+    with mock.patch.object(FiniteFuzzySet, "meet", counted_meet):
+        with pytest.raises(ResourceCapError):
+            generate(subbasis, cap=cap)
 
 
 class TestPLSelectionMatchesFold:
