@@ -45,7 +45,7 @@ from typing import Any, Union
 
 from . import fset, plin
 from .degrees import format_ratio, parse_degree
-from .errors import BackendMismatchError, DegreeRangeError, DocumentError
+from .errors import DegreeRangeError, DocumentError
 from .fset import FiniteFuzzySet, Universe
 from .functions import FuzzyFunction
 from .plin import PLFuzzySet
@@ -221,19 +221,12 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
         )
 
     universe: Universe | None = None
-    labels: tuple[str, ...] | None = None
     if kind == "finite":
         labels_node = _expect_list(obj.get("universe"), f"{where}.universe", "the universe")
-        if not labels_node or not all(isinstance(l, str) and l for l in labels_node):
-            raise DocumentError(
-                "schema",
-                "the universe must be a non-empty array of non-empty strings",
-                f"{where}.universe",
-            )
-        if len(set(labels_node)) != len(labels_node):
-            raise DocumentError("schema", "universe points repeat", f"{where}.universe")
-        labels = tuple(labels_node)
-        universe = Universe.of(*labels)
+        try:
+            universe = Universe(tuple(labels_node))
+        except ValueError as exc:
+            raise DocumentError("schema", str(exc), f"{where}.universe") from exc
     elif obj.get("universe") is not None:
         raise DocumentError(
             "schema", "pl documents do not carry a universe", f"{where}.universe"
@@ -267,6 +260,7 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
             )
         topology.append(name)
 
+    labels = None if universe is None else universe.labels
     return SpaceDocument(kind, labels, tuple(sets), tuple(topology), topology_is)
 
 
@@ -395,9 +389,7 @@ def document_for_space(space: FuzzyTopology) -> SpaceDocument:
     names.  Feeding the result to :func:`build_topology` reproduces the
     space.
     """
-    universe = space.universe
-    if universe is None:
-        raise BackendMismatchError("only finite spaces can be described automatically")
+    universe = space._finite_universe("describing a space as a document")
     sets: list[tuple[str, SetBody]] = []
     topology: list[str] = []
     counter = 0

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-from .errors import BackendMismatchError
-from .fset import FiniteFuzzySet, Universe, _reduced
+from .fset import FiniteFuzzySet, _reduced
 from .semiclass import _require_chain, set_verdicts
 from .topology import FuzzyTopology
 
@@ -52,13 +51,6 @@ OPENNESS_CLASSES = (
 )
 
 
-def _require_finite(space: FuzzyTopology, side: str) -> Universe:
-    universe = space.universe
-    if universe is None:
-        raise BackendMismatchError(f"{side} space must use the finite backend")
-    return universe
-
-
 @dataclass(frozen=True)
 class FuzzyFunction:
     """A total point map between the universes of two finite fuzzy spaces."""
@@ -68,8 +60,8 @@ class FuzzyFunction:
     mapping: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        domain_universe = _require_finite(self.domain, "domain")
-        codomain_universe = _require_finite(self.codomain, "codomain")
+        domain_universe = self.domain._finite_universe("a function's domain")
+        codomain_universe = self.codomain._finite_universe("a function's codomain")
         assigned = dict(self.mapping)
         if len(assigned) != len(self.mapping):
             raise ValueError("mapping assigns some point twice")
@@ -87,7 +79,7 @@ class FuzzyFunction:
     def from_mapping(
         cls, domain: FuzzyTopology, codomain: FuzzyTopology, mapping: Mapping[str, str]
     ) -> "FuzzyFunction":
-        universe = _require_finite(domain, "domain")
+        universe = domain._finite_universe("a function's domain")
         return cls(domain, codomain, tuple((x, mapping[x]) for x in universe if x in mapping))
 
     @cached_property

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .errors import BackendMismatchError, HierarchyInvariantError, OffGridError, ResourceCapError
+from .errors import HierarchyInvariantError, OffGridError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe, _reduced, join_family
 from .functions import FuzzyFunction, classify_function
 from .semiclass import (
@@ -101,13 +101,6 @@ class GridSpec:
         return Universe.of(*string.ascii_lowercase[: self.universe_size])
 
 
-def _require_finite_universe(space: FuzzyTopology) -> Universe:
-    universe = space.universe
-    if universe is None:
-        raise BackendMismatchError("grid enumeration needs the finite backend")
-    return universe
-
-
 def _require_on_grid(sets: Sequence[FiniteFuzzySet], k: int, what: str) -> None:
     """Raise unless every set lies on the 1/k grid, that is ``k % scale == 0``.
 
@@ -158,7 +151,7 @@ def brute_semi_interior(
     output lies on the grid, which makes this the validation oracle for
     that identity.
     """
-    universe = _require_finite_universe(space)
+    universe = space._finite_universe("grid enumeration")
     _require_on_grid([*space.members, s], spec.k, "the topology or queried set")
     below = [
         g
@@ -237,7 +230,7 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     the grid so that interiors and closures are grid sets themselves and
     the sweep is exhaustive rather than a sample.
     """
-    universe = _require_finite_universe(space)
+    universe = space._finite_universe("grid enumeration")
     _require_on_grid(space.members, spec.k, "topology")
     checked = 0
     for s in enumerate_grid_sets(spec, universe):
@@ -302,7 +295,7 @@ def find_witness(
     hold a witness.  The topology's own degrees need not lie on the grid;
     classification is exact either way, the grid only bounds the search.
     """
-    universe = _require_finite_universe(space)
+    universe = space._finite_universe("grid enumeration")
     for s in enumerate_grid_sets(spec, universe):
         if target.matches(space, s):
             return s

@@ -25,7 +25,8 @@ by the public constructor or the document reader, comes from integer
 ratios through the one entry :func:`_from_ratios`, which states the
 breakpoint rules; lattice results, computed from valid sets, skip it.
 A topology's interior and closure select a member by its exact mass
-(``_MemberIndex``), with no join built.
+(``_MemberIndex``), with no join built; closure is the dual of interior,
+``1 - Int(1 - s)``, and tests the order with the same ``_leq``.
 
 Tuples are built from lists, never from generators: CPython builds a
 tuple from a generator by resizing it, and when such a tuple is freed it
@@ -304,12 +305,6 @@ def _leq(f: PLFuzzySet, g: PLFuzzySet) -> bool:
     return all(a <= b for _, a, b, _ in _walk(fx, fy, gx, gy))
 
 
-def _below_complement(f: PLFuzzySet, g: PLFuzzySet) -> bool:
-    """``f <= 1 - g``, tested as ``f(x) + g(x) <= 1`` without building ``1 - g``."""
-    scale, fx, fy, gx, gy = _common(f, g)
-    return all(a + b <= d * scale for _, a, b, d in _walk(fx, fy, gx, gy))
-
-
 def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
     """``op`` (min or max) of f and g, crossings included, canonical.
 
@@ -360,8 +355,11 @@ class _MemberIndex:
     in ``FuzzyTopology``: then the members below ``s`` have a greatest
     one, and every other member below ``s`` lies under it and has less
     mass.  So with the members sorted once by descending mass, the first
-    member below ``s`` is ``Int(s)``; no join is built.  Masses are
-    compared as integers over the lcm ``L`` of the member scales.
+    member below ``s`` is ``Int(s)``; no join is built.  Closure is the
+    dual, ``Cl(s) = 1 - Int(1 - s)``: one ``1 - s`` per query, the same
+    order test ``_leq`` on it, and the complement of the member found,
+    precomputed once per space.  Masses are compared as integers over the
+    lcm ``L`` of the member scales.
     """
 
     def __init__(self, members: Sequence[PLFuzzySet]):
@@ -376,15 +374,12 @@ class _MemberIndex:
         return next(member for member in self._members if _leq(member, s))
 
     def closure(self, s: PLFuzzySet) -> PLFuzzySet:
-        """The complement of the first member ``m`` with ``m + s <= 1``.
-
-        ``m <= 1 - s`` iff ``m(x) + s(x) <= 1`` at every merged breakpoint,
-        so the member is selected without computing ``1 - s``.
-        """
+        """``1 - Int(1 - s)``: the complement of the first member below ``1 - s``."""
+        t = s.complement()
         return next(
             complement
             for member, complement in zip(self._members, self._complements)
-            if _below_complement(member, s)
+            if _leq(member, t)
         )
 
 

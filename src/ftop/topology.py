@@ -12,18 +12,23 @@ meets and all joins of subfamilies, so each operator selects one member:
   closed sets above ``s`` are the complements of the members below
   ``1 - s``, and their meet is the complement of their join.
 
-Each backend supplies that lookup as an index built once per space, and
-neither computes ``1 - s`` for closure.  The finite index
-(``fset._MemberIndex``) ANDs integer bitmasks, with dual thresholds for
-closure.  The piecewise-linear index (``plin._MemberIndex``) sorts the
-members by exact mass, descending; interior is the first member below
-``s``, and closure the complement of the first with ``m(x) + s(x) <= 1``.
+Each backend supplies that lookup as an index built once per space.  The
+finite index (``fset._MemberIndex``) ANDs integer bitmasks, with dual
+thresholds for closure, so it never computes ``1 - s``.  The
+piecewise-linear index (``plin._MemberIndex``) sorts the members by exact
+mass, descending; interior is the first member below ``s``, and closure
+the complement of the first member below ``1 - s``, through the same
+order test.
 
 Fuzzy sets under pointwise min and max form a distributive lattice, so
 the lattice a subbasis generates is the set of joins of its finite meets:
-:func:`generate` builds it in a meet pass and then a join pass.
-:func:`check_axioms` and both passes skip comparable pairs: if ``a <= b``,
-the meet is ``a`` and the join is ``b``.
+:func:`generate` builds it in a meet pass and then a join pass, and adds
+the constants once at the end.  :func:`check_axioms` and both passes skip
+comparable pairs: if ``a <= b``, the meet is ``a`` and the join is ``b``.
+
+Only the finite backend can be enumerated or mapped point by point;
+:meth:`FuzzyTopology._finite_universe` is the one check that a space is
+finite, for every caller that needs it.
 
 Membership is semantic: a set is open iff it *equals* some member, not iff
 it is listed under the same name.  Members are kept deduplicated and in a
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Protocol, Sequence
 
-from .errors import FtopError, ResourceCapError
+from .errors import BackendMismatchError, FtopError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe
 
 __all__ = [
@@ -158,24 +163,31 @@ def validate(opens: Sequence[FuzzyValue]) -> "FuzzyTopology":
     return FuzzyTopology(_in_order(set(opens)))
 
 
-def _close(family: dict, generators: Iterable[FuzzyValue], combine, cap: int) -> dict:
-    """Add each generator ``g`` to ``family``, with ``combine(m, g)`` for each member ``m``.
+def _require_cap(family: dict, cap: int) -> None:
+    if len(family) > cap:
+        raise ResourceCapError(
+            f"generated family exceeds the cap of {cap} members; "
+            "raise the cap explicitly if this is intended"
+        )
+
+
+def _close(generators: Iterable[FuzzyValue], combine, cap: int) -> dict:
+    """Each generator ``g``, with ``combine(m, g)`` for each member ``m`` so far.
 
     A member comparable with ``g`` is skipped: its meet and join with ``g``
-    are ``m`` or ``g``.  The first member is compared with each generator
-    first, which checks the generator's backend and universe.  The cap is
-    checked after each generator, so ``family`` holds at most about twice
-    the cap.
+    are ``m`` or ``g``.  Each generator is compared with every earlier one,
+    which checks its backend and universe.  The family starts empty: the
+    constants are comparable with every set, so on a chain they would only
+    add comparisons.  The ``cap`` is checked after each generator, so the
+    family holds at most about twice the cap; the family is a subset of
+    the result, so exceeding the cap here means the result does too.
     """
+    family: dict = {}
     for g in generators:
         grown = [combine(m, g) for m in family if not (m.leq(g) or g.leq(m))]
         family[g] = None
         family.update(dict.fromkeys(grown))
-        if len(family) > cap:
-            raise ResourceCapError(
-                f"generated family exceeds the cap of {cap} members; "
-                "raise the cap explicitly if this is intended"
-            )
+        _require_cap(family, cap)
     return family
 
 
@@ -187,16 +199,18 @@ def generate(
 ) -> "FuzzyTopology":
     """Smallest topology containing ``subbasis``: the joins of its finite meets.
 
-    A meet pass builds the base ``{meet(A) : A a subset of subbasis}`` from
-    ``{1}``, the empty meet, and a join pass all joins of base members
-    from ``{0}``, the empty join.  The joins are closed under meet too:
-    in a distributive lattice ``(a | b) & c = (a & c) | (b & c)``, and a
-    meet of base members is a base member (Birkhoff, *Lattice Theory*,
-    1967).  ``universe`` is needed only for an empty finite subbasis.  A
-    ``cap`` on the member count (default 4096, overridable) turns the
-    potential exponential blow-up into a loud error instead of a silent
-    truncation.  Both passes only grow and hold only members of the
-    result, so one of them exceeds the cap iff the result does.
+    A meet pass builds the base ``{meet(A) : A a non-empty subset of
+    subbasis}``, and a join pass all non-empty joins of base members.  The
+    constants are added once at the end: 0 is the empty join, and 1 is the
+    empty meet, whose join with any member is 1.  The joins are closed
+    under meet too: in a distributive lattice ``(a | b) & c = (a & c) |
+    (b & c)``, and a meet of base members is a base member (Birkhoff,
+    *Lattice Theory*, 1967).  ``universe`` is needed only for an empty
+    finite subbasis.  A ``cap`` on the member count (default 4096,
+    overridable) turns the potential exponential blow-up into a loud error
+    instead of a silent truncation.  Each pass checks the cap as it grows,
+    which stops early on a subset of the result, and the final family is
+    checked once more, so the error is raised iff the result exceeds the cap.
     """
     cap = DEFAULT_GENERATION_CAP if cap is None else cap
     if subbasis:
@@ -205,8 +219,11 @@ def generate(
         bottom, top = FiniteFuzzySet.zero(universe), FiniteFuzzySet.one(universe)
     else:
         raise ValueError("an empty subbasis needs a universe to pick the constants from")
-    base = _close({top: None}, subbasis, lambda m, g: m.meet(g), cap)
-    return FuzzyTopology(_in_order(_close({bottom: None}, base, lambda m, g: m.join(g), cap)))
+    base = _close(subbasis, lambda m, g: m.meet(g), cap)
+    family = _close(base, lambda m, g: m.join(g), cap)
+    family.update(dict.fromkeys((bottom, top)))
+    _require_cap(family, cap)
+    return FuzzyTopology(_in_order(family))
 
 
 @dataclass(frozen=True)
@@ -241,6 +258,17 @@ class FuzzyTopology:
         """The finite universe, or None for the piecewise-linear backend."""
         first = self.members[0]
         return first.universe if isinstance(first, FiniteFuzzySet) else None
+
+    def _finite_universe(self, what: str) -> Universe:
+        """The finite universe, or ``BackendMismatchError`` for a PL space.
+
+        ``what`` names the operation that needs a finite space, for the
+        message.  Every finite-only entry point checks through here.
+        """
+        universe = self.universe
+        if universe is None:
+            raise BackendMismatchError(f"{what} needs the finite backend")
+        return universe
 
     def __len__(self) -> int:
         return len(self.members)

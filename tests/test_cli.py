@@ -299,6 +299,31 @@ def test_cap_flag_stops_generation(capsys, tmp_path):
     assert "error[cap]" in err
 
 
+GOLDEN_INPUT = Path(__file__).parent / "golden" / "input"
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["search", "--target", "semiopen-not-open", "--space", "finite.json", "--grid", "600"], {}),
+        (["verify", "--seeds", "1", "--universe-size", "8", "--grid", "9"], {}),
+        (["verify", "--seeds", "1", "--universe-size", "2", "--grid", "2", "--cap", "5"], {}),
+        (["classify", "set", "q", "--space", "subbasis.json", "--cap", "2"], {}),
+        (["classify", "fn", "--fn", "function.json"], {"FTOP_CAP": "2"}),
+    ],
+    ids=["search-budget", "verify-budget", "verify-cap", "classify-set-cap", "classify-fn-env-cap"],
+)
+def test_each_limit_exits_3(capsys, monkeypatch, argv, env):
+    """Every resource limit a command can hit exits 3 with ``error[cap]`` and no report."""
+    monkeypatch.chdir(GOLDEN_INPUT)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "error[cap]" in err
+
+
 def test_cap_env_variable(capsys, tmp_path, monkeypatch):
     path = write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
     monkeypatch.setenv("FTOP_CAP", "3")

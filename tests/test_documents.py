@@ -125,6 +125,15 @@ def test_schema_violations():
     assert error_code('{"kind": "pl", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "complete"}')[0] == "schema"
     assert error_code('{"kind": "finite", "universe": ["a"], "sets": {"s": {}}, "topology": [], "topology_is": "complete"}')[0] == "schema"
     assert error_code('{"kind": "finite", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "complete", "extra": 1}')[0] == "schema"
+    universe_doc = '{"kind": "finite", "universe": %s, "sets": {}, "topology": [], "topology_is": "complete"}'
+    for universe in ("[]", '["a", ""]', '[["a"]]'):
+        assert error_code(universe_doc % universe) == ("schema", "$.universe")
+    with pytest.raises(DocumentError) as err:
+        parse_function(
+            '{"domain": %s, "codomain": %s, "map": {}}'
+            % (universe_doc % '["a", "a"]', universe_doc % '["u"]')
+        )
+    assert (err.value.code, err.value.where) == ("schema", "$.domain.universe")
 
 
 def test_reserved_names_cannot_be_redefined():

@@ -52,6 +52,10 @@ def test_pl_spaces_are_rejected():
     with pytest.raises(FtopError) as err:
         check_space(t_pl(), GridSpec(2, 2))
     assert isinstance(err.value, BackendMismatchError)
+    with pytest.raises(BackendMismatchError):
+        brute_semi_interior(t_pl(), t_pl().top, GridSpec(1, 2))
+    with pytest.raises(BackendMismatchError):
+        find_witness(t_pl(), SearchTarget.parse("semiopen-not-open"), GridSpec(1, 2))
 
 
 def test_grid_spec_budget_guard():

@@ -609,6 +609,25 @@ def test_generate_stops_at_the_cap_before_building_the_base():
             generate(subbasis, cap=cap)
 
 
+def test_generate_compares_a_chain_without_the_constants():
+    """The constants join the family once, after both passes: 0 and 1 are
+    comparable with every set, so comparing a chain with them would only
+    add ``leq`` calls.  Each pass compares the 4 sets pairwise, 6 times."""
+    universe = Universe.of("a")
+    chain = [FiniteFuzzySet.of(universe, [f"{i}/5"]) for i in range(1, 5)]
+    calls = []
+    leq = FiniteFuzzySet.leq
+
+    def counted_leq(self, other):
+        calls.append(None)
+        return leq(self, other)
+
+    with mock.patch.object(FiniteFuzzySet, "leq", counted_leq):
+        space = generate(chain)
+    assert space.members == reference_generate(chain).members
+    assert len(calls) <= 12
+
+
 class TestPLSelectionMatchesFold:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(pl_chain_spaces(), pl_product_spaces()), st.data())
