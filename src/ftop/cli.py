@@ -49,7 +49,7 @@ from .documents import (
 )
 from .errors import DocumentError, HierarchyInvariantError, ResourceCapError
 from .functions import classify_function
-from .oracle import GridSpec, SearchTarget, find_witness, run_campaign
+from .oracle import _GRID_LABELS, GridSpec, SearchTarget, find_witness, run_campaign
 from .semiclass import classify_set
 from .topology import InvalidTopologyError
 
@@ -93,10 +93,15 @@ def _generation_cap(args: argparse.Namespace) -> int | None:
     return cap
 
 
-def _require_positive(flag: str, value: int, code: str = "bad-grid") -> None:
-    """Reject a ``--grid``, ``--universe-size`` or ``--seeds`` below 1 as an input error."""
+def _require_positive(
+    flag: str, value: int, code: str = "bad-grid", most: int | None = None
+) -> None:
+    """Reject a ``--grid``, ``--universe-size`` or ``--seeds`` below 1, or above
+    ``most``, as an input error."""
     if value < 1:
         raise DocumentError(code, f"must be at least 1, got {value}", flag)
+    if most is not None and value > most:
+        raise DocumentError(code, f"must be at most {most}, got {value}", flag)
 
 
 def _render_scalar(value: Any) -> str:
@@ -231,7 +236,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     _require_positive("--seeds", args.seeds, "bad-seeds")
-    _require_positive("--universe-size", args.universe_size)
+    _require_positive("--universe-size", args.universe_size, most=len(_GRID_LABELS))
     _require_positive("--grid", args.grid)
     cap = _generation_cap(args)
     kwargs = {} if cap is None else {"budget": cap}

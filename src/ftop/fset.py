@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import itemgetter, le, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -312,12 +312,12 @@ class _MemberIndex:
     """
 
     def __init__(self, members: Sequence[FiniteFuzzySet]):
-        self._scale = scale = math.lcm(*(member.scale for member in members))
+        self._scale = scale = math.lcm(*[member.scale for member in members])
         rows = sorted(((_rescaled(member, scale), member) for member in members), key=itemgetter(0))
         self._members = tuple([member for _, member in rows])
         self._complements = tuple([member.complement() for member in self._members])
         self._columns = []
-        for column in zip(*(values for values, _ in rows)):
+        for column in zip(*[values for values, _ in rows]):
             masks: dict[int, int] = {}
             for bit, value in enumerate(column):
                 masks[value] = masks.get(value, 0) | 1 << bit
@@ -342,6 +342,34 @@ class _MemberIndex:
         for (values, prefix), n in zip(self._columns, s.nums):
             mask &= prefix[bisect_right(values, (q - n) * scale // q) - 1]
         return self._complements[mask.bit_length() - 1]
+
+    def grid_walk(self, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """Every set on the 1/k grid, with the bits its interior and closure select.
+
+        Yields ``(nums, inner, outer)`` in the order of ``product(range(k + 1),
+        repeat=n)``, ``nums`` being the numerators over ``k``: ``Int(s)`` is
+        ``_members[inner]`` and ``Cl(s)`` is ``_complements[outer]``.  Every
+        member degree must lie on the grid, so ``L`` divides ``k``.  At grid
+        value ``v`` a point takes the prefix mask :meth:`interior` takes at
+        ``v * L // k``, and :meth:`closure` at ``(k - v) * L // k``, which is
+        the interior mask at ``k - v``.  The masks of the first ``n - 1``
+        points are ANDed once per prefix, then once per value of the last.
+        """
+        scale = self._scale
+        inner_masks = [
+            [prefix[bisect_right(values, v * scale // k) - 1] for v in range(k + 1)]
+            for values, prefix in self._columns
+        ]
+        *head, last = inner_masks
+        last_pairs = list(zip(range(k + 1), last, reversed(last)))
+        for nums in product(range(k + 1), repeat=len(head)):
+            inner = outer = -1
+            for v, masks in zip(nums, head):
+                inner &= masks[v]
+                outer &= masks[k - v]
+            for v, inner_mask, outer_mask in last_pairs:
+                inner_bits, outer_bits = inner & inner_mask, outer & outer_mask
+                yield (*nums, v), inner_bits.bit_length() - 1, outer_bits.bit_length() - 1
 
 
 FiniteFuzzySet._index_type = _MemberIndex

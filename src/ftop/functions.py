@@ -80,7 +80,7 @@ class FuzzyFunction:
         cls, domain: FuzzyTopology, codomain: FuzzyTopology, mapping: Mapping[str, str]
     ) -> "FuzzyFunction":
         universe = domain._finite_universe("a function's domain")
-        return cls(domain, codomain, tuple((x, mapping[x]) for x in universe if x in mapping))
+        return cls(domain, codomain, tuple([(x, mapping[x]) for x in universe if x in mapping]))
 
     @cached_property
     def _map(self) -> dict[str, str]:

@@ -6,10 +6,15 @@ enumerates every fuzzy set whose degrees lie on the grid {0, 1/k, .., 1},
 recomputes the semi-interior straight from its definition (join of all
 semiopen sets below the argument), generates reproducible random spaces,
 and searches for the sets witnessing that the openness hierarchy is
-strict.  Its space check classifies every grid set once with
-``semiclass.classify_set``, whose construction enforces the implication
-chain, and re-verifies on that classification the three proved laws the
-chain does not state.
+strict.  Its space check walks the grid on the member masks of the
+space's index (``fset._MemberIndex.grid_walk``): it derives every grid
+set's four verdicts and its operator values as integer vectors over k,
+holds the verdicts to the implication chain (``semiclass._require_chain``)
+and re-verifies on those vectors the three proved laws the chain does not
+state.  No set object is built per grid set; a fixed sample of at most
+eight grid sets per space also goes through ``semiclass.classify_set``,
+whose verdicts must match the walk's and whose evidence must obey the
+same laws.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
@@ -25,13 +30,14 @@ import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from operator import le
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError
-from .fset import FiniteFuzzySet, Universe, _reduced, join_family
+from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
 from .semiclass import (
-    SetClassification,
+    _require_chain,
     classify_set,
     is_semiopen,
     is_somewhat_open,
@@ -60,6 +66,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 250_000
+
+# Grid universes label their points a, b, ..., so they hold at most 26.
+_GRID_LABELS = string.ascii_lowercase
 
 
 def grid_degrees(k: int) -> tuple[Fraction, ...]:
@@ -98,7 +107,14 @@ class GridSpec:
         return (self.k + 1) ** self.universe_size
 
     def universe(self) -> Universe:
-        return Universe.of(*string.ascii_lowercase[: self.universe_size])
+        """The points ``a``, ``b``, ...; raises ``ValueError`` beyond ``z``."""
+        labels = _GRID_LABELS[: self.universe_size]
+        if len(labels) != self.universe_size:
+            raise ValueError(
+                f"a grid universe has at most {len(_GRID_LABELS)} points, "
+                f"got {self.universe_size}"
+            )
+        return Universe.of(*labels)
 
 
 def _require_on_grid(sets: Sequence[FiniteFuzzySet], k: int, what: str) -> None:
@@ -109,12 +125,23 @@ def _require_on_grid(sets: Sequence[FiniteFuzzySet], k: int, what: str) -> None:
     off = [s for s in sets if k % s.scale]
     if off:
         example = next(d for d in off[0].degrees if (d * k).denominator != 1)
-        needed = math.lcm(*(s.scale for s in sets))
+        needed = math.lcm(*[s.scale for s in sets])
         raise OffGridError(
             f"{what} has degrees off the 1/{k} grid (e.g. {example}); "
             f"the smallest grid holding every degree is k={needed}",
             required_k=needed,
         )
+
+
+def _grid_universe(spec: GridSpec, universe: Universe | None) -> Universe:
+    """``universe``, which must have ``spec.universe_size`` points, or the spec's own."""
+    if universe is None:
+        return spec.universe()
+    if len(universe) != spec.universe_size:
+        raise ValueError(
+            f"universe has {len(universe)} points but spec expects {spec.universe_size}"
+        )
+    return universe
 
 
 def enumerate_grid_sets(
@@ -128,12 +155,7 @@ def enumerate_grid_sets(
     spec and the universe size are checked here, and grid degrees lie in
     ``[0, 1]``.
     """
-    if universe is None:
-        universe = spec.universe()
-    elif len(universe) != spec.universe_size:
-        raise ValueError(
-            f"universe has {len(universe)} points but spec expects {spec.universe_size}"
-        )
+    universe = _grid_universe(spec, universe)
     k = spec.k
     for nums in itertools.product(range(k + 1), repeat=spec.universe_size):
         yield _reduced(universe, k, nums)
@@ -185,25 +207,84 @@ def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopol
     return generate(subbasis, universe=universe)
 
 
-def _holds_semiopen_iff_closures_agree(
-    space: FuzzyTopology, s: FiniteFuzzySet, c: SetClassification
-) -> bool:
-    return s.is_zero() or c.is_semiopen == (c.closure == c.closure_of_interior)
+class _Evidence(NamedTuple):
+    """One grid set and its operator values, each as numerators over k.
+
+    ``semiopen`` is the set's verdict; ``closure_of_interior`` is
+    ``Cl(Int(s))``, ``semi_interior`` is ``s /\\ Cl(Int(s))`` and
+    ``semi_closure`` is ``s \\/ Int(Cl(s))``.
+    """
+
+    s: Sequence[int]
+    semiopen: bool
+    interior: Sequence[int]
+    closure: Sequence[int]
+    closure_of_interior: Sequence[int]
+    semi_interior: Sequence[int]
+    semi_closure: Sequence[int]
+
+
+def _leq(low: Sequence[int], high: Sequence[int]) -> bool:
+    return all(map(le, low, high))
 
 
 # Each entry restates one proved law as an executable predicate of a grid
-# set and its classification; names describe the behaviour checked, and
-# every law must hold for every set in every space, so any violation is an
-# operator bug.  The implication chain is not repeated here: constructing
-# the classification enforces it, and check_space reports a refusal as the
-# violation "implication-chain".
-SPACE_CHECKS: tuple[
-    tuple[str, Callable[[FuzzyTopology, FiniteFuzzySet, SetClassification], bool]], ...
-] = (
-    ("interior-below-semi-interior", lambda space, s, c: c.interior.leq(c.semi_interior)),
-    ("semi-closure-below-closure", lambda space, s, c: c.semi_closure.leq(c.closure)),
-    ("semiopen-iff-closures-agree", _holds_semiopen_iff_closures_agree),
+# set's evidence; names describe the behaviour checked, and every law must
+# hold for every set in every space, so any violation is an operator bug.
+# The implication chain is not repeated here: check_space holds every
+# set's verdicts to it and reports a refusal as the violation
+# "implication-chain".
+SPACE_CHECKS: tuple[tuple[str, Callable[[_Evidence], bool]], ...] = (
+    ("interior-below-semi-interior", lambda e: _leq(e.interior, e.semi_interior)),
+    ("semi-closure-below-closure", lambda e: _leq(e.semi_closure, e.closure)),
+    (
+        "semiopen-iff-closures-agree",
+        lambda e: not any(e.s) or e.semiopen == (e.closure == e.closure_of_interior),
+    ),
 )
+
+
+def _sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], _Evidence]]:
+    """The four verdicts and the evidence of every grid set, in enumeration order.
+
+    The walk selects a member ``m`` with ``Int(s) = m`` and a member
+    ``m'`` with ``Cl(s) = 1 - m'``.  So ``Cl(Int(s)) = Cl(m)`` and
+    ``Int(Cl(s)) = Int(1 - m')``, read from tables that the public
+    operators fill once per member, and the semi-operators are pointwise
+    min and max.  Every member degree must lie on the grid.
+    """
+    index = space._index
+    members, complements = index._members, index._complements
+    # Indexed by the walk's bits: the inner bit picks Int(s) and Cl(Int(s)),
+    # the outer bit Cl(s) and Int(Cl(s)).
+    interiors = [_rescaled(m, k) for m in members]
+    closures_of_interiors = [_rescaled(space.closure(m), k) for m in members]
+    closures = [_rescaled(c, k) for c in complements]
+    interiors_of_closures = [_rescaled(space.interior(c), k) for c in complements]
+    for nums, inner, outer in index.grid_walk(k):
+        interior = interiors[inner]
+        closure_of_interior = closures_of_interiors[inner]
+        semi_interior = list(map(min, nums, closure_of_interior))
+        zero = not any(nums)
+        verdicts = {
+            "open": interior == nums,
+            "semiopen": _leq(nums, closure_of_interior),
+            "somewhat_open": zero or any(interior),
+            "somewhat_semiopen": zero or any(semi_interior),
+        }
+        yield verdicts, _Evidence(
+            nums,
+            verdicts["semiopen"],
+            interior,
+            closures[outer],
+            closure_of_interior,
+            semi_interior,
+            list(map(max, nums, interiors_of_closures[outer])),
+        )
+
+
+# Grid sets per space that also go through the public classify_set.
+_SAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -219,29 +300,71 @@ class SpaceCheckReport:
     violation: SpaceCheckViolation | None = None
 
 
+def _broken_law(evidence: _Evidence) -> str | None:
+    """The name of the first law of :data:`SPACE_CHECKS` that fails, if any."""
+    for name, holds in SPACE_CHECKS:
+        if not holds(evidence):
+            return name
+    return None
+
+
+def _walk_violation(verdicts: dict[str, bool], evidence: _Evidence) -> str | None:
+    """What the walk's values for one grid set break: the chain or a law."""
+    try:
+        _require_chain(verdicts)
+    except HierarchyInvariantError:
+        return "implication-chain"
+    return _broken_law(evidence)
+
+
+def _sample_violation(
+    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: dict[str, bool], k: int
+) -> str | None:
+    """What :func:`classify_set` on ``s`` breaks: the chain, the walk's verdicts, a law."""
+    try:
+        c = classify_set(space, s)
+    except HierarchyInvariantError:
+        return "implication-chain"
+    if c.verdicts() != verdicts:
+        return "classify-set-agrees-with-walk"
+    values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
+    return _broken_law(
+        _Evidence(_rescaled(s, k), c.is_semiopen, *[_rescaled(value, k) for value in values])
+    )
+
+
 def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     """Re-verify every proved law on every grid set of the space.
 
-    Each grid set is classified once by :func:`classify_set`.  A refusal
-    of that classification (its verdicts break the implication chain) is
-    the violation ``"implication-chain"``; otherwise every law of
-    :data:`SPACE_CHECKS` is checked on the classification.  Stops at the
-    first violating (check, set) pair.  Requires all topology degrees on
-    the grid so that interiors and closures are grid sets themselves and
-    the sweep is exhaustive rather than a sample.
+    The grid is walked on the space's member masks (:func:`_sweep`), so no
+    set object is built per grid set.  Each set's four verdicts are held
+    to the implication chain, a refusal being the violation
+    ``"implication-chain"``, and every law of :data:`SPACE_CHECKS` is
+    checked on its evidence.  Every ``ceil(size / 8)``-th grid set, the
+    first included, also goes through the public :func:`classify_set`:
+    its verdicts must equal the walk's (else the violation
+    ``"classify-set-agrees-with-walk"``) and the laws must hold on its
+    evidence.  Stops at the first violating (check, set) pair; the
+    subject is the only set built besides the sample.  Requires all
+    topology degrees on the grid so that interiors and closures are grid
+    sets themselves and the sweep covers every value the operators can
+    produce.
     """
-    universe = space._finite_universe("grid enumeration")
+    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
+    k = spec.k
+    step = -(-spec.size // _SAMPLE)
     checked = 0
-    for s in enumerate_grid_sets(spec, universe):
+    for verdicts, evidence in _sweep(space, k):
+        failed = _walk_violation(verdicts, evidence)
+        if failed is None and checked % step == 0:
+            s = _reduced(universe, k, evidence.s)
+            failed = _sample_violation(space, s, verdicts, k)
         checked += 1
-        try:
-            c = classify_set(space, s)
-        except HierarchyInvariantError:
-            return SpaceCheckReport(False, checked, SpaceCheckViolation("implication-chain", s))
-        for name, holds in SPACE_CHECKS:
-            if not holds(space, s, c):
-                return SpaceCheckReport(False, checked, SpaceCheckViolation(name, s))
+        if failed is not None:
+            return SpaceCheckReport(
+                False, checked, SpaceCheckViolation(failed, _reduced(universe, k, evidence.s))
+            )
     return SpaceCheckReport(True, checked)
 
 

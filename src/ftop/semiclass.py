@@ -15,16 +15,20 @@ which yields the implication chain
     open  =>  semiopen  =>  somewhat open  <=>  somewhat semiopen
 
 stated once, by :func:`_require_chain`, and enforced by
-:class:`SetClassification`, by :func:`set_verdicts` and, per quadruple,
-by ``functions.FunctionClassification``.
+:class:`SetClassification`, by :func:`set_verdicts`, per quadruple by
+``functions.FunctionClassification`` and per grid set by
+``oracle.check_space``.
 
 Besides the standalone definitions, one derivation (``_derive``) turns
 interiors and closures into verdicts.  :func:`set_verdicts` returns its
 verdicts alone, which is all ``functions.classify_function`` reads of a
-lifted set; :func:`classify_set` adds the evidence, and
-``oracle.check_space`` checks its laws on what it returns.  The
-standalone predicates and semi-operators restate the definitions one at
-a time; the tests and the brute-force oracle hold both to them.
+lifted set; :func:`classify_set` adds the evidence.
+``oracle.check_space`` derives the same verdicts a second way, on
+integer vectors over a degree grid, and requires :func:`classify_set`
+to agree with them on a fixed sample of each space's grid sets, checking
+its laws on that evidence.  The standalone predicates and semi-operators
+restate the definitions one at a time; the tests and the brute-force
+oracle hold both to them.
 """
 
 from __future__ import annotations

@@ -197,6 +197,16 @@ def test_seeds_below_one_is_an_input_error(capsys):
     assert "error[bad-seeds]" in err and "--seeds: must be at least 1, got -2" in err
 
 
+def test_universe_beyond_the_alphabet_is_an_input_error(capsys):
+    """Grid universes are labelled a..z; 27 points is a flag error, not a bug."""
+    code, out, err = run(
+        capsys, "verify", "--seeds", "1", "--universe-size", "27", "--grid", "1",
+        "--cap", "200000000",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error[bad-grid]: --universe-size: must be at most 26, got 27")
+
+
 @pytest.mark.parametrize("command", [["validate", "s.json"], ["verify", "--seeds", "1"]])
 def test_cap_below_one_is_an_input_error(capsys, tmp_path, monkeypatch, command):
     write_doc(tmp_path, "s.json", SUBBASIS_SPACE)

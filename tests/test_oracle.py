@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import ftop.fset as fset
 import ftop.oracle as oracle
 from ftop import (
     BackendMismatchError,
@@ -13,6 +15,7 @@ from ftop import (
     ResourceCapError,
     Universe,
     check_axioms,
+    classify_set,
     generate,
     semi_interior,
 )
@@ -150,8 +153,8 @@ def test_check_space_requires_topology_on_grid():
 
 
 def test_check_space_reports_first_violation(monkeypatch):
-    def never_holds(space, s, c):
-        return s.is_zero()
+    def never_holds(e):
+        return not any(e.s)
 
     monkeypatch.setattr(oracle, "SPACE_CHECKS", (("always-false-probe", never_holds),))
     report = check_space(indiscrete(), GridSpec(2, 1))
@@ -161,38 +164,130 @@ def test_check_space_reports_first_violation(monkeypatch):
     assert report.sets_checked == 2
 
 
-def chain_breaking_on_third_call(monkeypatch):
-    """Make ``oracle.classify_set`` refuse the third set it is given."""
-    seen = []
-    honest = oracle.classify_set
+def chain_breaking_on_third_set(monkeypatch):
+    """Make the walk's chain check refuse the verdicts of the third grid set."""
+    calls = []
+    honest = oracle._require_chain
 
-    def broken(space, s):
-        seen.append(s)
-        if len(seen) == 3:
+    def broken(verdicts):
+        calls.append(verdicts)
+        if len(calls) == 3:
             raise HierarchyInvariantError("simulated operator bug")
-        return honest(space, s)
+        honest(verdicts)
 
-    monkeypatch.setattr(oracle, "classify_set", broken)
-    return seen
+    monkeypatch.setattr(oracle, "_require_chain", broken)
 
 
 def test_check_space_reports_a_chain_refusal(monkeypatch):
-    seen = chain_breaking_on_third_call(monkeypatch)
+    chain_breaking_on_third_set(monkeypatch)
     report = check_space(t_fin(), GridSpec(2, 6))
     assert not report.ok
     assert report.violation.check == "implication-chain"
-    assert report.violation.subject == seen[2] == fs(0, "1/3")
+    assert report.violation.subject == fs(0, "1/3")
     assert report.sets_checked == 3
 
 
 def test_campaign_lists_a_chain_refusal_with_its_seed(monkeypatch):
-    seen = chain_breaking_on_third_call(monkeypatch)
+    chain_breaking_on_third_set(monkeypatch)
     result = run_campaign(2, 2, 2)
     assert not result.ok
     (failure,) = result.failures
     assert failure.phase == "space-laws" and failure.seed == 0
-    assert failure.detail == f"implication-chain fails on {seen[2]!r}"
+    assert failure.detail == f"implication-chain fails on {fs(0, 1)!r}"
     assert result.sets_checked == 3 + 9
+
+
+def recording_classify_set(monkeypatch, breakage=None):
+    """Record every set ``oracle.classify_set`` is given; break the second."""
+    seen = []
+    honest = oracle.classify_set
+
+    def recorded(space, s):
+        seen.append(s)
+        c = honest(space, s)
+        if breakage is None or len(seen) != 2:
+            return c
+        if breakage == "raise":
+            raise HierarchyInvariantError("simulated operator bug")
+        # Chain-consistent on a set with a zero interior, so only the
+        # comparison with the walk can notice.
+        return dataclasses.replace(c, is_somewhat_open=True, is_somewhat_semiopen=True)
+
+    monkeypatch.setattr(oracle, "classify_set", recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "space, spec, indices",
+    [
+        (t_fin(), GridSpec(2, 6), range(0, 49, 7)),
+        (random_topology(GridSpec(3, 4), 5, 3), GridSpec(3, 4), range(0, 125, 16)),
+        (indiscrete(), GridSpec(2, 1), range(4)),
+    ],
+)
+def test_check_space_classifies_every_ceil_eighth_grid_set(monkeypatch, space, spec, indices):
+    seen = recording_classify_set(monkeypatch)
+    assert check_space(space, spec).ok
+    grid = list(enumerate_grid_sets(spec, space.universe))
+    assert seen == [grid[i] for i in indices]
+    assert len(seen) <= 8
+
+
+@pytest.mark.parametrize(
+    "breakage, check", [("flip", "classify-set-agrees-with-walk"), ("raise", "implication-chain")]
+)
+def test_check_space_reports_a_sampled_set_classify_set_gets_wrong(monkeypatch, breakage, check):
+    seen = recording_classify_set(monkeypatch, breakage)
+    report = check_space(t_fin(), GridSpec(2, 6))
+    assert not report.ok
+    assert report.violation.check == check
+    assert report.violation.subject == seen[1] == fs("1/6", 0)
+    assert report.sets_checked == 8
+    assert len(seen) == 2
+
+
+def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
+    def no_walk(index, k):
+        raise AssertionError("the grid walk was used")
+
+    monkeypatch.setattr(fset._MemberIndex, "grid_walk", no_walk)
+    with pytest.raises(AssertionError, match="grid walk"):
+        check_space(t_fin(), GridSpec(2, 6))
+    space = t_fin()
+    assert brute_semi_interior(space, fs("3/4", "1/4"), GridSpec(2, 12)) == fs("1/2", "1/4")
+    for member in space.members:
+        assert brute_semi_interior(space, member, GridSpec(2, 6)) == member
+
+
+def walk_property_spaces(count):
+    """Seeded spaces drawn as acceptance criterion 3 draws them."""
+    master = random.Random("walk-property")
+    for _ in range(count):
+        spec = GridSpec(master.randint(1, 4), master.randint(1, 4))
+        yield spec, random_topology(spec, master.randint(0, 10**9), master.randint(0, 4))
+
+
+def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
+    """On every grid set of 250 spaces the walk selects ``Int(s)`` and
+    ``Cl(s)`` as the operators do, and its verdicts and evidence over k
+    are those of :func:`classify_set`."""
+    for spec, space in walk_property_spaces(250):
+        k, index = spec.k, space._index
+        grid = list(enumerate_grid_sets(spec, space.universe))
+        walked = list(index.grid_walk(k))
+        swept = list(oracle._sweep(space, k))
+        assert len(walked) == len(swept) == len(grid) == spec.size
+        for s, (nums, inner, outer), (verdicts, e) in zip(grid, walked, swept):
+            assert oracle._reduced(space.universe, k, nums) == s
+            assert index._members[inner] == space.interior(s)
+            assert index._complements[outer] == space.closure(s)
+            c = classify_set(space, s)
+            assert verdicts == c.verdicts()
+            fields = ("interior", "closure", "closure_of_interior", "semi_interior", "semi_closure")
+            assert tuple(e.s) == fset._rescaled(s, k)
+            for field in fields:
+                assert tuple(getattr(e, field)) == fset._rescaled(getattr(c, field), k), field
+            assert e.semiopen == c.is_semiopen
 
 
 def test_search_target_parsing():
