@@ -38,12 +38,14 @@ __all__ = [
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+# ASCII digits only, matched in full: "\d" takes other scripts' digits and
+# "$" a trailing newline.
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def _literal(text: str) -> tuple[int, int]:
     """The integers ``(p, q)`` of a ``"p/q"`` (or bare ``"p"``) literal."""
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
     numerator, denominator = match.groups()

@@ -27,7 +27,9 @@ A function document wraps two space documents and a crisp point map::
     {"domain": <space>, "codomain": <space>, "map": {"a": "u", "b": "v"}}
 
 All parse failures raise :class:`ftop.errors.DocumentError` with a stable
-machine-readable ``code`` and a ``where`` path into the document.
+machine-readable ``code`` and a ``where`` path into the document.  A key
+given twice in one JSON object is the error ``duplicate-key``, not a
+silent last-wins.
 
 Degrees cross this boundary as integers: each literal is read to its
 ``(p, q)`` pair by :func:`ftop.degrees.parse_degree`, and the pairs go to
@@ -79,9 +81,24 @@ def _reject_float(literal: str) -> Any:
     raise DocumentError("float-literal", "floats forbidden; write 1/2")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The object of ``pairs``; a key given twice is an error, not last-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise DocumentError("duplicate-key", f"key {key!r} appears twice in one object")
+    return obj
+
+
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        return json.loads(
+            text,
+            parse_float=_reject_float,
+            parse_constant=_reject_float,
+            object_pairs_hook=_unique_keys,
+        )
     except DocumentError:
         raise
     except json.JSONDecodeError as exc:

@@ -343,30 +343,36 @@ class _MemberIndex:
             mask &= prefix[bisect_right(values, (q - n) * scale // q) - 1]
         return self._complements[mask.bit_length() - 1]
 
+    def grid_scale(self, k: int) -> int:
+        """``lcm(k, L)``, the one scale that holds every 1/k grid set and every member."""
+        return math.lcm(k, self._scale)
+
     def grid_walk(self, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
         """Every set on the 1/k grid, with the bits its interior and closure select.
 
         Yields ``(nums, inner, outer)`` in the order of ``product(range(k + 1),
-        repeat=n)``, ``nums`` being the numerators over ``k``: ``Int(s)`` is
-        ``_members[inner]`` and ``Cl(s)`` is ``_complements[outer]``.  Every
-        member degree must lie on the grid, so ``L`` divides ``k``.  At grid
-        value ``v`` a point takes the prefix mask :meth:`interior` takes at
-        ``v * L // k``, and :meth:`closure` at ``(k - v) * L // k``, which is
-        the interior mask at ``k - v``.  The masks of the first ``n - 1``
-        points are ANDed once per prefix, then once per value of the last.
+        repeat=n)``, ``nums`` being the numerators over ``G``, the
+        :meth:`grid_scale`: ``Int(s)`` is ``_members[inner]`` and ``Cl(s)``
+        is ``_complements[outer]``.  The members need not lie on the grid.
+        At value ``v / G`` a point takes the prefix mask :meth:`interior`
+        takes at ``v * L // G``, and :meth:`closure` at ``(G - v) * L // G``,
+        which is the interior mask at ``G - v``.  The masks of the first
+        ``n - 1`` points are ANDed once per prefix, then once per value of
+        the last.
         """
-        scale = self._scale
+        scale, grid = self._scale, self.grid_scale(k)
+        grid_values = range(0, grid + 1, grid // k)
         inner_masks = [
-            [prefix[bisect_right(values, v * scale // k) - 1] for v in range(k + 1)]
+            {v: prefix[bisect_right(values, v * scale // grid) - 1] for v in grid_values}
             for values, prefix in self._columns
         ]
         *head, last = inner_masks
-        last_pairs = list(zip(range(k + 1), last, reversed(last)))
-        for nums in product(range(k + 1), repeat=len(head)):
+        last_pairs = [(v, last[v], last[grid - v]) for v in grid_values]
+        for nums in product(grid_values, repeat=len(head)):
             inner = outer = -1
             for v, masks in zip(nums, head):
                 inner &= masks[v]
-                outer &= masks[k - v]
+                outer &= masks[grid - v]
             for v, inner_mask, outer_mask in last_pairs:
                 inner_bits, outer_bits = inner & inner_mask, outer & outer_mask
                 yield (*nums, v), inner_bits.bit_length() - 1, outer_bits.bit_length() - 1

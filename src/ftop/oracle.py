@@ -2,24 +2,33 @@
 
 The closed-form operators elsewhere in this package are fast but clever;
 this module is slow and literal, so the two can check each other.  It
-enumerates every fuzzy set whose degrees lie on the grid {0, 1/k, .., 1},
-recomputes the semi-interior straight from its definition (join of all
-semiopen sets below the argument), generates reproducible random spaces,
-and searches for the sets witnessing that the openness hierarchy is
-strict.  Its space check walks the grid on the member masks of the
-space's index (``fset._MemberIndex.grid_walk``): it derives every grid
-set's four verdicts and its operator values as integer vectors over k,
-holds the verdicts to the implication chain (``semiclass._require_chain``)
-and re-verifies on those vectors the three proved laws the chain does not
-state.  No set object is built per grid set; a fixed sample of at most
-eight grid sets per space also goes through ``semiclass.classify_set``,
-whose verdicts must match the walk's and whose evidence must obey the
-same laws.
+considers every fuzzy set whose degrees lie on the grid {0, 1/k, .., 1}:
+it recomputes the semi-interior straight from its definition (join of
+all semiopen sets below the argument), checks the proved laws on every
+grid set of a space, and searches for the sets witnessing that the
+openness hierarchy is strict.  It also generates reproducible random
+spaces.
+
+The space check and the search share one walk of the grid on the member
+masks of the space's index (``fset._MemberIndex.grid_walk``, through
+:func:`_sweep`).  It derives every grid set's four verdicts and its
+operator values as integer vectors, and builds no set object per grid
+set.  The check holds the verdicts to the implication chain
+(``semiclass._require_chain``), re-verifies on the vectors the three
+proved laws the chain does not state, and sends a fixed sample of at
+most eight grid sets per space through ``semiclass.classify_set`` as
+well, whose verdicts must match the walk's and whose evidence must obey
+the same laws.  The search returns the first grid set whose verdicts put
+it in one class and not in another.  Only the literal semi-interior
+builds every grid set as an object, so that it shares nothing with the
+walk.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
 complement of grid degrees are grid degrees), so quantifying over grid
-sets quantifies over everything the operators can produce.
+sets quantifies over everything the operators can produce.  The check
+requires this; the search does not, as its grid only bounds where it
+looks.
 """
 
 from __future__ import annotations
@@ -36,14 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
-from .semiclass import (
-    _require_chain,
-    classify_set,
-    is_semiopen,
-    is_somewhat_open,
-    is_somewhat_semiopen,
-    semi_interior,
-)
+from .semiclass import _require_chain, classify_set, is_semiopen, semi_interior, set_verdicts
 from .topology import FuzzyTopology, generate
 
 __all__ = [
@@ -208,7 +210,7 @@ def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopol
 
 
 class _Evidence(NamedTuple):
-    """One grid set and its operator values, each as numerators over k.
+    """One grid set and its operator values, each as numerators over one scale.
 
     ``semiopen`` is the set's verdict; ``closure_of_interior`` is
     ``Cl(Int(s))``, ``semi_interior`` is ``s /\\ Cl(Int(s))`` and
@@ -251,16 +253,19 @@ def _sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], _Evi
     ``m'`` with ``Cl(s) = 1 - m'``.  So ``Cl(Int(s)) = Cl(m)`` and
     ``Int(Cl(s)) = Int(1 - m')``, read from tables that the public
     operators fill once per member, and the semi-operators are pointwise
-    min and max.  Every member degree must lie on the grid.
+    min and max.  Member degrees may lie off the grid: every vector is
+    over the walk's scale, ``lcm(k, L)`` for the lcm ``L`` of the member
+    scales.
     """
     index = space._index
     members, complements = index._members, index._complements
+    scale = index.grid_scale(k)
     # Indexed by the walk's bits: the inner bit picks Int(s) and Cl(Int(s)),
     # the outer bit Cl(s) and Int(Cl(s)).
-    interiors = [_rescaled(m, k) for m in members]
-    closures_of_interiors = [_rescaled(space.closure(m), k) for m in members]
-    closures = [_rescaled(c, k) for c in complements]
-    interiors_of_closures = [_rescaled(space.interior(c), k) for c in complements]
+    interiors = [_rescaled(m, scale) for m in members]
+    closures_of_interiors = [_rescaled(space.closure(m), scale) for m in members]
+    closures = [_rescaled(c, scale) for c in complements]
+    interiors_of_closures = [_rescaled(space.interior(c), scale) for c in complements]
     for nums, inner, outer in index.grid_walk(k):
         interior = interiors[inner]
         closure_of_interior = closures_of_interiors[inner]
@@ -318,7 +323,7 @@ def _walk_violation(verdicts: dict[str, bool], evidence: _Evidence) -> str | Non
 
 
 def _sample_violation(
-    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: dict[str, bool], k: int
+    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: dict[str, bool], scale: int
 ) -> str | None:
     """What :func:`classify_set` on ``s`` breaks: the chain, the walk's verdicts, a law."""
     try:
@@ -329,7 +334,7 @@ def _sample_violation(
         return "classify-set-agrees-with-walk"
     values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
     return _broken_law(
-        _Evidence(_rescaled(s, k), c.is_semiopen, *[_rescaled(value, k) for value in values])
+        _Evidence(_rescaled(s, scale), c.is_semiopen, *[_rescaled(v, scale) for v in values])
     )
 
 
@@ -352,28 +357,25 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     """
     universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
-    k = spec.k
+    scale = space._index.grid_scale(spec.k)
     step = -(-spec.size // _SAMPLE)
     checked = 0
-    for verdicts, evidence in _sweep(space, k):
+    for verdicts, evidence in _sweep(space, spec.k):
         failed = _walk_violation(verdicts, evidence)
         if failed is None and checked % step == 0:
-            s = _reduced(universe, k, evidence.s)
-            failed = _sample_violation(space, s, verdicts, k)
+            s = _reduced(universe, scale, evidence.s)
+            failed = _sample_violation(space, s, verdicts, scale)
         checked += 1
         if failed is not None:
             return SpaceCheckReport(
-                False, checked, SpaceCheckViolation(failed, _reduced(universe, k, evidence.s))
+                False, checked, SpaceCheckViolation(failed, _reduced(universe, scale, evidence.s))
             )
     return SpaceCheckReport(True, checked)
 
 
-SET_CLASSES: dict[str, Callable[[FuzzyTopology, FiniteFuzzySet], bool]] = {
-    "open": lambda space, s: space.is_open(s),
-    "semiopen": is_semiopen,
-    "somewhat-open": is_somewhat_open,
-    "somewhat-semiopen": is_somewhat_semiopen,
-}
+# The classes a search can name, strongest first: the verdicts of
+# semiclass.set_verdicts, spelled with "-" for "_".
+SET_CLASSES = ("open", "semiopen", "somewhat-open", "somewhat-semiopen")
 
 
 @dataclass(frozen=True)
@@ -402,8 +404,12 @@ class SearchTarget:
             )
         return cls(parts[0], parts[1])
 
+    def _holds(self, verdicts: dict[str, bool]) -> bool:
+        """Whether verdicts keyed as :func:`set_verdicts` keys them match the target."""
+        return verdicts[self.have.replace("-", "_")] and not verdicts[self.avoid.replace("-", "_")]
+
     def matches(self, space: FuzzyTopology, s: FiniteFuzzySet) -> bool:
-        return SET_CLASSES[self.have](space, s) and not SET_CLASSES[self.avoid](space, s)
+        return self._holds(set_verdicts(space, s))
 
     def __str__(self) -> str:
         return f"{self.have}-not-{self.avoid}"
@@ -414,14 +420,17 @@ def find_witness(
 ) -> FiniteFuzzySet | None:
     """First grid set in enumeration order matching the target, else None.
 
+    The grid is walked on the space's member masks (:func:`_sweep`), as
+    :func:`check_space` walks it, and only the witness is built as a set.
     A None is grid-relative only: a finer grid (or none at all) may still
     hold a witness.  The topology's own degrees need not lie on the grid;
     classification is exact either way, the grid only bounds the search.
     """
-    universe = space._finite_universe("grid enumeration")
-    for s in enumerate_grid_sets(spec, universe):
-        if target.matches(space, s):
-            return s
+    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
+    scale = space._index.grid_scale(spec.k)
+    for verdicts, evidence in _sweep(space, spec.k):
+        if target._holds(verdicts):
+            return _reduced(universe, scale, evidence.s)
     return None
 
 

@@ -23,12 +23,13 @@ Besides the standalone definitions, one derivation (``_derive``) turns
 interiors and closures into verdicts.  :func:`set_verdicts` returns its
 verdicts alone, which is all ``functions.classify_function`` reads of a
 lifted set; :func:`classify_set` adds the evidence.
-``oracle.check_space`` derives the same verdicts a second way, on
-integer vectors over a degree grid, and requires :func:`classify_set`
-to agree with them on a fixed sample of each space's grid sets, checking
-its laws on that evidence.  The standalone predicates and semi-operators
-restate the definitions one at a time; the tests and the brute-force
-oracle hold both to them.
+The oracle's grid walk derives the same verdicts a second way, on
+integer vectors over a degree grid, for ``oracle.check_space`` and
+``oracle.find_witness`` alike.  ``check_space`` requires
+:func:`classify_set` to agree with the walk on a fixed sample of each
+space's grid sets, checking its laws on that evidence.  The standalone
+predicates and semi-operators restate the definitions one at a time; the
+tests and the brute-force oracle hold both to them.
 """
 
 from __future__ import annotations

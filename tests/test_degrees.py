@@ -18,7 +18,8 @@ def test_parse_accepts_plain_and_fraction_forms():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "0.5", "1/0", "1/-2", "a", " 1/2", "1/2 ", "1 / 2", "+1", "1e-3"]
+    "bad",
+    ["", "0.5", "1/0", "1/-2", "a", " 1/2", "1/2 ", "1 / 2", "+1", "1e-3", "1/2\n", "1\n", "\u0661/2"],
 )
 def test_parse_rejects_non_rational_literals(bad):
     with pytest.raises(ValueError):
@@ -62,9 +63,11 @@ class TestRoundTrip:
 #
 # ``reference_as_degree`` is ``as_degree`` on a string as it stood before
 # the integer parser: ``parse_rational`` built a Fraction, which was then
-# compared against 0 and 1 and printed with ``format_rational``.
+# compared against 0 and 1 and printed with ``format_rational``.  Its
+# regex is held to the same literal syntax as the parser's, ASCII digits
+# matched in full; the literals above pin that syntax.
 
-_REFERENCE_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_REFERENCE_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def reference_format(value: Fraction) -> str:
@@ -74,7 +77,7 @@ def reference_format(value: Fraction) -> str:
 
 
 def reference_as_degree(text: str) -> Fraction:
-    match = _REFERENCE_RE.match(text)
+    match = _REFERENCE_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
     numerator, denominator = match.groups()
@@ -102,7 +105,7 @@ literals = st.one_of(
         digits,
         st.none() | digits,
     ),
-    st.text("0123456789/- .+e\u0663", max_size=6),
+    st.text("0123456789/- .+e\u0663\n", max_size=6),
 )
 
 

@@ -112,6 +112,7 @@ def test_bad_and_out_of_range_rationals():
     template = '{"kind": "finite", "universe": ["a"], "sets": {"s": {"a": %s}}, "topology": ["0", "1"], "topology_is": "complete"}'
     assert error_code(template % '"half"')[0] == "bad-rational"
     assert error_code(template % "1")[0] == "bad-rational"
+    assert error_code(template % '"1/2\\n"') == ("bad-rational", "$.sets.s.a")
     code, where = error_code(template % '"3/2"')
     assert code == "rational-range" and where == "$.sets.s.a"
 
@@ -125,6 +126,12 @@ def test_schema_violations():
     assert error_code('{"kind": "pl", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "complete"}')[0] == "schema"
     assert error_code('{"kind": "finite", "universe": ["a"], "sets": {"s": {}}, "topology": [], "topology_is": "complete"}')[0] == "schema"
     assert error_code('{"kind": "finite", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "complete", "extra": 1}')[0] == "schema"
+    for twice in (
+        '{"kind": "finite", "universe": ["a"], "sets": {}, "topology": ["0", "1"], "topology_is": "complete", "topology_is": "subbasis"}',
+        '{"kind": "finite", "universe": ["a"], "sets": {"s": {"a": "0"}, "s": {"a": "1"}}, "topology": ["0", "1"], "topology_is": "complete"}',
+        '{"kind": "finite", "universe": ["a"], "sets": {"s": {"a": "0", "a": "1"}}, "topology": ["0", "1"], "topology_is": "complete"}',
+    ):
+        assert error_code(twice)[0] == "duplicate-key"
     universe_doc = '{"kind": "finite", "universe": %s, "sets": {}, "topology": [], "topology_is": "complete"}'
     for universe in ("[]", '["a", ""]', '[["a"]]'):
         assert error_code(universe_doc % universe) == ("schema", "$.universe")

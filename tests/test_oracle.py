@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -17,9 +18,13 @@ from ftop import (
     check_axioms,
     classify_set,
     generate,
+    is_semiopen,
+    is_somewhat_open,
+    is_somewhat_semiopen,
     semi_interior,
 )
 from ftop.oracle import (
+    SET_CLASSES,
     GridSpec,
     SearchTarget,
     brute_semi_interior,
@@ -88,6 +93,14 @@ def test_enumerated_sets_pass_the_public_constructor():
 def test_enumeration_universe_must_match_spec():
     with pytest.raises(ValueError):
         list(enumerate_grid_sets(GridSpec(3, 2), AB))
+    # The grid walk would otherwise run over the space's own points.
+    target = SearchTarget.parse("somewhat-open-not-open")
+    for size in (1, 3):
+        spec = GridSpec(size, 6)
+        with pytest.raises(ValueError, match=f"universe has 2 points but spec expects {size}"):
+            check_space(t_fin(), spec)
+        with pytest.raises(ValueError, match=f"universe has 2 points but spec expects {size}"):
+            find_witness(t_fin(), target, spec)
 
 
 def test_brute_semi_interior_fixed_points():
@@ -259,34 +272,43 @@ def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
         assert brute_semi_interior(space, member, GridSpec(2, 6)) == member
 
 
-def walk_property_spaces(count):
-    """Seeded spaces drawn as acceptance criterion 3 draws them."""
-    master = random.Random("walk-property")
+def walk_property_spaces(count, seed="walk-property", member_grid=None):
+    """Seeded spaces drawn as acceptance criterion 3 draws them.
+
+    Each comes with the spec of the grid to walk.  The members lie on
+    that grid, or, given ``member_grid``, on the 1/member_grid grid.
+    """
+    master = random.Random(seed)
     for _ in range(count):
         spec = GridSpec(master.randint(1, 4), master.randint(1, 4))
-        yield spec, random_topology(spec, master.randint(0, 10**9), master.randint(0, 4))
+        members = spec if member_grid is None else GridSpec(spec.universe_size, member_grid)
+        yield spec, random_topology(members, master.randint(0, 10**9), master.randint(0, 4))
 
 
 def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
-    """On every grid set of 250 spaces the walk selects ``Int(s)`` and
-    ``Cl(s)`` as the operators do, and its verdicts and evidence over k
+    """On every grid set of 250 spaces, and of 100 spaces with members on
+    1/6 walked on grids k <= 4, the walk selects ``Int(s)`` and ``Cl(s)``
+    as the operators do, and its verdicts and evidence over ``lcm(k, L)``
     are those of :func:`classify_set`."""
-    for spec, space in walk_property_spaces(250):
+    spaces = [*walk_property_spaces(250), *walk_property_spaces(100, "walk-off-grid", 6)]
+    for spec, space in spaces:
         k, index = spec.k, space._index
+        scale = math.lcm(k, *[member.scale for member in space.members])
+        assert index.grid_scale(k) == scale
         grid = list(enumerate_grid_sets(spec, space.universe))
         walked = list(index.grid_walk(k))
         swept = list(oracle._sweep(space, k))
         assert len(walked) == len(swept) == len(grid) == spec.size
         for s, (nums, inner, outer), (verdicts, e) in zip(grid, walked, swept):
-            assert oracle._reduced(space.universe, k, nums) == s
+            assert oracle._reduced(space.universe, scale, nums) == s
             assert index._members[inner] == space.interior(s)
             assert index._complements[outer] == space.closure(s)
             c = classify_set(space, s)
             assert verdicts == c.verdicts()
             fields = ("interior", "closure", "closure_of_interior", "semi_interior", "semi_closure")
-            assert tuple(e.s) == fset._rescaled(s, k)
+            assert tuple(e.s) == fset._rescaled(s, scale)
             for field in fields:
-                assert tuple(getattr(e, field)) == fset._rescaled(getattr(c, field), k), field
+                assert tuple(getattr(e, field)) == fset._rescaled(getattr(c, field), scale), field
             assert e.semiopen == c.is_semiopen
 
 
@@ -330,6 +352,42 @@ def test_witnesses_match_their_targets():
         witness = find_witness(space, target, GridSpec(2, k))
         assert witness is not None
         assert target.matches(space, witness)
+
+
+# find_witness as it stood before it walked the grid: one set object per
+# grid set, classified by the standalone predicates.
+REFERENCE_CLASSES = {
+    "open": lambda space, s: space.is_open(s),
+    "semiopen": is_semiopen,
+    "somewhat-open": is_somewhat_open,
+    "somewhat-semiopen": is_somewhat_semiopen,
+}
+
+
+def reference_find_witness(space, target, spec):
+    universe = space._finite_universe("grid enumeration")
+    for s in enumerate_grid_sets(spec, universe):
+        if REFERENCE_CLASSES[target.have](space, s) and not REFERENCE_CLASSES[target.avoid](space, s):
+            return s
+    return None
+
+
+def test_find_witness_matches_the_enumerating_reference():
+    """Same witness or the same miss, for all 12 targets, on 150 spaces
+    searched on their own grid and 150 with members on 1/6 searched on
+    grids k <= 4."""
+    targets = [SearchTarget(h, a) for h in SET_CLASSES for a in SET_CLASSES if h != a]
+    assert len(targets) == 12
+    found = {True: {True: 0, False: 0}, False: {True: 0, False: 0}}
+    for seed, member_grid in (("search-on-grid", None), ("search-off-grid", 6)):
+        for spec, space in walk_property_spaces(150, seed, member_grid):
+            off_grid = any(spec.k % member.scale for member in space.members)
+            for target in targets:
+                expected = reference_find_witness(space, target, spec)
+                assert find_witness(space, target, spec) == expected, (space.members, spec, target)
+                found[off_grid][expected is not None] += 1
+    # Hits and misses, each on and off the grid.
+    assert all(count for by_hit in found.values() for count in by_hit.values()), found
 
 
 def test_campaign_is_deterministic_and_counts_evidence():
