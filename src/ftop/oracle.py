@@ -11,17 +11,22 @@ spaces.
 
 The space check and the search share one walk of the grid on the member
 masks of the space's index (``fset._MemberIndex.grid_walk``, through
-:func:`_sweep`).  It derives every grid set's four verdicts and its
-operator values as integer vectors, and builds no set object per grid
-set.  The check holds the verdicts to the implication chain
-(``semiclass._require_chain``), re-verifies on the vectors the three
-proved laws the chain does not state, and sends a fixed sample of at
-most eight grid sets per space through ``semiclass.classify_set`` as
-well, whose verdicts must match the walk's and whose evidence must obey
-the same laws.  The search returns the first grid set whose verdicts put
-it in one class and not in another.  Only the literal semi-interior
-builds every grid set as an object, so that it shares nothing with the
-walk.
+:func:`_sweep`).  It derives every grid set's four verdicts from tables
+filled once per member, and builds no set object per grid set.  The
+check holds the verdicts to the implication chain
+(``semiclass._chain_holds``), re-verifies the three proved laws the
+chain does not state, and sends a fixed sample of at most eight grid
+sets per space through ``semiclass.classify_set`` as well, whose
+verdicts must match the walk's and whose evidence must obey the same
+laws.  Two of the laws are checked split: since ``a <= b /\\ c`` iff
+``a <= b`` and ``a <= c``, and ``a \\/ b <= c`` iff ``a <= c`` and
+``b <= c``, "interior below semi-interior" is ``Int(s) <= s`` per set
+and ``m <= Cl(m)`` per member ``m = Int(s)``, and "semi-closure below
+closure" is ``s <= Cl(s)`` per set and ``Int(c) <= c`` per complement
+``c = Cl(s)``.  The search returns the first grid set whose verdicts
+put it in one class and not in another.  The literal semi-interior
+shares nothing with the walk: it builds every grid set below its
+argument as an object.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
@@ -45,7 +50,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
-from .semiclass import _require_chain, classify_set, is_semiopen, semi_interior, set_verdicts
+from .semiclass import _chain_holds, classify_set, is_semiopen, semi_interior, set_verdicts
 from .topology import FuzzyTopology, generate
 
 __all__ = [
@@ -173,15 +178,17 @@ def brute_semi_interior(
     interior and closure operators.  The result lower-bounds the true
     semi-interior and equals the closed form whenever the closed form's
     output lies on the grid, which makes this the validation oracle for
-    that identity.
+    that identity.  With ``s`` on the grid, the grid sets below it are
+    exactly the numerators ``0..s(x) * k`` at each point ``x``, so only
+    those are built, each as :func:`enumerate_grid_sets` builds it.
     """
-    universe = space._finite_universe("grid enumeration")
+    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
+    space._check_value(s)
     _require_on_grid([*space.members, s], spec.k, "the topology or queried set")
-    below = [
-        g
-        for g in enumerate_grid_sets(spec, universe)
-        if g.leq(s) and is_semiopen(space, g)
-    ]
+    k = spec.k
+    boxes = [range(n * k // s.scale + 1) for n in s.nums]
+    grid_sets = (_reduced(universe, k, nums) for nums in itertools.product(*boxes))
+    below = [g for g in grid_sets if is_semiopen(space, g)]
     return join_family(below, universe=universe)
 
 
@@ -235,7 +242,8 @@ def _leq(low: Sequence[int], high: Sequence[int]) -> bool:
 # hold for every set in every space, so any violation is an operator bug.
 # The implication chain is not repeated here: check_space holds every
 # set's verdicts to it and reports a refusal as the violation
-# "implication-chain".
+# "implication-chain".  The walk in check_space checks the same laws in
+# their split form, under these names.
 SPACE_CHECKS: tuple[tuple[str, Callable[[_Evidence], bool]], ...] = (
     ("interior-below-semi-interior", lambda e: _leq(e.interior, e.semi_interior)),
     ("semi-closure-below-closure", lambda e: _leq(e.semi_closure, e.closure)),
@@ -246,45 +254,47 @@ SPACE_CHECKS: tuple[tuple[str, Callable[[_Evidence], bool]], ...] = (
 )
 
 
-def _sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], _Evidence]]:
-    """The four verdicts and the evidence of every grid set, in enumeration order.
+def _inner_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
+    """``Int(s)`` and ``Cl(Int(s))`` by the walk's inner bit: each member and its closure."""
+    members = space._index._members
+    return (
+        [_rescaled(m, scale) for m in members],
+        [_rescaled(space.closure(m), scale) for m in members],
+    )
 
-    The walk selects a member ``m`` with ``Int(s) = m`` and a member
-    ``m'`` with ``Cl(s) = 1 - m'``.  So ``Cl(Int(s)) = Cl(m)`` and
-    ``Int(Cl(s)) = Int(1 - m')``, read from tables that the public
-    operators fill once per member, and the semi-operators are pointwise
-    min and max.  Member degrees may lie off the grid: every vector is
-    over the walk's scale, ``lcm(k, L)`` for the lcm ``L`` of the member
-    scales.
+
+def _outer_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
+    """``Cl(s)`` and ``Int(Cl(s))`` by the walk's outer bit: each complement and its interior."""
+    complements = space._index._complements
+    return (
+        [_rescaled(c, scale) for c in complements],
+        [_rescaled(space.interior(c), scale) for c in complements],
+    )
+
+
+def _sweep(
+    space: FuzzyTopology, k: int, interiors: list, closures_of_interiors: list
+) -> Iterator[tuple[tuple[int, ...], int, int, tuple[bool, bool, bool, bool]]]:
+    """Every grid set with its walk bits and its four verdicts, in enumeration order.
+
+    Yields ``(nums, inner, outer, verdicts)``: ``nums`` and the bits are
+    those of ``_MemberIndex.grid_walk(k)``, and ``verdicts`` are open,
+    semiopen, somewhat open and somewhat semiopen, read off the
+    :func:`_inner_tables` over ``lcm(k, L)``, the walk's scale.  Since
+    ``Int(s)`` is the member ``m`` at the inner bit, ``s`` is open iff it
+    equals ``m``, semiopen iff ``s <= Cl(m)``, and its semi-interior is
+    the pointwise min of ``s`` and ``Cl(m)``.  Member degrees may lie off
+    the grid: every vector is over the walk's scale.
     """
-    index = space._index
-    members, complements = index._members, index._complements
-    scale = index.grid_scale(k)
-    # Indexed by the walk's bits: the inner bit picks Int(s) and Cl(Int(s)),
-    # the outer bit Cl(s) and Int(Cl(s)).
-    interiors = [_rescaled(m, scale) for m in members]
-    closures_of_interiors = [_rescaled(space.closure(m), scale) for m in members]
-    closures = [_rescaled(c, scale) for c in complements]
-    interiors_of_closures = [_rescaled(space.interior(c), scale) for c in complements]
-    for nums, inner, outer in index.grid_walk(k):
+    for nums, inner, outer in space._index.grid_walk(k):
         interior = interiors[inner]
         closure_of_interior = closures_of_interiors[inner]
-        semi_interior = list(map(min, nums, closure_of_interior))
         zero = not any(nums)
-        verdicts = {
-            "open": interior == nums,
-            "semiopen": _leq(nums, closure_of_interior),
-            "somewhat_open": zero or any(interior),
-            "somewhat_semiopen": zero or any(semi_interior),
-        }
-        yield verdicts, _Evidence(
-            nums,
-            verdicts["semiopen"],
-            interior,
-            closures[outer],
-            closure_of_interior,
-            semi_interior,
-            list(map(max, nums, interiors_of_closures[outer])),
+        yield nums, inner, outer, (
+            interior == nums,
+            _leq(nums, closure_of_interior),
+            zero or any(interior),
+            zero or any(map(min, nums, closure_of_interior)),
         )
 
 
@@ -313,24 +323,15 @@ def _broken_law(evidence: _Evidence) -> str | None:
     return None
 
 
-def _walk_violation(verdicts: dict[str, bool], evidence: _Evidence) -> str | None:
-    """What the walk's values for one grid set break: the chain or a law."""
-    try:
-        _require_chain(verdicts)
-    except HierarchyInvariantError:
-        return "implication-chain"
-    return _broken_law(evidence)
-
-
 def _sample_violation(
-    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: dict[str, bool], scale: int
+    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: tuple[bool, ...], scale: int
 ) -> str | None:
     """What :func:`classify_set` on ``s`` breaks: the chain, the walk's verdicts, a law."""
     try:
         c = classify_set(space, s)
     except HierarchyInvariantError:
         return "implication-chain"
-    if c.verdicts() != verdicts:
+    if tuple(c.verdicts().values()) != verdicts:
         return "classify-set-agrees-with-walk"
     values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
     return _broken_law(
@@ -343,32 +344,49 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
 
     The grid is walked on the space's member masks (:func:`_sweep`), so no
     set object is built per grid set.  Each set's four verdicts are held
-    to the implication chain, a refusal being the violation
-    ``"implication-chain"``, and every law of :data:`SPACE_CHECKS` is
-    checked on its evidence.  Every ``ceil(size / 8)``-th grid set, the
-    first included, also goes through the public :func:`classify_set`:
-    its verdicts must equal the walk's (else the violation
-    ``"classify-set-agrees-with-walk"``) and the laws must hold on its
-    evidence.  Stops at the first violating (check, set) pair; the
-    subject is the only set built besides the sample.  Requires all
-    topology degrees on the grid so that interiors and closures are grid
-    sets themselves and the sweep covers every value the operators can
-    produce.
+    to the implication chain (``semiclass._chain_holds``), a refusal being
+    the violation ``"implication-chain"``, and then to the laws of
+    :data:`SPACE_CHECKS` in order.  The first two are checked split, as
+    the module docstring states: their member halves ``m <= Cl(m)`` and
+    ``Int(c) <= c`` once per member before the walk, their set halves
+    ``Int(s) <= s`` and ``s <= Cl(s)`` per set; the third per set.  Every
+    ``ceil(size / 8)``-th grid set, the first included, also goes through
+    the public :func:`classify_set`: its verdicts must equal the walk's
+    (else the violation ``"classify-set-agrees-with-walk"``) and the laws
+    must hold on its evidence.  Stops at the first violating (check, set)
+    pair; the subject is the only set built besides the sample.  Requires
+    all topology degrees on the grid so that interiors and closures are
+    grid sets themselves and the sweep covers every value the operators
+    can produce.
     """
     universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
     scale = space._index.grid_scale(spec.k)
+    interiors, closures_of_interiors = _inner_tables(space, scale)
+    closures, interiors_of_closures = _outer_tables(space, scale)
+    inner_halves = list(map(_leq, interiors, closures_of_interiors))
+    outer_halves = list(map(_leq, interiors_of_closures, closures))
+    (below_semi_interior, _), (below_closure, _), (closures_agree, _) = SPACE_CHECKS
     step = -(-spec.size // _SAMPLE)
     checked = 0
-    for verdicts, evidence in _sweep(space, spec.k):
-        failed = _walk_violation(verdicts, evidence)
-        if failed is None and checked % step == 0:
-            s = _reduced(universe, scale, evidence.s)
-            failed = _sample_violation(space, s, verdicts, scale)
+    for nums, inner, outer, verdicts in _sweep(space, spec.k, interiors, closures_of_interiors):
+        closure = closures[outer]
+        if not _chain_holds(*verdicts):
+            failed = "implication-chain"
+        elif not (inner_halves[inner] and _leq(interiors[inner], nums)):
+            failed = below_semi_interior
+        elif not (outer_halves[outer] and _leq(nums, closure)):
+            failed = below_closure
+        elif any(nums) and verdicts[1] != (closure == closures_of_interiors[inner]):
+            failed = closures_agree
+        elif checked % step == 0:
+            failed = _sample_violation(space, _reduced(universe, scale, nums), verdicts, scale)
+        else:
+            failed = None
         checked += 1
         if failed is not None:
             return SpaceCheckReport(
-                False, checked, SpaceCheckViolation(failed, _reduced(universe, scale, evidence.s))
+                False, checked, SpaceCheckViolation(failed, _reduced(universe, scale, nums))
             )
     return SpaceCheckReport(True, checked)
 
@@ -404,12 +422,14 @@ class SearchTarget:
             )
         return cls(parts[0], parts[1])
 
-    def _holds(self, verdicts: dict[str, bool]) -> bool:
-        """Whether verdicts keyed as :func:`set_verdicts` keys them match the target."""
-        return verdicts[self.have.replace("-", "_")] and not verdicts[self.avoid.replace("-", "_")]
+    def _positions(self) -> tuple[int, int]:
+        """Where ``have`` and ``avoid`` sit among four verdicts, strongest first."""
+        return SET_CLASSES.index(self.have), SET_CLASSES.index(self.avoid)
 
     def matches(self, space: FuzzyTopology, s: FiniteFuzzySet) -> bool:
-        return self._holds(set_verdicts(space, s))
+        have, avoid = self._positions()
+        verdicts = tuple(set_verdicts(space, s).values())
+        return verdicts[have] and not verdicts[avoid]
 
     def __str__(self) -> str:
         return f"{self.have}-not-{self.avoid}"
@@ -421,16 +441,18 @@ def find_witness(
     """First grid set in enumeration order matching the target, else None.
 
     The grid is walked on the space's member masks (:func:`_sweep`), as
-    :func:`check_space` walks it, and only the witness is built as a set.
+    :func:`check_space` walks it, but only its verdicts are read: no table
+    for ``Cl(s)`` is filled and only the witness is built as a set.
     A None is grid-relative only: a finer grid (or none at all) may still
     hold a witness.  The topology's own degrees need not lie on the grid;
     classification is exact either way, the grid only bounds the search.
     """
     universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
     scale = space._index.grid_scale(spec.k)
-    for verdicts, evidence in _sweep(space, spec.k):
-        if target._holds(verdicts):
-            return _reduced(universe, scale, evidence.s)
+    have, avoid = target._positions()
+    for nums, _, _, verdicts in _sweep(space, spec.k, *_inner_tables(space, scale)):
+        if verdicts[have] and not verdicts[avoid]:
+            return _reduced(universe, scale, nums)
     return None
 
 

@@ -14,9 +14,10 @@ which yields the implication chain
 
     open  =>  semiopen  =>  somewhat open  <=>  somewhat semiopen
 
-stated once, by :func:`_require_chain`, and enforced by
-:class:`SetClassification`, by :func:`set_verdicts`, per quadruple by
-``functions.FunctionClassification`` and per grid set by
+stated once, by :func:`_chain_holds`, and enforced through
+:func:`_require_chain` by :class:`SetClassification`, by
+:func:`set_verdicts` and per quadruple by
+``functions.FunctionClassification``, and directly per grid set by
 ``oracle.check_space``.
 
 Besides the standalone definitions, one derivation (``_derive``) turns
@@ -24,10 +25,11 @@ interiors and closures into verdicts.  :func:`set_verdicts` returns its
 verdicts alone, which is all ``functions.classify_function`` reads of a
 lifted set; :func:`classify_set` adds the evidence.
 The oracle's grid walk derives the same verdicts a second way, on
-integer vectors over a degree grid, for ``oracle.check_space`` and
-``oracle.find_witness`` alike.  ``check_space`` requires
-:func:`classify_set` to agree with the walk on a fixed sample of each
-space's grid sets, checking its laws on that evidence.  The standalone
+integer vectors over a degree grid, as a tuple of four bools, for
+``oracle.check_space`` and ``oracle.find_witness`` alike.
+``check_space`` requires :func:`classify_set` to agree with the walk on
+a fixed sample of each space's grid sets, checking its laws on that
+evidence.  The standalone
 predicates and semi-operators restate the definitions one at a time; the
 tests and the brute-force oracle hold both to them.
 """
@@ -88,15 +90,19 @@ def is_somewhat_semiopen(space: FuzzyTopology, s: FuzzyValue) -> bool:
     return s.is_zero() or not semi_interior(space, s).is_zero()
 
 
-def _require_chain(verdicts: Mapping[str, bool]) -> None:
-    """Refuse four verdicts, strongest first, that break the implication chain.
+def _chain_holds(strong: bool, semi: bool, somewhat: bool, somewhat_semi: bool) -> bool:
+    """Whether four verdicts, strongest first, obey the implication chain.
 
     The order is open, semiopen, somewhat open, somewhat semiopen, or the
     same four classes lifted to a function; by theorem the chain always
-    holds, so a refusal means an operator bug.
+    holds, so a false answer means an operator bug.
     """
-    strong, semi, somewhat, somewhat_semi = verdicts.values()
-    if (strong and not semi) or (semi and not somewhat) or somewhat != somewhat_semi:
+    return (semi or not strong) and (somewhat or not semi) and somewhat == somewhat_semi
+
+
+def _require_chain(verdicts: Mapping[str, bool]) -> None:
+    """Refuse named verdicts, strongest first, that :func:`_chain_holds` rejects."""
+    if not _chain_holds(*verdicts.values()):
         shown = ", ".join(f"{name}={held}" for name, held in verdicts.items())
         raise HierarchyInvariantError(f"impossible verdict combination: {shown}")
 

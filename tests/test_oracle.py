@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -11,10 +12,12 @@ from ftop import (
     BackendMismatchError,
     FiniteFuzzySet,
     FtopError,
+    FuzzyTopology,
     HierarchyInvariantError,
     OffGridError,
     ResourceCapError,
     Universe,
+    UniverseMismatchError,
     check_axioms,
     classify_set,
     generate,
@@ -24,9 +27,19 @@ from ftop import (
     semi_interior,
 )
 from ftop.oracle import (
+    _SAMPLE,
     SET_CLASSES,
     GridSpec,
     SearchTarget,
+    SpaceCheckReport,
+    SpaceCheckViolation,
+    _broken_law,
+    _Evidence,
+    _grid_universe,
+    _leq,
+    _reduced,
+    _require_on_grid,
+    _rescaled,
     brute_semi_interior,
     check_space,
     enumerate_grid_sets,
@@ -35,8 +48,9 @@ from ftop.oracle import (
     random_topology,
     run_campaign,
 )
+from ftop.semiclass import _require_chain
 
-from helpers import AB, M2, ONE2, ZERO2, fs, t_fin, t_pl
+from helpers import AB, M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
 
 
 def indiscrete():
@@ -101,6 +115,8 @@ def test_enumeration_universe_must_match_spec():
             check_space(t_fin(), spec)
         with pytest.raises(ValueError, match=f"universe has 2 points but spec expects {size}"):
             find_witness(t_fin(), target, spec)
+        with pytest.raises(ValueError, match=f"universe has 2 points but spec expects {size}"):
+            brute_semi_interior(t_fin(), ZERO2, spec)
 
 
 def test_brute_semi_interior_fixed_points():
@@ -125,6 +141,32 @@ def test_brute_semi_interior_rejects_off_grid_data():
     with pytest.raises(OffGridError) as err:
         brute_semi_interior(space, fs("3/4", "1/4"), GridSpec(2, 2))
     assert err.value.required_k == 12
+
+
+def test_brute_semi_interior_rejects_a_set_on_another_universe():
+    other = FiniteFuzzySet.of(Universe.of("x", "y"), ("1/2", 0))
+    with pytest.raises(UniverseMismatchError):
+        brute_semi_interior(t_fin(), other, GridSpec(2, 6))
+
+
+@pytest.mark.parametrize(
+    "s, k",
+    [(fs("3/4", "1/4"), 12), (ZERO2, 6), (ONE2, 6), (fs("1/2", "2/3"), 6), (fs(1, 0), 6)],
+)
+def test_brute_semi_interior_tests_every_grid_set_below_its_argument(monkeypatch, s, k):
+    """One semiopen test per grid set below ``s``: prod(s(x) * k + 1)."""
+    tested = []
+    honest = oracle.is_semiopen
+
+    def counted(space, g):
+        assert g.leq(s)
+        tested.append(g)
+        return honest(space, g)
+
+    monkeypatch.setattr(oracle, "is_semiopen", counted)
+    space = t_fin()
+    assert brute_semi_interior(space, s, GridSpec(2, k)) == semi_interior(space, s)
+    assert len(tested) == len(set(tested)) == math.prod(d * k + 1 for d in s.degrees)
 
 
 def test_random_topology_is_deterministic_and_valid():
@@ -166,13 +208,18 @@ def test_check_space_requires_topology_on_grid():
 
 
 def test_check_space_reports_first_violation(monkeypatch):
-    def never_holds(e):
-        return not any(e.s)
+    """A comparison the walk's laws make, refused whenever its upper side
+    is non-zero, fails the first law on the first non-zero grid set; the
+    sample's evidence would break the second law there instead."""
+    honest = oracle._leq
 
-    monkeypatch.setattr(oracle, "SPACE_CHECKS", (("always-false-probe", never_holds),))
+    def never_below_nonzero(low, high):
+        return honest(low, high) and not any(high)
+
+    monkeypatch.setattr(oracle, "_leq", never_below_nonzero)
     report = check_space(indiscrete(), GridSpec(2, 1))
     assert not report.ok
-    assert report.violation.check == "always-false-probe"
+    assert report.violation.check == "interior-below-semi-interior"
     assert report.violation.subject == fs(0, 1)
     assert report.sets_checked == 2
 
@@ -180,15 +227,13 @@ def test_check_space_reports_first_violation(monkeypatch):
 def chain_breaking_on_third_set(monkeypatch):
     """Make the walk's chain check refuse the verdicts of the third grid set."""
     calls = []
-    honest = oracle._require_chain
+    honest = oracle._chain_holds
 
-    def broken(verdicts):
+    def broken(*verdicts):
         calls.append(verdicts)
-        if len(calls) == 3:
-            raise HierarchyInvariantError("simulated operator bug")
-        honest(verdicts)
+        return len(calls) != 3 and honest(*verdicts)
 
-    monkeypatch.setattr(oracle, "_require_chain", broken)
+    monkeypatch.setattr(oracle, "_chain_holds", broken)
 
 
 def test_check_space_reports_a_chain_refusal(monkeypatch):
@@ -285,31 +330,208 @@ def walk_property_spaces(count, seed="walk-property", member_grid=None):
         yield spec, random_topology(members, master.randint(0, 10**9), master.randint(0, 4))
 
 
+def all_walk_property_spaces():
+    """The 250 on-grid and 100 off-grid spaces the walk is held to."""
+    return [*walk_property_spaces(250), *walk_property_spaces(100, "walk-off-grid", 6)]
+
+
 def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
     """On every grid set of 250 spaces, and of 100 spaces with members on
     1/6 walked on grids k <= 4, the walk selects ``Int(s)`` and ``Cl(s)``
-    as the operators do, and its verdicts and evidence over ``lcm(k, L)``
-    are those of :func:`classify_set`."""
-    spaces = [*walk_property_spaces(250), *walk_property_spaces(100, "walk-off-grid", 6)]
-    for spec, space in spaces:
+    as the operators do, and its verdicts, and the evidence its tables
+    give over ``lcm(k, L)``, are those of :func:`classify_set`."""
+    for spec, space in all_walk_property_spaces():
         k, index = spec.k, space._index
         scale = math.lcm(k, *[member.scale for member in space.members])
         assert index.grid_scale(k) == scale
         grid = list(enumerate_grid_sets(spec, space.universe))
         walked = list(index.grid_walk(k))
-        swept = list(oracle._sweep(space, k))
+        interiors, closures_of_interiors = oracle._inner_tables(space, scale)
+        closures, interiors_of_closures = oracle._outer_tables(space, scale)
+        swept = list(oracle._sweep(space, k, interiors, closures_of_interiors))
         assert len(walked) == len(swept) == len(grid) == spec.size
-        for s, (nums, inner, outer), (verdicts, e) in zip(grid, walked, swept):
+        for s, (nums, inner, outer), (e_nums, e_inner, e_outer, verdicts) in zip(grid, walked, swept):
+            assert (e_nums, e_inner, e_outer) == (nums, inner, outer)
             assert oracle._reduced(space.universe, scale, nums) == s
             assert index._members[inner] == space.interior(s)
             assert index._complements[outer] == space.closure(s)
             c = classify_set(space, s)
-            assert verdicts == c.verdicts()
-            fields = ("interior", "closure", "closure_of_interior", "semi_interior", "semi_closure")
-            assert tuple(e.s) == fset._rescaled(s, scale)
-            for field in fields:
-                assert tuple(getattr(e, field)) == fset._rescaled(getattr(c, field), scale), field
-            assert e.semiopen == c.is_semiopen
+            assert verdicts == tuple(c.verdicts().values())
+            evidence = {
+                "interior": interiors[inner],
+                "closure": closures[outer],
+                "closure_of_interior": closures_of_interiors[inner],
+                "semi_interior": tuple(map(min, nums, closures_of_interiors[inner])),
+                "semi_closure": tuple(map(max, nums, interiors_of_closures[outer])),
+            }
+            assert nums == fset._rescaled(s, scale)
+            for field, value in evidence.items():
+                assert value == fset._rescaled(getattr(c, field), scale), field
+            assert verdicts[1] == c.is_semiopen
+
+
+# _sweep, check_space and find_witness as they stood when the walk built
+# every grid set's evidence and the laws were checked whole, kept verbatim
+# as the reference for the split laws and the verdicts-only search.  Only
+# the names are prefixed, and SearchTarget._holds became parent_holds.
+
+
+def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], _Evidence]]:
+    index = space._index
+    members, complements = index._members, index._complements
+    scale = index.grid_scale(k)
+    # Indexed by the walk's bits: the inner bit picks Int(s) and Cl(Int(s)),
+    # the outer bit Cl(s) and Int(Cl(s)).
+    interiors = [_rescaled(m, scale) for m in members]
+    closures_of_interiors = [_rescaled(space.closure(m), scale) for m in members]
+    closures = [_rescaled(c, scale) for c in complements]
+    interiors_of_closures = [_rescaled(space.interior(c), scale) for c in complements]
+    for nums, inner, outer in index.grid_walk(k):
+        interior = interiors[inner]
+        closure_of_interior = closures_of_interiors[inner]
+        semi_interior = list(map(min, nums, closure_of_interior))
+        zero = not any(nums)
+        verdicts = {
+            "open": interior == nums,
+            "semiopen": _leq(nums, closure_of_interior),
+            "somewhat_open": zero or any(interior),
+            "somewhat_semiopen": zero or any(semi_interior),
+        }
+        yield verdicts, _Evidence(
+            nums,
+            verdicts["semiopen"],
+            interior,
+            closures[outer],
+            closure_of_interior,
+            semi_interior,
+            list(map(max, nums, interiors_of_closures[outer])),
+        )
+
+
+def parent_walk_violation(verdicts: dict[str, bool], evidence: _Evidence) -> str | None:
+    try:
+        _require_chain(verdicts)
+    except HierarchyInvariantError:
+        return "implication-chain"
+    return _broken_law(evidence)
+
+
+def parent_sample_violation(
+    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: dict[str, bool], scale: int
+) -> str | None:
+    try:
+        c = classify_set(space, s)
+    except HierarchyInvariantError:
+        return "implication-chain"
+    if c.verdicts() != verdicts:
+        return "classify-set-agrees-with-walk"
+    values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
+    return _broken_law(
+        _Evidence(_rescaled(s, scale), c.is_semiopen, *[_rescaled(v, scale) for v in values])
+    )
+
+
+def parent_check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
+    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
+    _require_on_grid(space.members, spec.k, "topology")
+    scale = space._index.grid_scale(spec.k)
+    step = -(-spec.size // _SAMPLE)
+    checked = 0
+    for verdicts, evidence in parent_sweep(space, spec.k):
+        failed = parent_walk_violation(verdicts, evidence)
+        if failed is None and checked % step == 0:
+            s = _reduced(universe, scale, evidence.s)
+            failed = parent_sample_violation(space, s, verdicts, scale)
+        checked += 1
+        if failed is not None:
+            return SpaceCheckReport(
+                False, checked, SpaceCheckViolation(failed, _reduced(universe, scale, evidence.s))
+            )
+    return SpaceCheckReport(True, checked)
+
+
+def parent_holds(target: SearchTarget, verdicts: dict[str, bool]) -> bool:
+    return verdicts[target.have.replace("-", "_")] and not verdicts[target.avoid.replace("-", "_")]
+
+
+def parent_find_witness(
+    space: FuzzyTopology, target: SearchTarget, spec: GridSpec
+) -> FiniteFuzzySet | None:
+    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
+    scale = space._index.grid_scale(spec.k)
+    for verdicts, evidence in parent_sweep(space, spec.k):
+        if parent_holds(target, verdicts):
+            return _reduced(universe, scale, evidence.s)
+    return None
+
+
+ALL_TARGETS = [SearchTarget(h, a) for h in SET_CLASSES for a in SET_CLASSES if h != a]
+
+
+def test_check_and_search_match_the_parent_walk():
+    """Equal reports, or the same OffGridError, and equal witnesses or
+    misses for all 12 targets, on the 350 walk property spaces."""
+    assert len(ALL_TARGETS) == 12
+    for spec, space in all_walk_property_spaces():
+        if any(spec.k % member.scale for member in space.members):
+            with pytest.raises(OffGridError) as ours:
+                check_space(space, spec)
+            with pytest.raises(OffGridError) as theirs:
+                parent_check_space(space, spec)
+            assert str(ours.value) == str(theirs.value)
+        else:
+            assert check_space(space, spec) == parent_check_space(space, spec)
+        for target in ALL_TARGETS:
+            expected = parent_find_witness(space, target, spec)
+            assert find_witness(space, target, spec) == expected, (space.members, spec, target)
+
+
+class CorruptedSpace(FuzzyTopology):
+    """``t_fin`` with one closure or interior value replaced by ``value``."""
+
+    def __init__(self, operator, argument, value):
+        super().__init__(t_fin().members)
+        object.__setattr__(self, "corruption", (operator, argument, value))
+
+    def _corrupt(self, operator, s, honest):
+        wrapped, argument, value = self.corruption
+        return value if (operator, s) == (wrapped, argument) else honest
+
+    def closure(self, s):
+        return self._corrupt("closure", s, super().closure(s))
+
+    def interior(self, s):
+        return self._corrupt("interior", s, super().interior(s))
+
+
+# Each corruption spoils one member's Cl(m) or one complement's Int(1 - m)
+# table entry, so that the walk's split laws find it on a grid set of
+# GridSpec(2, 6) the sample does not reach (sets 1..6 of 49, step 7).
+# Cl(M1) below M1 breaks the chain at M1 itself, which hides the member
+# half m <= Cl(m) of the first law; with the chain check switched off on
+# both sides, that half is what reports it.
+CORRUPTIONS = {
+    "implication-chain": (("closure", M1, ZERO2), M1, 3, True),
+    "interior-below-semi-interior": (("closure", M1, ZERO2), M1, 3, False),
+    "semi-closure-below-closure": (("interior", fs("1/2", "2/3"), ONE2), fs(0, "1/6"), 2, True),
+    "semiopen-iff-closures-agree": (("closure", M1, ONE2), M1, 3, True),
+}
+
+
+@pytest.mark.parametrize("check", CORRUPTIONS)
+def test_check_space_matches_the_parent_on_corrupted_tables(monkeypatch, check):
+    corruption, subject, sets_checked, chain_checked = CORRUPTIONS[check]
+    if not chain_checked:
+        monkeypatch.setattr(oracle, "_chain_holds", lambda *verdicts: True)
+        monkeypatch.setitem(globals(), "_require_chain", lambda verdicts: None)
+    space = CorruptedSpace(*corruption)
+    spec = GridSpec(2, 6)
+    report = check_space(space, spec)
+    assert report == parent_check_space(space, spec)
+    assert not report.ok
+    assert report.violation == SpaceCheckViolation(check, subject)
+    assert report.sets_checked == sets_checked
+    assert (sets_checked - 1) % 7 != 0
 
 
 def test_search_target_parsing():
