@@ -26,7 +26,7 @@ closure" is ``s <= Cl(s)`` per set and ``Int(c) <= c`` per complement
 ``c = Cl(s)``.  The search returns the first grid set whose verdicts
 put it in one class and not in another.  The literal semi-interior
 shares nothing with the walk: it builds every grid set below its
-argument as an object.
+argument as an object, through :func:`enumerate_grid_sets`.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
@@ -47,7 +47,7 @@ from fractions import Fraction
 from operator import le
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import HierarchyInvariantError, OffGridError, ResourceCapError
+from .errors import HierarchyInvariantError, OffGridError, ResourceCapError, UniverseMismatchError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
 from .semiclass import _chain_holds, classify_set, is_semiopen, semi_interior, set_verdicts
@@ -152,19 +152,29 @@ def _grid_universe(spec: GridSpec, universe: Universe | None) -> Universe:
 
 
 def enumerate_grid_sets(
-    spec: GridSpec, universe: Universe | None = None
+    spec: GridSpec, universe: Universe | None = None, *, below: FiniteFuzzySet | None = None
 ) -> Iterator[FiniteFuzzySet]:
     """Yield every grid fuzzy set exactly once, in lexicographic order.
 
     Order is over (element index, degree) with earlier elements most
     significant, so the first set satisfying any predicate is canonical
-    and stable across runs.  The sets skip constructor validation: the
-    spec and the universe size are checked here, and grid degrees lie in
-    ``[0, 1]``.
+    and stable across runs.  With ``below``, a set on the same universe,
+    only the grid sets below it are yielded, in the same order: the
+    numerators ``0..floor(below(x) * k)`` at each point ``x``.  The sets
+    skip constructor validation: the spec and the universe size are
+    checked here, and grid degrees lie in ``[0, 1]``.
     """
     universe = _grid_universe(spec, universe)
     k = spec.k
-    for nums in itertools.product(range(k + 1), repeat=spec.universe_size):
+    if below is None:
+        boxes = [range(k + 1)] * spec.universe_size
+    elif below.universe != universe:
+        raise UniverseMismatchError(
+            f"universes differ: {universe.labels} vs {below.universe.labels}"
+        )
+    else:
+        boxes = [range(n * k // below.scale + 1) for n in below.nums]
+    for nums in itertools.product(*boxes):
         yield _reduced(universe, k, nums)
 
 
@@ -178,18 +188,14 @@ def brute_semi_interior(
     interior and closure operators.  The result lower-bounds the true
     semi-interior and equals the closed form whenever the closed form's
     output lies on the grid, which makes this the validation oracle for
-    that identity.  With ``s`` on the grid, the grid sets below it are
-    exactly the numerators ``0..s(x) * k`` at each point ``x``, so only
-    those are built, each as :func:`enumerate_grid_sets` builds it.
+    that identity.  Only the grid sets below ``s`` are built, by
+    :func:`enumerate_grid_sets` with ``below=s``.
     """
-    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
+    universe = space._finite_universe("grid enumeration")
     space._check_value(s)
     _require_on_grid([*space.members, s], spec.k, "the topology or queried set")
-    k = spec.k
-    boxes = [range(n * k // s.scale + 1) for n in s.nums]
-    grid_sets = (_reduced(universe, k, nums) for nums in itertools.product(*boxes))
-    below = [g for g in grid_sets if is_semiopen(space, g)]
-    return join_family(below, universe=universe)
+    semiopen = [g for g in enumerate_grid_sets(spec, universe, below=s) if is_semiopen(space, g)]
+    return join_family(semiopen, universe=universe)
 
 
 def _random_grid_set(rng: random.Random, universe: Universe, k: int) -> FiniteFuzzySet:
@@ -331,7 +337,7 @@ def _sample_violation(
         c = classify_set(space, s)
     except HierarchyInvariantError:
         return "implication-chain"
-    if tuple(c.verdicts().values()) != verdicts:
+    if (c.is_open, c.is_semiopen, c.is_somewhat_open, c.is_somewhat_semiopen) != verdicts:
         return "classify-set-agrees-with-walk"
     values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
     return _broken_law(
@@ -369,17 +375,19 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     (below_semi_interior, _), (below_closure, _), (closures_agree, _) = SPACE_CHECKS
     step = -(-spec.size // _SAMPLE)
     checked = 0
-    for nums, inner, outer, verdicts in _sweep(space, spec.k, interiors, closures_of_interiors):
+    walk = _sweep(space, spec.k, interiors, closures_of_interiors)
+    for nums, inner, outer, (open_, semiopen, somewhat, somewhat_semi) in walk:
         closure = closures[outer]
-        if not _chain_holds(*verdicts):
+        if not _chain_holds(open_, semiopen, somewhat, somewhat_semi):
             failed = "implication-chain"
         elif not (inner_halves[inner] and _leq(interiors[inner], nums)):
             failed = below_semi_interior
         elif not (outer_halves[outer] and _leq(nums, closure)):
             failed = below_closure
-        elif any(nums) and verdicts[1] != (closure == closures_of_interiors[inner]):
+        elif any(nums) and semiopen != (closure == closures_of_interiors[inner]):
             failed = closures_agree
         elif checked % step == 0:
+            verdicts = (open_, semiopen, somewhat, somewhat_semi)
             failed = _sample_violation(space, _reduced(universe, scale, nums), verdicts, scale)
         else:
             failed = None
@@ -427,9 +435,8 @@ class SearchTarget:
         return SET_CLASSES.index(self.have), SET_CLASSES.index(self.avoid)
 
     def matches(self, space: FuzzyTopology, s: FiniteFuzzySet) -> bool:
-        have, avoid = self._positions()
-        verdicts = tuple(set_verdicts(space, s).values())
-        return verdicts[have] and not verdicts[avoid]
+        verdicts = set_verdicts(space, s)
+        return verdicts[self.have.replace("-", "_")] and not verdicts[self.avoid.replace("-", "_")]
 
     def __str__(self) -> str:
         return f"{self.have}-not-{self.avoid}"

@@ -97,6 +97,16 @@ def test_enumeration_is_lexicographic_and_complete():
     assert sets[-1] == ONE2
 
 
+@pytest.mark.parametrize("s", [ZERO2, ONE2, fs("1/2", "2/3"), fs("3/4", "1/4"), fs(1, "1/5")])
+def test_enumeration_below_a_set_keeps_the_grid_sets_below_it_in_order(s):
+    spec = GridSpec(2, 6)
+    expected = [g for g in enumerate_grid_sets(spec, AB) if g.leq(s)]
+    assert list(enumerate_grid_sets(spec, AB, below=s)) == expected
+    other = FiniteFuzzySet.of(Universe.of("x", "y"), ("1/2", 0))
+    with pytest.raises(UniverseMismatchError):
+        list(enumerate_grid_sets(spec, AB, below=other))
+
+
 def test_enumerated_sets_pass_the_public_constructor():
     for spec in (GridSpec(1, 1), GridSpec(2, 6), GridSpec(3, 4), GridSpec(4, 2)):
         for g in enumerate_grid_sets(spec):
