@@ -171,8 +171,8 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_classify_set(args: argparse.Namespace) -> tuple[dict, int]:
     doc = parse_space(_read_document(args.space))
-    space = build_topology(doc, cap=_generation_cap(args))
     value = doc.resolve(args.name)
+    space = build_topology(doc, cap=_generation_cap(args))
     classification = classify_set(space, value)
     report = {
         "command": "classify set",
@@ -210,13 +210,13 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
     doc = parse_space(_read_document(args.space))
     if doc.kind != "finite":
         raise DocumentError("schema", "search needs a finite-kind space", "$.kind")
-    space = build_topology(doc, cap=_generation_cap(args))
     try:
         target = SearchTarget.parse(args.target)
     except ValueError as exc:
         raise DocumentError("bad-target", str(exc), "--target") from exc
     _require_positive("--grid", args.grid)
-    spec = GridSpec(len(space.universe), args.grid)
+    spec = GridSpec(len(doc.universe), args.grid)
+    space = build_topology(doc, cap=_generation_cap(args))
     witness = find_witness(space, target, spec)
     report: dict[str, Any] = {
         "command": "search",

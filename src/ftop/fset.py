@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import itemgetter, le, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -309,6 +309,9 @@ class _MemberIndex:
     The members are trusted to be closed under join, as in
     ``FuzzyTopology``: then the join of the members below ``s`` is one of
     them and lies above all the others, so it has the highest set bit.
+    On a 1/k grid the prefix masks change only at some grid digits, which
+    :meth:`grid_thresholds` gives; ``gridbits.GridBits`` takes from them
+    where each member lies below each grid set, for all grid sets at once.
     """
 
     def __init__(self, members: Sequence[FiniteFuzzySet]):
@@ -347,35 +350,21 @@ class _MemberIndex:
         """``lcm(k, L)``, the one scale that holds every 1/k grid set and every member."""
         return math.lcm(k, self._scale)
 
-    def grid_walk(self, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-        """Every set on the 1/k grid, with the bits its interior and closure select.
+    def grid_thresholds(self, k: int) -> list[tuple[list[int], list[int]]]:
+        """Per point, the prefix masks and the 1/k grid digit where each starts.
 
-        Yields ``(nums, inner, outer)`` in the order of ``product(range(k + 1),
-        repeat=n)``, ``nums`` being the numerators over ``G``, the
-        :meth:`grid_scale`: ``Int(s)`` is ``_members[inner]`` and ``Cl(s)``
-        is ``_complements[outer]``.  The members need not lie on the grid.
-        At value ``v / G`` a point takes the prefix mask :meth:`interior`
-        takes at ``v * L // G``, and :meth:`closure` at ``(G - v) * L // G``,
-        which is the interior mask at ``G - v``.  The masks of the first
-        ``n - 1`` points are ANDed once per prefix, then once per value of
-        the last.
+        For point ``x`` this is ``(digits, prefix)``: ``prefix[i]`` is the
+        mask :meth:`interior` takes at the i-th stored value ``v / L``, and
+        ``digits[i]`` is ``ceil(v * k / L)``, the least ``a`` with
+        ``v / L <= a / k``.  So at the grid value ``a / k`` the members at
+        or below it are ``prefix[i]`` for the last ``i`` with
+        ``digits[i] <= a``, and the members at or below ``1 - a / k`` are
+        those at ``k - a``.  A member lies at or below ``a / k`` at ``x``
+        iff ``a`` is at least the digit of the first mask holding its bit.
+        The members need not lie on the grid.
         """
-        scale, grid = self._scale, self.grid_scale(k)
-        grid_values = range(0, grid + 1, grid // k)
-        inner_masks = [
-            {v: prefix[bisect_right(values, v * scale // grid) - 1] for v in grid_values}
-            for values, prefix in self._columns
-        ]
-        *head, last = inner_masks
-        last_pairs = [(v, last[v], last[grid - v]) for v in grid_values]
-        for nums in product(grid_values, repeat=len(head)):
-            inner = outer = -1
-            for v, masks in zip(nums, head):
-                inner &= masks[v]
-                outer &= masks[grid - v]
-            for v, inner_mask, outer_mask in last_pairs:
-                inner_bits, outer_bits = inner & inner_mask, outer & outer_mask
-                yield (*nums, v), inner_bits.bit_length() - 1, outer_bits.bit_length() - 1
+        scale = self._scale
+        return [([-(-v * k // scale) for v in values], prefix) for values, prefix in self._columns]
 
 
 FiniteFuzzySet._index_type = _MemberIndex

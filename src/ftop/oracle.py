@@ -9,24 +9,28 @@ grid set of a space, and searches for the sets witnessing that the
 openness hierarchy is strict.  It also generates reproducible random
 spaces.
 
-The space check and the search share one walk of the grid on the member
-masks of the space's index (``fset._MemberIndex.grid_walk``, through
-:func:`_sweep`).  It derives every grid set's four verdicts from tables
-filled once per member, and builds no set object per grid set.  The
-check holds the verdicts to the implication chain
-(``semiclass._chain_holds``), re-verifies the three proved laws the
-chain does not state, and sends a fixed sample of at most eight grid
-sets per space through ``semiclass.classify_set`` as well, whose
-verdicts must match the walk's and whose evidence must obey the same
-laws.  Two of the laws are checked split: since ``a <= b /\\ c`` iff
-``a <= b`` and ``a <= c``, and ``a \\/ b <= c`` iff ``a <= c`` and
-``b <= c``, "interior below semi-interior" is ``Int(s) <= s`` per set
-and ``m <= Cl(m)`` per member ``m = Int(s)``, and "semi-closure below
-closure" is ``s <= Cl(s)`` per set and ``Int(c) <= c`` per complement
-``c = Cl(s)``.  The search returns the first grid set whose verdicts
-put it in one class and not in another.  The literal semi-interior
-shares nothing with the walk: it builds every grid set below its
-argument as an object, through :func:`enumerate_grid_sets`.
+The space check and the search share one representation of the grid,
+``gridbits.GridBits``: every grid set is a bit of a Python int, a block
+of ranks at a time, and the member masks of the space's index give each
+member's ranks below ``s`` and below ``1 - s``.  Each block's four
+verdicts are then a few AND, OR and XOR operations per member, from
+tables filled once per member, and no set object is built per grid
+set.  The check holds the verdicts to the implication chain
+(``semiclass._chain_breaks``, which works on bitsets as on bools),
+re-verifies the three proved laws the chain does not state, and sends a
+fixed sample of at most eight grid sets per space through
+``semiclass.classify_set`` as well, whose verdicts must match the
+bitsets' and whose evidence must obey the same laws.  Two of the laws
+are checked split: since ``a <= b /\\ c`` iff ``a <= b`` and ``a <= c``,
+and ``a \\/ b <= c`` iff ``a <= c`` and ``b <= c``, "interior below
+semi-interior" is ``Int(s) <= s`` per set and ``m <= Cl(m)`` per member
+``m = Int(s)``, and "semi-closure below closure" is ``s <= Cl(s)`` per
+set and ``Int(c) <= c`` per complement ``c = Cl(s)``.  The first
+violation is the lowest set bit of a block's violations, and the
+search's witness the lowest set bit of the sets in one class and not in
+another.  The literal semi-interior shares nothing with the bitsets: it
+builds every grid set below its argument as an object, through
+:func:`enumerate_grid_sets`.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
@@ -50,7 +54,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError, UniverseMismatchError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
-from .semiclass import _chain_holds, classify_set, is_semiopen, semi_interior, set_verdicts
+from .gridbits import _NOWHERE, GridBits, _admitted, _outer_tables
+from .semiclass import _chain_breaks, classify_set, is_semiopen, semi_interior, set_verdicts
 from .topology import FuzzyTopology, generate
 
 __all__ = [
@@ -248,8 +253,9 @@ def _leq(low: Sequence[int], high: Sequence[int]) -> bool:
 # hold for every set in every space, so any violation is an operator bug.
 # The implication chain is not repeated here: check_space holds every
 # set's verdicts to it and reports a refusal as the violation
-# "implication-chain".  The walk in check_space checks the same laws in
-# their split form, under these names.
+# "implication-chain".  check_space checks the same laws on the bitsets
+# in their split form, under these names, and these predicates on the
+# evidence of its classify_set sample.
 SPACE_CHECKS: tuple[tuple[str, Callable[[_Evidence], bool]], ...] = (
     ("interior-below-semi-interior", lambda e: _leq(e.interior, e.semi_interior)),
     ("semi-closure-below-closure", lambda e: _leq(e.semi_closure, e.closure)),
@@ -258,50 +264,6 @@ SPACE_CHECKS: tuple[tuple[str, Callable[[_Evidence], bool]], ...] = (
         lambda e: not any(e.s) or e.semiopen == (e.closure == e.closure_of_interior),
     ),
 )
-
-
-def _inner_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
-    """``Int(s)`` and ``Cl(Int(s))`` by the walk's inner bit: each member and its closure."""
-    members = space._index._members
-    return (
-        [_rescaled(m, scale) for m in members],
-        [_rescaled(space.closure(m), scale) for m in members],
-    )
-
-
-def _outer_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
-    """``Cl(s)`` and ``Int(Cl(s))`` by the walk's outer bit: each complement and its interior."""
-    complements = space._index._complements
-    return (
-        [_rescaled(c, scale) for c in complements],
-        [_rescaled(space.interior(c), scale) for c in complements],
-    )
-
-
-def _sweep(
-    space: FuzzyTopology, k: int, interiors: list, closures_of_interiors: list
-) -> Iterator[tuple[tuple[int, ...], int, int, tuple[bool, bool, bool, bool]]]:
-    """Every grid set with its walk bits and its four verdicts, in enumeration order.
-
-    Yields ``(nums, inner, outer, verdicts)``: ``nums`` and the bits are
-    those of ``_MemberIndex.grid_walk(k)``, and ``verdicts`` are open,
-    semiopen, somewhat open and somewhat semiopen, read off the
-    :func:`_inner_tables` over ``lcm(k, L)``, the walk's scale.  Since
-    ``Int(s)`` is the member ``m`` at the inner bit, ``s`` is open iff it
-    equals ``m``, semiopen iff ``s <= Cl(m)``, and its semi-interior is
-    the pointwise min of ``s`` and ``Cl(m)``.  Member degrees may lie off
-    the grid: every vector is over the walk's scale.
-    """
-    for nums, inner, outer in space._index.grid_walk(k):
-        interior = interiors[inner]
-        closure_of_interior = closures_of_interiors[inner]
-        zero = not any(nums)
-        yield nums, inner, outer, (
-            interior == nums,
-            _leq(nums, closure_of_interior),
-            zero or any(interior),
-            zero or any(map(min, nums, closure_of_interior)),
-        )
 
 
 # Grid sets per space that also go through the public classify_set.
@@ -332,7 +294,7 @@ def _broken_law(evidence: _Evidence) -> str | None:
 def _sample_violation(
     space: FuzzyTopology, s: FiniteFuzzySet, verdicts: tuple[bool, ...], scale: int
 ) -> str | None:
-    """What :func:`classify_set` on ``s`` breaks: the chain, the walk's verdicts, a law."""
+    """What :func:`classify_set` on ``s`` breaks: the chain, the bitsets' verdicts, a law."""
     try:
         c = classify_set(space, s)
     except HierarchyInvariantError:
@@ -348,55 +310,81 @@ def _sample_violation(
 def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     """Re-verify every proved law on every grid set of the space.
 
-    The grid is walked on the space's member masks (:func:`_sweep`), so no
-    set object is built per grid set.  Each set's four verdicts are held
-    to the implication chain (``semiclass._chain_holds``), a refusal being
-    the violation ``"implication-chain"``, and then to the laws of
-    :data:`SPACE_CHECKS` in order.  The first two are checked split, as
-    the module docstring states: their member halves ``m <= Cl(m)`` and
-    ``Int(c) <= c`` once per member before the walk, their set halves
-    ``Int(s) <= s`` and ``s <= Cl(s)`` per set; the third per set.  Every
-    ``ceil(size / 8)``-th grid set, the first included, also goes through
-    the public :func:`classify_set`: its verdicts must equal the walk's
-    (else the violation ``"classify-set-agrees-with-walk"``) and the laws
-    must hold on its evidence.  Stops at the first violating (check, set)
-    pair; the subject is the only set built besides the sample.  Requires
-    all topology degrees on the grid so that interiors and closures are
-    grid sets themselves and the sweep covers every value the operators
-    can produce.
+    The grid is checked a block of ranks at a time, each grid set a bit
+    of an int (``gridbits.GridBits``), so no set object is built per grid
+    set.  The four verdicts are held to the implication chain
+    (``semiclass._chain_breaks``), a break being the violation
+    ``"implication-chain"``, and then to the laws of :data:`SPACE_CHECKS`
+    in order.  The first two are checked split, as the module docstring
+    states: their member halves ``m <= Cl(m)`` and ``Int(c) <= c`` once
+    per member, their set halves ``Int(s) <= s`` and ``s <= Cl(s)`` on
+    the ranks where the member is ``Int(s)`` or ``c`` is ``Cl(s)``; the
+    third on every non-zero grid set.  Every ``ceil(size / 8)``-th grid
+    set, the first included, also goes through the public
+    :func:`classify_set`, in rank order up to the first law violation:
+    its verdicts must equal the bitsets' (else the violation
+    ``"classify-set-agrees-with-walk"``) and the laws must hold on its
+    evidence.  Stops at the first violating (check, set) pair, the lowest
+    rank with a violation; the subject is the only set built besides the
+    sample.  Requires all topology degrees on the grid so that interiors
+    and closures are grid sets themselves and the check covers every
+    value the operators can produce.
     """
-    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
+    _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
-    scale = space._index.grid_scale(spec.k)
-    interiors, closures_of_interiors = _inner_tables(space, scale)
-    closures, interiors_of_closures = _outer_tables(space, scale)
-    inner_halves = list(map(_leq, interiors, closures_of_interiors))
-    outer_halves = list(map(_leq, interiors_of_closures, closures))
+    grid = GridBits(space, spec.k)
+    k, ones, zeros = spec.k, [spec.k] * spec.universe_size, [0] * spec.universe_size
+    interiors, closures_of_interiors = grid.interiors, grid.closures_of_interiors
+    closures, interiors_of_closures = _outer_tables(space, grid.scale)
+    # Where a set half can fail for a member: nowhere if its numerators
+    # over k are its digits in the masks, since the bitsets select it only
+    # where those put it below s or 1 - s; else outside the box they
+    # give, or everywhere if the member half fails.
+    below_boxes, above_boxes = {}, {}
+    for j, low in enumerate(grid.lows):
+        if not _leq(interiors[j], closures_of_interiors[j]):
+            below_boxes[j] = _NOWHERE
+        elif interiors[j] != low:
+            below_boxes[j] = grid.box(interiors[j], ones)
+        if not _leq(interiors_of_closures[j], closures[j]):
+            above_boxes[j] = _NOWHERE
+        elif tuple([k - v for v in closures[j]]) != low:
+            above_boxes[j] = grid.box(zeros, closures[j])
+    complement_bits = {c: j for j, c in enumerate(closures)}
+    matches = [complement_bits.get(c) for c in closures_of_interiors]
     (below_semi_interior, _), (below_closure, _), (closures_agree, _) = SPACE_CHECKS
     step = -(-spec.size // _SAMPLE)
-    checked = 0
-    walk = _sweep(space, spec.k, interiors, closures_of_interiors)
-    for nums, inner, outer, (open_, semiopen, somewhat, somewhat_semi) in walk:
-        closure = closures[outer]
-        if not _chain_holds(open_, semiopen, somewhat, somewhat_semi):
-            failed = "implication-chain"
-        elif not (inner_halves[inner] and _leq(interiors[inner], nums)):
-            failed = below_semi_interior
-        elif not (outer_halves[outer] and _leq(nums, closure)):
-            failed = below_closure
-        elif any(nums) and semiopen != (closure == closures_of_interiors[inner]):
-            failed = closures_agree
-        elif checked % step == 0:
-            verdicts = (open_, semiopen, somewhat, somewhat_semi)
-            failed = _sample_violation(space, _reduced(universe, scale, nums), verdicts, scale)
-        else:
-            failed = None
-        checked += 1
-        if failed is not None:
-            return SpaceCheckReport(
-                False, checked, SpaceCheckViolation(failed, _reduced(universe, scale, nums))
+    for base, prefix in grid.blocks():
+        closure_ranks = grid.closures(prefix)
+        *verdict_bits, selected = grid.verdicts(base, prefix)
+        below = above = agree = 0
+        for j, box in above_boxes.items():
+            above |= closure_ranks.get(j, 0) & ~_admitted(box, prefix)
+        for j, interior in selected:
+            agree |= interior & closure_ranks.get(matches[j], 0)
+            if j in below_boxes:
+                below |= interior & ~_admitted(below_boxes[j], prefix)
+        chain = _chain_breaks(*verdict_bits)
+        disagree = (verdict_bits[1] ^ agree) & ~int(base == 0)
+        broken = chain | below | above | disagree
+        first = (broken & -broken).bit_length() - 1 if broken else grid.size
+        for offset in range(-base % step, first, step):
+            s = grid.grid_set(base + offset)
+            verdicts = tuple([bool(v >> offset & 1) for v in verdict_bits])
+            failed = _sample_violation(space, s, verdicts, grid.scale)
+            if failed is not None:
+                return SpaceCheckReport(False, base + offset + 1, SpaceCheckViolation(failed, s))
+        if broken:
+            laws = (
+                ("implication-chain", chain),
+                (below_semi_interior, below),
+                (below_closure, above),
+                (closures_agree, disagree),
             )
-    return SpaceCheckReport(True, checked)
+            failed = next(name for name, bits in laws if bits >> first & 1)
+            subject = grid.grid_set(base + first)
+            return SpaceCheckReport(False, base + first + 1, SpaceCheckViolation(failed, subject))
+    return SpaceCheckReport(True, spec.size)
 
 
 # The classes a search can name, strongest first: the verdicts of
@@ -447,19 +435,22 @@ def find_witness(
 ) -> FiniteFuzzySet | None:
     """First grid set in enumeration order matching the target, else None.
 
-    The grid is walked on the space's member masks (:func:`_sweep`), as
-    :func:`check_space` walks it, but only its verdicts are read: no table
-    for ``Cl(s)`` is filled and only the witness is built as a set.
+    The grid is searched a block of ranks at a time as :func:`check_space`
+    checks it (``gridbits.GridBits``), but only the verdicts are derived:
+    no ``Cl(s)`` is selected, and only the witness, the lowest set bit of
+    the first block holding one, is built as a set.
     A None is grid-relative only: a finer grid (or none at all) may still
     hold a witness.  The topology's own degrees need not lie on the grid;
     classification is exact either way, the grid only bounds the search.
     """
-    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
-    scale = space._index.grid_scale(spec.k)
+    _grid_universe(spec, space._finite_universe("grid enumeration"))
+    grid = GridBits(space, spec.k)
     have, avoid = target._positions()
-    for nums, _, _, verdicts in _sweep(space, spec.k, *_inner_tables(space, scale)):
-        if verdicts[have] and not verdicts[avoid]:
-            return _reduced(universe, scale, nums)
+    for base, prefix in grid.blocks():
+        verdicts = grid.verdicts(base, prefix)
+        hits = verdicts[have] & ~verdicts[avoid]
+        if hits:
+            return grid.grid_set(base + (hits & -hits).bit_length() - 1)
     return None
 
 

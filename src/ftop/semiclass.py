@@ -14,21 +14,22 @@ which yields the implication chain
 
     open  =>  semiopen  =>  somewhat open  <=>  somewhat semiopen
 
-stated once, by :func:`_chain_holds`, and enforced through
-:func:`_require_chain` by :class:`SetClassification`, by
+stated once, by :func:`_chain_breaks`, which answers for four bools or,
+bit by bit, for four ints holding one verdict per bit.  It is enforced
+through :func:`_require_chain` by :class:`SetClassification`, by
 :func:`set_verdicts` and per quadruple by
-``functions.FunctionClassification``, and directly per grid set by
+``functions.FunctionClassification``, and on every grid set at once by
 ``oracle.check_space``.
 
 Besides the standalone definitions, one derivation (``_derive``) turns
 interiors and closures into verdicts.  :func:`set_verdicts` returns its
 verdicts alone, which is all ``functions.classify_function`` reads of a
 lifted set; :func:`classify_set` adds the evidence.
-The oracle's grid walk derives the same verdicts a second way, on
-integer vectors over a degree grid, as a tuple of four bools, for
+``gridbits.GridBits`` derives the same verdicts a second way, for every
+grid set of a space at once, as one bitset per verdict, for
 ``oracle.check_space`` and ``oracle.find_witness`` alike.
-``check_space`` requires :func:`classify_set` to agree with the walk on
-a fixed sample of each space's grid sets, checking its laws on that
+``check_space`` requires :func:`classify_set` to agree with the bitsets
+on a fixed sample of each space's grid sets, checking its laws on that
 evidence.  The standalone
 predicates and semi-operators restate the definitions one at a time; the
 tests and the brute-force oracle hold both to them.
@@ -90,19 +91,22 @@ def is_somewhat_semiopen(space: FuzzyTopology, s: FuzzyValue) -> bool:
     return s.is_zero() or not semi_interior(space, s).is_zero()
 
 
-def _chain_holds(strong: bool, semi: bool, somewhat: bool, somewhat_semi: bool) -> bool:
-    """Whether four verdicts, strongest first, obey the implication chain.
+def _chain_breaks(strong: int, semi: int, somewhat: int, somewhat_semi: int) -> int:
+    """Where four verdicts, strongest first, break the implication chain.
 
     The order is open, semiopen, somewhat open, somewhat semiopen, or the
-    same four classes lifted to a function; by theorem the chain always
-    holds, so a false answer means an operator bug.
+    same four classes lifted to a function.  On bools the answer is true
+    iff the chain breaks; on ints whose bit ``r`` holds the verdicts of
+    one set ``r`` each, it has bit ``r`` set iff they break it for that
+    set.  By theorem the chain always holds, so a break means an operator
+    bug.
     """
-    return (semi or not strong) and (somewhat or not semi) and somewhat == somewhat_semi
+    return strong & ~semi | semi & ~somewhat | somewhat ^ somewhat_semi
 
 
 def _require_chain(verdicts: Mapping[str, bool]) -> None:
-    """Refuse named verdicts, strongest first, that :func:`_chain_holds` rejects."""
-    if not _chain_holds(*verdicts.values()):
+    """Refuse named verdicts, strongest first, that :func:`_chain_breaks` rejects."""
+    if _chain_breaks(*verdicts.values()):
         shown = ", ".join(f"{name}={held}" for name, held in verdicts.items())
         raise HierarchyInvariantError(f"impossible verdict combination: {shown}")
 

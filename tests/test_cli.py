@@ -334,6 +334,27 @@ def test_each_limit_exits_3(capsys, monkeypatch, argv, env):
     assert "error[cap]" in err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["search", "--target", "bogus", "--space", "subbasis.json", "--grid", "2"], "bad-target"),
+        (
+            ["search", "--target", "semiopen-not-open", "--space", "subbasis.json", "--grid", "0"],
+            "bad-grid",
+        ),
+        (["classify", "set", "nosuch", "--space", "subbasis.json"], "unresolved-name"),
+    ],
+    ids=["search-target", "search-grid", "classify-set-name"],
+)
+def test_flag_and_name_errors_come_before_generation(capsys, monkeypatch, argv, error):
+    """A bad flag or set name is an input error even when generating the
+    space would exceed the cap."""
+    monkeypatch.chdir(GOLDEN_INPUT)
+    code, out, err = run(capsys, *argv, "--cap", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[{error}]")
+
+
 def test_cap_env_variable(capsys, tmp_path, monkeypatch):
     path = write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
     monkeypatch.setenv("FTOP_CAP", "3")

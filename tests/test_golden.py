@@ -39,6 +39,33 @@ CASES = {
         ],
         1,
     ),
+    # Grids of several bitset blocks of 4096 ranks: 6^6 sets per verify
+    # space, and 17^3 per search, whose witness has rank 1263.
+    "verify-multi-block": (["verify", "--seeds", "2", "--universe-size", "6", "--grid", "5"], 0),
+    "search-found-multi-block": (
+        [
+            "search",
+            "--target",
+            "somewhat-open-not-semiopen",
+            "--space",
+            "subbasis.json",
+            "--grid",
+            "16",
+        ],
+        0,
+    ),
+    "search-none-multi-block": (
+        [
+            "search",
+            "--target",
+            "somewhat-semiopen-not-somewhat-open",
+            "--space",
+            "subbasis.json",
+            "--grid",
+            "16",
+        ],
+        1,
+    ),
     "validate-pl-chain": (["validate", "pl-chain.json"], 0),
     "classify-set-pl-chain": (["classify", "set", "q", "--space", "pl-chain.json"], 0),
     "validate-pl-product": (["validate", "pl-product.json"], 0),

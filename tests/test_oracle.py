@@ -1,12 +1,16 @@
 import dataclasses
 import math
 import random
+import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 from typing import Iterator
 
 import pytest
 
 import ftop.fset as fset
+import ftop.gridbits as gridbits
 import ftop.oracle as oracle
 from ftop import (
     BackendMismatchError,
@@ -218,15 +222,18 @@ def test_check_space_requires_topology_on_grid():
 
 
 def test_check_space_reports_first_violation(monkeypatch):
-    """A comparison the walk's laws make, refused whenever its upper side
-    is non-zero, fails the first law on the first non-zero grid set; the
-    sample's evidence would break the second law there instead."""
-    honest = oracle._leq
+    """An index whose masks put the top member below every grid set at
+    the first point selects it as ``Int(s)`` on the first non-zero grid
+    set, which it does not lie below: the first law fails there."""
+    honest = fset._MemberIndex.grid_thresholds
 
-    def never_below_nonzero(low, high):
-        return honest(low, high) and not any(high)
+    def top_below_at_first_point(index, k):
+        columns = honest(index, k)
+        digits, prefix = columns[0]
+        columns[0] = digits, [prefix[0] | 1 << (len(index._members) - 1), *prefix[1:]]
+        return columns
 
-    monkeypatch.setattr(oracle, "_leq", never_below_nonzero)
+    monkeypatch.setattr(fset._MemberIndex, "grid_thresholds", top_below_at_first_point)
     report = check_space(indiscrete(), GridSpec(2, 1))
     assert not report.ok
     assert report.violation.check == "interior-below-semi-interior"
@@ -235,15 +242,15 @@ def test_check_space_reports_first_violation(monkeypatch):
 
 
 def chain_breaking_on_third_set(monkeypatch):
-    """Make the walk's chain check refuse the verdicts of the third grid set."""
+    """Make the first chain check of check_space refuse the third grid set's verdicts."""
     calls = []
-    honest = oracle._chain_holds
+    honest = oracle._chain_breaks
 
     def broken(*verdicts):
         calls.append(verdicts)
-        return len(calls) != 3 and honest(*verdicts)
+        return honest(*verdicts) | (1 << 2 if len(calls) == 1 else 0)
 
-    monkeypatch.setattr(oracle, "_chain_holds", broken)
+    monkeypatch.setattr(oracle, "_chain_breaks", broken)
 
 
 def test_check_space_reports_a_chain_refusal(monkeypatch):
@@ -318,13 +325,99 @@ def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
     def no_walk(index, k):
         raise AssertionError("the grid walk was used")
 
-    monkeypatch.setattr(fset._MemberIndex, "grid_walk", no_walk)
+    monkeypatch.setattr(fset._MemberIndex, "grid_thresholds", no_walk)
     with pytest.raises(AssertionError, match="grid walk"):
         check_space(t_fin(), GridSpec(2, 6))
     space = t_fin()
     assert brute_semi_interior(space, fs("3/4", "1/4"), GridSpec(2, 12)) == fs("1/2", "1/4")
     for member in space.members:
         assert brute_semi_interior(space, member, GridSpec(2, 6)) == member
+
+
+# The walk check_space and find_witness ran one grid set at a time before
+# they took the grid as rank bitsets: fset._MemberIndex.grid_walk, with its
+# index passed in, and oracle._sweep, verbatim but for the names.  It is
+# the reference the bitsets are held to.
+
+
+def grid_walk(index, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every set on the 1/k grid, with the bits its interior and closure select.
+
+    Yields ``(nums, inner, outer)`` in the order of ``product(range(k + 1),
+    repeat=n)``, ``nums`` being the numerators over ``G``, the
+    :meth:`grid_scale`: ``Int(s)`` is ``_members[inner]`` and ``Cl(s)``
+    is ``_complements[outer]``.  The members need not lie on the grid.
+    At value ``v / G`` a point takes the prefix mask :meth:`interior` takes
+    at ``v * L // G``, and :meth:`closure` at ``(G - v) * L // G``, which is
+    the interior mask at ``G - v``.  The masks of the first ``n - 1`` points
+    are ANDed once per prefix, then once per value of the last.
+    """
+    scale, grid = index._scale, index.grid_scale(k)
+    grid_values = range(0, grid + 1, grid // k)
+    inner_masks = [
+        {v: prefix[bisect_right(values, v * scale // grid) - 1] for v in grid_values}
+        for values, prefix in index._columns
+    ]
+    *head, last = inner_masks
+    last_pairs = [(v, last[v], last[grid - v]) for v in grid_values]
+    for nums in product(grid_values, repeat=len(head)):
+        inner = outer = -1
+        for v, masks in zip(nums, head):
+            inner &= masks[v]
+            outer &= masks[grid - v]
+        for v, inner_mask, outer_mask in last_pairs:
+            inner_bits, outer_bits = inner & inner_mask, outer & outer_mask
+            yield (*nums, v), inner_bits.bit_length() - 1, outer_bits.bit_length() - 1
+
+
+def sweep(
+    space: FuzzyTopology, k: int, interiors: list, closures_of_interiors: list
+) -> Iterator[tuple[tuple[int, ...], int, int, tuple[bool, bool, bool, bool]]]:
+    """Every grid set with its walk bits and its four verdicts, in enumeration order.
+
+    Yields ``(nums, inner, outer, verdicts)``: ``nums`` and the bits are
+    those of ``_MemberIndex.grid_walk(k)``, and ``verdicts`` are open,
+    semiopen, somewhat open and somewhat semiopen, read off the
+    :func:`_inner_tables` over ``lcm(k, L)``, the walk's scale.  Since
+    ``Int(s)`` is the member ``m`` at the inner bit, ``s`` is open iff it
+    equals ``m``, semiopen iff ``s <= Cl(m)``, and its semi-interior is
+    the pointwise min of ``s`` and ``Cl(m)``.  Member degrees may lie off
+    the grid: every vector is over the walk's scale.
+    """
+    for nums, inner, outer in grid_walk(space._index, k):
+        interior = interiors[inner]
+        closure_of_interior = closures_of_interiors[inner]
+        zero = not any(nums)
+        yield nums, inner, outer, (
+            interior == nums,
+            _leq(nums, closure_of_interior),
+            zero or any(interior),
+            zero or any(map(min, nums, closure_of_interior)),
+        )
+
+
+def set_bits(bits):
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def bitset_walk(space, k):
+    """Per grid set in rank order: its four verdicts as the bitsets of its
+    block hold them, and the member bits selected as ``Int(s)`` and as
+    ``Cl(s)`` there."""
+    walk = gridbits.GridBits(space, k)
+    walked = []
+    for base, prefix in walk.blocks():
+        *verdicts, interiors = walk.verdicts(base, prefix)
+        block = [(tuple([bool(v >> r & 1) for v in verdicts]), [], []) for r in range(walk.size)]
+        for side, selected in ((1, interiors), (2, walk.closures(prefix).items())):
+            for j, ranks in selected:
+                for r in set_bits(ranks):
+                    block[r][side].append(j)
+        walked.extend(block)
+    return walked
 
 
 def walk_property_spaces(count, seed="walk-property", member_grid=None):
@@ -355,11 +448,12 @@ def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
         scale = math.lcm(k, *[member.scale for member in space.members])
         assert index.grid_scale(k) == scale
         grid = list(enumerate_grid_sets(spec, space.universe))
-        walked = list(index.grid_walk(k))
-        interiors, closures_of_interiors = oracle._inner_tables(space, scale)
-        closures, interiors_of_closures = oracle._outer_tables(space, scale)
-        swept = list(oracle._sweep(space, k, interiors, closures_of_interiors))
+        walked = list(grid_walk(index, k))
+        interiors, closures_of_interiors = gridbits._inner_tables(space, scale)
+        closures, interiors_of_closures = gridbits._outer_tables(space, scale)
+        swept = list(sweep(space, k, interiors, closures_of_interiors))
         assert len(walked) == len(swept) == len(grid) == spec.size
+        assert bitset_walk(space, k) == [(v, [inner], [outer]) for _, inner, outer, v in swept]
         for s, (nums, inner, outer), (e_nums, e_inner, e_outer, verdicts) in zip(grid, walked, swept):
             assert (e_nums, e_inner, e_outer) == (nums, inner, outer)
             assert oracle._reduced(space.universe, scale, nums) == s
@@ -380,6 +474,44 @@ def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
             assert verdicts[1] == c.is_semiopen
 
 
+# 76 members over 46,656 grid sets: 36 blocks of 1296 ranks, two head points.
+LARGE_SPEC = GridSpec(6, 5)
+
+
+def large_space():
+    return random_topology(LARGE_SPEC, 34, 4)
+
+
+def test_bitsets_match_the_walk_with_two_head_points():
+    space = large_space()
+    assert len(space.members) == 76 and gridbits.GridBits(space, 5).head == 2
+    interiors, closures_of_interiors = gridbits._inner_tables(space, 5)
+    swept = sweep(space, 5, interiors, closures_of_interiors)
+    assert bitset_walk(space, 5) == [(v, [inner], [outer]) for _, inner, outer, v in swept]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda space: check_space(space, LARGE_SPEC).ok,
+        lambda space: find_witness(space, SearchTarget("open", "semiopen"), LARGE_SPEC) is None,
+    ],
+    ids=["check_space", "find_witness-miss"],
+)
+def test_walk_memory_stays_bounded(run):
+    """A block of at most 4096 ranks bounds what the check and the search hold
+    at once: under 1 MB for 76 members over 46,656 grid sets."""
+    space = large_space()
+    space.closure(space.bottom)  # the index is built before tracing starts
+    tracemalloc.start()
+    try:
+        assert run(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # _sweep, check_space and find_witness as they stood when the walk built
 # every grid set's evidence and the laws were checked whole, kept verbatim
 # as the reference for the split laws and the verdicts-only search.  Only
@@ -396,7 +528,7 @@ def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool]
     closures_of_interiors = [_rescaled(space.closure(m), scale) for m in members]
     closures = [_rescaled(c, scale) for c in complements]
     interiors_of_closures = [_rescaled(space.interior(c), scale) for c in complements]
-    for nums, inner, outer in index.grid_walk(k):
+    for nums, inner, outer in grid_walk(index, k):
         interior = interiors[inner]
         closure_of_interior = closures_of_interiors[inner]
         semi_interior = list(map(min, nums, closure_of_interior))
@@ -478,11 +610,23 @@ def parent_find_witness(
 ALL_TARGETS = [SearchTarget(h, a) for h in SET_CLASSES for a in SET_CLASSES if h != a]
 
 
+def multi_block_spaces():
+    """Spaces whose grids span several blocks of ranks: 4 on
+    ``GridSpec(5, 5)`` (6 blocks of 1296), and 10 with members on 1/6
+    searched on ``GridSpec(2, 70)`` (71 blocks of 71), mostly off its grid."""
+    master = random.Random("multi-block")
+    families = ((GridSpec(5, 5), GridSpec(5, 5), 4), (GridSpec(2, 70), GridSpec(2, 6), 10))
+    for spec, members, count in families:
+        for _ in range(count):
+            yield spec, random_topology(members, master.randint(0, 10**9), master.randint(1, 4))
+
+
 def test_check_and_search_match_the_parent_walk():
     """Equal reports, or the same OffGridError, and equal witnesses or
-    misses for all 12 targets, on the 350 walk property spaces."""
+    misses for all 12 targets, on the 350 walk property spaces and the 14
+    multi-block spaces."""
     assert len(ALL_TARGETS) == 12
-    for spec, space in all_walk_property_spaces():
+    for spec, space in [*all_walk_property_spaces(), *multi_block_spaces()]:
         if any(spec.k % member.scale for member in space.members):
             with pytest.raises(OffGridError) as ours:
                 check_space(space, spec)
@@ -532,7 +676,7 @@ CORRUPTIONS = {
 def test_check_space_matches_the_parent_on_corrupted_tables(monkeypatch, check):
     corruption, subject, sets_checked, chain_checked = CORRUPTIONS[check]
     if not chain_checked:
-        monkeypatch.setattr(oracle, "_chain_holds", lambda *verdicts: True)
+        monkeypatch.setattr(oracle, "_chain_breaks", lambda *verdicts: 0)
         monkeypatch.setitem(globals(), "_require_chain", lambda verdicts: None)
     space = CorruptedSpace(*corruption)
     spec = GridSpec(2, 6)
