@@ -19,8 +19,10 @@ set.  The check holds the verdicts to the implication chain
 (``semiclass._chain_breaks``, which works on bitsets as on bools),
 re-verifies the three proved laws the chain does not state, and sends a
 fixed sample of at most eight grid sets per space through
-``semiclass.classify_set`` as well, whose verdicts must match the
-bitsets' and whose evidence must obey the same laws.  Two of the laws
+``semiclass.classify_set`` as well, whose verdicts and operator values
+must equal the ones the bitsets selected: the laws are stated once, on
+the bitsets, and the sample compares an independent computation with
+them instead of re-testing the laws on its output.  Two of the laws
 are checked split: since ``a <= b /\\ c`` iff ``a <= b`` and ``a <= c``,
 and ``a \\/ b <= c`` iff ``a <= c`` and ``b <= c``, "interior below
 semi-interior" is ``Int(s) <= s`` per set and ``m <= Cl(m)`` per member
@@ -49,7 +51,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError, UniverseMismatchError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
@@ -227,42 +229,21 @@ def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopol
     return generate(subbasis, universe=universe)
 
 
-class _Evidence(NamedTuple):
-    """One grid set and its operator values, each as numerators over one scale.
-
-    ``semiopen`` is the set's verdict; ``closure_of_interior`` is
-    ``Cl(Int(s))``, ``semi_interior`` is ``s /\\ Cl(Int(s))`` and
-    ``semi_closure`` is ``s \\/ Int(Cl(s))``.
-    """
-
-    s: Sequence[int]
-    semiopen: bool
-    interior: Sequence[int]
-    closure: Sequence[int]
-    closure_of_interior: Sequence[int]
-    semi_interior: Sequence[int]
-    semi_closure: Sequence[int]
-
-
 def _leq(low: Sequence[int], high: Sequence[int]) -> bool:
     return all(map(le, low, high))
 
 
-# Each entry restates one proved law as an executable predicate of a grid
-# set's evidence; names describe the behaviour checked, and every law must
-# hold for every set in every space, so any violation is an operator bug.
-# The implication chain is not repeated here: check_space holds every
-# set's verdicts to it and reports a refusal as the violation
-# "implication-chain".  check_space checks the same laws on the bitsets
-# in their split form, under these names, and these predicates on the
-# evidence of its classify_set sample.
-SPACE_CHECKS: tuple[tuple[str, Callable[[_Evidence], bool]], ...] = (
-    ("interior-below-semi-interior", lambda e: _leq(e.interior, e.semi_interior)),
-    ("semi-closure-below-closure", lambda e: _leq(e.semi_closure, e.closure)),
-    (
-        "semiopen-iff-closures-agree",
-        lambda e: not any(e.s) or e.semiopen == (e.closure == e.closure_of_interior),
-    ),
+# The proved laws check_space holds every grid set to, by the names it
+# reports them under and in that order; names describe the behaviour
+# checked, and every law must hold for every set in every space, so any
+# violation is an operator bug.  The implication chain is not repeated
+# here: check_space holds every set's verdicts to it and reports a
+# refusal as the violation "implication-chain".  Each law is stated once,
+# on the bitsets, in the split form the module docstring gives.
+SPACE_CHECKS = (
+    "interior-below-semi-interior",
+    "semi-closure-below-closure",
+    "semiopen-iff-closures-agree",
 )
 
 
@@ -283,28 +264,30 @@ class SpaceCheckReport:
     violation: SpaceCheckViolation | None = None
 
 
-def _broken_law(evidence: _Evidence) -> str | None:
-    """The name of the first law of :data:`SPACE_CHECKS` that fails, if any."""
-    for name, holds in SPACE_CHECKS:
-        if not holds(evidence):
-            return name
-    return None
-
-
 def _sample_violation(
-    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: tuple[bool, ...], scale: int
+    space: FuzzyTopology, s: FiniteFuzzySet, walked: tuple, scale: int
 ) -> str | None:
-    """What :func:`classify_set` on ``s`` breaks: the chain, the bitsets' verdicts, a law."""
+    """What :func:`classify_set` on ``s`` breaks: the chain, or agreement with the bitsets.
+
+    ``walked`` is what the bitsets selected for ``s``: its four verdicts,
+    strongest first, ``Int(s)`` and ``Cl(s)`` as sets, and ``Cl(Int(s))``,
+    the semi-interior and the semi-closure as numerators over ``scale``.
+    :func:`classify_set` must give each of them; a refusal of the chain
+    is the violation ``"implication-chain"``, any other difference
+    ``"classify-set-agrees-with-walk"``.
+    """
     try:
         c = classify_set(space, s)
     except HierarchyInvariantError:
         return "implication-chain"
-    if (c.is_open, c.is_semiopen, c.is_somewhat_open, c.is_somewhat_semiopen) != verdicts:
-        return "classify-set-agrees-with-walk"
-    values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
-    return _broken_law(
-        _Evidence(_rescaled(s, scale), c.is_semiopen, *[_rescaled(v, scale) for v in values])
-    )
+    # A value off the 1/scale grid stays a set, which equals no numerators.
+    derived = [
+        v if scale % v.scale else _rescaled(v, scale)
+        for v in (c.closure_of_interior, c.semi_interior, c.semi_closure)
+    ]
+    verdicts = (c.is_open, c.is_semiopen, c.is_somewhat_open, c.is_somewhat_semiopen)
+    ours = (*verdicts, c.interior, c.closure, *derived)
+    return None if ours == walked else "classify-set-agrees-with-walk"
 
 
 def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
@@ -322,9 +305,13 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     third on every non-zero grid set.  Every ``ceil(size / 8)``-th grid
     set, the first included, also goes through the public
     :func:`classify_set`, in rank order up to the first law violation:
-    its verdicts must equal the bitsets' (else the violation
-    ``"classify-set-agrees-with-walk"``) and the laws must hold on its
-    evidence.  Stops at the first violating (check, set) pair, the lowest
+    its four verdicts, ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))``, semi-interior
+    and semi-closure must equal the ones the bitsets selected for it (else
+    the violation ``"classify-set-agrees-with-walk"``).  Those values obey
+    every law, as the bitsets have just checked on that rank, so the
+    comparison is at least as strict as checking the laws on
+    :func:`classify_set`'s output, and it also catches lawful but wrong
+    values.  Stops at the first violating (check, set) pair, the lowest
     rank with a violation; the subject is the only set built besides the
     sample.  Requires all topology degrees on the grid so that interiors
     and closures are grid sets themselves and the check covers every
@@ -332,7 +319,7 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     """
     _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
-    grid = GridBits(space, spec.k)
+    grid, index = GridBits(space, spec.k), space._index
     k, ones, zeros = spec.k, [spec.k] * spec.universe_size, [0] * spec.universe_size
     interiors, closures_of_interiors = grid.interiors, grid.closures_of_interiors
     closures, interiors_of_closures = _outer_tables(space, grid.scale)
@@ -352,7 +339,6 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
             above_boxes[j] = grid.box(zeros, closures[j])
     complement_bits = {c: j for j, c in enumerate(closures)}
     matches = [complement_bits.get(c) for c in closures_of_interiors]
-    (below_semi_interior, _), (below_closure, _), (closures_agree, _) = SPACE_CHECKS
     step = -(-spec.size // _SAMPLE)
     for base, prefix in grid.blocks():
         closure_ranks = grid.closures(prefix)
@@ -370,17 +356,27 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
         first = (broken & -broken).bit_length() - 1 if broken else grid.size
         for offset in range(-base % step, first, step):
             s = grid.grid_set(base + offset)
-            verdicts = tuple([bool(v >> offset & 1) for v in verdict_bits])
-            failed = _sample_violation(space, s, verdicts, grid.scale)
+            # The member bits whose ranks hold s: its Int(s) and its Cl(s).
+            for inner, ranks in selected:
+                if ranks >> offset & 1:
+                    break
+            for outer, ranks in closure_ranks.items():
+                if ranks >> offset & 1:
+                    break
+            nums, closure_of_interior = _rescaled(s, grid.scale), closures_of_interiors[inner]
+            walked = (
+                *[bool(v >> offset & 1) for v in verdict_bits],
+                index._members[inner],
+                index._complements[outer],
+                closure_of_interior,
+                tuple(map(min, nums, closure_of_interior)),
+                tuple(map(max, nums, interiors_of_closures[outer])),
+            )
+            failed = _sample_violation(space, s, walked, grid.scale)
             if failed is not None:
                 return SpaceCheckReport(False, base + offset + 1, SpaceCheckViolation(failed, s))
         if broken:
-            laws = (
-                ("implication-chain", chain),
-                (below_semi_interior, below),
-                (below_closure, above),
-                (closures_agree, disagree),
-            )
+            laws = zip(("implication-chain", *SPACE_CHECKS), (chain, below, above, disagree))
             failed = next(name for name, bits in laws if bits >> first & 1)
             subject = grid.grid_set(base + first)
             return SpaceCheckReport(False, base + first + 1, SpaceCheckViolation(failed, subject))

@@ -29,8 +29,9 @@ lifted set; :func:`classify_set` adds the evidence.
 grid set of a space at once, as one bitset per verdict, for
 ``oracle.check_space`` and ``oracle.find_witness`` alike.
 ``check_space`` requires :func:`classify_set` to agree with the bitsets
-on a fixed sample of each space's grid sets, checking its laws on that
-evidence.  The standalone
+on a fixed sample of each space's grid sets, in its verdicts and in its
+evidence: ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))`` and the two
+semi-operators must equal the values the bitsets selected.  The standalone
 predicates and semi-operators restate the definitions one at a time; the
 tests and the brute-force oracle hold both to them.
 """

@@ -5,7 +5,7 @@ import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import pytest
 
@@ -37,8 +37,6 @@ from ftop.oracle import (
     SearchTarget,
     SpaceCheckReport,
     SpaceCheckViolation,
-    _broken_law,
-    _Evidence,
     _grid_universe,
     _leq,
     _reduced,
@@ -272,6 +270,16 @@ def test_campaign_lists_a_chain_refusal_with_its_seed(monkeypatch):
     assert result.sets_checked == 3 + 9
 
 
+# classify_set mutants whose evidence obeys every law of the check: only a
+# comparison of its values with the walk's can notice them.
+LAWFUL_MUTANTS = {
+    "semi-closure-joins-closure": lambda space, s, c: dataclasses.replace(
+        c, semi_closure=s.join(c.closure)
+    ),
+    "zero-interior": lambda space, s, c: dataclasses.replace(c, interior=space.bottom),
+}
+
+
 def recording_classify_set(monkeypatch, breakage=None):
     """Record every set ``oracle.classify_set`` is given; break the second."""
     seen = []
@@ -284,6 +292,13 @@ def recording_classify_set(monkeypatch, breakage=None):
             return c
         if breakage == "raise":
             raise HierarchyInvariantError("simulated operator bug")
+        if breakage in LAWFUL_MUTANTS:
+            return LAWFUL_MUTANTS[breakage](space, s, c)
+        if breakage == "semi-closure-off-the-grid":
+            # On t_fin the second set is fs(1/6, 0), whose semi-closure
+            # (1/2, 1/3) has numerators (3, 2) over the grid scale 6.  So
+            # has (3/5, 2/5), off that grid, if multiplied by 6 // 5.
+            return dataclasses.replace(c, semi_closure=fs("3/5", "2/5"))
         # Chain-consistent on a set with a zero interior, so only the
         # comparison with the walk can notice.
         return dataclasses.replace(c, is_somewhat_open=True, is_somewhat_semiopen=True)
@@ -309,7 +324,13 @@ def test_check_space_classifies_every_ceil_eighth_grid_set(monkeypatch, space, s
 
 
 @pytest.mark.parametrize(
-    "breakage, check", [("flip", "classify-set-agrees-with-walk"), ("raise", "implication-chain")]
+    "breakage, check",
+    [
+        ("flip", "classify-set-agrees-with-walk"),
+        ("raise", "implication-chain"),
+        ("semi-closure-joins-closure", "classify-set-agrees-with-walk"),
+        ("semi-closure-off-the-grid", "classify-set-agrees-with-walk"),
+    ],
 )
 def test_check_space_reports_a_sampled_set_classify_set_gets_wrong(monkeypatch, breakage, check):
     seen = recording_classify_set(monkeypatch, breakage)
@@ -319,6 +340,48 @@ def test_check_space_reports_a_sampled_set_classify_set_gets_wrong(monkeypatch, 
     assert report.violation.subject == seen[1] == fs("1/6", 0)
     assert report.sets_checked == 8
     assert len(seen) == 2
+
+
+def mutate_classify_set(monkeypatch, mutant):
+    """Make every ``oracle.classify_set`` call return the mutant's values."""
+    honest, mutated = oracle.classify_set, LAWFUL_MUTANTS[mutant]
+
+    def classify_set(space, s):
+        return mutated(space, s, honest(space, s))
+
+    monkeypatch.setattr(oracle, "classify_set", classify_set)
+
+
+def test_check_space_reports_a_zero_interior_from_classify_set(monkeypatch):
+    """A zero ``Int(s)`` from every classify_set call obeys the laws, but
+    differs from the walk's on the first sampled set with a non-zero
+    interior: rank 21 of 49, after ranks 0, 7 and 14."""
+    mutate_classify_set(monkeypatch, "zero-interior")
+    report = check_space(t_fin(), GridSpec(2, 6))
+    assert report == SpaceCheckReport(
+        False, 22, SpaceCheckViolation("classify-set-agrees-with-walk", fs("1/2", 0))
+    )
+
+
+@pytest.mark.parametrize(
+    "mutant, failures", [("semi-closure-joins-closure", 14), ("zero-interior", 8)]
+)
+def test_campaign_fails_under_a_lawful_but_wrong_classify_set(monkeypatch, mutant, failures):
+    mutate_classify_set(monkeypatch, mutant)
+    result = run_campaign(20, 3, 3)
+    assert not result.ok
+    assert len(result.failures) == failures
+    for failure in result.failures:
+        assert failure.phase == "space-laws"
+        assert failure.detail.startswith("classify-set-agrees-with-walk fails on ")
+
+
+def test_space_checks_name_the_laws_once():
+    assert oracle.SPACE_CHECKS == (
+        "interior-below-semi-interior",
+        "semi-closure-below-closure",
+        "semiopen-iff-closures-agree",
+    )
 
 
 def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
@@ -490,22 +553,48 @@ def test_bitsets_match_the_walk_with_two_head_points():
     assert bitset_walk(space, 5) == [(v, [inner], [outer]) for _, inner, outer, v in swept]
 
 
+# One point, members 0, 1/7, 3/7, 5/7 and 1: a single block of 8191 ranks.
+CHAIN_SPEC = GridSpec(1, 8190)
+
+
+def chain_space():
+    universe = CHAIN_SPEC.universe()
+    subbasis = [FiniteFuzzySet.of(universe, [d]) for d in ("1/7", "3/7", "5/7")]
+    return generate(subbasis, universe=universe)
+
+
+def check_passes(space, spec):
+    return check_space(space, spec).ok
+
+
+def search_misses(space, spec):
+    return find_witness(space, SearchTarget("open", "semiopen"), spec) is None
+
+
 @pytest.mark.parametrize(
-    "run",
+    "make, spec, run",
     [
-        lambda space: check_space(space, LARGE_SPEC).ok,
-        lambda space: find_witness(space, SearchTarget("open", "semiopen"), LARGE_SPEC) is None,
+        (large_space, LARGE_SPEC, check_passes),
+        (large_space, LARGE_SPEC, search_misses),
+        (chain_space, CHAIN_SPEC, check_passes),
+        (chain_space, CHAIN_SPEC, search_misses),
     ],
-    ids=["check_space", "find_witness-miss"],
+    ids=[
+        "check_space",
+        "find_witness-miss",
+        "check_space-one-point",
+        "find_witness-miss-one-point",
+    ],
 )
-def test_walk_memory_stays_bounded(run):
-    """A block of at most 4096 ranks bounds what the check and the search hold
-    at once: under 1 MB for 76 members over 46,656 grid sets."""
-    space = large_space()
+def test_walk_memory_stays_bounded(make, spec, run):
+    """A block bounds what the check and the search hold at once: under
+    1 MB for 76 members over 46,656 grid sets, blocks of 1296 ranks, and
+    for one point with 8191 grid values, a single block that large."""
+    space = make()
     space.closure(space.bottom)  # the index is built before tracing starts
     tracemalloc.start()
     try:
-        assert run(space)
+        assert run(space, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -516,9 +605,47 @@ def test_walk_memory_stays_bounded(run):
 # every grid set's evidence and the laws were checked whole, kept verbatim
 # as the reference for the split laws and the verdicts-only search.  Only
 # the names are prefixed, and SearchTarget._holds became parent_holds.
+# The evidence tuple, the law predicates and _broken_law are the ones
+# check_space applied to its classify_set sample before the sample
+# compared values, under prefixed names.
 
 
-def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], _Evidence]]:
+class ParentEvidence(NamedTuple):
+    """One grid set and its operator values, each as numerators over one scale.
+
+    ``semiopen`` is the set's verdict; ``closure_of_interior`` is
+    ``Cl(Int(s))``, ``semi_interior`` is ``s /\\ Cl(Int(s))`` and
+    ``semi_closure`` is ``s \\/ Int(Cl(s))``.
+    """
+
+    s: Sequence[int]
+    semiopen: bool
+    interior: Sequence[int]
+    closure: Sequence[int]
+    closure_of_interior: Sequence[int]
+    semi_interior: Sequence[int]
+    semi_closure: Sequence[int]
+
+
+PARENT_SPACE_CHECKS: tuple[tuple[str, Callable[[ParentEvidence], bool]], ...] = (
+    ("interior-below-semi-interior", lambda e: _leq(e.interior, e.semi_interior)),
+    ("semi-closure-below-closure", lambda e: _leq(e.semi_closure, e.closure)),
+    (
+        "semiopen-iff-closures-agree",
+        lambda e: not any(e.s) or e.semiopen == (e.closure == e.closure_of_interior),
+    ),
+)
+
+
+def parent_broken_law(evidence: ParentEvidence) -> str | None:
+    """The name of the first law of :data:`PARENT_SPACE_CHECKS` that fails, if any."""
+    for name, holds in PARENT_SPACE_CHECKS:
+        if not holds(evidence):
+            return name
+    return None
+
+
+def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], ParentEvidence]]:
     index = space._index
     members, complements = index._members, index._complements
     scale = index.grid_scale(k)
@@ -539,7 +666,7 @@ def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool]
             "somewhat_open": zero or any(interior),
             "somewhat_semiopen": zero or any(semi_interior),
         }
-        yield verdicts, _Evidence(
+        yield verdicts, ParentEvidence(
             nums,
             verdicts["semiopen"],
             interior,
@@ -550,12 +677,12 @@ def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool]
         )
 
 
-def parent_walk_violation(verdicts: dict[str, bool], evidence: _Evidence) -> str | None:
+def parent_walk_violation(verdicts: dict[str, bool], evidence: ParentEvidence) -> str | None:
     try:
         _require_chain(verdicts)
     except HierarchyInvariantError:
         return "implication-chain"
-    return _broken_law(evidence)
+    return parent_broken_law(evidence)
 
 
 def parent_sample_violation(
@@ -568,8 +695,8 @@ def parent_sample_violation(
     if c.verdicts() != verdicts:
         return "classify-set-agrees-with-walk"
     values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
-    return _broken_law(
-        _Evidence(_rescaled(s, scale), c.is_semiopen, *[_rescaled(v, scale) for v in values])
+    return parent_broken_law(
+        ParentEvidence(_rescaled(s, scale), c.is_semiopen, *[_rescaled(v, scale) for v in values])
     )
 
 
