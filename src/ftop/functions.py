@@ -9,8 +9,10 @@ it acts on fuzzy sets through the usual lifts
 and is classified eight ways: four continuity classes (preimages of the
 codomain's opens are open / semiopen / somewhat open / somewhat semiopen)
 and the four mirror-image openness classes on images of the domain's
-opens.  Each lifted set is classified once by ``semiclass.set_verdicts``,
-whose four verdicts, in chain order, decide the four classes of its side.
+opens.  Each distinct lifted set is classified once by
+``semiclass.set_verdicts``, whose four verdicts, in chain order, decide
+the four classes of its side: members often share a preimage or an
+image, and a repeat can fail no class that its first occurrence did not.
 Both quadruples obey the same implication chain as sets do, with the two
 somewhat classes provably coinciding; :class:`FunctionClassification`
 enforces that chain at construction through ``semiclass._require_chain``.
@@ -89,26 +91,27 @@ class FuzzyFunction:
     def apply(self, x: str) -> str:
         return self._map[x]
 
+    @cached_property
+    def _targets(self) -> tuple[int, ...]:
+        """The codomain position of each domain point's image, in domain order."""
+        index, mapping = self.codomain.universe.index, self._map
+        return tuple([index(mapping[x]) for x in self.domain.universe])
+
     def preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:
         """Pull a codomain fuzzy set back along the map: ``x -> beta(f(x))``."""
         self.codomain.members[0]._require_compatible(beta)
-        mapping, index, nums = self._map, beta.universe.index, beta.nums
-        domain_universe = self.domain.universe
-        return _reduced(
-            domain_universe, beta.scale, tuple([nums[index(mapping[x])] for x in domain_universe])
-        )
+        nums = beta.nums
+        return _reduced(self.domain.universe, beta.scale, tuple([nums[y] for y in self._targets]))
 
     def image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:
         """Push a domain fuzzy set forward: sup over each fiber, 0 if empty."""
         self.domain.members[0]._require_compatible(alpha)
-        mapping = self._map
         codomain_universe = self.codomain.universe
-        best = dict.fromkeys(codomain_universe, 0)
-        for x, n in zip(self.domain.universe, alpha.nums):
-            y = mapping[x]
+        best = [0] * len(codomain_universe)
+        for y, n in zip(self._targets, alpha.nums):
             if n > best[y]:
                 best[y] = n
-        return _reduced(codomain_universe, alpha.scale, tuple(best.values()))
+        return _reduced(codomain_universe, alpha.scale, tuple(best))
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,12 @@ def classify_function(f: FuzzyFunction) -> FunctionClassification:
     """Decide all eight classes by exhausting the relevant member lists.
 
     Universal quantification over opens reduces to iteration because both
-    topologies are finite.  Each preimage of a codomain open and each image
-    of a domain open is classified once, and its four set verdicts, in
-    chain order, are the verdicts of the four classes on its side; the
-    first failing member (in canonical member order) is recorded as the
-    witness for its class.
+    topologies are finite.  Each distinct preimage of a codomain open and
+    each distinct image of a domain open is classified once, for the first
+    member (in canonical member order) that lifts to it.  Its four set
+    verdicts, in chain order, are the verdicts of the four classes on its
+    side, and the first failing member is recorded as the witness for its
+    class; a later member with the same lifted set cannot fail earlier.
     """
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, FiniteFuzzySet] = {}
@@ -157,8 +161,11 @@ def classify_function(f: FuzzyFunction) -> FunctionClassification:
         (OPENNESS_CLASSES, f.codomain, f.domain.members, f.image),
     ):
         verdicts.update(dict.fromkeys(names, True))
+        firsts: dict[FiniteFuzzySet, FiniteFuzzySet] = {}
         for member in members:
-            held = set_verdicts(space, lift(member)).values()
+            firsts.setdefault(lift(member), member)
+        for lifted, member in firsts.items():
+            held = set_verdicts(space, lifted).values()
             for name, holds in zip(names, held):
                 if not holds and verdicts[name]:
                     verdicts[name] = False

@@ -148,8 +148,12 @@ class GridBits:
             key = keys.setdefault(self.closures_of_interiors[j], len(keys))
             self.members.append((j, self.box(self.lows[j], ones), rank, key, any(interior)))
         # Per distinct Cl(m): where s <= Cl(m), and where s /\ Cl(m) = 0.
-        self.semiopen = [self.box(zeros, [v * k // scale for v in c]) for c in keys]
+        highs = [tuple([v * k // scale for v in c]) for c in keys]
+        self.semiopen = [self.box(zeros, high) for high in highs]
         self.disjoint = [self.box(zeros, [0 if v else k for v in c]) for c in keys]
+        # Cl(m) is 1 - c for a member c, and floor((1 - c) * k) = k - ceil(c * k),
+        # so the semiopen box of Cl(m) is the dual box of c.
+        self._semiopen_by_high = dict(zip(highs, self.semiopen))
 
     def box(self, low: Sequence[int], high: Sequence[int]) -> tuple:
         """The ranks whose digits lie between ``low`` and ``high`` pointwise."""
@@ -171,12 +175,14 @@ class GridBits:
 
     @cached_property
     def duals(self) -> list[tuple[int, tuple]]:
-        """Per member, top bit first: where it is below ``1 - s``."""
-        zeros = [0] * len(self.universe)
-        return [
-            (j, self.box(zeros, [self.k - v for v in self.lows[j]]))
-            for j in reversed(range(len(self.lows)))
-        ]
+        """Per member, top bit first: where it is below ``1 - s``.
+
+        A dual box that is the semiopen box of some ``Cl(m)`` is that box,
+        not built again.
+        """
+        zeros, k, shared = [0] * len(self.universe), self.k, self._semiopen_by_high
+        highs = [(j, tuple([k - v for v in self.lows[j]])) for j in reversed(range(len(self.lows)))]
+        return [(j, shared.get(high) or self.box(zeros, high)) for j, high in highs]
 
     def closures(self, prefix: tuple[int, ...]) -> dict[int, int]:
         """Where each complement is ``Cl(s)`` in the block at ``prefix``, by member bit."""

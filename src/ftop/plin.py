@@ -79,7 +79,9 @@ class PLFuzzySet:
         canonical = _from_ratios(
             [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points]
         )
-        _assign(self, canonical.scale, canonical.xs, canonical.ys)
+        _set_scale(self, canonical.scale)
+        _set_xs(self, canonical.xs)
+        _set_ys(self, canonical.ys)
 
     @property
     def breakpoints(self) -> tuple[Breakpoint, ...]:
@@ -176,10 +178,9 @@ class PLFuzzySet:
         return f"PLFuzzySet([{inside}])"
 
 
-def _assign(value: PLFuzzySet, scale: int, xs: Ints, ys: Ints) -> None:
-    object.__setattr__(value, "scale", scale)
-    object.__setattr__(value, "xs", xs)
-    object.__setattr__(value, "ys", ys)
+# Fields are set through the class's own slot descriptors, as in ``fset``.
+_new = object.__new__
+_set_scale, _set_xs, _set_ys = [PLFuzzySet.__dict__[name].__set__ for name in ("scale", "xs", "ys")]
 
 
 def _trusted(scale: int, xs: Ints, ys: Ints) -> PLFuzzySet:
@@ -188,8 +189,10 @@ def _trusted(scale: int, xs: Ints, ys: Ints) -> PLFuzzySet:
     Only triples canonical by construction come through here; lattice
     results go through :func:`_reduced` first.
     """
-    value = object.__new__(PLFuzzySet)
-    _assign(value, scale, xs, ys)
+    value = _new(PLFuzzySet)
+    _set_scale(value, scale)
+    _set_xs(value, xs)
+    _set_ys(value, ys)
     return value
 
 

@@ -367,9 +367,24 @@ class TestIntegerRepresentationMatchesReference:
         (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
         (fs(0, 0), ReferenceFiniteFuzzySet(AB, (ZERO, ZERO))),
     ])
+    @example([  # one scale, 6, whose join reduces to halves
+        (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
+        (fs("1/6", "1/2"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 6), Fraction(1, 2)))),
+    ])
+    @example([  # scales 6 and 4
+        (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
+        (fs("3/4", "1/4"), ReferenceFiniteFuzzySet(AB, (Fraction(3, 4), Fraction(1, 4)))),
+    ])
+    @example([  # scale 2 divides scale 6, so their lcm is the first scale
+        (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
+        (fs("1/2", 1), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), ONE))),
+    ])
     def test_operations_agree(self, pairs):
         """meet/join with 1-4 arguments, leq both ways, complement and the
-        read-outs agree with the reference, and every result is canonical."""
+        read-outs agree with the reference, and every result is canonical.
+        Every binary meet and join, on one scale or two, also agrees with
+        the reference and with the same operation given the other set
+        twice, which takes the general n-ary path."""
         values = [value for value, _ in pairs]
         references = [reference for _, reference in pairs]
         first, ref_first = values[0], references[0]
@@ -384,6 +399,12 @@ class TestIntegerRepresentationMatchesReference:
         for (s, rs), (t, rt) in product(pairs, repeat=2):
             assert s.leq(t) == rs.leq(rt)
             assert (s == t) == (rs == rt)
+            for binary, general, reference in (
+                (s.meet(t), s.meet(t, t), rs.meet(rt)),
+                (s.join(t), s.join(t, t), rs.join(rt)),
+            ):
+                assert_same_set(binary, reference)
+                assert (binary.scale, binary.nums) == (general.scale, general.nums)
         for (s, rs), (t, rt) in product(results, repeat=2):
             assert (s == t) == (rs == rt)
 
@@ -431,25 +452,31 @@ class TestIntegerRepresentationMatchesReference:
 def test_fields_and_other_attributes_stay_read_only():
     """A field raises ``FrozenInstanceError``; another name raises
     ``TypeError`` from the dataclass ``__setattr__`` on a slotted class
-    (CPython 3.10-3.13) or an ``AttributeError``, by CPython version."""
-    s = fs("1/2", "1/3")
-    before = ((s.universe, s.scale, s.nums), hash(s))
-    with pytest.raises(FrozenInstanceError):
-        s.scale = 1
-    with pytest.raises(FrozenInstanceError):
-        del s.nums
-    with pytest.raises((TypeError, AttributeError)):
-        s.extra = 1
-    with pytest.raises((TypeError, AttributeError)):
-        del s.extra
-    assert ((s.universe, s.scale, s.nums), hash(s)) == before
+    (CPython 3.10-3.13) or an ``AttributeError``, by CPython version.
+    Sets built through ``_trusted``, a meet and a complement, are held
+    to it as well as one from the public constructor."""
+    met = fs("1/2", "2/3").meet(fs("3/4", "1/3"))
+    for s in (fs("1/2", "1/3"), met, fs("1/2", "1/3").complement()):
+        before = ((s.universe, s.scale, s.nums), hash(s))
+        with pytest.raises(FrozenInstanceError):
+            s.scale = 1
+        with pytest.raises(FrozenInstanceError):
+            del s.nums
+        with pytest.raises((TypeError, AttributeError)):
+            s.extra = 1
+        with pytest.raises((TypeError, AttributeError)):
+            del s.extra
+        assert ((s.universe, s.scale, s.nums), hash(s)) == before
 
 
 def test_sets_stay_immutable_and_picklable():
-    s = fs("1/2", "1/3")
-    with pytest.raises(FrozenInstanceError):
-        s.nums = (0, 0)
-    with pytest.raises(FrozenInstanceError):
-        del s.scale
-    copy = pickle.loads(pickle.dumps(s))
-    assert copy == s and (copy.scale, copy.nums) == (6, (3, 2))
+    built = fs("1/2", "1/3")
+    met = fs("1/2", "2/3").meet(fs("3/4", "1/3"))
+    complement = built.complement()
+    for s, scale, nums in ((built, 6, (3, 2)), (met, 6, (3, 2)), (complement, 6, (3, 4))):
+        with pytest.raises(FrozenInstanceError):
+            s.nums = (0, 0)
+        with pytest.raises(FrozenInstanceError):
+            del s.scale
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and (copy.scale, copy.nums) == (scale, nums)

@@ -298,3 +298,40 @@ def test_lifts_pass_the_public_constructor():
         for value in lifted:
             rebuilt = FiniteFuzzySet(value.universe, value.degrees)
             assert rebuilt == value and hash(rebuilt) == hash(value)
+
+
+def test_each_distinct_lifted_set_is_classified_once(monkeypatch):
+    """Both points go to ``u``: the codomain opens {u:1/2, v:0} and
+    {u:1/2, v:1} share the preimage {a:1/2, b:1/2}, and the domain opens
+    {a:1/2, b:0} and {a:1/2, b:1/3} share the image {u:1/2, v:0}.  Each
+    distinct lifted set is classified once, and the first member with a
+    failing lift stays the witness, as in the member-by-member derivation."""
+    import ftop.functions
+
+    codomain = generate([ys("1/2", 0), ys("1/2", 1)], universe=UV)
+    f = FuzzyFunction.from_mapping(t_fin(), codomain, {"a": "u", "b": "u"})
+    preimages = [f.preimage(beta) for beta in codomain.members]
+    images = [f.image(alpha) for alpha in f.domain.members]
+    assert (len(preimages), len(set(preimages))) == (4, 3)
+    assert (len(images), len(set(images))) == (5, 4)
+
+    classified = []
+    set_verdicts = ftop.functions.set_verdicts
+
+    def counting(space, s):
+        classified.append((space, s))
+        return set_verdicts(space, s)
+
+    monkeypatch.setattr(ftop.functions, "set_verdicts", counting)
+    c = classify_function(f)
+    assert [s for space, s in classified if space is f.domain] == list(dict.fromkeys(preimages))
+    assert [s for space, s in classified if space is f.codomain] == list(dict.fromkeys(images))
+    assert len(classified) == 7
+
+    reference = reference_classify_function(f)
+    assert c.verdicts() == reference.verdicts()
+    assert list(c.witnesses.items()) == list(reference.witnesses.items())
+    assert c.witnesses == {
+        "fuzzy_continuous": ys("1/2", 0),
+        **dict.fromkeys(OPENNESS_CLASSES, fs(0, "1/3")),
+    }

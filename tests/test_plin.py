@@ -614,21 +614,23 @@ class TestIntegerRepresentationMatchesReference:
 
     def test_fields_and_other_attributes_stay_read_only(self):
         """As for finite sets: ``FrozenInstanceError`` on a field, and
-        ``TypeError`` or ``AttributeError``, by CPython version, on another name."""
-        value = MU.join(LAM)
-        before = ((value.scale, value.xs, value.ys), hash(value))
-        with pytest.raises(FrozenInstanceError):
-            value.ys = ()
-        with pytest.raises(FrozenInstanceError):
-            del value.scale
-        with pytest.raises((TypeError, AttributeError)):
-            value.extra = 1
-        with pytest.raises((TypeError, AttributeError)):
-            del value.extra
-        assert ((value.scale, value.xs, value.ys), hash(value)) == before
+        ``TypeError`` or ``AttributeError``, by CPython version, on another name.
+        Sets built through ``_trusted`` (a join, a meet, a complement) and
+        one from the public constructor alike."""
+        for value in (MU, MU.join(LAM), BETA.meet(SIGMA), LAM.complement()):
+            before = ((value.scale, value.xs, value.ys), hash(value))
+            with pytest.raises(FrozenInstanceError):
+                value.ys = ()
+            with pytest.raises(FrozenInstanceError):
+                del value.scale
+            with pytest.raises((TypeError, AttributeError)):
+                value.extra = 1
+            with pytest.raises((TypeError, AttributeError)):
+                del value.extra
+            assert ((value.scale, value.xs, value.ys), hash(value)) == before
 
     def test_sets_stay_immutable_and_picklable(self):
-        for value in (MU, LAM.complement(), MU.join(LAM, ALPHA)):
+        for value in (MU, LAM.complement(), BETA.meet(SIGMA), MU.join(LAM, ALPHA)):
             with pytest.raises(FrozenInstanceError):
                 value.scale = 1
             with pytest.raises(FrozenInstanceError):
