@@ -82,7 +82,10 @@ class FuzzyFunction:
         cls, domain: FuzzyTopology, codomain: FuzzyTopology, mapping: Mapping[str, str]
     ) -> "FuzzyFunction":
         universe = domain._finite_universe("a function's domain")
-        return cls(domain, codomain, tuple([(x, mapping[x]) for x in universe if x in mapping]))
+        pairs = [(x, mapping[x]) for x in universe if x in mapping]
+        if len(pairs) < len(mapping):  # keys off the domain: passed on, to be refused
+            pairs += [item for item in mapping.items() if item[0] not in universe]
+        return cls(domain, codomain, tuple(pairs))
 
     @cached_property
     def _map(self) -> dict[str, str]:

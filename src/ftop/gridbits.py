@@ -12,7 +12,9 @@ digits in the index's prefix masks; ``Int(s)`` and ``Cl(s)`` follow by
 taking the members from the highest bit down, and the four verdicts
 from two boxes of ranks per distinct ``Cl(Int(s))``.  ``oracle.check_space``
 and ``oracle.find_witness`` read the laws, the first violation and the
-first witness off the lowest set bits.  Memory is bounded by a block.
+first witness off the lowest set bits.  Memory is bounded by a block,
+and a block keeps no stripe: each box, for bounds ``low <= high``
+pointwise, is built afresh at one multiplication per trailing point.
 """
 
 from __future__ import annotations
@@ -58,32 +60,6 @@ def _admitted(box: tuple, prefix: tuple[int, ...]) -> int:
     return bits if not low or all(map(le, low, prefix)) and all(map(le, prefix, high)) else 0
 
 
-class _AtMost(dict):
-    """The ranks of a block where one trailing point has a digit at most ``a``, by ``a``.
-
-    Filled on first use: runs of ``(a + 1) * place`` bits, one from each
-    bit of ``starts``, which has one bit every ``place * (k + 1)``.  At
-    ``-1`` it holds no rank.
-
-    The fill stays lazy because a block with one trailing point spans its
-    ``k + 1`` grid values whatever ``k`` is: building every stripe up
-    front holds ``k + 1`` ints of up to ``k + 1`` bits, memory that grows
-    with the square of the grid values.  For one point that is 1.5 MB at
-    4096 values and 5.3 MB at 8191 (tracemalloc peaks of ``check_space``,
-    against 0.03 and 0.04 MB lazily), and, by that square, about 4 GB at
-    the default budget of 250,000 sets.  A box asks for two stripes per
-    point, so the stripes built stay a few per member.
-    """
-
-    def __init__(self, place: int, starts: int):
-        self[-1] = 0
-        self.place, self.starts = place, starts
-
-    def __missing__(self, a: int) -> int:
-        bits = self[a] = self.starts * ((1 << (a + 1) * self.place) - 1)
-        return bits
-
-
 class GridBits:
     """A space's 1/k grid sets as the bits of ints, a block of ranks at a time.
 
@@ -96,7 +72,9 @@ class GridBits:
     :meth:`box`: bounds the prefix must meet, and the AND over the
     trailing points of one stripe each, the ranks where that point's
     digit is in range: runs of ``w`` bits every ``w * (k + 1)``, ``w``
-    being the point's place value.
+    being the point's place value.  The bounds must satisfy ``low <= high``
+    pointwise, as every caller's do.  A block keeps no stripe, only each
+    trailing point's place value and the bits where its runs start.
 
     Member bit ``j`` lies below ``s`` where every digit of ``s`` is at
     least ``lows[j]``, its digits in the index's prefix masks
@@ -117,8 +95,8 @@ class GridBits:
         self.k, self.head, self.size = k, n - t, (k + 1) ** t
         self.full = (1 << self.size) - 1
         # Per trailing point: its place value, and a bit every (k + 1) places.
-        self._at_most = [
-            _AtMost((k + 1) ** (t - 1 - p), self.full // ((1 << (k + 1) ** (t - p)) - 1))
+        self._place_starts = [
+            ((k + 1) ** (t - 1 - p), self.full // ((1 << (k + 1) ** (t - p)) - 1))
             for p in range(t)
         ]
         self._rank_places = [(k + 1) ** (n - 1 - i) for i in range(n)]
@@ -148,18 +126,21 @@ class GridBits:
             key = keys.setdefault(self.closures_of_interiors[j], len(keys))
             self.members.append((j, self.box(self.lows[j], ones), rank, key, any(interior)))
         # Per distinct Cl(m): where s <= Cl(m), and where s /\ Cl(m) = 0.
-        highs = [tuple([v * k // scale for v in c]) for c in keys]
-        self.semiopen = [self.box(zeros, high) for high in highs]
+        self.semiopen = [self.box(zeros, [v * k // scale for v in c]) for c in keys]
         self.disjoint = [self.box(zeros, [0 if v else k for v in c]) for c in keys]
-        # Cl(m) is 1 - c for a member c, and floor((1 - c) * k) = k - ceil(c * k),
-        # so the semiopen box of Cl(m) is the dual box of c.
-        self._semiopen_by_high = dict(zip(highs, self.semiopen))
 
     def box(self, low: Sequence[int], high: Sequence[int]) -> tuple:
-        """The ranks whose digits lie between ``low`` and ``high`` pointwise."""
+        """The ranks whose digits lie between ``low`` and ``high`` pointwise.
+
+        Needs ``low <= high`` pointwise.  Each trailing point's stripe is
+        one product: a run of ``(hi - lo + 1) * place`` bits, shifted by
+        ``lo * place``, times ``starts``, which has a bit every
+        ``place * (k + 1)`` ranks.  No run is longer than that period, so
+        no carry crosses.  The stripe is not kept.
+        """
         h, bits = self.head, self.full
-        for at_most, lo, hi in zip(self._at_most, low[h:], high[h:]):
-            bits &= at_most[hi] & ~at_most[lo - 1]
+        for (place, starts), lo, hi in zip(self._place_starts, low[h:], high[h:]):
+            bits &= starts * (((1 << (hi - lo + 1) * place) - 1) << lo * place)
         return low[:h], high[:h], bits
 
     def blocks(self) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -175,14 +156,9 @@ class GridBits:
 
     @cached_property
     def duals(self) -> list[tuple[int, tuple]]:
-        """Per member, top bit first: where it is below ``1 - s``.
-
-        A dual box that is the semiopen box of some ``Cl(m)`` is that box,
-        not built again.
-        """
-        zeros, k, shared = [0] * len(self.universe), self.k, self._semiopen_by_high
-        highs = [(j, tuple([k - v for v in self.lows[j]])) for j in reversed(range(len(self.lows)))]
-        return [(j, shared.get(high) or self.box(zeros, high)) for j, high in highs]
+        """Per member, top bit first: where it is below ``1 - s``."""
+        zeros, k, lows = [0] * len(self.universe), self.k, self.lows
+        return [(j, self.box(zeros, [k - v for v in lows[j]])) for j in reversed(range(len(lows)))]
 
     def closures(self, prefix: tuple[int, ...]) -> dict[int, int]:
         """Where each complement is ``Cl(s)`` in the block at ``prefix``, by member bit."""

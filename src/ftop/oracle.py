@@ -48,7 +48,7 @@ import itertools
 import math
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import le
 from typing import Iterator, Sequence
@@ -479,20 +479,9 @@ class CampaignResult:
         return not self.failures
 
     def as_dict(self) -> dict:
-        return {
-            "seeds": self.seeds,
-            "universe_size": self.universe_size,
-            "k": self.k,
-            "spaces_checked": self.spaces_checked,
-            "sets_checked": self.sets_checked,
-            "agreements_checked": self.agreements_checked,
-            "functions_checked": self.functions_checked,
-            "ok": self.ok,
-            "failures": [
-                {"phase": f.phase, "seed": f.seed, "detail": f.detail}
-                for f in self.failures
-            ],
-        }
+        data = asdict(self)
+        failures = data.pop("failures")
+        return {**data, "ok": self.ok, "failures": list(failures)}
 
 
 MAX_CAMPAIGN_SUBBASIS = 4

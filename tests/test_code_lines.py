@@ -43,3 +43,14 @@ def test_code_lines_reports_each_module_and_the_total(tmp_path, capsys):
     assert load_tool().main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["     6  a.py", "     1  b.py", "     7  total"]
+
+
+def test_a_path_without_modules_is_an_error(tmp_path, capsys):
+    """A missing directory, a file, or a directory with no ``*.py`` module
+    exits non-zero with a message on stderr, not a total of 0."""
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "empty").mkdir()
+    for path in (tmp_path / "missing", tmp_path / "a.py", tmp_path / "empty"):
+        assert load_tool().main([str(path)]) != 0
+        out, err = capsys.readouterr()
+        assert out == "" and "no *.py module" in err and str(path) in err

@@ -62,6 +62,18 @@ def test_mapping_must_be_total_and_well_aimed():
         FuzzyFunction(dom, cod, (("a", "u"), ("a", "v"), ("b", "u")))
 
 
+def test_from_mapping_refuses_keys_outside_the_domain():
+    """Keys off the domain reach the constructor, which refuses them; a
+    valid mapping is kept in universe order, whatever order it came in."""
+    dom, cod = t_fin(), t_codomain()
+    with pytest.raises(ValueError, match=r"unknown points \['zz'\]"):
+        FuzzyFunction.from_mapping(dom, dom, {"a": "a", "b": "b", "zz": "a"})
+    with pytest.raises(ValueError, match="unknown points"):
+        FuzzyFunction.from_mapping(dom, cod, {"zz": "u", "b": "v", "a": "u"})
+    f = FuzzyFunction.from_mapping(dom, cod, {"b": "v", "a": "u"})
+    assert f.mapping == (("a", "u"), ("b", "v"))
+
+
 def test_pl_spaces_are_rejected():
     with pytest.raises(FtopError) as err:
         FuzzyFunction.from_mapping(t_pl(), t_codomain(), {})

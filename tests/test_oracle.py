@@ -5,6 +5,7 @@ import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from operator import le
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import pytest
@@ -561,6 +562,45 @@ def chain_space():
     universe = CHAIN_SPEC.universe()
     subbasis = [FiniteFuzzySet.of(universe, [d]) for d in ("1/7", "3/7", "5/7")]
     return generate(subbasis, universe=universe)
+
+
+def random_bounds(rng, n, k):
+    """Bounds ``low <= high`` pointwise, each point drawn at random or at
+    an edge: ``lo = 0``, ``hi = k``, or a single digit."""
+    low, high = [], []
+    for _ in range(n):
+        lo, hi = sorted(rng.choices(range(k + 1), k=2))
+        edge = rng.randrange(4)
+        low.append(0 if edge == 0 else lo)
+        high.append(k if edge == 1 else lo if edge == 2 else hi)
+    return low, high
+
+
+@pytest.mark.parametrize(
+    "spec, head",
+    [(GridSpec(3, 4), 0), (CHAIN_SPEC, 0), (GridSpec(5, 5), 1), (GridSpec(2, 70), 1)],
+    ids=["single-block", "one-point-8191", "head-5x5", "head-2x70"],
+)
+def test_box_holds_the_ranks_whose_digits_lie_between_the_bounds(spec, head):
+    """In every block, :meth:`GridBits.box` with :func:`_admitted` holds
+    exactly the ranks whose digits, ``rank // place % (k + 1)``, lie
+    between the bounds: one single block, the 8191-rank one-point block,
+    and blocks behind a head prefix."""
+    n, k, rng = spec.universe_size, spec.k, random.Random(str(spec))
+    grid = gridbits.GridBits(random_topology(spec, 7, 2), k)
+    assert (grid.head, grid.size * (k + 1) ** head) == (head, spec.size)
+    places = [(k + 1) ** (n - 1 - i) for i in range(n)]
+    bounds = [([0] * n, [k] * n), ([k] * n, [k] * n), ([0] * n, [0] * n)]
+    bounds += [random_bounds(rng, n, k) for _ in range(12)]
+    for low, high in bounds:
+        box = grid.box(low, high)
+        for base, prefix in grid.blocks():
+            expected = 0
+            for r in range(grid.size):
+                digits = [(base + r) // place % (k + 1) for place in places]
+                if all(map(le, low, digits)) and all(map(le, digits, high)):
+                    expected |= 1 << r
+            assert gridbits._admitted(box, prefix) == expected, (low, high, prefix)
 
 
 def check_passes(space, spec):

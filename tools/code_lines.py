@@ -9,6 +9,9 @@ Run from anywhere, with the standard library only::
 
     python tools/code_lines.py            # the package next to this script
     python tools/code_lines.py path/to/pkg
+
+A path that holds no ``*.py`` module, a missing one or a file, is an
+error: a message on stderr and exit status 2, not a total of 0.
 """
 
 from __future__ import annotations
@@ -56,8 +59,12 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "ftop"
+    paths = sorted(root.glob("*.py"))
+    if not paths:
+        print(f"code_lines: no *.py module in {root}", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
