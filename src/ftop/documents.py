@@ -339,12 +339,13 @@ def _parse_function_data(data: Any, where: str) -> FunctionDocument:
             )
 
     map_node = _expect_object(obj.get("map"), f"{where}.map", "the map")
+    points, images = set(domain.universe), set(codomain.universe)
     for x, y in map_node.items():
-        if x not in domain.universe:
+        if x not in points:
             raise DocumentError(
                 "bad-map", f"{x!r} is not a domain point", f"{where}.map.{x}"
             )
-        if not isinstance(y, str) or y not in codomain.universe:
+        if not isinstance(y, str) or y not in images:
             raise DocumentError(
                 "bad-map", f"{y!r} is not a codomain point", f"{where}.map.{x}"
             )

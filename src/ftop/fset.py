@@ -74,7 +74,7 @@ class Universe:
         return iter(self.labels)
 
     def __contains__(self, label: object) -> bool:
-        return label in self.labels
+        return isinstance(label, str) and label in self._positions
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -324,9 +324,8 @@ class _MemberIndex:
     The members are trusted to be closed under join, as in
     ``FuzzyTopology``: then the join of the members below ``s`` is one of
     them and lies above all the others, so it has the highest set bit.
-    On a 1/k grid the prefix masks change only at some grid digits, which
-    :meth:`grid_thresholds` gives; ``gridbits.GridBits`` takes from them
-    where each member lies below each grid set, for all grid sets at once.
+    ``gridbits.GridBits`` takes only the member order from the index; it
+    computes each member's grid digits from the member's own numerators.
     """
 
     def __init__(self, members: Sequence[FiniteFuzzySet]):
@@ -360,26 +359,6 @@ class _MemberIndex:
         for (values, prefix), n in zip(self._columns, s.nums):
             mask &= prefix[bisect_right(values, (q - n) * scale // q) - 1]
         return self._complements[mask.bit_length() - 1]
-
-    def grid_scale(self, k: int) -> int:
-        """``lcm(k, L)``, the one scale that holds every 1/k grid set and every member."""
-        return math.lcm(k, self._scale)
-
-    def grid_thresholds(self, k: int) -> list[tuple[list[int], list[int]]]:
-        """Per point, the prefix masks and the 1/k grid digit where each starts.
-
-        For point ``x`` this is ``(digits, prefix)``: ``prefix[i]`` is the
-        mask :meth:`interior` takes at the i-th stored value ``v / L``, and
-        ``digits[i]`` is ``ceil(v * k / L)``, the least ``a`` with
-        ``v / L <= a / k``.  So at the grid value ``a / k`` the members at
-        or below it are ``prefix[i]`` for the last ``i`` with
-        ``digits[i] <= a``, and the members at or below ``1 - a / k`` are
-        those at ``k - a``.  A member lies at or below ``a / k`` at ``x``
-        iff ``a`` is at least the digit of the first mask holding its bit.
-        The members need not lie on the grid.
-        """
-        scale = self._scale
-        return [([-(-v * k // scale) for v in values], prefix) for values, prefix in self._columns]
 
 
 FiniteFuzzySet._index_type = _MemberIndex

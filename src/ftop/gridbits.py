@@ -7,51 +7,32 @@ A set of grid sets is then one int, and a question about all of them is
 a few AND, OR and XOR operations per member instead of one loop step per
 grid set, the bit-parallel representation of Baeza-Yates and Gonnet ("A
 new approach to text searching", CACM 35(10), 1992).  The ranks where a
-member lies below ``s``, or below ``1 - s``, come from the member's
-digits in the index's prefix masks; ``Int(s)`` and ``Cl(s)`` follow by
-taking the members from the highest bit down, and the four verdicts
-from two boxes of ranks per distinct ``Cl(Int(s))``.  ``oracle.check_space``
-and ``oracle.find_witness`` read the laws, the first violation and the
-first witness off the lowest set bits.  Memory is bounded by a block,
-and a block keeps no stripe: each box, for bounds ``low <= high``
-pointwise, is built afresh at one multiplication per trailing point.
+member lies below ``s``, or below ``1 - s``, come from the member's own
+grid digits, ``ceil(m(x) * k)`` per point, read off its numerators;
+``Int(s)`` and ``Cl(s)`` follow by taking the members from the highest
+bit down, and the four verdicts from two boxes of ranks per distinct
+``Cl(Int(s))``.  Nothing is read off the index but its member order.
+``oracle.check_space`` and ``oracle.find_witness`` read the laws, the
+first violation and the first witness off the lowest set bits.  Memory
+is bounded by a block, and a block keeps no stripe: each box, for
+bounds ``low <= high`` pointwise, is built afresh at one multiplication
+per trailing point.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import le
+from operator import le, mul
 from typing import Iterator, Sequence
 
-from .fset import FiniteFuzzySet, _reduced, _rescaled
+from .fset import FiniteFuzzySet, _reduced
 from .topology import FuzzyTopology
-
-
-def _inner_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
-    """``Int(s)`` and ``Cl(Int(s))`` per member bit: each member and its closure."""
-    members = space._index._members
-    return (
-        [_rescaled(m, scale) for m in members],
-        [_rescaled(space.closure(m), scale) for m in members],
-    )
-
-
-def _outer_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
-    """``Cl(s)`` and ``Int(Cl(s))`` per member bit: each complement and its interior."""
-    complements = space._index._complements
-    return (
-        [_rescaled(c, scale) for c in complements],
-        [_rescaled(space.interior(c), scale) for c in complements],
-    )
 
 
 # A block holds the grid sets that share their leading points: at most
 # this many, unless the last point alone has more grid values.
 _BLOCK = 4096
-
-# A box no rank lies in.
-_NOWHERE = ((), (), 0)
 
 
 def _admitted(box: tuple, prefix: tuple[int, ...]) -> int:
@@ -76,15 +57,18 @@ class GridBits:
     pointwise, as every caller's do.  A block keeps no stripe, only each
     trailing point's place value and the bits where its runs start.
 
-    Member bit ``j`` lies below ``s`` where every digit of ``s`` is at
-    least ``lows[j]``, its digits in the index's prefix masks
-    (``_MemberIndex.grid_thresholds``), and below ``1 - s`` where every
-    digit is at most ``k`` minus them (:attr:`duals`).  ``Int(s)`` is the
-    member with the highest bit below ``s``, so member ``j`` is ``Int(s)``
-    on the ranks it is below minus those of every higher member
-    (:meth:`verdicts`); ``Cl(s)``, the complement of the highest member
-    below ``1 - s``, likewise (:meth:`closures`).  The
-    :func:`_inner_tables` are over :attr:`scale`, the index's ``lcm(k, L)``.
+    Member bit ``j`` numbers the index's members in its order, which
+    extends the pointwise one.  Its digits ``lows[j]`` are
+    ``ceil(m(x) * k)`` per point, computed from the member's numerators:
+    ``m(x) <= a / k`` iff ``a >= ceil(m(x) * k)``, on the grid or off it.
+    So member ``j`` lies below ``s`` where every digit of ``s`` is at
+    least ``lows[j]``, and below ``1 - s`` where every digit is at most
+    ``k`` minus them (:attr:`duals`).  ``Int(s)`` is the member with the
+    highest bit below ``s``, so member ``j`` is ``Int(s)`` on the ranks it
+    is below minus those of every higher member (:meth:`verdicts`);
+    ``Cl(s)``, the complement of the highest member below ``1 - s``,
+    likewise (:meth:`closures`).  ``closures_of_interiors[j]`` is
+    ``Cl(m)``, the set; its floor digits bound where ``s`` is semiopen.
     """
 
     def __init__(self, space: FuzzyTopology, k: int):
@@ -100,34 +84,25 @@ class GridBits:
             for p in range(t)
         ]
         self._rank_places = [(k + 1) ** (n - 1 - i) for i in range(n)]
-        index = space._index
-        self.scale = scale = index.grid_scale(k)
-        self.interiors, self.closures_of_interiors = _inner_tables(space, scale)
-        self.lows = [[0] * n for _ in self.interiors]
-        for point, (digits, prefix) in enumerate(index.grid_thresholds(k)):
-            seen = 0
-            for digit, mask in zip(digits, prefix):
-                new, seen = mask & ~seen, mask
-                while new:
-                    self.lows[(new & -new).bit_length() - 1][point] = digit
-                    new &= new - 1
-        self.lows = [tuple(low) for low in self.lows]
+        members = space._index._members
+        # Per member bit: its digits ceil(m(x) * k), and its closure Cl(m).
+        self.lows = [tuple([-(-v * k // m.scale) for v in m.nums]) for m in members]
+        self.closures_of_interiors = [space.closure(m) for m in members]
         # Per member, top bit first: where it is below s, its rank if it
         # lies on the grid, which of the distinct Cl(m) is its own, and
         # whether it is non-zero.
         ones, zeros = [k] * n, [0] * n
-        keys: dict[tuple[int, ...], int] = {}
+        keys: dict[FiniteFuzzySet, int] = {}
         self.members = []
-        for j in reversed(range(len(self.lows))):
-            interior, rank = self.interiors[j], -1
-            if k % index._members[j].scale == 0:
-                places = self._rank_places
-                rank = sum([v * k // scale * place for v, place in zip(interior, places)])
+        for j in reversed(range(len(members))):
+            low, rank = self.lows[j], -1
+            if k % members[j].scale == 0:
+                rank = sum(map(mul, low, self._rank_places))
             key = keys.setdefault(self.closures_of_interiors[j], len(keys))
-            self.members.append((j, self.box(self.lows[j], ones), rank, key, any(interior)))
+            self.members.append((j, self.box(low, ones), rank, key, any(low)))
         # Per distinct Cl(m): where s <= Cl(m), and where s /\ Cl(m) = 0.
-        self.semiopen = [self.box(zeros, [v * k // scale for v in c]) for c in keys]
-        self.disjoint = [self.box(zeros, [0 if v else k for v in c]) for c in keys]
+        self.semiopen = [self.box(zeros, [v * k // c.scale for v in c.nums]) for c in keys]
+        self.disjoint = [self.box(zeros, [0 if v else k for v in c.nums]) for c in keys]
 
     def box(self, low: Sequence[int], high: Sequence[int]) -> tuple:
         """The ranks whose digits lie between ``low`` and ``high`` pointwise.

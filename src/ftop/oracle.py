@@ -11,11 +11,11 @@ spaces.
 
 The space check and the search share one representation of the grid,
 ``gridbits.GridBits``: every grid set is a bit of a Python int, a block
-of ranks at a time, and the member masks of the space's index give each
-member's ranks below ``s`` and below ``1 - s``.  Each block's four
-verdicts are then a few AND, OR and XOR operations per member, from
-tables filled once per member, and no set object is built per grid
-set.  The check holds the verdicts to the implication chain
+of ranks at a time, and each member's grid digits, read off its own
+numerators, give its ranks below ``s`` and below ``1 - s``.  Each
+block's four verdicts are then a few AND, OR and XOR operations per
+member, from boxes built once per member, and no set object is built
+per grid set.  The check holds the verdicts to the implication chain
 (``semiclass._chain_breaks``, which works on bitsets as on bools),
 re-verifies the three proved laws the chain does not state, and sends a
 fixed sample of at most eight grid sets per space through
@@ -23,16 +23,18 @@ fixed sample of at most eight grid sets per space through
 must equal the ones the bitsets selected: the laws are stated once, on
 the bitsets, and the sample compares an independent computation with
 them instead of re-testing the laws on its output.  Two of the laws
-are checked split: since ``a <= b /\\ c`` iff ``a <= b`` and ``a <= c``,
-and ``a \\/ b <= c`` iff ``a <= c`` and ``b <= c``, "interior below
+split: since ``a <= b /\\ c`` iff ``a <= b`` and ``a <= c``, and
+``a \\/ b <= c`` iff ``a <= c`` and ``b <= c``, "interior below
 semi-interior" is ``Int(s) <= s`` per set and ``m <= Cl(m)`` per member
 ``m = Int(s)``, and "semi-closure below closure" is ``s <= Cl(s)`` per
-set and ``Int(c) <= c`` per complement ``c = Cl(s)``.  The first
-violation is the lowest set bit of a block's violations, and the
-search's witness the lowest set bit of the sets in one class and not in
-another.  The literal semi-interior shares nothing with the bitsets: it
-builds every grid set below its argument as an object, through
-:func:`enumerate_grid_sets`.
+set and ``Int(c) <= c`` per complement ``c = Cl(s)``.  The set halves
+hold by construction, since the bitsets select a member only where its
+digits put it below ``s``, or below ``1 - s``, so only the member halves
+are checked.  The first violation is the lowest set bit of a block's
+violations, and the search's witness the lowest set bit of the sets in
+one class and not in another.  The literal semi-interior shares nothing
+with the bitsets: it builds every grid set below its argument as an
+object, through :func:`enumerate_grid_sets`.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
@@ -56,7 +58,7 @@ from typing import Iterator, Sequence
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError, UniverseMismatchError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
-from .gridbits import _NOWHERE, GridBits, _admitted, _outer_tables
+from .gridbits import GridBits
 from .semiclass import _chain_breaks, classify_set, is_semiopen, semi_interior, set_verdicts
 from .topology import FuzzyTopology, generate
 
@@ -298,58 +300,54 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     set.  The four verdicts are held to the implication chain
     (``semiclass._chain_breaks``), a break being the violation
     ``"implication-chain"``, and then to the laws of :data:`SPACE_CHECKS`
-    in order.  The first two are checked split, as the module docstring
-    states: their member halves ``m <= Cl(m)`` and ``Int(c) <= c`` once
-    per member, their set halves ``Int(s) <= s`` and ``s <= Cl(s)`` on
-    the ranks where the member is ``Int(s)`` or ``c`` is ``Cl(s)``; the
-    third on every non-zero grid set.  Every ``ceil(size / 8)``-th grid
-    set, the first included, also goes through the public
-    :func:`classify_set`, in rank order up to the first law violation:
-    its four verdicts, ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))``, semi-interior
-    and semi-closure must equal the ones the bitsets selected for it (else
-    the violation ``"classify-set-agrees-with-walk"``).  Those values obey
-    every law, as the bitsets have just checked on that rank, so the
-    comparison is at least as strict as checking the laws on
-    :func:`classify_set`'s output, and it also catches lawful but wrong
-    values.  Stops at the first violating (check, set) pair, the lowest
-    rank with a violation; the subject is the only set built besides the
-    sample.  Requires all topology degrees on the grid so that interiors
-    and closures are grid sets themselves and the check covers every
-    value the operators can produce.
+    in order.  The first two are checked by their member halves, as the
+    module docstring states: where a member fails ``m <= Cl(m)``, the
+    first law fails on the ranks where it is ``Int(s)``, and where a
+    complement fails ``Int(c) <= c``, the second on the ranks where it is
+    ``Cl(s)``; the third on every non-zero grid set.  Every
+    ``ceil(size / 8)``-th grid set, the first included, also goes through
+    the public :func:`classify_set`, in rank order up to the first law
+    violation: its four verdicts, ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))``,
+    semi-interior and semi-closure must equal the ones the bitsets
+    selected for it (else the violation
+    ``"classify-set-agrees-with-walk"``).  Those values obey every law, as
+    the bitsets have just checked on that rank, so the comparison is at
+    least as strict as checking the laws on :func:`classify_set`'s
+    output, and it also catches lawful but wrong values.  Stops at the
+    first violating (check, set) pair, the lowest rank with a violation;
+    the subject is the only set built besides the sample.  Requires all
+    topology degrees on the grid so that interiors and closures are grid
+    sets themselves and the check covers every value the operators can
+    produce.
     """
     _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
-    grid, index = GridBits(space, spec.k), space._index
-    k, ones, zeros = spec.k, [spec.k] * spec.universe_size, [0] * spec.universe_size
-    interiors, closures_of_interiors = grid.interiors, grid.closures_of_interiors
-    closures, interiors_of_closures = _outer_tables(space, grid.scale)
-    # Where a set half can fail for a member: nowhere if its numerators
-    # over k are its digits in the masks, since the bitsets select it only
-    # where those put it below s or 1 - s; else outside the box they
-    # give, or everywhere if the member half fails.
-    below_boxes, above_boxes = {}, {}
-    for j, low in enumerate(grid.lows):
-        if not _leq(interiors[j], closures_of_interiors[j]):
-            below_boxes[j] = _NOWHERE
-        elif interiors[j] != low:
-            below_boxes[j] = grid.box(interiors[j], ones)
-        if not _leq(interiors_of_closures[j], closures[j]):
-            above_boxes[j] = _NOWHERE
-        elif tuple([k - v for v in closures[j]]) != low:
-            above_boxes[j] = grid.box(zeros, closures[j])
-    complement_bits = {c: j for j, c in enumerate(closures)}
-    matches = [complement_bits.get(c) for c in closures_of_interiors]
+    grid, k = GridBits(space, spec.k), spec.k
+    members, complements = space._index._members, space._index._complements
+    # On the grid the scale is k: a member's digits are its numerators.
+    closures_of_interiors = [_rescaled(c, k) for c in grid.closures_of_interiors]
+    interiors_of_closures = [_rescaled(space.interior(c), k) for c in complements]
+    # The member halves: where one fails, its law fails on every rank the
+    # member is Int(s), or its complement Cl(s).
+    below_members = {
+        j for j, m in enumerate(members) if not _leq(_rescaled(m, k), closures_of_interiors[j])
+    }
+    above_members = [
+        j for j, c in enumerate(complements) if not _leq(interiors_of_closures[j], _rescaled(c, k))
+    ]
+    complement_bits = {c: j for j, c in enumerate(complements)}
+    matches = [complement_bits.get(c) for c in grid.closures_of_interiors]
     step = -(-spec.size // _SAMPLE)
     for base, prefix in grid.blocks():
         closure_ranks = grid.closures(prefix)
         *verdict_bits, selected = grid.verdicts(base, prefix)
         below = above = agree = 0
-        for j, box in above_boxes.items():
-            above |= closure_ranks.get(j, 0) & ~_admitted(box, prefix)
+        for j in above_members:
+            above |= closure_ranks.get(j, 0)
         for j, interior in selected:
             agree |= interior & closure_ranks.get(matches[j], 0)
-            if j in below_boxes:
-                below |= interior & ~_admitted(below_boxes[j], prefix)
+            if j in below_members:
+                below |= interior
         chain = _chain_breaks(*verdict_bits)
         disagree = (verdict_bits[1] ^ agree) & ~int(base == 0)
         broken = chain | below | above | disagree
@@ -363,16 +361,16 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
             for outer, ranks in closure_ranks.items():
                 if ranks >> offset & 1:
                     break
-            nums, closure_of_interior = _rescaled(s, grid.scale), closures_of_interiors[inner]
+            nums, closure_of_interior = _rescaled(s, k), closures_of_interiors[inner]
             walked = (
                 *[bool(v >> offset & 1) for v in verdict_bits],
-                index._members[inner],
-                index._complements[outer],
+                members[inner],
+                complements[outer],
                 closure_of_interior,
                 tuple(map(min, nums, closure_of_interior)),
                 tuple(map(max, nums, interiors_of_closures[outer])),
             )
-            failed = _sample_violation(space, s, walked, grid.scale)
+            failed = _sample_violation(space, s, walked, k)
             if failed is not None:
                 return SpaceCheckReport(False, base + offset + 1, SpaceCheckViolation(failed, s))
         if broken:

@@ -56,6 +56,13 @@ def test_universe_lookup():
     assert AB == Universe.of("a", "b") and hash(AB) == hash(Universe.of("a", "b"))
 
 
+def test_universe_membership_is_a_label_lookup():
+    """Membership answers from the label positions; an unhashable value is
+    not a label, as a scan of the label tuple would say."""
+    assert [] not in AB and "c" not in AB and {} not in AB and 0 not in AB
+    assert all(label in AB for label in AB.labels)
+
+
 def test_of_mapping_requires_exact_label_cover():
     assert FiniteFuzzySet.of(AB, {"a": "1/2", "b": 0}) == fs("1/2", 0)
     with pytest.raises(KeyError):

@@ -220,24 +220,53 @@ def test_check_space_requires_topology_on_grid():
     assert err.value.required_k == 6
 
 
+class TopDigitZeroed(gridbits.GridBits):
+    """GridBits whose top member has first digit 0, its box rebuilt to match.
+
+    The top member is then selected as ``Int(s)``, and its complement as
+    ``Cl(s)``, on grid sets it does not lie below, or above.
+    """
+
+    def __init__(self, space, k):
+        super().__init__(space, k)
+        j, _, rank, key, nonzero = self.members[0]
+        self.lows[j] = low = (0, *self.lows[j][1:])
+        self.members[0] = (j, self.box(low, [k] * len(low)), rank, key, nonzero)
+
+
 def test_check_space_reports_first_violation(monkeypatch):
-    """An index whose masks put the top member below every grid set at
-    the first point selects it as ``Int(s)`` on the first non-zero grid
-    set, which it does not lie below: the first law fails there."""
-    honest = fset._MemberIndex.grid_thresholds
+    """A wrong digit in the bitsets is found at the lowest rank where it
+    changes a verdict or a sampled value.  On ``indiscrete()`` the sample
+    sees the top member as ``Int(0, 1)``.  On ``t_fin`` the closures no
+    longer agree at rank 6, which the sample (step 7) does not reach.  On
+    36 blocks behind two head points, the top member's complement is
+    ``Cl(s)`` on every set zero after the first point, so the closures
+    first disagree at (1/5, 0, 0, 0, 0, 0), rank 7776 in block 6."""
+    monkeypatch.setattr(oracle, "GridBits", TopDigitZeroed)
+    six = GridSpec(6, 5)
+    cases = [
+        (indiscrete(), GridSpec(2, 1), "classify-set-agrees-with-walk", fs(0, 1), 2),
+        (t_fin(), GridSpec(2, 6), "semiopen-iff-closures-agree", fs(0, 1), 7),
+        (
+            random_topology(six, 34, 4),
+            six,
+            "semiopen-iff-closures-agree",
+            FiniteFuzzySet.of(six.universe(), ("1/5", 0, 0, 0, 0, 0)),
+            7777,
+        ),
+    ]
+    for space, spec, check, subject, sets_checked in cases:
+        report = check_space(space, spec)
+        assert report == SpaceCheckReport(False, sets_checked, SpaceCheckViolation(check, subject))
 
-    def top_below_at_first_point(index, k):
-        columns = honest(index, k)
-        digits, prefix = columns[0]
-        columns[0] = digits, [prefix[0] | 1 << (len(index._members) - 1), *prefix[1:]]
-        return columns
 
-    monkeypatch.setattr(fset._MemberIndex, "grid_thresholds", top_below_at_first_point)
-    report = check_space(indiscrete(), GridSpec(2, 1))
-    assert not report.ok
-    assert report.violation.check == "interior-below-semi-interior"
-    assert report.violation.subject == fs(0, 1)
-    assert report.sets_checked == 2
+def test_campaign_fails_on_every_seed_under_a_wrong_member_digit(monkeypatch):
+    monkeypatch.setattr(oracle, "GridBits", TopDigitZeroed)
+    result = run_campaign(20, 3, 3)
+    assert [failure.seed for failure in result.failures] == list(range(20))
+    for failure in result.failures:
+        assert failure.phase == "space-laws"
+        assert failure.detail.startswith("semiopen-iff-closures-agree fails on ")
 
 
 def chain_breaking_on_third_set(monkeypatch):
@@ -386,10 +415,10 @@ def test_space_checks_name_the_laws_once():
 
 
 def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
-    def no_walk(index, k):
+    def no_walk(space, k):
         raise AssertionError("the grid walk was used")
 
-    monkeypatch.setattr(fset._MemberIndex, "grid_thresholds", no_walk)
+    monkeypatch.setattr(oracle, "GridBits", no_walk)
     with pytest.raises(AssertionError, match="grid walk"):
         check_space(t_fin(), GridSpec(2, 6))
     space = t_fin()
@@ -401,7 +430,28 @@ def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
 # The walk check_space and find_witness ran one grid set at a time before
 # they took the grid as rank bitsets: fset._MemberIndex.grid_walk, with its
 # index passed in, and oracle._sweep, verbatim but for the names.  It is
-# the reference the bitsets are held to.
+# the reference the bitsets are held to.  _inner_tables and _outer_tables
+# are the per-member tables gridbits built before it read each member's
+# digits off its numerators, verbatim; lcm(k, L) is what the index's
+# grid_scale(k) returned.
+
+
+def _inner_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
+    """``Int(s)`` and ``Cl(Int(s))`` per member bit: each member and its closure."""
+    members = space._index._members
+    return (
+        [_rescaled(m, scale) for m in members],
+        [_rescaled(space.closure(m), scale) for m in members],
+    )
+
+
+def _outer_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
+    """``Cl(s)`` and ``Int(Cl(s))`` per member bit: each complement and its interior."""
+    complements = space._index._complements
+    return (
+        [_rescaled(c, scale) for c in complements],
+        [_rescaled(space.interior(c), scale) for c in complements],
+    )
 
 
 def grid_walk(index, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -409,14 +459,14 @@ def grid_walk(index, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
 
     Yields ``(nums, inner, outer)`` in the order of ``product(range(k + 1),
     repeat=n)``, ``nums`` being the numerators over ``G``, the
-    :meth:`grid_scale`: ``Int(s)`` is ``_members[inner]`` and ``Cl(s)``
+    ``lcm(k, L)``: ``Int(s)`` is ``_members[inner]`` and ``Cl(s)``
     is ``_complements[outer]``.  The members need not lie on the grid.
     At value ``v / G`` a point takes the prefix mask :meth:`interior` takes
     at ``v * L // G``, and :meth:`closure` at ``(G - v) * L // G``, which is
     the interior mask at ``G - v``.  The masks of the first ``n - 1`` points
     are ANDed once per prefix, then once per value of the last.
     """
-    scale, grid = index._scale, index.grid_scale(k)
+    scale, grid = index._scale, math.lcm(k, index._scale)
     grid_values = range(0, grid + 1, grid // k)
     inner_masks = [
         {v: prefix[bisect_right(values, v * scale // grid) - 1] for v in grid_values}
@@ -510,11 +560,11 @@ def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
     for spec, space in all_walk_property_spaces():
         k, index = spec.k, space._index
         scale = math.lcm(k, *[member.scale for member in space.members])
-        assert index.grid_scale(k) == scale
+        assert math.lcm(k, index._scale) == scale
         grid = list(enumerate_grid_sets(spec, space.universe))
         walked = list(grid_walk(index, k))
-        interiors, closures_of_interiors = gridbits._inner_tables(space, scale)
-        closures, interiors_of_closures = gridbits._outer_tables(space, scale)
+        interiors, closures_of_interiors = _inner_tables(space, scale)
+        closures, interiors_of_closures = _outer_tables(space, scale)
         swept = list(sweep(space, k, interiors, closures_of_interiors))
         assert len(walked) == len(swept) == len(grid) == spec.size
         assert bitset_walk(space, k) == [(v, [inner], [outer]) for _, inner, outer, v in swept]
@@ -549,7 +599,7 @@ def large_space():
 def test_bitsets_match_the_walk_with_two_head_points():
     space = large_space()
     assert len(space.members) == 76 and gridbits.GridBits(space, 5).head == 2
-    interiors, closures_of_interiors = gridbits._inner_tables(space, 5)
+    interiors, closures_of_interiors = _inner_tables(space, 5)
     swept = sweep(space, 5, interiors, closures_of_interiors)
     assert bitset_walk(space, 5) == [(v, [inner], [outer]) for _, inner, outer, v in swept]
 
@@ -688,7 +738,7 @@ def parent_broken_law(evidence: ParentEvidence) -> str | None:
 def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], ParentEvidence]]:
     index = space._index
     members, complements = index._members, index._complements
-    scale = index.grid_scale(k)
+    scale = math.lcm(k, index._scale)
     # Indexed by the walk's bits: the inner bit picks Int(s) and Cl(Int(s)),
     # the outer bit Cl(s) and Int(Cl(s)).
     interiors = [_rescaled(m, scale) for m in members]
@@ -743,7 +793,7 @@ def parent_sample_violation(
 def parent_check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
-    scale = space._index.grid_scale(spec.k)
+    scale = math.lcm(spec.k, space._index._scale)
     step = -(-spec.size // _SAMPLE)
     checked = 0
     for verdicts, evidence in parent_sweep(space, spec.k):
@@ -767,7 +817,7 @@ def parent_find_witness(
     space: FuzzyTopology, target: SearchTarget, spec: GridSpec
 ) -> FiniteFuzzySet | None:
     universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
-    scale = space._index.grid_scale(spec.k)
+    scale = math.lcm(spec.k, space._index._scale)
     for verdicts, evidence in parent_sweep(space, spec.k):
         if parent_holds(target, verdicts):
             return _reduced(universe, scale, evidence.s)
