@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Union
 
 from . import fset, plin
@@ -161,8 +162,16 @@ class SpaceDocument:
     topology: tuple[str, ...]
     topology_is: str
 
+    @cached_property
     def universe_object(self) -> Universe | None:
-        return Universe.of(*self.universe) if self.universe is not None else None
+        """The one universe every finite member is over: the set bodies' own.
+
+        A document without set bodies builds it once, so the constants
+        and the listed sets share one ``Universe`` object.
+        """
+        if self.universe is None:
+            return None
+        return self.sets[0][1].universe if self.sets else Universe(self.universe)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.sets)
@@ -170,10 +179,10 @@ class SpaceDocument:
     def resolve(self, name: str) -> SetBody:
         """The set a name denotes, with ``"0"``/``"1"`` as the constants."""
         if name == "0":
-            universe = self.universe_object()
+            universe = self.universe_object
             return PLFuzzySet.zero() if universe is None else FiniteFuzzySet.zero(universe)
         if name == "1":
-            universe = self.universe_object()
+            universe = self.universe_object
             return PLFuzzySet.one() if universe is None else FiniteFuzzySet.one(universe)
         for candidate, value in self.sets:
             if candidate == name:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter, le, or_
+from operator import le, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .degrees import as_degree
@@ -312,11 +312,11 @@ class _MemberIndex:
 
     Every degree is stored as the integer ``m(x) * L``, where ``L`` is the
     lcm of the member scales, so ``m(x) * L = n * L // scale`` exactly.
-    Bits number the members in lexicographic order of those integers,
-    which is the order of their degrees and extends the pointwise one, so
-    a member strictly below another gets the lower bit.  Each point keeps
-    its distinct stored values in ascending order, each with the mask of
-    the members at or below that value there.
+    Bits number the members in the order given, which ``FuzzyTopology``
+    keeps lexicographic in their degrees; that order extends the pointwise
+    one, so a member strictly below another gets the lower bit.  Each
+    point keeps its distinct stored values in ascending order, each with
+    the mask of the members at or below that value there.
 
     ``m(x) <= s(x)`` iff ``m(x) * L <= floor(s(x) * L)``, because
     ``m(x) * L`` is an integer, so the members below a query ``s`` are the
@@ -324,17 +324,14 @@ class _MemberIndex:
     The members are trusted to be closed under join, as in
     ``FuzzyTopology``: then the join of the members below ``s`` is one of
     them and lies above all the others, so it has the highest set bit.
-    ``gridbits.GridBits`` takes only the member order from the index; it
-    computes each member's grid digits from the member's own numerators.
     """
 
     def __init__(self, members: Sequence[FiniteFuzzySet]):
         self._scale = scale = math.lcm(*[member.scale for member in members])
-        rows = sorted(((_rescaled(member, scale), member) for member in members), key=itemgetter(0))
-        self._members = tuple([member for _, member in rows])
-        self._complements = tuple([member.complement() for member in self._members])
+        self._members = tuple(members)
+        self._complements = tuple([member.complement() for member in members])
         self._columns = []
-        for column in zip(*[values for values, _ in rows]):
+        for column in zip(*[_rescaled(member, scale) for member in members]):
             masks: dict[int, int] = {}
             for bit, value in enumerate(column):
                 masks[value] = masks.get(value, 0) | 1 << bit

@@ -11,7 +11,8 @@ member lies below ``s``, or below ``1 - s``, come from the member's own
 grid digits, ``ceil(m(x) * k)`` per point, read off its numerators;
 ``Int(s)`` and ``Cl(s)`` follow by taking the members from the highest
 bit down, and the four verdicts from two boxes of ranks per distinct
-``Cl(Int(s))``.  Nothing is read off the index but its member order.
+``Cl(Int(s))``.  The members come in the space's own order, and no
+index is read.
 ``oracle.check_space`` and ``oracle.find_witness`` read the laws, the
 first violation and the first witness off the lowest set bits.  Memory
 is bounded by a block, and a block keeps no stripe: each box, for
@@ -57,8 +58,8 @@ class GridBits:
     pointwise, as every caller's do.  A block keeps no stripe, only each
     trailing point's place value and the bits where its runs start.
 
-    Member bit ``j`` numbers the index's members in its order, which
-    extends the pointwise one.  Its digits ``lows[j]`` are
+    Member bit ``j`` is ``space.members[j]``, in the space's canonical
+    order, which extends the pointwise one.  Its digits ``lows[j]`` are
     ``ceil(m(x) * k)`` per point, computed from the member's numerators:
     ``m(x) <= a / k`` iff ``a >= ceil(m(x) * k)``, on the grid or off it.
     So member ``j`` lies below ``s`` where every digit of ``s`` is at
@@ -84,7 +85,7 @@ class GridBits:
             for p in range(t)
         ]
         self._rank_places = [(k + 1) ** (n - 1 - i) for i in range(n)]
-        members = space._index._members
+        members = space.members
         # Per member bit: its digits ceil(m(x) * k), and its closure Cl(m).
         self.lows = [tuple([-(-v * k // m.scale) for v in m.nums]) for m in members]
         self.closures_of_interiors = [space.closure(m) for m in members]

@@ -28,13 +28,16 @@ split: since ``a <= b /\\ c`` iff ``a <= b`` and ``a <= c``, and
 semi-interior" is ``Int(s) <= s`` per set and ``m <= Cl(m)`` per member
 ``m = Int(s)``, and "semi-closure below closure" is ``s <= Cl(s)`` per
 set and ``Int(c) <= c`` per complement ``c = Cl(s)``.  The set halves
-hold by construction, since the bitsets select a member only where its
-digits put it below ``s``, or below ``1 - s``, so only the member halves
-are checked.  The first violation is the lowest set bit of a block's
-violations, and the search's witness the lowest set bit of the sets in
-one class and not in another.  The literal semi-interior shares nothing
-with the bitsets: it builds every grid set below its argument as an
-object, through :func:`enumerate_grid_sets`.
+hold by construction as long as each member's digits are right, since
+the bitsets select a member only where its digits put it below ``s``, or
+below ``1 - s``.  So the check tests the member halves, on the member
+sets, and holds each member's digits to its numerators over ``k``, which
+on the grid they equal: a member with other digits fails the first
+law's member half.  The first violation is the lowest set bit of a
+block's violations, and the search's witness the lowest set bit of the
+sets in one class and not in another.  The literal semi-interior shares
+nothing with the bitsets: it builds every grid set below its argument as
+an object, through :func:`enumerate_grid_sets`.
 
 Grid checks are exact, not approximate: when every degree of a topology
 lies on the grid, interiors and closures never leave it (min, max and
@@ -52,7 +55,6 @@ import random
 import string
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from operator import le
 from typing import Iterator, Sequence
 
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError, UniverseMismatchError
@@ -218,6 +220,13 @@ def _random_grid_set(rng: random.Random, universe: Universe, k: int) -> FiniteFu
     return _reduced(universe, k, tuple([rng.randrange(k + 1) for _ in universe]))
 
 
+def _random_space(rng: random.Random, spec: GridSpec, size: int) -> FuzzyTopology:
+    """The space ``generate`` builds from ``size`` grid sets drawn from ``rng``."""
+    universe = spec.universe()
+    subbasis = [_random_grid_set(rng, universe, spec.k) for _ in range(size)]
+    return generate(subbasis, universe=universe)
+
+
 def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopology:
     """A reproducible random space: generate() over seeded grid subbasis sets.
 
@@ -225,14 +234,7 @@ def random_topology(spec: GridSpec, seed: int, subbasis_size: int) -> FuzzyTopol
     member list.  Degrees stay on the grid, so the generated family can
     never outgrow the grid itself.
     """
-    rng = random.Random(seed)
-    universe = spec.universe()
-    subbasis = [_random_grid_set(rng, universe, spec.k) for _ in range(subbasis_size)]
-    return generate(subbasis, universe=universe)
-
-
-def _leq(low: Sequence[int], high: Sequence[int]) -> bool:
-    return all(map(le, low, high))
+    return _random_space(random.Random(seed), spec, subbasis_size)
 
 
 # The proved laws check_space holds every grid set to, by the names it
@@ -266,30 +268,23 @@ class SpaceCheckReport:
     violation: SpaceCheckViolation | None = None
 
 
-def _sample_violation(
-    space: FuzzyTopology, s: FiniteFuzzySet, walked: tuple, scale: int
-) -> str | None:
+def _sample_violation(space: FuzzyTopology, s: FiniteFuzzySet, walked: tuple) -> str | None:
     """What :func:`classify_set` on ``s`` breaks: the chain, or agreement with the bitsets.
 
     ``walked`` is what the bitsets selected for ``s``: its four verdicts,
-    strongest first, ``Int(s)`` and ``Cl(s)`` as sets, and ``Cl(Int(s))``,
-    the semi-interior and the semi-closure as numerators over ``scale``.
-    :func:`classify_set` must give each of them; a refusal of the chain
-    is the violation ``"implication-chain"``, any other difference
+    strongest first, then ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))``, the
+    semi-interior and the semi-closure, as sets.  :func:`classify_set`
+    must give each of them; a refusal of the chain is the violation
+    ``"implication-chain"``, any other difference
     ``"classify-set-agrees-with-walk"``.
     """
     try:
         c = classify_set(space, s)
     except HierarchyInvariantError:
         return "implication-chain"
-    # A value off the 1/scale grid stays a set, which equals no numerators.
-    derived = [
-        v if scale % v.scale else _rescaled(v, scale)
-        for v in (c.closure_of_interior, c.semi_interior, c.semi_closure)
-    ]
     verdicts = (c.is_open, c.is_semiopen, c.is_somewhat_open, c.is_somewhat_semiopen)
-    ours = (*verdicts, c.interior, c.closure, *derived)
-    return None if ours == walked else "classify-set-agrees-with-walk"
+    values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
+    return None if (*verdicts, *values) == walked else "classify-set-agrees-with-walk"
 
 
 def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
@@ -301,16 +296,20 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     (``semiclass._chain_breaks``), a break being the violation
     ``"implication-chain"``, and then to the laws of :data:`SPACE_CHECKS`
     in order.  The first two are checked by their member halves, as the
-    module docstring states: where a member fails ``m <= Cl(m)``, the
-    first law fails on the ranks where it is ``Int(s)``, and where a
+    module docstring states, on the sets ``space.members``, in their
+    canonical order, and their complements: where a member fails
+    ``m <= Cl(m)``, or its grid digits are not its numerators over ``k``,
+    the first law fails on the ranks where it is ``Int(s)``, and where a
     complement fails ``Int(c) <= c``, the second on the ranks where it is
     ``Cl(s)``; the third on every non-zero grid set.  Every
     ``ceil(size / 8)``-th grid set, the first included, also goes through
     the public :func:`classify_set`, in rank order up to the first law
     violation: its four verdicts, ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))``,
-    semi-interior and semi-closure must equal the ones the bitsets
-    selected for it (else the violation
-    ``"classify-set-agrees-with-walk"``).  Those values obey every law, as
+    semi-interior and semi-closure must equal, as sets, the ones the
+    bitsets selected for it (else the violation
+    ``"classify-set-agrees-with-walk"``); the bitsets' semi-interior and
+    semi-closure are the pointwise min and max of numerators over ``k``,
+    not the sets' meet and join.  Those values obey every law, as
     the bitsets have just checked on that rank, so the comparison is at
     least as strict as checking the laws on :func:`classify_set`'s
     output, and it also catches lawful but wrong values.  Stops at the
@@ -320,23 +319,25 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     sets themselves and the check covers every value the operators can
     produce.
     """
-    _grid_universe(spec, space._finite_universe("grid enumeration"))
+    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
     _require_on_grid(space.members, spec.k, "topology")
     grid, k = GridBits(space, spec.k), spec.k
-    members, complements = space._index._members, space._index._complements
-    # On the grid the scale is k: a member's digits are its numerators.
-    closures_of_interiors = [_rescaled(c, k) for c in grid.closures_of_interiors]
-    interiors_of_closures = [_rescaled(space.interior(c), k) for c in complements]
+    members = space.members
+    complements = [m.complement() for m in members]
+    closures_of_interiors = grid.closures_of_interiors
+    interiors_of_closures = [space.interior(c) for c in complements]
     # The member halves: where one fails, its law fails on every rank the
-    # member is Int(s), or its complement Cl(s).
+    # member is Int(s), or its complement Cl(s).  On the grid a member's
+    # digits are its numerators over k; one with other digits may be
+    # selected as Int(s) where it is not below s, which the first law names.
     below_members = {
-        j for j, m in enumerate(members) if not _leq(_rescaled(m, k), closures_of_interiors[j])
+        j
+        for j, m in enumerate(members)
+        if not m.leq(closures_of_interiors[j]) or grid.lows[j] != _rescaled(m, k)
     }
-    above_members = [
-        j for j, c in enumerate(complements) if not _leq(interiors_of_closures[j], _rescaled(c, k))
-    ]
+    above_members = [j for j, c in enumerate(complements) if not interiors_of_closures[j].leq(c)]
     complement_bits = {c: j for j, c in enumerate(complements)}
-    matches = [complement_bits.get(c) for c in grid.closures_of_interiors]
+    matches = [complement_bits.get(c) for c in closures_of_interiors]
     step = -(-spec.size // _SAMPLE)
     for base, prefix in grid.blocks():
         closure_ranks = grid.closures(prefix)
@@ -361,16 +362,20 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
             for outer, ranks in closure_ranks.items():
                 if ranks >> offset & 1:
                     break
+            # The semi-interior and semi-closure as pointwise min and max of
+            # numerators over k, independent of the sets' meet and join.
             nums, closure_of_interior = _rescaled(s, k), closures_of_interiors[inner]
+            low = tuple(map(min, nums, _rescaled(closure_of_interior, k)))
+            high = tuple(map(max, nums, _rescaled(interiors_of_closures[outer], k)))
             walked = (
                 *[bool(v >> offset & 1) for v in verdict_bits],
                 members[inner],
                 complements[outer],
                 closure_of_interior,
-                tuple(map(min, nums, closure_of_interior)),
-                tuple(map(max, nums, interiors_of_closures[outer])),
+                _reduced(universe, k, low),
+                _reduced(universe, k, high),
             )
-            failed = _sample_violation(space, s, walked, k)
+            failed = _sample_violation(space, s, walked)
             if failed is not None:
                 return SpaceCheckReport(False, base + offset + 1, SpaceCheckViolation(failed, s))
         if broken:
@@ -535,12 +540,7 @@ def run_campaign(
                     )
                 )
 
-        codomain_universe = spec.universe()
-        codomain_subbasis = [
-            _random_grid_set(rng, codomain_universe, k)
-            for _ in range(rng.randint(0, MAX_CAMPAIGN_SUBBASIS))
-        ]
-        codomain = generate(codomain_subbasis, universe=codomain_universe)
+        codomain = _random_space(rng, spec, rng.randint(0, MAX_CAMPAIGN_SUBBASIS))
         mapping = {x: rng.choice(codomain.universe.labels) for x in space.universe}
         fn = FuzzyFunction.from_mapping(space, codomain, mapping)
         functions += 1

@@ -34,7 +34,9 @@ Membership is semantic: a set is open iff it *equals* some member, not iff
 it is listed under the same name.  Members are kept deduplicated and in a
 canonical order so that reports and witness selection are deterministic:
 the lexicographic order of ``sort_key()``, decided on integer keys over the
-lcm of the member scales, so no Fraction is built.
+lcm of the member scales, so no Fraction is built.  The constructor puts
+them in that order, so the finite index, ``gridbits`` and ``oracle`` take
+``members`` as they are and never sort.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def validate(opens: Sequence[FuzzyValue]) -> "FuzzyTopology":
     violations = check_axioms(opens)
     if violations:
         raise InvalidTopologyError(violations)
-    return FuzzyTopology(_in_order(set(opens)))
+    return FuzzyTopology(tuple(set(opens)))
 
 
 def _require_cap(family: dict, cap: int) -> None:
@@ -223,7 +225,7 @@ def generate(
     family = _close(base, lambda m, g: m.join(g), cap)
     family.update(dict.fromkeys((bottom, top)))
     _require_cap(family, cap)
-    return FuzzyTopology(_in_order(family))
+    return FuzzyTopology(tuple(family))
 
 
 @dataclass(frozen=True)
@@ -231,11 +233,17 @@ class FuzzyTopology:
     """An immutable, validated finite fuzzy topology.
 
     Construct through :func:`validate` or :func:`generate`; the constructor
-    itself trusts its input.  Queries keep no state: interior and closure
-    pick an existing member (or its complement), so nothing is memoized.
+    itself trusts its input to be a deduplicated topology, and only puts
+    ``members`` in canonical order (:func:`_in_order`), which every index
+    and report takes as given.  Queries keep no state: interior and
+    closure pick an existing member (or its complement), so nothing is
+    memoized.
     """
 
     members: tuple[FuzzyValue, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "members", _in_order(self.members))
 
     @cached_property
     def bottom(self) -> FuzzyValue:

@@ -57,6 +57,21 @@ def test_parse_finite_document():
     assert space.members == t_fin().members
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        FINITE_DOC,
+        '{"kind": "finite", "universe": ["a"], "sets": {}, "topology": ["0", "1"], "topology_is": "complete"}',
+    ],
+    ids=["with-sets", "constants-only"],
+)
+def test_a_finite_document_builds_every_member_over_one_universe(text):
+    doc = parse_space(text)
+    members = [doc.resolve(name) for name in doc.topology]
+    assert len({id(member.universe) for member in members}) == 1
+    assert len({id(member.universe) for member in build_topology(doc).members}) == 1
+
+
 def test_bundled_example_parses_and_validates():
     text = (resources.files("ftop") / "data" / "example1.json").read_text()
     doc = parse_space(text)

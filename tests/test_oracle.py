@@ -39,7 +39,6 @@ from ftop.oracle import (
     SpaceCheckReport,
     SpaceCheckViolation,
     _grid_universe,
-    _leq,
     _reduced,
     _require_on_grid,
     _rescaled,
@@ -54,6 +53,10 @@ from ftop.oracle import (
 from ftop.semiclass import _require_chain
 
 from helpers import AB, M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
+
+
+def _leq(low: Sequence[int], high: Sequence[int]) -> bool:
+    return all(map(le, low, high))
 
 
 def indiscrete():
@@ -235,24 +238,24 @@ class TopDigitZeroed(gridbits.GridBits):
 
 
 def test_check_space_reports_first_violation(monkeypatch):
-    """A wrong digit in the bitsets is found at the lowest rank where it
-    changes a verdict or a sampled value.  On ``indiscrete()`` the sample
-    sees the top member as ``Int(0, 1)``.  On ``t_fin`` the closures no
-    longer agree at rank 6, which the sample (step 7) does not reach.  On
-    36 blocks behind two head points, the top member's complement is
-    ``Cl(s)`` on every set zero after the first point, so the closures
-    first disagree at (1/5, 0, 0, 0, 0, 0), rank 7776 in block 6."""
+    """A wrong digit in the bitsets is found at the first rank where the
+    member holding it is ``Int(s)``: its digits differ from its numerators
+    over k, so it fails the member half of the first law.  The top member
+    with first digit 0 is ``Int(s)`` first on (0, 1, .., 1), which it does
+    not lie below: rank 1 of ``indiscrete()`` on GridSpec(2, 1), rank 6 of
+    ``t_fin`` on GridSpec(2, 6), and rank 7775 on 36 blocks behind two
+    head points, the last rank of block 5."""
     monkeypatch.setattr(oracle, "GridBits", TopDigitZeroed)
     six = GridSpec(6, 5)
     cases = [
-        (indiscrete(), GridSpec(2, 1), "classify-set-agrees-with-walk", fs(0, 1), 2),
-        (t_fin(), GridSpec(2, 6), "semiopen-iff-closures-agree", fs(0, 1), 7),
+        (indiscrete(), GridSpec(2, 1), "interior-below-semi-interior", fs(0, 1), 2),
+        (t_fin(), GridSpec(2, 6), "interior-below-semi-interior", fs(0, 1), 7),
         (
             random_topology(six, 34, 4),
             six,
-            "semiopen-iff-closures-agree",
-            FiniteFuzzySet.of(six.universe(), ("1/5", 0, 0, 0, 0, 0)),
-            7777,
+            "interior-below-semi-interior",
+            FiniteFuzzySet.of(six.universe(), (0, 1, 1, 1, 1, 1)),
+            7776,
         ),
     ]
     for space, spec, check, subject, sets_checked in cases:
@@ -266,7 +269,7 @@ def test_campaign_fails_on_every_seed_under_a_wrong_member_digit(monkeypatch):
     assert [failure.seed for failure in result.failures] == list(range(20))
     for failure in result.failures:
         assert failure.phase == "space-laws"
-        assert failure.detail.startswith("semiopen-iff-closures-agree fails on ")
+        assert failure.detail.startswith("interior-below-semi-interior fails on ")
 
 
 def chain_breaking_on_third_set(monkeypatch):

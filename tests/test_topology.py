@@ -9,6 +9,7 @@ skipped comparable pairs, and before ``generate`` became a meet pass and
 a join pass.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
@@ -108,6 +109,27 @@ def test_validate_deduplicates_and_orders_members():
     space = validate([ONE2, M1, ZERO2, M1, ONE2, ZERO2])
     assert space.members == (ZERO2, M1, ONE2)
     assert space.bottom == ZERO2 and space.top == ONE2
+
+
+@pytest.mark.parametrize(
+    "space",
+    [t_fin(), t_pl(), generate([fs(1, "1/3"), fs("1/2", 1), fs("1/4", "3/4")])],
+    ids=["t_fin", "t_pl", "generated"],
+)
+def test_the_constructor_puts_members_in_sort_key_order(space):
+    """Whatever order the members come in, ``members`` is in ``sort_key``
+    order, and the index built on it selects what the ordered space does."""
+    expected = tuple(sorted(space.members, key=lambda member: member.sort_key()))
+    queries = [*space.members, *(member.complement() for member in space.members)]
+    rng = random.Random(0)
+    for _ in range(5):
+        shuffled = list(space.members)
+        rng.shuffle(shuffled)
+        rebuilt = FuzzyTopology(tuple(shuffled))
+        assert rebuilt.members == expected
+        for s in queries:
+            assert rebuilt.interior(s) == space.interior(s)
+            assert rebuilt.closure(s) == space.closure(s)
 
 
 def test_generate_from_empty_subbasis():
