@@ -2,15 +2,11 @@ import dataclasses
 import math
 import random
 import tracemalloc
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
 from operator import le
-from typing import Callable, Iterator, NamedTuple, Sequence
 
 import pytest
 
-import ftop.fset as fset
 import ftop.gridbits as gridbits
 import ftop.oracle as oracle
 from ftop import (
@@ -26,22 +22,16 @@ from ftop import (
     check_axioms,
     classify_set,
     generate,
-    is_semiopen,
-    is_somewhat_open,
-    is_somewhat_semiopen,
+    inf_family,
+    join_family,
     semi_interior,
 )
 from ftop.oracle import (
-    _SAMPLE,
     SET_CLASSES,
     GridSpec,
     SearchTarget,
     SpaceCheckReport,
     SpaceCheckViolation,
-    _grid_universe,
-    _reduced,
-    _require_on_grid,
-    _rescaled,
     brute_semi_interior,
     check_space,
     enumerate_grid_sets,
@@ -50,13 +40,8 @@ from ftop.oracle import (
     random_topology,
     run_campaign,
 )
-from ftop.semiclass import _require_chain
 
 from helpers import AB, M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
-
-
-def _leq(low: Sequence[int], high: Sequence[int]) -> bool:
-    return all(map(le, low, high))
 
 
 def indiscrete():
@@ -430,87 +415,102 @@ def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
         assert brute_semi_interior(space, member, GridSpec(2, 6)) == member
 
 
-# The walk check_space and find_witness ran one grid set at a time before
-# they took the grid as rank bitsets: fset._MemberIndex.grid_walk, with its
-# index passed in, and oracle._sweep, verbatim but for the names.  It is
-# the reference the bitsets are held to.  _inner_tables and _outer_tables
-# are the per-member tables gridbits built before it read each member's
-# digits off its numerators, verbatim; lcm(k, L) is what the index's
-# grid_scale(k) returned.
+# The literal reference check_space and find_witness are held to, stated on
+# sets.  Each grid set s is taken in enumerate_grid_sets order.  Int(s) is
+# the join of the members below s, and Cl(s) the meet of the complements
+# above it, from the members alone.  Cl(Int(s)) and Int(Cl(s)) go through
+# the space's own operators, where check_space's tables take them too, so a
+# corrupted closure or interior lands on the grid sets where those tables
+# see it.
+
+ALL_TARGETS = [SearchTarget(h, a) for h in SET_CLASSES for a in SET_CLASSES if h != a]
 
 
-def _inner_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
-    """``Int(s)`` and ``Cl(Int(s))`` per member bit: each member and its closure."""
-    members = space._index._members
-    return (
-        [_rescaled(m, scale) for m in members],
-        [_rescaled(space.closure(m), scale) for m in members],
+def literal_interior(space, s):
+    """``Int(s)``, the join of the members below ``s``."""
+    return join_family([m for m in space.members if m.leq(s)], space.universe)
+
+
+def literal_verdicts(space, s, interior, closure_of_interior):
+    """The four verdicts of ``s``, strongest first, by their definitions on
+    ``Int(s)`` and ``Cl(Int(s))``, and the semi-interior ``s /\\ Cl(Int(s))``."""
+    inner, zero = s.meet(closure_of_interior), space.bottom
+    verdicts = (
+        interior == s,
+        s.leq(closure_of_interior),
+        s == zero or interior != zero,
+        s == zero or inner != zero,
     )
+    return verdicts, inner
 
 
-def _outer_tables(space: FuzzyTopology, scale: int) -> tuple[list, list]:
-    """``Cl(s)`` and ``Int(Cl(s))`` per member bit: each complement and its interior."""
-    complements = space._index._complements
-    return (
-        [_rescaled(c, scale) for c in complements],
-        [_rescaled(space.interior(c), scale) for c in complements],
-    )
+def literal_grid(space, spec):
+    """Each grid set in rank order with the nine values :func:`classify_set`
+    must give for it: its four verdicts, then ``Int(s)``, ``Cl(s)``,
+    ``Cl(Int(s))``, the semi-interior and the semi-closure."""
+    complements = [m.complement() for m in space.members]
+    for s in enumerate_grid_sets(spec, space.universe):
+        interior = literal_interior(space, s)
+        closure_of_interior = space.closure(interior)
+        verdicts, inner = literal_verdicts(space, s, interior, closure_of_interior)
+        closure = inf_family([c for c in complements if s.leq(c)], space.universe)
+        outer = s.join(space.interior(closure))
+        yield s, (*verdicts, interior, closure, closure_of_interior, inner, outer)
 
 
-def grid_walk(index, k: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Every set on the 1/k grid, with the bits its interior and closure select.
+def classified(space, s):
+    """The nine values of ``oracle.classify_set(space, s)``, in :func:`literal_grid` order."""
+    c = oracle.classify_set(space, s)
+    evidence = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
+    return (*c.verdicts().values(), *evidence)
 
-    Yields ``(nums, inner, outer)`` in the order of ``product(range(k + 1),
-    repeat=n)``, ``nums`` being the numerators over ``G``, the
-    ``lcm(k, L)``: ``Int(s)`` is ``_members[inner]`` and ``Cl(s)``
-    is ``_complements[outer]``.  The members need not lie on the grid.
-    At value ``v / G`` a point takes the prefix mask :meth:`interior` takes
-    at ``v * L // G``, and :meth:`closure` at ``(G - v) * L // G``, which is
-    the interior mask at ``G - v``.  The masks of the first ``n - 1`` points
-    are ANDed once per prefix, then once per value of the last.
+
+def literal_check_space(space, spec):
+    """:func:`check_space`'s report, stated on sets.
+
+    Each grid set in rank order is held to the implication chain, then to
+    the three laws of ``SPACE_CHECKS`` in full, and every ``ceil(size /
+    8)``-th, the first included, must get all nine values from
+    ``oracle.classify_set``.  The first failure wins.
     """
-    scale, grid = index._scale, math.lcm(k, index._scale)
-    grid_values = range(0, grid + 1, grid // k)
-    inner_masks = [
-        {v: prefix[bisect_right(values, v * scale // grid) - 1] for v in grid_values}
-        for values, prefix in index._columns
-    ]
-    *head, last = inner_masks
-    last_pairs = [(v, last[v], last[grid - v]) for v in grid_values]
-    for nums in product(grid_values, repeat=len(head)):
-        inner = outer = -1
-        for v, masks in zip(nums, head):
-            inner &= masks[v]
-            outer &= masks[grid - v]
-        for v, inner_mask, outer_mask in last_pairs:
-            inner_bits, outer_bits = inner & inner_mask, outer & outer_mask
-            yield (*nums, v), inner_bits.bit_length() - 1, outer_bits.bit_length() - 1
-
-
-def sweep(
-    space: FuzzyTopology, k: int, interiors: list, closures_of_interiors: list
-) -> Iterator[tuple[tuple[int, ...], int, int, tuple[bool, bool, bool, bool]]]:
-    """Every grid set with its walk bits and its four verdicts, in enumeration order.
-
-    Yields ``(nums, inner, outer, verdicts)``: ``nums`` and the bits are
-    those of ``_MemberIndex.grid_walk(k)``, and ``verdicts`` are open,
-    semiopen, somewhat open and somewhat semiopen, read off the
-    :func:`_inner_tables` over ``lcm(k, L)``, the walk's scale.  Since
-    ``Int(s)`` is the member ``m`` at the inner bit, ``s`` is open iff it
-    equals ``m``, semiopen iff ``s <= Cl(m)``, and its semi-interior is
-    the pointwise min of ``s`` and ``Cl(m)``.  Member degrees may lie off
-    the grid: every vector is over the walk's scale.
-    """
-    for nums, inner, outer in grid_walk(space._index, k):
-        interior = interiors[inner]
-        closure_of_interior = closures_of_interiors[inner]
-        zero = not any(nums)
-        yield nums, inner, outer, (
-            interior == nums,
-            _leq(nums, closure_of_interior),
-            zero or any(interior),
-            zero or any(map(min, nums, closure_of_interior)),
+    step = -(-spec.size // 8)
+    for rank, (s, values) in enumerate(literal_grid(space, spec)):
+        interior, closure, closure_of_interior, inner, outer = values[4:]
+        holds = (
+            not oracle._chain_breaks(*values[:4]),
+            interior.leq(inner),
+            outer.leq(closure),
+            s == space.bottom or values[1] == (closure == closure_of_interior),
         )
+        laws = zip(("implication-chain", *oracle.SPACE_CHECKS), holds)
+        failed = next((name for name, held in laws if not held), None)
+        if failed is None and rank % step == 0:
+            try:
+                if classified(space, s) != values:
+                    failed = "classify-set-agrees-with-walk"
+            except HierarchyInvariantError:
+                failed = "implication-chain"
+        if failed is not None:
+            return SpaceCheckReport(False, rank + 1, SpaceCheckViolation(failed, s))
+    return SpaceCheckReport(True, spec.size)
+
+
+def literal_witnesses(space, spec):
+    """The first grid set of each of the 12 targets, or None, in one pass
+    over the grid: the first set with each combination of verdicts answers
+    every target that combination meets."""
+    found, seen = dict.fromkeys(ALL_TARGETS), set()
+    for s in enumerate_grid_sets(spec, space.universe):
+        interior = literal_interior(space, s)
+        verdicts, _ = literal_verdicts(space, s, interior, space.closure(interior))
+        if verdicts in seen:
+            continue
+        seen.add(verdicts)
+        held = dict(zip(SET_CLASSES, verdicts))
+        for target in ALL_TARGETS:
+            if found[target] is None and held[target.have] and not held[target.avoid]:
+                found[target] = s
+    return found
 
 
 def set_bits(bits):
@@ -557,38 +557,16 @@ def all_walk_property_spaces():
 
 def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
     """On every grid set of 250 spaces, and of 100 spaces with members on
-    1/6 walked on grids k <= 4, the walk selects ``Int(s)`` and ``Cl(s)``
-    as the operators do, and its verdicts, and the evidence its tables
-    give over ``lcm(k, L)``, are those of :func:`classify_set`."""
+    1/6 walked on grids k <= 4, :func:`classify_set` gives the literal
+    reference's nine values, and the bitsets its verdicts and the member
+    bits of its ``Int(s)`` and of the complement ``Cl(s)``."""
     for spec, space in all_walk_property_spaces():
-        k, index = spec.k, space._index
-        scale = math.lcm(k, *[member.scale for member in space.members])
-        assert math.lcm(k, index._scale) == scale
-        grid = list(enumerate_grid_sets(spec, space.universe))
-        walked = list(grid_walk(index, k))
-        interiors, closures_of_interiors = _inner_tables(space, scale)
-        closures, interiors_of_closures = _outer_tables(space, scale)
-        swept = list(sweep(space, k, interiors, closures_of_interiors))
-        assert len(walked) == len(swept) == len(grid) == spec.size
-        assert bitset_walk(space, k) == [(v, [inner], [outer]) for _, inner, outer, v in swept]
-        for s, (nums, inner, outer), (e_nums, e_inner, e_outer, verdicts) in zip(grid, walked, swept):
-            assert (e_nums, e_inner, e_outer) == (nums, inner, outer)
-            assert oracle._reduced(space.universe, scale, nums) == s
-            assert index._members[inner] == space.interior(s)
-            assert index._complements[outer] == space.closure(s)
-            c = classify_set(space, s)
-            assert verdicts == tuple(c.verdicts().values())
-            evidence = {
-                "interior": interiors[inner],
-                "closure": closures[outer],
-                "closure_of_interior": closures_of_interiors[inner],
-                "semi_interior": tuple(map(min, nums, closures_of_interiors[inner])),
-                "semi_closure": tuple(map(max, nums, interiors_of_closures[outer])),
-            }
-            assert nums == fset._rescaled(s, scale)
-            for field, value in evidence.items():
-                assert value == fset._rescaled(getattr(c, field), scale), field
-            assert verdicts[1] == c.is_semiopen
+        bit = {m: j for j, m in enumerate(space.members)}
+        expected = []
+        for s, values in literal_grid(space, spec):
+            assert classified(space, s) == values
+            expected.append((values[:4], [bit[values[4]]], [bit[values[5].complement()]]))
+        assert bitset_walk(space, spec.k) == expected
 
 
 # 76 members over 46,656 grid sets: 36 blocks of 1296 ranks, two head points.
@@ -600,11 +578,19 @@ def large_space():
 
 
 def test_bitsets_match_the_walk_with_two_head_points():
+    """At every rank the bitsets select the member bits of
+    ``space.interior(s)`` and of the complement ``space.closure(s)``, and
+    give the verdicts :func:`literal_verdicts` gives on that ``Int(s)``."""
     space = large_space()
     assert len(space.members) == 76 and gridbits.GridBits(space, 5).head == 2
-    interiors, closures_of_interiors = _inner_tables(space, 5)
-    swept = sweep(space, 5, interiors, closures_of_interiors)
-    assert bitset_walk(space, 5) == [(v, [inner], [outer]) for _, inner, outer, v in swept]
+    bit = {m: j for j, m in enumerate(space.members)}
+    closures = {m: space.closure(m) for m in space.members}
+    expected = []
+    for s in enumerate_grid_sets(LARGE_SPEC, space.universe):
+        interior = space.interior(s)
+        verdicts, _ = literal_verdicts(space, s, interior, closures[interior])
+        expected.append((verdicts, [bit[interior]], [bit[space.closure(s).complement()]]))
+    assert bitset_walk(space, 5) == expected
 
 
 # One point, members 0, 1/7, 3/7, 5/7 and 1: a single block of 8191 ranks.
@@ -694,142 +680,6 @@ def test_walk_memory_stays_bounded(make, spec, run):
     assert peak < 1_000_000
 
 
-# _sweep, check_space and find_witness as they stood when the walk built
-# every grid set's evidence and the laws were checked whole, kept verbatim
-# as the reference for the split laws and the verdicts-only search.  Only
-# the names are prefixed, and SearchTarget._holds became parent_holds.
-# The evidence tuple, the law predicates and _broken_law are the ones
-# check_space applied to its classify_set sample before the sample
-# compared values, under prefixed names.
-
-
-class ParentEvidence(NamedTuple):
-    """One grid set and its operator values, each as numerators over one scale.
-
-    ``semiopen`` is the set's verdict; ``closure_of_interior`` is
-    ``Cl(Int(s))``, ``semi_interior`` is ``s /\\ Cl(Int(s))`` and
-    ``semi_closure`` is ``s \\/ Int(Cl(s))``.
-    """
-
-    s: Sequence[int]
-    semiopen: bool
-    interior: Sequence[int]
-    closure: Sequence[int]
-    closure_of_interior: Sequence[int]
-    semi_interior: Sequence[int]
-    semi_closure: Sequence[int]
-
-
-PARENT_SPACE_CHECKS: tuple[tuple[str, Callable[[ParentEvidence], bool]], ...] = (
-    ("interior-below-semi-interior", lambda e: _leq(e.interior, e.semi_interior)),
-    ("semi-closure-below-closure", lambda e: _leq(e.semi_closure, e.closure)),
-    (
-        "semiopen-iff-closures-agree",
-        lambda e: not any(e.s) or e.semiopen == (e.closure == e.closure_of_interior),
-    ),
-)
-
-
-def parent_broken_law(evidence: ParentEvidence) -> str | None:
-    """The name of the first law of :data:`PARENT_SPACE_CHECKS` that fails, if any."""
-    for name, holds in PARENT_SPACE_CHECKS:
-        if not holds(evidence):
-            return name
-    return None
-
-
-def parent_sweep(space: FuzzyTopology, k: int) -> Iterator[tuple[dict[str, bool], ParentEvidence]]:
-    index = space._index
-    members, complements = index._members, index._complements
-    scale = math.lcm(k, index._scale)
-    # Indexed by the walk's bits: the inner bit picks Int(s) and Cl(Int(s)),
-    # the outer bit Cl(s) and Int(Cl(s)).
-    interiors = [_rescaled(m, scale) for m in members]
-    closures_of_interiors = [_rescaled(space.closure(m), scale) for m in members]
-    closures = [_rescaled(c, scale) for c in complements]
-    interiors_of_closures = [_rescaled(space.interior(c), scale) for c in complements]
-    for nums, inner, outer in grid_walk(index, k):
-        interior = interiors[inner]
-        closure_of_interior = closures_of_interiors[inner]
-        semi_interior = list(map(min, nums, closure_of_interior))
-        zero = not any(nums)
-        verdicts = {
-            "open": interior == nums,
-            "semiopen": _leq(nums, closure_of_interior),
-            "somewhat_open": zero or any(interior),
-            "somewhat_semiopen": zero or any(semi_interior),
-        }
-        yield verdicts, ParentEvidence(
-            nums,
-            verdicts["semiopen"],
-            interior,
-            closures[outer],
-            closure_of_interior,
-            semi_interior,
-            list(map(max, nums, interiors_of_closures[outer])),
-        )
-
-
-def parent_walk_violation(verdicts: dict[str, bool], evidence: ParentEvidence) -> str | None:
-    try:
-        _require_chain(verdicts)
-    except HierarchyInvariantError:
-        return "implication-chain"
-    return parent_broken_law(evidence)
-
-
-def parent_sample_violation(
-    space: FuzzyTopology, s: FiniteFuzzySet, verdicts: dict[str, bool], scale: int
-) -> str | None:
-    try:
-        c = classify_set(space, s)
-    except HierarchyInvariantError:
-        return "implication-chain"
-    if c.verdicts() != verdicts:
-        return "classify-set-agrees-with-walk"
-    values = (c.interior, c.closure, c.closure_of_interior, c.semi_interior, c.semi_closure)
-    return parent_broken_law(
-        ParentEvidence(_rescaled(s, scale), c.is_semiopen, *[_rescaled(v, scale) for v in values])
-    )
-
-
-def parent_check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
-    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
-    _require_on_grid(space.members, spec.k, "topology")
-    scale = math.lcm(spec.k, space._index._scale)
-    step = -(-spec.size // _SAMPLE)
-    checked = 0
-    for verdicts, evidence in parent_sweep(space, spec.k):
-        failed = parent_walk_violation(verdicts, evidence)
-        if failed is None and checked % step == 0:
-            s = _reduced(universe, scale, evidence.s)
-            failed = parent_sample_violation(space, s, verdicts, scale)
-        checked += 1
-        if failed is not None:
-            return SpaceCheckReport(
-                False, checked, SpaceCheckViolation(failed, _reduced(universe, scale, evidence.s))
-            )
-    return SpaceCheckReport(True, checked)
-
-
-def parent_holds(target: SearchTarget, verdicts: dict[str, bool]) -> bool:
-    return verdicts[target.have.replace("-", "_")] and not verdicts[target.avoid.replace("-", "_")]
-
-
-def parent_find_witness(
-    space: FuzzyTopology, target: SearchTarget, spec: GridSpec
-) -> FiniteFuzzySet | None:
-    universe = _grid_universe(spec, space._finite_universe("grid enumeration"))
-    scale = math.lcm(spec.k, space._index._scale)
-    for verdicts, evidence in parent_sweep(space, spec.k):
-        if parent_holds(target, verdicts):
-            return _reduced(universe, scale, evidence.s)
-    return None
-
-
-ALL_TARGETS = [SearchTarget(h, a) for h in SET_CLASSES for a in SET_CLASSES if h != a]
-
-
 def multi_block_spaces():
     """Spaces whose grids span several blocks of ranks: 4 on
     ``GridSpec(5, 5)`` (6 blocks of 1296), and 10 with members on 1/6
@@ -841,23 +691,21 @@ def multi_block_spaces():
             yield spec, random_topology(members, master.randint(0, 10**9), master.randint(1, 4))
 
 
-def test_check_and_search_match_the_parent_walk():
-    """Equal reports, or the same OffGridError, and equal witnesses or
-    misses for all 12 targets, on the 350 walk property spaces and the 14
-    multi-block spaces."""
+def test_check_and_search_match_the_literal_reference():
+    """Equal reports, or an OffGridError naming the lcm of the member
+    scales, and equal witnesses or misses for all 12 targets, on the 350
+    walk property spaces and the 14 multi-block spaces."""
     assert len(ALL_TARGETS) == 12
     for spec, space in [*all_walk_property_spaces(), *multi_block_spaces()]:
         if any(spec.k % member.scale for member in space.members):
-            with pytest.raises(OffGridError) as ours:
+            with pytest.raises(OffGridError) as err:
                 check_space(space, spec)
-            with pytest.raises(OffGridError) as theirs:
-                parent_check_space(space, spec)
-            assert str(ours.value) == str(theirs.value)
+            assert err.value.required_k == math.lcm(*[member.scale for member in space.members])
         else:
-            assert check_space(space, spec) == parent_check_space(space, spec)
+            assert check_space(space, spec) == literal_check_space(space, spec)
+        witnesses = literal_witnesses(space, spec)
         for target in ALL_TARGETS:
-            expected = parent_find_witness(space, target, spec)
-            assert find_witness(space, target, spec) == expected, (space.members, spec, target)
+            assert find_witness(space, target, spec) == witnesses[target], (space.members, spec, target)
 
 
 class CorruptedSpace(FuzzyTopology):
@@ -879,7 +727,7 @@ class CorruptedSpace(FuzzyTopology):
 
 
 # Each corruption spoils one member's Cl(m) or one complement's Int(1 - m)
-# table entry, so that the walk's split laws find it on a grid set of
+# table entry, so that check_space's split laws find it on a grid set of
 # GridSpec(2, 6) the sample does not reach (sets 1..6 of 49, step 7).
 # Cl(M1) below M1 breaks the chain at M1 itself, which hides the member
 # half m <= Cl(m) of the first law; with the chain check switched off on
@@ -893,19 +741,39 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("check", CORRUPTIONS)
-def test_check_space_matches_the_parent_on_corrupted_tables(monkeypatch, check):
+def test_check_space_matches_the_literal_reference_on_corrupted_tables(monkeypatch, check):
     corruption, subject, sets_checked, chain_checked = CORRUPTIONS[check]
     if not chain_checked:
         monkeypatch.setattr(oracle, "_chain_breaks", lambda *verdicts: 0)
-        monkeypatch.setitem(globals(), "_require_chain", lambda verdicts: None)
     space = CorruptedSpace(*corruption)
     spec = GridSpec(2, 6)
     report = check_space(space, spec)
-    assert report == parent_check_space(space, spec)
+    assert report == literal_check_space(space, spec)
     assert not report.ok
     assert report.violation == SpaceCheckViolation(check, subject)
     assert report.sets_checked == sets_checked
     assert (sets_checked - 1) % 7 != 0
+
+
+def test_check_space_reports_a_corrupted_closure_of_the_zero_set():
+    """``Cl(0)`` corrupted to M1 is ``Cl(Int(s))`` wherever ``Int(s)`` is
+    zero, so the third law fails from rank 1 on; at rank 0 it does not
+    apply, and the sample, which starts there, sees classify_set's
+    ``Cl(0)`` differ from the complement of the top member."""
+    space = CorruptedSpace("closure", ZERO2, M1)
+    spec = GridSpec(2, 6)
+    expected = SpaceCheckReport(False, 1, SpaceCheckViolation("classify-set-agrees-with-walk", ZERO2))
+    assert check_space(space, spec) == literal_check_space(space, spec) == expected
+
+
+def test_the_literal_reference_does_not_use_the_bitsets(monkeypatch):
+    def no_bitsets(space, k):
+        raise AssertionError("the bitsets were used")
+
+    monkeypatch.setattr(oracle, "GridBits", no_bitsets)
+    assert literal_check_space(t_fin(), GridSpec(2, 6)) == SpaceCheckReport(True, 49)
+    witnesses = literal_witnesses(t_fin(), GridSpec(2, 2))
+    assert witnesses[SearchTarget.parse("semiopen-not-open")] == fs(0, "1/2")
 
 
 def test_search_target_parsing():
@@ -950,36 +818,17 @@ def test_witnesses_match_their_targets():
         assert target.matches(space, witness)
 
 
-# find_witness as it stood before it walked the grid: one set object per
-# grid set, classified by the standalone predicates.
-REFERENCE_CLASSES = {
-    "open": lambda space, s: space.is_open(s),
-    "semiopen": is_semiopen,
-    "somewhat-open": is_somewhat_open,
-    "somewhat-semiopen": is_somewhat_semiopen,
-}
-
-
-def reference_find_witness(space, target, spec):
-    universe = space._finite_universe("grid enumeration")
-    for s in enumerate_grid_sets(spec, universe):
-        if REFERENCE_CLASSES[target.have](space, s) and not REFERENCE_CLASSES[target.avoid](space, s):
-            return s
-    return None
-
-
 def test_find_witness_matches_the_enumerating_reference():
-    """Same witness or the same miss, for all 12 targets, on 150 spaces
-    searched on their own grid and 150 with members on 1/6 searched on
-    grids k <= 4."""
-    targets = [SearchTarget(h, a) for h in SET_CLASSES for a in SET_CLASSES if h != a]
-    assert len(targets) == 12
+    """Same witness or the same miss as :func:`literal_witnesses`, which
+    enumerates every grid set, for all 12 targets, on 150 spaces searched
+    on their own grid and 150 with members on 1/6 searched on grids k <= 4."""
     found = {True: {True: 0, False: 0}, False: {True: 0, False: 0}}
     for seed, member_grid in (("search-on-grid", None), ("search-off-grid", 6)):
         for spec, space in walk_property_spaces(150, seed, member_grid):
             off_grid = any(spec.k % member.scale for member in space.members)
-            for target in targets:
-                expected = reference_find_witness(space, target, spec)
+            witnesses = literal_witnesses(space, spec)
+            for target in ALL_TARGETS:
+                expected = witnesses[target]
                 assert find_witness(space, target, spec) == expected, (space.members, spec, target)
                 found[off_grid][expected is not None] += 1
     # Hits and misses, each on and off the grid.
