@@ -43,7 +43,6 @@ from .oracle import (
     check_space,
     enumerate_grid_sets,
     find_witness,
-    grid_degrees,
     random_topology,
     run_campaign,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "GridSpec",
     "SearchTarget",
     "SpaceCheckReport",
-    "grid_degrees",
     "enumerate_grid_sets",
     "brute_semi_interior",
     "random_topology",

@@ -54,14 +54,13 @@ import math
 import random
 import string
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import HierarchyInvariantError, OffGridError, ResourceCapError, UniverseMismatchError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
 from .gridbits import GridBits
-from .semiclass import _chain_breaks, classify_set, is_semiopen, semi_interior, set_verdicts
+from .semiclass import _chain_breaks, classify_set, is_semiopen, semi_interior
 from .topology import FuzzyTopology, generate
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "SpaceCheckViolation",
     "CampaignFailure",
     "CampaignResult",
-    "grid_degrees",
     "enumerate_grid_sets",
     "brute_semi_interior",
     "random_topology",
@@ -87,13 +85,6 @@ DEFAULT_ENUMERATION_BUDGET = 250_000
 
 # Grid universes label their points a, b, ..., so they hold at most 26.
 _GRID_LABELS = string.ascii_lowercase
-
-
-def grid_degrees(k: int) -> tuple[Fraction, ...]:
-    """The ascending degree grid {0, 1/k, ..., 1}."""
-    if k < 1:
-        raise ValueError(f"grid denominator must be >= 1, got {k}")
-    return tuple(Fraction(i, k) for i in range(k + 1))
 
 
 @dataclass(frozen=True)
@@ -213,9 +204,9 @@ def _random_grid_set(rng: random.Random, universe: Universe, k: int) -> FiniteFu
     """A grid set with every numerator over ``k`` drawn uniformly from ``0..k``.
 
     Built as :func:`enumerate_grid_sets` builds them.  ``randrange(k + 1)``
-    consumes the same draw as ``choice`` over :func:`grid_degrees` would,
-    so a seed gives the same set as a Fraction-grid draw, and recorded
-    ``verify`` reports stay reproducible.
+    consumes the same draw as ``choice`` over the Fraction grid
+    ``(0, 1/k, ..., 1)``, so a seed gives the same set either way, and
+    recorded ``verify`` reports stay reproducible.
     """
     return _reduced(universe, k, tuple([rng.randrange(k + 1) for _ in universe]))
 
@@ -420,10 +411,6 @@ class SearchTarget:
     def _positions(self) -> tuple[int, int]:
         """Where ``have`` and ``avoid`` sit among four verdicts, strongest first."""
         return SET_CLASSES.index(self.have), SET_CLASSES.index(self.avoid)
-
-    def matches(self, space: FuzzyTopology, s: FiniteFuzzySet) -> bool:
-        verdicts = set_verdicts(space, s)
-        return verdicts[self.have.replace("-", "_")] and not verdicts[self.avoid.replace("-", "_")]
 
     def __str__(self) -> str:
         return f"{self.have}-not-{self.avoid}"

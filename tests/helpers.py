@@ -3,12 +3,20 @@
 ``t_fin()`` is a five-member topology on a two-point universe whose
 degrees (0, 1/3, 1/2, 2/3, 1) exercise non-grid-aligned arithmetic;
 ``t_pl()`` is the five-member piecewise-linear topology whose non-open
-sets ``ALPHA`` and ``BETA`` separate the openness classes.
+sets ``ALPHA`` and ``BETA`` separate the openness classes.  ``grid(k)``
+is the degree grid the finite grid sets are drawn from.
 """
+
+from fractions import Fraction
 
 from ftop import FiniteFuzzySet, PLFuzzySet, Universe, validate
 
 AB = Universe.of("a", "b")
+
+
+def grid(k: int) -> tuple[Fraction, ...]:
+    """The ascending degrees 0, 1/k, ..., 1."""
+    return tuple(Fraction(i, k) for i in range(k + 1))
 
 
 def fs(a, b) -> FiniteFuzzySet:

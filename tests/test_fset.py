@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import math
 import pickle
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ftop import (
     ONE,
-    ZERO,
     BackendMismatchError,
     FiniteFuzzySet,
     FtopError,
@@ -20,15 +19,13 @@ from ftop import (
     PLFuzzySet,
     Universe,
     UniverseMismatchError,
-    as_degree,
     enumerate_grid_sets,
     generate,
-    grid_degrees,
     inf_family,
     join_family,
 )
 
-from helpers import AB, M1, M2, ONE2, ZERO2, fs
+from helpers import AB, M1, M2, ONE2, ZERO2, fs, grid
 
 degrees = st.builds(
     lambda n, d: Fraction(min(n, d), d),
@@ -198,140 +195,10 @@ def test_ordering_key_sorts_pointwise_lexicographically():
     ]
 
 
-# --- the integer representation against the Fraction-based original -------
+# --- the integer representation against a literal reference --------------
 #
-# ``ReferenceFiniteFuzzySet`` is the Fraction-based ``FiniteFuzzySet`` as it
-# stood before sets held integer numerators over one scale, copied verbatim
-# with only the class and ``_trusted`` renamed.
-
-@dataclass(frozen=True)
-class ReferenceFiniteFuzzySet:
-    """A fuzzy set over a finite universe, one exact degree per point.
-
-    Structural equality is semantic equality: two sets are equal iff they
-    share a universe and agree at every point.
-    """
-
-    universe: Universe
-    degrees: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.degrees) != len(self.universe):
-            raise ValueError(
-                f"{len(self.degrees)} degrees for universe of size {len(self.universe)}"
-            )
-        for value in self.degrees:
-            if not isinstance(value, Fraction) or value < ZERO or value > ONE:
-                raise ValueError(f"invalid degree {value!r}; use as_degree()")
-
-    @classmethod
-    def of(cls, universe: Universe, degrees: Mapping[str, object] | Iterable[object]) -> "ReferenceFiniteFuzzySet":
-        """Build from a label mapping or an iterable in universe order.
-
-        Values go through :func:`ftop.degrees.as_degree`, so ints, strings
-        like ``"1/2"``, and Fractions are all accepted; floats are not.
-        """
-        if isinstance(degrees, Mapping):
-            missing = [label for label in universe if label not in degrees]
-            if missing:
-                raise KeyError(f"missing degrees for labels {missing}")
-            extra = [label for label in degrees if label not in universe]
-            if extra:
-                raise KeyError(f"degrees given for unknown labels {extra}")
-            values = tuple(as_degree(degrees[label]) for label in universe)
-        else:
-            values = tuple(as_degree(value) for value in degrees)
-        return cls(universe, values)
-
-    @classmethod
-    def constant(cls, universe: Universe, value: object) -> "ReferenceFiniteFuzzySet":
-        degree = as_degree(value)
-        return cls(universe, (degree,) * len(universe))
-
-    @classmethod
-    def zero(cls, universe: Universe) -> "ReferenceFiniteFuzzySet":
-        return cls(universe, (ZERO,) * len(universe))
-
-    @classmethod
-    def one(cls, universe: Universe) -> "ReferenceFiniteFuzzySet":
-        return cls(universe, (ONE,) * len(universe))
-
-    def at(self, label: str) -> Fraction:
-        return self.degrees[self.universe.index(label)]
-
-    def by_label(self) -> dict[str, Fraction]:
-        return dict(zip(self.universe.labels, self.degrees))
-
-    def _require_compatible(self, other: object) -> None:
-        """Raise unless ``other`` is a finite set over the same universe."""
-        if not isinstance(other, ReferenceFiniteFuzzySet):
-            raise BackendMismatchError(f"expected FiniteFuzzySet, got {type(other).__name__}")
-        if other.universe is not self.universe and other.universe != self.universe:
-            raise UniverseMismatchError(
-                f"universes differ: {self.universe.labels} vs {other.universe.labels}"
-            )
-
-    def complement(self) -> "ReferenceFiniteFuzzySet":
-        return reference_trusted(self.universe, tuple(ONE - value for value in self.degrees))
-
-    def _pointwise(self, op, others: tuple["ReferenceFiniteFuzzySet", ...]) -> "ReferenceFiniteFuzzySet":
-        columns = [self.degrees]
-        for other in others:
-            self._require_compatible(other)
-            columns.append(other.degrees)
-        return reference_trusted(self.universe, tuple(map(op, *columns))) if others else self
-
-    def meet(self, *others: "ReferenceFiniteFuzzySet") -> "ReferenceFiniteFuzzySet":
-        """Pointwise minimum of self and every set in ``others``, in one pass."""
-        return self._pointwise(min, others)
-
-    def join(self, *others: "ReferenceFiniteFuzzySet") -> "ReferenceFiniteFuzzySet":
-        """Pointwise maximum of self and every set in ``others``, in one pass."""
-        return self._pointwise(max, others)
-
-    def leq(self, other: "ReferenceFiniteFuzzySet") -> bool:
-        """Pointwise order: true iff ``self(x) <= other(x)`` everywhere."""
-        self._require_compatible(other)
-        return all(a <= b for a, b in zip(self.degrees, other.degrees))
-
-    def is_zero(self) -> bool:
-        return all(value == ZERO for value in self.degrees)
-
-    def support(self) -> tuple[str, ...]:
-        """Labels with strictly positive degree."""
-        return tuple(
-            label for label, value in zip(self.universe.labels, self.degrees) if value > ZERO
-        )
-
-    def bottom(self) -> "ReferenceFiniteFuzzySet":
-        return ReferenceFiniteFuzzySet.zero(self.universe)
-
-    def top(self) -> "ReferenceFiniteFuzzySet":
-        return ReferenceFiniteFuzzySet.one(self.universe)
-
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.degrees
-
-    def __repr__(self) -> str:
-        inside = ", ".join(
-            f"{label}: {value}" for label, value in zip(self.universe.labels, self.degrees)
-        )
-        return f"FiniteFuzzySet({{{inside}}})"
-
-
-def reference_trusted(universe: Universe, degrees: tuple[Fraction, ...]) -> ReferenceFiniteFuzzySet:
-    """Build a set from degrees already known valid, skipping ``__post_init__``.
-
-    Only values valid by construction come through here: lattice results
-    (min, max and ``1 - v`` of degrees in ``[0, 1]`` stay in ``[0, 1]``),
-    grid sets of ``oracle.enumerate_grid_sets`` and the preimages and
-    images of ``functions.FuzzyFunction``, one degree per point each.
-    """
-    value = object.__new__(ReferenceFiniteFuzzySet)
-    object.__setattr__(value, "universe", universe)
-    object.__setattr__(value, "degrees", degrees)
-    return value
-
+# The reference states each operation on the degrees themselves, tuples of
+# Fractions in universe order, and shares no code with ``ftop.fset``.
 
 UVW = Universe.of("u", "v", "w")
 
@@ -344,25 +211,45 @@ mixed_degrees = st.integers(min_value=1, max_value=12).flatmap(
 
 @st.composite
 def set_pairs(draw, size=None):
-    """A set and its reference twin, built from the same degrees."""
+    """A set and the degrees it was built from."""
     universe = UVW if size is None else Universe(UVW.labels[:size])
     degrees = tuple(draw(mixed_degrees) for _ in universe)
-    return FiniteFuzzySet(universe, degrees), ReferenceFiniteFuzzySet(universe, degrees)
+    return FiniteFuzzySet(universe, degrees), degrees
 
 
-def assert_same_set(value, reference):
-    """``value`` reads like ``reference`` and is canonical: it equals and
-    hashes like its rebuild through the public constructor."""
-    assert value.degrees == reference.degrees
-    assert value.sort_key() == reference.sort_key()
-    assert repr(value) == repr(reference)
-    assert value.by_label() == reference.by_label()
-    assert [value.at(x) for x in value.universe] == [reference.at(x) for x in reference.universe]
-    assert value.support() == reference.support()
-    assert value.is_zero() == reference.is_zero()
-    rebuilt = FiniteFuzzySet(value.universe, reference.degrees)
+def twin(a, b):
+    """``fs(a, b)`` and its degrees."""
+    return fs(a, b), (Fraction(a), Fraction(b))
+
+
+def reference_pointwise(op, *columns):
+    """``op`` (min or max) of the degree tuples at every point."""
+    return tuple(op(point) for point in zip(*columns))
+
+
+def reference_complement(degrees):
+    return tuple(1 - d for d in degrees)
+
+
+def reference_leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def assert_same_set(value, degrees):
+    """``value`` holds ``degrees`` in canonical form, numerators over the
+    lcm of their denominators, and every read-out says so."""
+    labels = value.universe.labels
+    scale = math.lcm(*[d.denominator for d in degrees])
+    assert value.scale == scale and value.nums == tuple(d * scale for d in degrees)
+    assert value.degrees == degrees and value.sort_key() == degrees
+    inside = ", ".join(f"{label}: {d}" for label, d in zip(labels, degrees))
+    assert repr(value) == f"FiniteFuzzySet({{{inside}}})"
+    assert value.by_label() == dict(zip(labels, degrees))
+    assert [value.at(label) for label in labels] == list(degrees)
+    assert value.support() == tuple(label for label, d in zip(labels, degrees) if d > 0)
+    assert value.is_zero() == all(d == 0 for d in degrees)
+    rebuilt = FiniteFuzzySet(value.universe, degrees)
     assert rebuilt == value and hash(rebuilt) == hash(value)
-    assert rebuilt.scale == value.scale and rebuilt.nums == value.nums
 
 
 class TestIntegerRepresentationMatchesReference:
@@ -370,22 +257,13 @@ class TestIntegerRepresentationMatchesReference:
     @given(st.integers(min_value=1, max_value=3).flatmap(
         lambda n: st.lists(set_pairs(n), min_size=1, max_size=4)
     ))
-    @example([
-        (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
-        (fs(0, 0), ReferenceFiniteFuzzySet(AB, (ZERO, ZERO))),
-    ])
-    @example([  # one scale, 6, whose join reduces to halves
-        (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
-        (fs("1/6", "1/2"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 6), Fraction(1, 2)))),
-    ])
-    @example([  # scales 6 and 4
-        (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
-        (fs("3/4", "1/4"), ReferenceFiniteFuzzySet(AB, (Fraction(3, 4), Fraction(1, 4)))),
-    ])
-    @example([  # scale 2 divides scale 6, so their lcm is the first scale
-        (fs("1/2", "1/3"), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), Fraction(1, 3)))),
-        (fs("1/2", 1), ReferenceFiniteFuzzySet(AB, (Fraction(1, 2), ONE))),
-    ])
+    @example([twin("1/2", "1/3"), twin(0, 0)])
+    # one scale, 6, whose join reduces to halves
+    @example([twin("1/2", "1/3"), twin("1/6", "1/2")])
+    # scales 6 and 4
+    @example([twin("1/2", "1/3"), twin("3/4", "1/4")])
+    # scale 2 divides scale 6, so their lcm is the first scale
+    @example([twin("1/2", "1/3"), twin("1/2", 1)])
     def test_operations_agree(self, pairs):
         """meet/join with 1-4 arguments, leq both ways, complement and the
         read-outs agree with the reference, and every result is canonical.
@@ -393,22 +271,22 @@ class TestIntegerRepresentationMatchesReference:
         the reference and with the same operation given the other set
         twice, which takes the general n-ary path."""
         values = [value for value, _ in pairs]
-        references = [reference for _, reference in pairs]
-        first, ref_first = values[0], references[0]
+        columns = [degrees for _, degrees in pairs]
+        first = values[0]
         results = [
-            (first.meet(*values[1:]), ref_first.meet(*references[1:])),
-            (first.join(*values[1:]), ref_first.join(*references[1:])),
-            *((value.complement(), reference.complement()) for value, reference in pairs),
+            (first.meet(*values[1:]), reference_pointwise(min, *columns)),
+            (first.join(*values[1:]), reference_pointwise(max, *columns)),
+            *((value.complement(), reference_complement(degrees)) for value, degrees in pairs),
             *pairs,
         ]
-        for value, reference in results:
-            assert_same_set(value, reference)
+        for value, degrees in results:
+            assert_same_set(value, degrees)
         for (s, rs), (t, rt) in product(pairs, repeat=2):
-            assert s.leq(t) == rs.leq(rt)
+            assert s.leq(t) == reference_leq(rs, rt)
             assert (s == t) == (rs == rt)
             for binary, general, reference in (
-                (s.meet(t), s.meet(t, t), rs.meet(rt)),
-                (s.join(t), s.join(t, t), rs.join(rt)),
+                (s.meet(t), s.meet(t, t), reference_pointwise(min, rs, rt)),
+                (s.join(t), s.join(t, t), reference_pointwise(max, rs, rt)),
             ):
                 assert_same_set(binary, reference)
                 assert (binary.scale, binary.nums) == (general.scale, general.nums)
@@ -429,9 +307,9 @@ class TestIntegerRepresentationMatchesReference:
     def test_grid_sets_are_canonical(self, size, k):
         """Grid sets such as 2/4 equal and hash like the reduced degrees."""
         spec = GridSpec(size, k)
-        expected = product(grid_degrees(k), repeat=size)
+        expected = product(grid(k), repeat=size)
         for value, degrees in zip(enumerate_grid_sets(spec), expected, strict=True):
-            assert_same_set(value, ReferenceFiniteFuzzySet(value.universe, degrees))
+            assert_same_set(value, degrees)
 
     @settings(deadline=None)
     @given(
@@ -447,13 +325,15 @@ class TestIntegerRepresentationMatchesReference:
         subbasis, queries = subbasis_and_queries
         universe = queries[0][0].universe
         space = generate([value for value, _ in subbasis], universe=universe)
-        members = [ReferenceFiniteFuzzySet(universe, m.degrees) for m in space.members]
-        bottom = ReferenceFiniteFuzzySet.zero(universe)
-        for value, reference in queries:
-            inner = bottom.join(*[m for m in members if m.leq(reference)])
-            outer = bottom.join(*[m for m in members if m.leq(reference.complement())])
-            assert space.interior(value).degrees == inner.degrees
-            assert space.closure(value).degrees == outer.complement().degrees
+        members = [m.degrees for m in space.members]
+        bottom = (Fraction(0),) * len(universe)
+        for value, degrees in queries:
+            outside = reference_complement(degrees)
+            inner = [m for m in members if reference_leq(m, degrees)]
+            outer = [m for m in members if reference_leq(m, outside)]
+            assert space.interior(value).degrees == reference_pointwise(max, bottom, *inner)
+            closure = reference_complement(reference_pointwise(max, bottom, *outer))
+            assert space.closure(value).degrees == closure
 
 
 def test_fields_and_other_attributes_stay_read_only():

@@ -30,9 +30,9 @@ from ftop import (
     validate,
 )
 from ftop.functions import CONTINUITY_CLASSES, OPENNESS_CLASSES
-from ftop.oracle import GridSpec, grid_degrees, random_topology
+from ftop.oracle import GridSpec, random_topology
 
-from helpers import MU, M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
+from helpers import MU, M1, M2, ONE2, ZERO2, fs, grid, t_fin, t_pl
 from test_semiclass import CHAIN_QUADRUPLES
 
 UV = Universe.of("u", "v")
@@ -180,7 +180,7 @@ def random_triple(seed):
     k = rng.randint(1, 3)
     dom = random_topology(GridSpec(rng.randint(1, 3), k), seed, rng.randint(0, 3))
     cod_spec = GridSpec(rng.randint(1, 3), k)
-    degs = grid_degrees(k)
+    degs = grid(k)
     subbasis = [
         FiniteFuzzySet(cod_spec.universe(), tuple(rng.choice(degs) for _ in range(cod_spec.universe_size)))
         for _ in range(rng.randint(0, 3))
@@ -194,7 +194,7 @@ def test_preimage_is_a_lattice_homomorphism():
     for seed in range(40):
         f = random_triple(seed)
         rng = random.Random(f"hom-{seed}")
-        degs = grid_degrees(6)
+        degs = grid(6)
         b1, b2 = (
             FiniteFuzzySet(f.codomain.universe, tuple(rng.choice(degs) for _ in f.codomain.universe))
             for _ in range(2)
@@ -209,7 +209,7 @@ def test_image_and_preimage_form_a_galois_connection():
     for seed in range(60):
         f = random_triple(seed)
         rng = random.Random(f"galois-{seed}")
-        degs = grid_degrees(4)
+        degs = grid(4)
         alpha = FiniteFuzzySet(f.domain.universe, tuple(rng.choice(degs) for _ in f.domain.universe))
         beta = FiniteFuzzySet(f.codomain.universe, tuple(rng.choice(degs) for _ in f.codomain.universe))
         forward = f.image(alpha).leq(beta)
@@ -302,7 +302,7 @@ def test_lifts_pass_the_public_constructor():
         lifted = [f.preimage(b) for b in f.codomain.members]
         lifted += [f.image(a) for a in f.domain.members]
         rng = random.Random(f"lift-{seed}")
-        degs = grid_degrees(6)
+        degs = grid(6)
         for _ in range(3):
             beta = FiniteFuzzySet(f.codomain.universe, tuple(rng.choice(degs) for _ in f.codomain.universe))
             alpha = FiniteFuzzySet(f.domain.universe, tuple(rng.choice(degs) for _ in f.domain.universe))

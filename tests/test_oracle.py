@@ -2,7 +2,6 @@ import dataclasses
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 from operator import le
 
 import pytest
@@ -36,23 +35,15 @@ from ftop.oracle import (
     check_space,
     enumerate_grid_sets,
     find_witness,
-    grid_degrees,
     random_topology,
     run_campaign,
 )
 
-from helpers import AB, M1, M2, ONE2, ZERO2, fs, t_fin, t_pl
+from helpers import AB, M1, M2, ONE2, ZERO2, fs, grid, t_fin, t_pl
 
 
 def indiscrete():
     return generate([], universe=AB)
-
-
-def test_grid_degrees():
-    assert grid_degrees(2) == (0, Fraction(1, 2), 1)
-    assert grid_degrees(1) == (0, 1)
-    with pytest.raises(ValueError):
-        grid_degrees(0)
 
 
 def test_grid_spec_counts():
@@ -185,13 +176,13 @@ def test_random_topology_is_deterministic_and_valid():
 
 def test_random_grid_sets_match_a_choice_over_the_fraction_grid():
     """Seeds keep their spaces: each integer draw gives the set that
-    ``choice`` over ``grid_degrees(k)`` gives from the same generator."""
+    ``choice`` over ``grid(k)`` gives from the same generator."""
     for k in (1, 2, 5):
         universe = GridSpec(3, k).universe()
         for seed in range(10):
             ours, reference = random.Random(seed), random.Random(seed)
             for _ in range(4):
-                degrees = tuple(reference.choice(grid_degrees(k)) for _ in universe)
+                degrees = tuple(reference.choice(grid(k)) for _ in universe)
                 assert oracle._random_grid_set(ours, universe, k) == FiniteFuzzySet(universe, degrees)
 
 
@@ -815,7 +806,9 @@ def test_witnesses_match_their_targets():
         target = SearchTarget.parse(text)
         witness = find_witness(space, target, GridSpec(2, k))
         assert witness is not None
-        assert target.matches(space, witness)
+        verdicts = classify_set(space, witness).verdicts()
+        assert verdicts[target.have.replace("-", "_")]
+        assert not verdicts[target.avoid.replace("-", "_")]
 
 
 def test_find_witness_matches_the_enumerating_reference():

@@ -1,27 +1,26 @@
 """Piecewise-linear sets: construction, canonical form, exact lattice ops.
 
-Four independent checks back the lattice operations:
+Three independent checks back the lattice operations:
 
 * pointwise evaluation: any claimed meet/join/order result must agree
   with ``at()`` on every merged breakpoint and on the midpoint of every
   merged segment, which pins the whole piecewise-linear function exactly;
-* a literal quadratic reference (``reference_*`` below), which evaluates
-  both functions by a linear scan at every merged x; the linear sweep
-  must reproduce its breakpoints and verdicts exactly;
+* a literal quadratic reference (``reference_*`` below), stated on
+  tuples of Fraction breakpoints and sharing no code with ``ftop.plin``:
+  it evaluates both functions by a linear scan at every merged x and
+  drops collinear points by the literal rule.  The linear sweep must
+  reproduce its breakpoints and verdicts exactly, and the integer
+  representation its scale, numerators and read-outs;
 * a projection onto a finite universe: the PL operators, evaluated at the
-  projection points, must equal the finite-backend operators there;
-* the Fraction-based class the integer representation replaced
-  (``ReferencePLFuzzySet`` below): every operation and read-out must
-  agree with it.
+  projection points, must equal the finite-backend operators there.
 """
 
 import copy
 import math
 import pickle
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,10 +40,11 @@ from ftop import (
     semi_interior,
     validate,
 )
-from ftop.degrees import ONE, ZERO, as_degree
 from ftop.plin import _mass
 
 from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, pl
+
+from test_fset import mixed_degrees
 
 degrees = st.builds(
     lambda n, d: Fraction(min(n, d), d),
@@ -79,12 +79,12 @@ def dense_pl_sets(draw, max_breakpoints=40):
     return PLFuzzySet(tuple((Fraction(x, den), Fraction(y, 6)) for x, y in zip(xs, ys)))
 
 
-# The quadratic algorithm the linear sweep replaced, kept verbatim as the
-# reference: evaluate both functions at every merged x by a linear scan.
+# The quadratic algorithm the linear sweep replaced, as the reference, on
+# breakpoint tuples: evaluate both functions at every merged x by a linear
+# scan, then drop collinear points.
 
 
-def reference_at(f, x):
-    points = f.breakpoints
+def reference_at(points, x):
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         if x0 <= x <= x1:
             if x == x0:
@@ -93,31 +93,65 @@ def reference_at(f, x):
     raise AssertionError("unreachable: breakpoints cover [0, 1]")
 
 
-def reference_merged_grid(f, g):
-    xs = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+def reference_merged_grid(p, q):
+    xs = sorted({x for x, _ in p} | {x for x, _ in q})
     crossings = []
     for x0, x1 in zip(xs, xs[1:]):
-        d0 = reference_at(f, x0) - reference_at(g, x0)
-        d1 = reference_at(f, x1) - reference_at(g, x1)
+        d0 = reference_at(p, x0) - reference_at(q, x0)
+        d1 = reference_at(p, x1) - reference_at(q, x1)
         if (d0 > 0 and d1 < 0) or (d0 < 0 and d1 > 0):
             t = d0 / (d0 - d1)
             crossings.append(x0 + t * (x1 - x0))
     return sorted(set(xs) | set(crossings))
 
 
-def reference_fold(op, f, others):
-    result = f
-    for g in others:
-        xs = reference_merged_grid(result, g)
-        result = PLFuzzySet(
-            tuple((x, op(reference_at(result, x), reference_at(g, x))) for x in xs)
+def reference_fold(op, first, others):
+    result = first
+    for q in others:
+        xs = reference_merged_grid(result, q)
+        result = reference_canonicalize(
+            tuple((x, op(reference_at(result, x), reference_at(q, x))) for x in xs)
         )
     return result
 
 
-def reference_leq(f, g):
-    xs = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
-    return all(reference_at(f, x) <= reference_at(g, x) for x in xs)
+def reference_leq(p, q):
+    xs = sorted({x for x, _ in p} | {x for x, _ in q})
+    return all(reference_at(p, x) <= reference_at(q, x) for x in xs)
+
+
+def reference_canonicalize(points):
+    """Drop interior points collinear with their neighbours.
+
+    An interior point is removable iff the segment from the last kept point
+    to the next point passes through it; testing against the last *kept*
+    point (not the raw predecessor) collapses whole collinear runs.
+    """
+    kept = [points[0]]
+    for (x1, y1), (x2, y2) in zip(points[1:], points[2:]):
+        x0, y0 = kept[-1]
+        if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
+            kept.append((x1, y1))
+    return (*kept, points[-1])
+
+
+def reference_breakpoint_error(points):
+    """The message of the first breakpoint rule ``points`` breaks, or None.
+
+    The rules, in order: at least two points, x from 0 to 1, x strictly
+    increasing, every y in ``[0, 1]``.
+    """
+    if len(points) < 2:
+        return "need at least the two endpoint breakpoints"
+    if points[0][0] != 0 or points[-1][0] != 1:
+        return "breakpoints must start at x=0 and end at x=1"
+    for (x0, _), (x1, _) in zip(points, points[1:]):
+        if x1 <= x0:
+            return f"x-coordinates must strictly increase: {x0} then {x1}"
+    for _, y in points:
+        if not 0 <= y <= 1:
+            return f"membership value {y} outside [0, 1]"
+    return None
 
 
 def sample_points(*sets):
@@ -144,6 +178,10 @@ def test_construction_rejects_bad_degrees():
         PLFuzzySet([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(3, 2))])
     with pytest.raises(TypeError):
         PLFuzzySet.from_breakpoints([(0.0, 0.0), (1.0, 1.0)])
+    # x order is checked before the y range
+    points = [(0, 0), ("1/2", "3/2"), ("1/2", 0), (1, 0)]
+    with pytest.raises(ValueError, match=r"^x-coordinates must strictly increase: 1/2 then 1/2$"):
+        PLFuzzySet([(Fraction(x), Fraction(y)) for x, y in points])
 
 
 def test_collinear_interior_points_collapse():
@@ -245,9 +283,10 @@ class TestSweepMatchesQuadraticReference:
     )
     def test_named_cases(self, f, g):
         for a, b in ((f, g), (g, f)):
-            assert a.meet(b).breakpoints == reference_fold(min, a, [b]).breakpoints
-            assert a.join(b).breakpoints == reference_fold(max, a, [b]).breakpoints
-            assert a.leq(b) == reference_leq(a, b)
+            p, q = a.breakpoints, b.breakpoints
+            assert a.meet(b).breakpoints == reference_fold(min, p, [q])
+            assert a.join(b).breakpoints == reference_fold(max, p, [q])
+            assert a.leq(b) == reference_leq(p, q)
 
     def test_touching_and_breakpoint_crossings_add_no_point(self):
         f, g = TOUCHING
@@ -258,10 +297,11 @@ class TestSweepMatchesQuadraticReference:
     @settings(max_examples=200, deadline=None)
     @given(dense_pl_sets(), dense_pl_sets())
     def test_binary_operations(self, f, g):
-        assert f.meet(g).breakpoints == reference_fold(min, f, [g]).breakpoints
-        assert f.join(g).breakpoints == reference_fold(max, f, [g]).breakpoints
+        p, q = f.breakpoints, g.breakpoints
+        assert f.meet(g).breakpoints == reference_fold(min, p, [q])
+        assert f.join(g).breakpoints == reference_fold(max, p, [q])
         for a, b in ((f, g), (g, f), (f, f.join(g)), (f.meet(g), g)):
-            assert a.leq(b) == reference_leq(a, b)
+            assert a.leq(b) == reference_leq(a.breakpoints, b.breakpoints)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -270,8 +310,9 @@ class TestSweepMatchesQuadraticReference:
     )
     def test_variadic_calls(self, f, others):
         """Three to five arguments fold exactly like the reference."""
-        assert f.meet(*others).breakpoints == reference_fold(min, f, others).breakpoints
-        assert f.join(*others).breakpoints == reference_fold(max, f, others).breakpoints
+        p, qs = f.breakpoints, [g.breakpoints for g in others]
+        assert f.meet(*others).breakpoints == reference_fold(min, p, qs)
+        assert f.join(*others).breakpoints == reference_fold(max, p, qs)
 
 
 def project(f, points, universe):
@@ -296,7 +337,11 @@ class TestProjectionOracle:
         space = generate(subbasis)
         functions = [*space.members, *(m.complement() for m in space.members), s]
         points = sorted(
-            {x for f, g in combinations(functions, 2) for x in reference_merged_grid(f, g)}
+            {
+                x
+                for f, g in combinations(functions, 2)
+                for x in reference_merged_grid(f.breakpoints, g.breakpoints)
+            }
         )
         universe = Universe(tuple(str(x) for x in points))
         finite = validate([project(m, points, universe) for m in space.members])
@@ -330,233 +375,46 @@ def test_malformed_breakpoints_raise_value_error():
             PLFuzzySet(points)
 
 
-# --- the integer representation against the Fraction-based original -------
-#
-# ``ReferencePLFuzzySet`` is the Fraction-based ``PLFuzzySet`` as it stood
-# before sets held integer coordinates over one scale, copied verbatim with
-# only the class and its module-level helpers renamed.
+# --- the integer representation against the literal reference ------------
 
-Breakpoint = tuple[Fraction, Fraction]
-
-
-def reference_canonicalize(points: Sequence[Breakpoint]) -> tuple[Breakpoint, ...]:
-    """Drop interior points collinear with their neighbours.
-
-    An interior point is removable iff the segment from the last kept point
-    to the next point passes through it; testing against the last *kept*
-    point (not the raw predecessor) collapses whole collinear runs.
-    """
-    result: list[Breakpoint] = [points[0]]
-    for index in range(1, len(points) - 1):
-        x0, y0 = result[-1]
-        x1, y1 = points[index]
-        x2, y2 = points[index + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        result.append(points[index])
-    result.append(points[-1])
-    return tuple(result)
-
-
-def reference_interpolate(left: Breakpoint, right: Breakpoint, x: Fraction) -> Fraction:
-    (x0, y0), (x1, y1) = left, right
-    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
-def reference_walk(
-    p: Sequence[Breakpoint], q: Sequence[Breakpoint]
-) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """Yield ``(x, f(x), g(x))`` at every breakpoint x of either f or g, in order.
-
-    ``p`` and ``q`` are the breakpoint lists of f and g.  Two pointers walk
-    both lists once, so the sweep takes O(m + n) steps for m and n
-    breakpoints: at an x where only one function has a breakpoint, the
-    other is interpolated on its current segment, whose right end is the
-    breakpoint its pointer rests on.  Both lists start at 0 and end at 1,
-    so the pointers leave their lists together.
-    """
-    i = j = 0
-    while i < len(p):
-        (px, py), (qx, qy) = p[i], q[j]
-        if px == qx:
-            yield px, py, qy
-            i += 1
-            j += 1
-        elif px < qx:
-            yield px, py, reference_interpolate(q[j - 1], q[j], px)
-            i += 1
-        else:
-            yield qx, reference_interpolate(p[i - 1], p[i], qx), qy
-            j += 1
-
-
-@dataclass(frozen=True)
-class ReferencePLFuzzySet:
-    """A continuous piecewise-linear membership function on ``[0, 1]``."""
-
-    breakpoints: tuple[Breakpoint, ...]
-
-    def __post_init__(self) -> None:
-        points = self.breakpoints
-        if len(points) < 2:
-            raise ValueError("need at least the two endpoint breakpoints")
-        if points[0][0] != ZERO or points[-1][0] != ONE:
-            raise ValueError("breakpoints must start at x=0 and end at x=1")
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            if x1 <= x0:
-                raise ValueError(f"x-coordinates must strictly increase: {x0} then {x1}")
-        for x, y in points:
-            if not isinstance(x, Fraction) or not isinstance(y, Fraction):
-                raise ValueError(f"breakpoint ({x!r}, {y!r}) is not exact-rational")
-            if y < ZERO or y > ONE:
-                raise ValueError(f"membership value {y} outside [0, 1]")
-        canonical = reference_canonicalize(points)
-        if canonical != points:
-            object.__setattr__(self, "breakpoints", canonical)
-
-    @classmethod
-    def from_breakpoints(cls, pairs: Iterable[tuple[object, object]]) -> "ReferencePLFuzzySet":
-        """Build from ``(x, y)`` pairs of ints, Fractions, or "p/q" strings."""
-        return cls(tuple((as_degree(x), as_degree(y)) for x, y in pairs))
-
-    @classmethod
-    def constant(cls, value: object) -> "ReferencePLFuzzySet":
-        degree = as_degree(value)
-        return cls(((ZERO, degree), (ONE, degree)))
-
-    @classmethod
-    def zero(cls) -> "ReferencePLFuzzySet":
-        return cls.constant(0)
-
-    @classmethod
-    def one(cls) -> "ReferencePLFuzzySet":
-        return cls.constant(1)
-
-    def at(self, x: Fraction | int | str) -> Fraction:
-        """Evaluate at a rational point by exact linear interpolation."""
-        x = as_degree(x)  # the domain is [0, 1], same range as degrees
-        points = self.breakpoints
-        for left, right in zip(points, points[1:]):
-            if left[0] <= x <= right[0]:
-                return left[1] if x == left[0] else reference_interpolate(left, right, x)
-        raise AssertionError("unreachable: breakpoints cover [0, 1]")
-
-    def _pointwise(self, op, others: tuple["ReferencePLFuzzySet", ...]) -> "ReferencePLFuzzySet":
-        """Fold ``op`` (min or max) over ``others``, one linear sweep per pair.
-
-        Between consecutive merged x-coordinates both functions are linear,
-        so the difference changes sign inside a cell only if it has strictly
-        opposite signs at the cell ends; the crossing then solves a linear
-        equation and is rational, and becomes a breakpoint of the result.
-        """
-        result = self
-        for other in others:
-            self._require_compatible(other)
-            points: list[Breakpoint] = []
-            x0 = a0 = d0 = ZERO
-            for x, a, b in reference_walk(result.breakpoints, other.breakpoints):
-                d = a - b
-                if (d0 > 0 and d < 0) or (d0 < 0 and d > 0):
-                    t = d0 / (d0 - d)  # both functions meet at x0 + t * (x - x0)
-                    points.append((x0 + t * (x - x0), a0 + t * (a - a0)))
-                points.append((x, op(a, b)))
-                x0, a0, d0 = x, a, d
-            result = reference_trusted(reference_canonicalize(points))
-        return result
-
-    def meet(self, *others: "ReferencePLFuzzySet") -> "ReferencePLFuzzySet":
-        """Pointwise minimum of self and every set in ``others``, folded pairwise."""
-        return self._pointwise(min, others)
-
-    def join(self, *others: "ReferencePLFuzzySet") -> "ReferencePLFuzzySet":
-        """Pointwise maximum of self and every set in ``others``, folded pairwise."""
-        return self._pointwise(max, others)
-
-    def complement(self) -> "ReferencePLFuzzySet":
-        # y -> 1 - y keeps collinearity, so the result is canonical already.
-        return reference_trusted(tuple((x, ONE - y) for x, y in self.breakpoints))
-
-    def leq(self, other: "ReferencePLFuzzySet") -> bool:
-        """Pointwise order, decided exactly in one sweep of O(m + n) steps.
-
-        Checking the merged breakpoints suffices: both functions are linear
-        on every merged segment, and a linear inequality on a segment holds
-        iff it holds at both ends.  The sweep stops at the first violation.
-        """
-        self._require_compatible(other)
-        return all(a <= b for _, a, b in reference_walk(self.breakpoints, other.breakpoints))
-
-    def is_zero(self) -> bool:
-        return all(y == ZERO for _, y in self.breakpoints)
-
-    def bottom(self) -> "ReferencePLFuzzySet":
-        return ReferencePLFuzzySet.zero()
-
-    def top(self) -> "ReferencePLFuzzySet":
-        return ReferencePLFuzzySet.one()
-
-    def sort_key(self) -> tuple[Breakpoint, ...]:
-        return self.breakpoints
-
-    def _require_compatible(self, other: object) -> None:
-        """Raise unless ``other`` is a PL set; all of them share ``[0, 1]``."""
-        if not isinstance(other, ReferencePLFuzzySet):
-            raise BackendMismatchError(f"expected PLFuzzySet, got {type(other).__name__}")
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"({x}, {y})" for x, y in self.breakpoints)
-        return f"PLFuzzySet([{inside}])"
-
-
-def reference_trusted(points: tuple[Breakpoint, ...]) -> ReferencePLFuzzySet:
-    """Wrap canonical, valid breakpoints without ``__post_init__``.
-
-    Only lattice results come through here: their x-coordinates are the
-    increasing merged grid of valid sets and their values stay in ``[0, 1]``.
-    """
-    value = object.__new__(ReferencePLFuzzySet)
-    object.__setattr__(value, "breakpoints", points)
-    return value
-
-
-# Denominators up to 12, 7 and 11 included, so that two sets mix scales
-# with no common factor.
-mixed_degrees = st.integers(min_value=1, max_value=12).flatmap(
-    lambda q: st.integers(min_value=0, max_value=q).map(lambda p: Fraction(p, q))
-)
+def pl_pair(*pairs):
+    """A PL set and its canonical breakpoints, from the same ``(x, y)`` pairs."""
+    points = tuple((Fraction(x), Fraction(y)) for x, y in pairs)
+    return PLFuzzySet(points), reference_canonicalize(points)
 
 
 @st.composite
 def pl_pairs(draw, max_inner=6):
-    """A PL set and its reference twin, built from the same breakpoints."""
+    """A PL set and its canonical breakpoints, by the reference."""
     inner = draw(
         st.lists(mixed_degrees.filter(lambda q: 0 < q < 1), unique=True, max_size=max_inner)
     )
-    points = tuple((x, draw(mixed_degrees)) for x in [Fraction(0), *sorted(inner), Fraction(1)])
-    return PLFuzzySet(points), ReferencePLFuzzySet(points)
+    return pl_pair(*((x, draw(mixed_degrees)) for x in [Fraction(0), *sorted(inner), Fraction(1)]))
 
 
-def assert_same_set(value, reference):
-    """``value`` reads like ``reference`` and is canonical: it equals and
-    hashes like its rebuild through the public constructor."""
-    assert value.breakpoints == reference.breakpoints
-    assert value.sort_key() == reference.sort_key()
-    assert repr(value) == repr(reference)
-    assert value.is_zero() == reference.is_zero()
-    assert [value.at(x) for x in sample_points(reference)] == [
-        reference.at(x) for x in sample_points(reference)
-    ]
-    rebuilt = PLFuzzySet(reference.breakpoints)
+def reference_complement(points):
+    return tuple((x, 1 - y) for x, y in points)
+
+
+def assert_same_set(value, points):
+    """``value`` holds the canonical ``points``: coordinates over the lcm of
+    every denominator, and every read-out says so."""
+    scale = math.lcm(*[c.denominator for point in points for c in point])
+    xs, ys = tuple(x * scale for x, _ in points), tuple(y * scale for _, y in points)
+    assert (value.scale, value.xs, value.ys) == (scale, xs, ys)
+    assert value.breakpoints == points and value.sort_key() == points
+    inside = ", ".join(f"({x}, {y})" for x, y in points)
+    assert repr(value) == f"PLFuzzySet([{inside}])"
+    assert value.is_zero() == all(y == 0 for _, y in points)
+    sample = sample_points(value)
+    assert [value.at(x) for x in sample] == [reference_at(points, x) for x in sample]
+    rebuilt = PLFuzzySet(points)
     assert rebuilt == value and hash(rebuilt) == hash(value)
-    assert (rebuilt.scale, rebuilt.xs, rebuilt.ys) == (value.scale, value.xs, value.ys)
-    assert math.gcd(value.scale, *value.xs, *value.ys) == 1
 
 
 CROSSING_PAIR = [
-    (pl(("0", "1/7"), ("1/3", "1"), ("1", "0")), ReferencePLFuzzySet.from_breakpoints(
-        [("0", "1/7"), ("1/3", "1"), ("1", "0")])),
-    (pl(("0", "4/5"), ("5/11", "0"), ("1", "2/3")), ReferencePLFuzzySet.from_breakpoints(
-        [("0", "4/5"), ("5/11", "0"), ("1", "2/3")])),
+    pl_pair(("0", "1/7"), ("1/3", "1"), ("1", "0")),
+    pl_pair(("0", "4/5"), ("5/11", "0"), ("1", "2/3")),
 ]
 
 
@@ -565,9 +423,8 @@ def mass(value):
     return Fraction(_mass(value), 2 * value.scale**2)
 
 
-def trapezoid(value):
-    """``∫ value`` by the trapezoid rule on the Fraction view."""
-    points = value.breakpoints
+def trapezoid(points):
+    """``∫`` of the breakpoints by the trapezoid rule, on Fractions."""
     return sum((x1 - x0) * (y0 + y1) / 2 for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
@@ -579,18 +436,18 @@ class TestIntegerRepresentationMatchesReference:
         """meet/join with 1-4 arguments, leq both ways, complement and the
         read-outs agree with the reference, and every result is canonical."""
         values = [value for value, _ in pairs]
-        references = [reference for _, reference in pairs]
+        references = [points for _, points in pairs]
         first, ref_first = values[0], references[0]
         results = [
-            (first.meet(*values[1:]), ref_first.meet(*references[1:])),
-            (first.join(*values[1:]), ref_first.join(*references[1:])),
-            *((value.complement(), reference.complement()) for value, reference in pairs),
+            (first.meet(*values[1:]), reference_fold(min, ref_first, references[1:])),
+            (first.join(*values[1:]), reference_fold(max, ref_first, references[1:])),
+            *((value.complement(), reference_complement(points)) for value, points in pairs),
             *pairs,
         ]
-        for value, reference in results:
-            assert_same_set(value, reference)
+        for value, points in results:
+            assert_same_set(value, points)
         for (s, rs), (t, rt) in product(results, repeat=2):
-            assert s.leq(t) == rs.leq(rt)
+            assert s.leq(t) == reference_leq(rs, rt)
             assert (s == t) == (rs == rt)
             assert s != t or hash(s) == hash(t)
 
@@ -598,10 +455,10 @@ class TestIntegerRepresentationMatchesReference:
     @given(dense_pl_sets(), dense_pl_sets())
     def test_dense_binary_operations_agree(self, f, g):
         """Many crossings, shared x-coordinates and touching points."""
-        rf, rg = ReferencePLFuzzySet(f.breakpoints), ReferencePLFuzzySet(g.breakpoints)
-        assert_same_set(f.meet(g), rf.meet(rg))
-        assert_same_set(f.join(g), rf.join(rg))
-        assert f.leq(g) == rf.leq(rg) and g.leq(f) == rg.leq(rf)
+        p, q = f.breakpoints, g.breakpoints
+        assert_same_set(f.meet(g), reference_fold(min, p, [q]))
+        assert_same_set(f.join(g), reference_fold(max, p, [q]))
+        assert f.leq(g) == reference_leq(p, q) and g.leq(f) == reference_leq(q, p)
 
     def test_a_shrinking_scale_is_divided_out(self):
         collinear = pl(("0", "0"), ("1/7", "1/7"), ("1", "1"))
@@ -652,7 +509,7 @@ class TestMass:
 
     @given(pl_pairs())
     def test_mass_is_the_exact_integral(self, pair):
-        value, reference = pair
-        assert mass(value) == trapezoid(reference)
+        value, points = pair
+        assert mass(value) == trapezoid(points)
         assert mass(value) + mass(value.complement()) == 1
 

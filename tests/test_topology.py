@@ -3,8 +3,8 @@
 Expected interior/closure values for the two reference spaces were
 derived by hand from the member lists (filter the members pointwise,
 fold with join or meet) before being frozen here.  That fold is also
-kept below, verbatim, as the reference the operators must reproduce, and
-so are the pair loops ``check_axioms`` and ``generate`` ran before they
+kept below, verbatim, as the one reference the operators of both
+backends must reproduce, and so are the pair loops ``check_axioms`` and ``generate`` ran before they
 skipped comparable pairs, and before ``generate`` became a meet pass and
 a join pass.
 """
@@ -252,7 +252,8 @@ class TestOperatorLaws:
 
 
 # The fold the greatest-member selection replaced, kept verbatim as the
-# reference: join every member below s, meet every closed set above s.
+# reference for both backends: join every member below s, meet every
+# closed set above s.
 
 
 def reference_interior(space, s):
@@ -352,19 +353,6 @@ def test_pl_operators_match_the_fold():
     assert_operators_match_reference(space, queries)
 
 
-# The piecewise-linear operators as they stood before greatest-member
-# selection by mass, kept verbatim as the reference: interior folds join
-# over the members below s, and closure is 1 - Int(1 - s).
-
-
-def reference_pl_interior(space, s):
-    return space.bottom.join(*[member for member in space.members if member.leq(s)])
-
-
-def reference_pl_closure(space, s):
-    return reference_pl_interior(space, s.complement()).complement()
-
-
 pl_degrees = st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q)))
 
 
@@ -404,13 +392,6 @@ def pl_product_spaces(draw):
         for right in rights
     ]
     return validate([*members, PLFuzzySet.one()])
-
-
-def assert_pl_operators_match_fold(space, queries):
-    for s in queries:
-        assert space.interior(s) == reference_pl_interior(space, s)
-        assert space.closure(s) == reference_pl_closure(space, s)
-    assert_operators_match_reference(space, queries)
 
 
 def pl_queries(draw, space):
@@ -654,7 +635,7 @@ class TestPLSelectionMatchesFold:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(pl_chain_spaces(), pl_product_spaces()), st.data())
     def test_chain_and_product_spaces(self, space, data):
-        assert_pl_operators_match_fold(space, pl_queries(data.draw, space))
+        assert_operators_match_reference(space, pl_queries(data.draw, space))
 
     @settings(max_examples=60, deadline=None)
     @given(pl_subbases(), st.data(), st.randoms(use_true_random=False))
@@ -662,7 +643,7 @@ class TestPLSelectionMatchesFold:
         """Members that cross; the member order is not trusted."""
         space = generate(subbasis[0], cap=200)  # a broken lattice fails, not hangs
         queries = pl_queries(data.draw, space)
-        assert_pl_operators_match_fold(space, queries)
+        assert_operators_match_reference(space, queries)
         members = list(space.members)
         rng.shuffle(members)
         shuffled = FuzzyTopology(tuple(members))
