@@ -76,20 +76,17 @@ def _read_document(name: str) -> str:
 
 
 def _generation_cap(args: argparse.Namespace) -> int | None:
-    cap = getattr(args, "cap", None)
-    if cap is not None:
-        if cap < 1:
-            raise DocumentError("bad-cap", f"must be positive, got {cap}", "--cap")
-        return cap
-    env = os.environ.get("FTOP_CAP")
-    if env is None:
-        return None
-    try:
-        cap = int(env)
-    except ValueError:
-        raise DocumentError("bad-cap", f"must be an integer, got {env!r}", "FTOP_CAP")
+    cap, where, env = args.cap, "--cap", os.environ.get("FTOP_CAP")
+    if cap is None:
+        if env is None:
+            return None
+        where = "FTOP_CAP"
+        try:
+            cap = int(env)
+        except ValueError:
+            raise DocumentError("bad-cap", f"must be an integer, got {env!r}", where)
     if cap < 1:
-        raise DocumentError("bad-cap", f"must be positive, got {cap}", "FTOP_CAP")
+        raise DocumentError("bad-cap", f"must be positive, got {cap}", where)
     return cap
 
 
@@ -196,7 +193,7 @@ def _cmd_classify_fn(args: argparse.Namespace) -> tuple[dict, int]:
     report = {
         "command": "classify fn",
         "fn": args.fn,
-        "map": {x: y for x, y in doc.map},
+        "map": dict(fn.mapping),
         "verdicts": classification.verdicts(),
         "witnesses": {
             name: set_as_data(witness)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Union
 
 from . import fset, plin
@@ -110,18 +109,12 @@ def _loads(text: str) -> Any:
         ) from exc
 
 
-def _expect_object(node: Any, where: str, what: str) -> dict:
-    if not isinstance(node, dict):
+def _expect(node: Any, kind: type, where: str, what: str) -> Any:
+    """``node``, if it is a ``kind``: ``dict`` for a JSON object, ``list`` for an array."""
+    if not isinstance(node, kind):
+        name = "object" if kind is dict else "array"
         raise DocumentError(
-            "schema", f"{what} must be a JSON object, got {type(node).__name__}", where
-        )
-    return node
-
-
-def _expect_list(node: Any, where: str, what: str) -> list:
-    if not isinstance(node, list):
-        raise DocumentError(
-            "schema", f"{what} must be a JSON array, got {type(node).__name__}", where
+            "schema", f"{what} must be a JSON {name}, got {type(node).__name__}", where
         )
     return node
 
@@ -153,36 +146,26 @@ class SpaceDocument:
     """A parsed, fully validated space description.
 
     ``sets`` keeps document order so printing round-trips; values are
-    already real set objects, not raw JSON.
+    already real set objects, not raw JSON.  ``universe`` is the one
+    ``Universe`` the finite set bodies are built over, so the constants
+    and the listed sets share it; it is None for a PL document.
     """
 
     kind: str
-    universe: tuple[str, ...] | None
+    universe: Universe | None
     sets: tuple[tuple[str, SetBody], ...]
     topology: tuple[str, ...]
     topology_is: str
-
-    @cached_property
-    def universe_object(self) -> Universe | None:
-        """The one universe every finite member is over: the set bodies' own.
-
-        A document without set bodies builds it once, so the constants
-        and the listed sets share one ``Universe`` object.
-        """
-        if self.universe is None:
-            return None
-        return self.sets[0][1].universe if self.sets else Universe(self.universe)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.sets)
 
     def resolve(self, name: str) -> SetBody:
         """The set a name denotes, with ``"0"``/``"1"`` as the constants."""
+        universe = self.universe
         if name == "0":
-            universe = self.universe_object
             return PLFuzzySet.zero() if universe is None else FiniteFuzzySet.zero(universe)
         if name == "1":
-            universe = self.universe_object
             return PLFuzzySet.one() if universe is None else FiniteFuzzySet.one(universe)
         for candidate, value in self.sets:
             if candidate == name:
@@ -191,7 +174,7 @@ class SpaceDocument:
 
 
 def _parse_finite_body(node: Any, universe: Universe, where: str) -> FiniteFuzzySet:
-    mapping = _expect_object(node, where, "a finite set body")
+    mapping = _expect(node, dict, where, "a finite set body")
     for label in mapping:
         if label not in universe:
             raise DocumentError(
@@ -210,13 +193,13 @@ def _parse_finite_body(node: Any, universe: Universe, where: str) -> FiniteFuzzy
 
 
 def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
-    obj = _expect_object(node, where, "a pl set body")
+    obj = _expect(node, dict, where, "a pl set body")
     _reject_unknown_keys(obj, frozenset({"breakpoints"}), where)
-    pairs_node = _expect_list(obj.get("breakpoints"), f"{where}.breakpoints", "breakpoints")
+    pairs_node = _expect(obj.get("breakpoints"), list, f"{where}.breakpoints", "breakpoints")
     pairs = []
     for i, pair in enumerate(pairs_node):
         pair_where = f"{where}.breakpoints[{i}]"
-        entry = _expect_list(pair, pair_where, "a breakpoint")
+        entry = _expect(pair, list, pair_where, "a breakpoint")
         if len(entry) != 2:
             raise DocumentError(
                 "bad-breakpoints", "a breakpoint is a [x, y] pair of rational strings", pair_where
@@ -229,7 +212,7 @@ def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
 
 
 def _parse_space_data(data: Any, where: str) -> SpaceDocument:
-    obj = _expect_object(data, where, "a space document")
+    obj = _expect(data, dict, where, "a space document")
     _reject_unknown_keys(obj, _SPACE_KEYS, where)
 
     kind = obj.get("kind")
@@ -248,7 +231,7 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
 
     universe: Universe | None = None
     if kind == "finite":
-        labels_node = _expect_list(obj.get("universe"), f"{where}.universe", "the universe")
+        labels_node = _expect(obj.get("universe"), list, f"{where}.universe", "the universe")
         try:
             universe = Universe(tuple(labels_node))
         except ValueError as exc:
@@ -258,7 +241,7 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
             "schema", "pl documents do not carry a universe", f"{where}.universe"
         )
 
-    sets_node = _expect_object(obj.get("sets", {}), f"{where}.sets", "sets")
+    sets_node = _expect(obj.get("sets", {}), dict, f"{where}.sets", "sets")
     sets: list[tuple[str, SetBody]] = []
     for name, body in sets_node.items():
         body_where = f"{where}.sets.{name}"
@@ -273,7 +256,7 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
         else:
             sets.append((name, _parse_pl_body(body, body_where)))
 
-    topology_node = _expect_list(obj.get("topology"), f"{where}.topology", "the topology")
+    topology_node = _expect(obj.get("topology"), list, f"{where}.topology", "the topology")
     defined = {name for name, _ in sets}
     topology: list[str] = []
     for i, name in enumerate(topology_node):
@@ -286,8 +269,7 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
             )
         topology.append(name)
 
-    labels = None if universe is None else universe.labels
-    return SpaceDocument(kind, labels, tuple(sets), tuple(topology), topology_is)
+    return SpaceDocument(kind, universe, tuple(sets), tuple(topology), topology_is)
 
 
 def parse_space(text: str) -> SpaceDocument:
@@ -327,7 +309,11 @@ def print_space(doc: SpaceDocument) -> str:
 
 @dataclass(frozen=True)
 class FunctionDocument:
-    """A parsed function description: two spaces and a total point map."""
+    """A parsed function description: two spaces and a total point map.
+
+    ``map`` keeps document order, as ``sets`` does, so printing
+    round-trips; :class:`FuzzyFunction` puts it in domain order.
+    """
 
     domain: SpaceDocument
     codomain: SpaceDocument
@@ -335,7 +321,7 @@ class FunctionDocument:
 
 
 def _parse_function_data(data: Any, where: str) -> FunctionDocument:
-    obj = _expect_object(data, where, "a function document")
+    obj = _expect(data, dict, where, "a function document")
     _reject_unknown_keys(obj, _FUNCTION_KEYS, where)
     domain = _parse_space_data(obj.get("domain"), f"{where}.domain")
     codomain = _parse_space_data(obj.get("codomain"), f"{where}.codomain")
@@ -347,14 +333,13 @@ def _parse_function_data(data: Any, where: str) -> FunctionDocument:
                 f"{where}.{side}.kind",
             )
 
-    map_node = _expect_object(obj.get("map"), f"{where}.map", "the map")
-    points, images = set(domain.universe), set(codomain.universe)
+    map_node = _expect(obj.get("map"), dict, f"{where}.map", "the map")
     for x, y in map_node.items():
-        if x not in points:
+        if x not in domain.universe:
             raise DocumentError(
                 "bad-map", f"{x!r} is not a domain point", f"{where}.map.{x}"
             )
-        if not isinstance(y, str) or y not in images:
+        if y not in codomain.universe:
             raise DocumentError(
                 "bad-map", f"{y!r} is not a codomain point", f"{where}.map.{x}"
             )
@@ -363,8 +348,7 @@ def _parse_function_data(data: Any, where: str) -> FunctionDocument:
         raise DocumentError(
             "bad-map", f"map gives no image for domain points {missing}", f"{where}.map"
         )
-    ordered = tuple((x, map_node[x]) for x in domain.universe)
-    return FunctionDocument(domain, codomain, ordered)
+    return FunctionDocument(domain, codomain, tuple(map_node.items()))
 
 
 def parse_function(text: str) -> FunctionDocument:
@@ -432,7 +416,7 @@ def document_for_space(space: FuzzyTopology) -> SpaceDocument:
             topology.append(name)
     return SpaceDocument(
         kind="finite",
-        universe=universe.labels,
+        universe=universe,
         sets=tuple(sets),
         topology=tuple(topology),
         topology_is="complete",

@@ -55,7 +55,11 @@ OPENNESS_CLASSES = (
 
 @dataclass(frozen=True)
 class FuzzyFunction:
-    """A total point map between the universes of two finite fuzzy spaces."""
+    """A total point map between the universes of two finite fuzzy spaces.
+
+    The constructor checks the pairs, then keeps ``mapping`` in domain
+    order, so two listings of one map compare and hash equal.
+    """
 
     domain: FuzzyTopology
     codomain: FuzzyTopology
@@ -76,29 +80,19 @@ class FuzzyFunction:
         outside = sorted({y for y in assigned.values() if y not in codomain_universe})
         if outside:
             raise ValueError(f"mapping hits points outside the codomain: {outside}")
+        object.__setattr__(self, "mapping", tuple((x, assigned[x]) for x in domain_universe))
 
     @classmethod
     def from_mapping(
         cls, domain: FuzzyTopology, codomain: FuzzyTopology, mapping: Mapping[str, str]
     ) -> "FuzzyFunction":
-        universe = domain._finite_universe("a function's domain")
-        pairs = [(x, mapping[x]) for x in universe if x in mapping]
-        if len(pairs) < len(mapping):  # keys off the domain: passed on, to be refused
-            pairs += [item for item in mapping.items() if item[0] not in universe]
-        return cls(domain, codomain, tuple(pairs))
-
-    @cached_property
-    def _map(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-    def apply(self, x: str) -> str:
-        return self._map[x]
+        return cls(domain, codomain, tuple(mapping.items()))
 
     @cached_property
     def _targets(self) -> tuple[int, ...]:
         """The codomain position of each domain point's image, in domain order."""
-        index, mapping = self.codomain.universe.index, self._map
-        return tuple([index(mapping[x]) for x in self.domain.universe])
+        index = self.codomain.universe.index
+        return tuple([index(y) for _, y in self.mapping])
 
     def preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:
         """Pull a codomain fuzzy set back along the map: ``x -> beta(f(x))``."""

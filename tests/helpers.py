@@ -4,10 +4,13 @@
 degrees (0, 1/3, 1/2, 2/3, 1) exercise non-grid-aligned arithmetic;
 ``t_pl()`` is the five-member piecewise-linear topology whose non-open
 sets ``ALPHA`` and ``BETA`` separate the openness classes.  ``grid(k)``
-is the degree grid the finite grid sets are drawn from.
+is the degree grid the finite grid sets are drawn from, and
+``exact_degrees()`` the hypothesis strategy for exact degrees.
 """
 
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from ftop import FiniteFuzzySet, PLFuzzySet, Universe, validate
 
@@ -17,6 +20,15 @@ AB = Universe.of("a", "b")
 def grid(k: int) -> tuple[Fraction, ...]:
     """The ascending degrees 0, 1/k, ..., 1."""
     return tuple(Fraction(i, k) for i in range(k + 1))
+
+
+def exact_degrees(most: int = 12) -> st.SearchStrategy[Fraction]:
+    """Degrees p/q with q from 1 to ``most`` and p from 0 to q.
+
+    Denominators up to 12, 7 and 11 included, let sets on one universe
+    mix scales with no common factor.
+    """
+    return st.integers(1, most).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q)))
 
 
 def fs(a, b) -> FiniteFuzzySet:

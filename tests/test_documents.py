@@ -48,7 +48,7 @@ def error_code(text):
 def test_parse_finite_document():
     doc = parse_space(FINITE_DOC)
     assert doc.kind == "finite"
-    assert doc.universe == ("a", "b")
+    assert doc.universe.labels == ("a", "b")
     assert doc.names() == ("m1", "m2", "m3")
     assert doc.resolve("m2") == fs("1/2", 0)
     assert doc.resolve("0") == fs(0, 0)
@@ -241,24 +241,28 @@ def test_empty_subbasis_documents_give_the_indiscrete_space(header, constants):
 
 
 def test_function_document_round_trip_and_build():
-    text = json.dumps(
-        {
-            "domain": json.loads(FINITE_DOC),
-            "codomain": {
-                "kind": "finite",
-                "universe": ["u", "v"],
-                "sets": {"n": {"u": "1/2", "v": "0"}},
-                "topology": ["0", "n", "1"],
-                "topology_is": "complete",
-            },
-            "map": {"a": "u", "b": "v"},
-        }
-    )
-    doc = parse_function(text)
-    assert doc.map == (("a", "u"), ("b", "v"))
-    assert parse_function(print_function(doc)) == doc
-    fn = build_function(doc)
-    assert classify_function(fn).fuzzy_continuous
+    """The document keeps its own map order; the built map is in domain order."""
+    for listed in ((("a", "u"), ("b", "v")), (("b", "v"), ("a", "u"))):
+        text = json.dumps(
+            {
+                "domain": json.loads(FINITE_DOC),
+                "codomain": {
+                    "kind": "finite",
+                    "universe": ["u", "v"],
+                    "sets": {"n": {"u": "1/2", "v": "0"}},
+                    "topology": ["0", "n", "1"],
+                    "topology_is": "complete",
+                },
+                "map": dict(listed),
+            }
+        )
+        doc = parse_function(text)
+        assert doc.map == listed
+        assert parse_function(print_function(doc)) == doc
+        assert tuple(json.loads(print_function(doc))["map"].items()) == listed
+        fn = build_function(doc)
+        assert fn.mapping == (("a", "u"), ("b", "v"))
+        assert classify_function(fn).fuzzy_continuous
 
 
 def test_function_document_map_errors():

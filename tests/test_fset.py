@@ -25,14 +25,9 @@ from ftop import (
     join_family,
 )
 
-from helpers import AB, M1, M2, ONE2, ZERO2, fs, grid
+from helpers import AB, M1, M2, ONE2, ZERO2, exact_degrees, fs, grid
 
-degrees = st.builds(
-    lambda n, d: Fraction(min(n, d), d),
-    st.integers(min_value=0, max_value=12),
-    st.integers(min_value=1, max_value=12),
-)
-pair_sets = st.builds(fs, degrees, degrees)
+pair_sets = st.builds(fs, exact_degrees(), exact_degrees())
 
 
 def test_universe_rejects_bad_labels():
@@ -202,18 +197,12 @@ def test_ordering_key_sorts_pointwise_lexicographically():
 
 UVW = Universe.of("u", "v", "w")
 
-# Denominators up to 12, 7 and 11 included, so that sets on one universe
-# mix scales with no common factor.
-mixed_degrees = st.integers(min_value=1, max_value=12).flatmap(
-    lambda q: st.integers(min_value=0, max_value=q).map(lambda p: Fraction(p, q))
-)
-
 
 @st.composite
 def set_pairs(draw, size=None):
     """A set and the degrees it was built from."""
     universe = UVW if size is None else Universe(UVW.labels[:size])
-    degrees = tuple(draw(mixed_degrees) for _ in universe)
+    degrees = tuple(draw(exact_degrees()) for _ in universe)
     return FiniteFuzzySet(universe, degrees), degrees
 
 

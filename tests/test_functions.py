@@ -64,7 +64,8 @@ def test_mapping_must_be_total_and_well_aimed():
 
 def test_from_mapping_refuses_keys_outside_the_domain():
     """Keys off the domain reach the constructor, which refuses them; a
-    valid mapping is kept in universe order, whatever order it came in."""
+    valid mapping is kept in universe order, whatever order it came in,
+    by ``from_mapping`` and the constructor alike."""
     dom, cod = t_fin(), t_codomain()
     with pytest.raises(ValueError, match=r"unknown points \['zz'\]"):
         FuzzyFunction.from_mapping(dom, dom, {"a": "a", "b": "b", "zz": "a"})
@@ -72,6 +73,8 @@ def test_from_mapping_refuses_keys_outside_the_domain():
         FuzzyFunction.from_mapping(dom, cod, {"zz": "u", "b": "v", "a": "u"})
     f = FuzzyFunction.from_mapping(dom, cod, {"b": "v", "a": "u"})
     assert f.mapping == (("a", "u"), ("b", "v"))
+    g = FuzzyFunction(dom, cod, (("b", "v"), ("a", "u")))
+    assert g == f and hash(g) == hash(f) and g.mapping == (("a", "u"), ("b", "v"))
 
 
 def test_pl_spaces_are_rejected():

@@ -42,26 +42,18 @@ from ftop import (
 )
 from ftop.plin import _mass
 
-from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, pl
-
-from test_fset import mixed_degrees
-
-degrees = st.builds(
-    lambda n, d: Fraction(min(n, d), d),
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=1, max_value=8),
-)
+from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, exact_degrees, pl
 
 
 @st.composite
 def pl_sets(draw):
     inner = draw(
         st.lists(
-            degrees.filter(lambda q: 0 < q < 1), unique=True, min_size=0, max_size=3
+            exact_degrees(8).filter(lambda q: 0 < q < 1), unique=True, min_size=0, max_size=3
         )
     )
     xs = [Fraction(0), *sorted(inner), Fraction(1)]
-    return PLFuzzySet.from_breakpoints([(x, draw(degrees)) for x in xs])
+    return PLFuzzySet.from_breakpoints([(x, draw(exact_degrees(8))) for x in xs])
 
 
 @st.composite
@@ -387,9 +379,9 @@ def pl_pair(*pairs):
 def pl_pairs(draw, max_inner=6):
     """A PL set and its canonical breakpoints, by the reference."""
     inner = draw(
-        st.lists(mixed_degrees.filter(lambda q: 0 < q < 1), unique=True, max_size=max_inner)
+        st.lists(exact_degrees().filter(lambda q: 0 < q < 1), unique=True, max_size=max_inner)
     )
-    return pl_pair(*((x, draw(mixed_degrees)) for x in [Fraction(0), *sorted(inner), Fraction(1)]))
+    return pl_pair(*((x, draw(exact_degrees())) for x in [Fraction(0), *sorted(inner), Fraction(1)]))
 
 
 def reference_complement(points):

@@ -34,7 +34,7 @@ from ftop import (
 )
 from ftop.documents import space_as_data
 
-from helpers import grid
+from helpers import exact_degrees, grid
 
 from test_plin import reference_breakpoint_error, reference_canonicalize
 
@@ -110,9 +110,6 @@ class TestDocumentRoundTrips:
 
 # --- documents read on integers against the Fraction constructors ---------
 
-exact_degrees = st.builds(
-    lambda n, d: Fraction(min(n, d), d), st.integers(0, 12), st.integers(1, 12)
-)
 inner_xs = st.builds(Fraction, st.integers(1, 11), st.integers(2, 12)).filter(lambda x: x < 1)
 
 
@@ -140,7 +137,7 @@ def finite_documents(draw):
     labels = ["a", "b", "c"][: draw(st.integers(1, 3))]
     sets = {}
     for name in ["s", "t", "u"][: draw(st.integers(0, 3))]:
-        values = [draw(exact_degrees) for _ in labels]
+        values = [draw(exact_degrees()) for _ in labels]
         sets[name] = (values, {label: draw(literal(v)) for label, v in zip(labels, values)})
     data = {
         "kind": "finite",
@@ -170,7 +167,7 @@ def pl_documents(draw):
     sets = {}
     for name in ["s", "t", "u"][: draw(st.integers(1, 3))]:
         xs = [Fraction(0), *sorted(draw(st.sets(inner_xs, max_size=4))), Fraction(1)]
-        points = [(x, draw(exact_degrees)) for x in xs]
+        points = [(x, draw(exact_degrees())) for x in xs]
         sets[name] = (points, [[draw(literal(x)), draw(literal(y))] for x, y in points])
     text = pl_document({name: pairs for name, (_, pairs) in sets.items()})
     return text, {name: PLFuzzySet(points) for name, (points, _) in sets.items()}
@@ -191,7 +188,7 @@ class TestIntegerDocumentBoundary:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(st.tuples(exact_degrees, exact_degrees), max_size=5),
+        st.lists(st.tuples(exact_degrees(), exact_degrees()), max_size=5),
         st.data(),
     )
     def test_breakpoint_errors_match_the_fraction_rules(self, points, data):

@@ -37,7 +37,9 @@ from ftop import (
 )
 from ftop.topology import DEFAULT_GENERATION_CAP, AxiomViolation, FuzzyValue
 
-from helpers import ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, fs, t_fin, t_pl
+from helpers import (
+    ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, exact_degrees, fs, t_fin, t_pl
+)
 
 from test_fset import pair_sets
 from test_plin import pl_sets
@@ -353,18 +355,15 @@ def test_pl_operators_match_the_fold():
     assert_operators_match_reference(space, queries)
 
 
-pl_degrees = st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q)))
-
-
 def pl_xs(draw, lo, hi):
     """Two to five strictly increasing x-coordinates from lo to hi inclusive."""
-    inner = draw(st.lists(pl_degrees.filter(lambda t: 0 < t < 1), unique=True, max_size=3))
+    inner = draw(st.lists(exact_degrees().filter(lambda t: 0 < t < 1), unique=True, max_size=3))
     return [lo, *(lo + (hi - lo) * t for t in sorted(inner)), hi]
 
 
 def pl_chain(draw, xs, length):
     """``length`` nested value lists on ``xs``, bottom to top."""
-    columns = [sorted(draw(pl_degrees) for _ in range(length)) for _ in xs]
+    columns = [sorted(draw(exact_degrees()) for _ in range(length)) for _ in xs]
     return [[column[j] for column in columns] for j in range(length)]
 
 
