@@ -7,20 +7,20 @@ adds the range check and the ``"p/q"`` wire format used by all serialized
 artifacts.  Floats are refused everywhere: there is no tolerance anywhere
 in this package.
 
-Documents are read and written on integers.  One regex reads a literal
-to its integer pair ``(p, q)``, as written and not reduced.
-:func:`parse_degree` returns that pair after checking ``0 <= p <= q`` on
-the integers; :func:`parse_rational` and :func:`as_degree` build their
-Fractions from the same reading.  :func:`format_ratio` prints a numerator
-over a scale in reduced form, and :func:`format_rational` prints a
-Fraction through it.  So a document that is parsed, computed on and
-printed builds no Fraction.
+Documents are read and written on integers.  A literal is read to its
+integer pair ``(p, q)``, as written and not reduced, with no regex: it is
+split at the slash, checked with ``isascii`` and ``isdigit``, and only
+then given to ``int``.  :func:`parse_degree` returns that pair after
+checking ``0 <= p <= q`` on the integers; :func:`parse_rational` and
+:func:`as_degree` build their Fractions from the same reading.
+:func:`format_ratio` prints a numerator over a scale in reduced form,
+and :func:`format_rational` prints a Fraction through it.  So a document
+that is parsed, computed on and printed builds no Fraction.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 from .errors import DegreeRangeError
@@ -38,18 +38,23 @@ __all__ = [
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# ASCII digits only, matched in full: "\d" takes other scripts' digits and
-# "$" a trailing newline.
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
-
 
 def _literal(text: str) -> tuple[int, int]:
-    """The integers ``(p, q)`` of a ``"p/q"`` (or bare ``"p"``) literal."""
-    match = _RATIONAL_RE.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
-    numerator, denominator = match.groups()
-    return int(numerator), int(denominator) if denominator else 1
+    """The integers ``(p, q)`` of a ``"p/q"`` (or bare ``"p"``) literal.
+
+    The grammar is ``-?[0-9]+(/[1-9][0-9]*)?``, matched in full: the text
+    is ASCII and each part passes ``isdigit``.  Both tests are needed, and
+    ``int`` comes last: ``isdigit`` alone takes other scripts' digits and
+    superscripts, ``int`` alone takes signs, blanks and underscores.
+    """
+    # Called on the type, so that a non-string is a TypeError.
+    numerator, slash, denominator = str.partition(text, "/")
+    if text.isascii() and numerator.removeprefix("-").isdigit():
+        if not slash:
+            return int(numerator), 1
+        if denominator.isdigit() and denominator[0] != "0":
+            return int(numerator), int(denominator)
+    raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
 
 
 def _in_range(p: int, q: int) -> tuple[int, int]:

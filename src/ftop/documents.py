@@ -37,6 +37,12 @@ the backend's one integer entry, ``fset._from_ratios`` or
 ``plin._from_ratios``, which the public constructors use too; this module
 does no scale arithmetic.  Printing formats each numerator over the set's
 scale.  No Fraction is built on the way in or out.
+
+Each distinct literal is read once per space document: the parse keeps a
+table from literal text to pair for that one call, and a repeated literal
+is looked up in it.  A literal that fails is never stored, so each of its
+places reads it again and fails there.  The ``where`` path of a degree is
+built only when one fails.
 """
 
 from __future__ import annotations
@@ -125,20 +131,27 @@ def _reject_unknown_keys(obj: dict, allowed: frozenset, where: str) -> None:
         raise DocumentError("schema", f"unknown keys {unknown}", where)
 
 
-def _degree(value: Any, where: str) -> tuple[int, int]:
-    """The integers ``(p, q)`` of a degree literal, as :func:`parse_degree` gives them."""
+def _degree(value: Any, table: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """The integers ``(p, q)`` of a degree literal, as :func:`parse_degree` gives them.
+
+    ``table`` maps each literal this document has read so far to its
+    pair, so a repeated literal is read once; one that fails is never
+    stored.  A failure is a ``ValueError``, a ``DegreeRangeError`` for a
+    value outside ``[0, 1]``; the reader names its place through
+    :func:`_degree_error`.
+    """
     if not isinstance(value, str):
-        raise DocumentError(
-            "bad-rational",
-            f'expected a rational string like "1/2", got {value!r}',
-            where,
-        )
-    try:
-        return parse_degree(value)
-    except DegreeRangeError as exc:
-        raise DocumentError("rational-range", str(exc), where) from exc
-    except ValueError as exc:
-        raise DocumentError("bad-rational", str(exc), where) from exc
+        raise ValueError(f'expected a rational string like "1/2", got {value!r}')
+    pair = table.get(value)
+    if pair is None:
+        pair = table[value] = parse_degree(value)
+    return pair
+
+
+def _degree_error(exc: ValueError, where: str) -> DocumentError:
+    """The ``DocumentError`` at ``where`` for a failure of :func:`_degree`."""
+    code = "rational-range" if isinstance(exc, DegreeRangeError) else "bad-rational"
+    return DocumentError(code, str(exc), where)
 
 
 @dataclass(frozen=True)
@@ -173,7 +186,7 @@ class SpaceDocument:
         raise DocumentError("unresolved-name", f"no set named {name!r}", "$.sets")
 
 
-def _parse_finite_body(node: Any, universe: Universe, where: str) -> FiniteFuzzySet:
+def _parse_finite_body(node: Any, universe: Universe, where: str, table: dict) -> FiniteFuzzySet:
     mapping = _expect(node, dict, where, "a finite set body")
     for label in mapping:
         if label not in universe:
@@ -187,24 +200,31 @@ def _parse_finite_body(node: Any, universe: Universe, where: str) -> FiniteFuzzy
         raise DocumentError(
             "schema", f"missing degrees for universe points {missing}", where
         )
-    return fset._from_ratios(
-        universe, [_degree(mapping[label], f"{where}.{label}") for label in universe]
-    )
+    pairs = []
+    for label in universe:
+        try:
+            pairs.append(_degree(mapping[label], table))
+        except ValueError as exc:
+            raise _degree_error(exc, f"{where}.{label}") from exc
+    return fset._from_ratios(universe, pairs)
 
 
-def _parse_pl_body(node: Any, where: str) -> PLFuzzySet:
+def _parse_pl_body(node: Any, where: str, table: dict) -> PLFuzzySet:
     obj = _expect(node, dict, where, "a pl set body")
     _reject_unknown_keys(obj, frozenset({"breakpoints"}), where)
     pairs_node = _expect(obj.get("breakpoints"), list, f"{where}.breakpoints", "breakpoints")
     pairs = []
-    for i, pair in enumerate(pairs_node):
-        pair_where = f"{where}.breakpoints[{i}]"
-        entry = _expect(pair, list, pair_where, "a breakpoint")
-        if len(entry) != 2:
+    for i, entry in enumerate(pairs_node):
+        if not isinstance(entry, list) or len(entry) != 2:
+            pair_where = f"{where}.breakpoints[{i}]"
+            _expect(entry, list, pair_where, "a breakpoint")
             raise DocumentError(
                 "bad-breakpoints", "a breakpoint is a [x, y] pair of rational strings", pair_where
             )
-        pairs.append((*_degree(entry[0], pair_where), *_degree(entry[1], pair_where)))
+        try:
+            pairs.append((*_degree(entry[0], table), *_degree(entry[1], table)))
+        except ValueError as exc:
+            raise _degree_error(exc, f"{where}.breakpoints[{i}]") from exc
     try:
         return plin._from_ratios(pairs)
     except ValueError as exc:
@@ -243,6 +263,7 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
 
     sets_node = _expect(obj.get("sets", {}), dict, f"{where}.sets", "sets")
     sets: list[tuple[str, SetBody]] = []
+    table: dict[str, tuple[int, int]] = {}
     for name, body in sets_node.items():
         body_where = f"{where}.sets.{name}"
         if name in RESERVED_NAMES:
@@ -252,24 +273,21 @@ def _parse_space_data(data: Any, where: str) -> SpaceDocument:
                 body_where,
             )
         if kind == "finite":
-            sets.append((name, _parse_finite_body(body, universe, body_where)))
+            sets.append((name, _parse_finite_body(body, universe, body_where, table)))
         else:
-            sets.append((name, _parse_pl_body(body, body_where)))
+            sets.append((name, _parse_pl_body(body, body_where, table)))
 
     topology_node = _expect(obj.get("topology"), list, f"{where}.topology", "the topology")
-    defined = {name for name, _ in sets}
-    topology: list[str] = []
     for i, name in enumerate(topology_node):
         name_where = f"{where}.topology[{i}]"
         if not isinstance(name, str):
             raise DocumentError("schema", f"set names are strings, got {name!r}", name_where)
-        if name not in defined and name not in RESERVED_NAMES:
+        if name not in sets_node and name not in RESERVED_NAMES:
             raise DocumentError(
                 "unresolved-name", f"topology names undefined set {name!r}", name_where
             )
-        topology.append(name)
 
-    return SpaceDocument(kind, universe, tuple(sets), tuple(topology), topology_is)
+    return SpaceDocument(kind, universe, tuple(sets), tuple(topology_node), topology_is)
 
 
 def parse_space(text: str) -> SpaceDocument:

@@ -17,13 +17,17 @@ derived tuple of Fractions for the library API, ``repr`` and ``sort_key``.
 
 Binary operations (meet, join, order) sweep both breakpoint lists once
 with two pointers, on the lcm of the two scales, so one of them on sets
-with m and n breakpoints costs O(m + n) integer steps.  A value
-interpolated on a segment of width ``d`` is kept as a numerator over
-``d * scale``, so comparisons cross-multiply instead of dividing.
-Variadic meet and join fold pairwise.  Every set built from breakpoints,
-by the public constructor or the document reader, comes from integer
-ratios through the one entry :func:`_from_ratios`, which states the
-breakpoint rules; lattice results, computed from valid sets, skip it.
+with m and n breakpoints costs O(m + n) integer steps.  Meet and join
+read the merged points from the generator :func:`_walk`; the order test
+:func:`_leq`, which interior and closure call once per member tried, is
+the same sweep written out as one loop that stops at the first
+violation.  A value interpolated on a segment of width ``d`` is kept as
+a numerator over ``d * scale``, so comparisons cross-multiply instead of
+dividing.  Variadic meet and join fold pairwise.  Every set built from
+breakpoints, by the public constructor or the document reader, comes
+from integer ratios through the one entry :func:`_from_ratios`, which
+states the breakpoint rules; lattice results, computed from valid sets,
+skip it.
 A topology's interior and closure select a member by its exact mass
 (``_MemberIndex``), with no join built; closure is the dual of interior,
 ``1 - Int(1 - s)``, and tests the order with the same ``_leq``.
@@ -303,9 +307,33 @@ def _walk(fx: Column, fy: Column, gx: Column, gy: Column) -> Iterator[tuple[int,
 
 
 def _leq(f: PLFuzzySet, g: PLFuzzySet) -> bool:
-    """``f <= g`` at every merged breakpoint, hence everywhere."""
+    """``f <= g`` at every merged breakpoint, hence everywhere.
+
+    The sweep of :func:`_walk` as one loop that returns at the first
+    violation.  At a breakpoint ``x`` of one side only, the other side's
+    segment ``[x0, x1]`` gives it ``(y0 (x1 - x) + y1 (x - x0)) / (x1 - x0)``,
+    so the own value is multiplied by the width ``x1 - x0``.
+    """
     _, fx, fy, gx, gy = _common(f, g)
-    return all(a <= b for _, a, b, _ in _walk(fx, fy, gx, gy))
+    i = j = 0
+    while i < len(fx):
+        x, u = fx[i], gx[j]
+        if x == u:
+            if fy[i] > gy[j]:
+                return False
+            i += 1
+            j += 1
+        elif x < u:
+            x0 = gx[j - 1]
+            if fy[i] * (u - x0) > gy[j - 1] * (u - x) + gy[j] * (x - x0):
+                return False
+            i += 1
+        else:
+            u0 = fx[i - 1]
+            if fy[i - 1] * (x - u) + fy[i] * (u - u0) > gy[j] * (x - u0):
+                return False
+            j += 1
+    return True
 
 
 def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
@@ -359,10 +387,11 @@ class _MemberIndex:
     one, and every other member below ``s`` lies under it and has less
     mass.  So with the members sorted once by descending mass, the first
     member below ``s`` is ``Int(s)``; no join is built.  Closure is the
-    dual, ``Cl(s) = 1 - Int(1 - s)``: one ``1 - s`` per query, the same
-    order test ``_leq`` on it, and the complement of the member found,
-    precomputed once per space.  Masses are compared as integers over the
-    lcm ``L`` of the member scales.
+    dual, ``Cl(s) = 1 - Int(1 - s)``: the complement of ``s``, the same
+    search, and the complement of the member found.  No table of member
+    complements is kept, since one ``classify set`` asks for two closures,
+    fewer than a space has members.  Masses are compared as integers over
+    the lcm ``L`` of the member scales.
     """
 
     def __init__(self, members: Sequence[PLFuzzySet]):
@@ -370,7 +399,6 @@ class _MemberIndex:
         self._members = tuple(
             sorted(members, key=lambda m: _mass(m) * (scale // m.scale) ** 2, reverse=True)
         )
-        self._complements = tuple([member.complement() for member in self._members])
 
     def interior(self, s: PLFuzzySet) -> PLFuzzySet:
         """The first member, by descending mass, below ``s``."""
@@ -378,12 +406,7 @@ class _MemberIndex:
 
     def closure(self, s: PLFuzzySet) -> PLFuzzySet:
         """``1 - Int(1 - s)``: the complement of the first member below ``1 - s``."""
-        t = s.complement()
-        return next(
-            complement
-            for member, complement in zip(self._members, self._complements)
-            if _leq(member, t)
-        )
+        return self.interior(s.complement()).complement()
 
 
 PLFuzzySet._index_type = _MemberIndex

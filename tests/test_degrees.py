@@ -19,11 +19,23 @@ def test_parse_accepts_plain_and_fraction_forms():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "0.5", "1/0", "1/-2", "a", " 1/2", "1/2 ", "1 / 2", "+1", "1e-3", "1/2\n", "1\n", "\u0661/2"],
+    [
+        *["", "0.5", "1/0", "1/-2", "a", " 1/2", "1/2 ", "1 / 2", "+1", "1e-3", "1/2\n", "1\n"],
+        # str.isdigit takes these digits, int() the signs, blanks and underscores
+        *["\u0661/2", "1/\u0662", "\u00b2", "1/\u00b2", "\uff11", "1/\uff12", "1_0", "1/1_0"],
+        *["\t1", "1/\t2", "1/2\t", "1/+2", "+1/2", "-+1", "--1", "-", "1/", "/2", "1/2/3"],
+    ],
 )
 def test_parse_rejects_non_rational_literals(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("parse", [parse_rational, parse_degree])
+@pytest.mark.parametrize("bad", [1, None, b"1/2", ["1"]])
+def test_parse_rejects_non_strings_with_a_type_error(parse, bad):
+    with pytest.raises(TypeError):
+        parse(bad)
 
 
 def test_format_reduces():
@@ -95,7 +107,10 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
-EDGE_LITERALS = ["2/4", "0/7", "-0", "007/8", "1/0", "1/08", "3/2", "-1/3", "-2/6", "6/4", "0", "1"]
+EDGE_LITERALS = [
+    *["2/4", "0/7", "-0", "007/8", "1/0", "1/08", "3/2", "-1/3", "-2/6", "6/4", "0", "1"],
+    *["--1", "-", "1/", "/2", "1/2/3", "1/-2", "1_0", "\u00b2", "1/\uff12", "\u0661", " 1"],
+]
 digits = st.text("0123456789", min_size=1, max_size=4)
 literals = st.one_of(
     st.sampled_from(EDGE_LITERALS),
@@ -105,7 +120,16 @@ literals = st.one_of(
         digits,
         st.none() | digits,
     ),
-    st.text("0123456789/- .+e\u0663\n", max_size=6),
+    st.text("0123456789/- .+e\u0663\n_\u00b2\uff11\u0661\t", max_size=6),
+    # one character that str.isdigit() or int() takes but the grammar does
+    # not, inside or around a well-formed literal
+    st.builds(
+        lambda p, q, odd, at: (f"{p}/{q}"[:at] + odd + f"{p}/{q}"[at:]),
+        digits,
+        digits,
+        st.sampled_from(["_", "\u00b2", "\uff11", "\u0661", "\t", "+", " ", "\n"]),
+        st.integers(0, 9),
+    ),
 )
 
 
@@ -123,6 +147,13 @@ class TestIntegerParserMatchesFractionPath:
         else:
             assert got == expected
         assert outcome(as_degree, text) == expected
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000, "-" + "1" * 5000])
+    def test_literals_past_the_int_digit_limit_fail_as_in_the_reference(self, text):
+        """``int()`` refuses more than ``sys.get_int_max_str_digits()`` digits."""
+        expected = outcome(reference_as_degree, text)
+        assert expected[0] is ValueError
+        assert outcome(parse_degree, text) == expected
 
     def test_pairs_are_not_reduced(self):
         assert parse_degree("2/4") == (2, 4)

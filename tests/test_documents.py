@@ -21,6 +21,7 @@ from ftop import (
     print_function,
     print_space,
 )
+from ftop.cli import main
 
 from helpers import ALPHA, LAM, MU, SIGMA, fs, t_fin, t_pl
 
@@ -165,11 +166,24 @@ def test_reserved_names_cannot_be_redefined():
     assert code == "reserved-name" and where == "$.sets.0"
 
 
+def int_limit_message(text):
+    """The message of ``int(text)`` for a literal past the digit limit of ``int()``."""
+    with pytest.raises(ValueError) as err:
+        int(text)
+    return str(err.value)
+
+
+# Past ``int()``'s default digit limit (4300), so ``int`` refuses it.
+LONG = "1" * 5000
+LONG_MESSAGE = int_limit_message(LONG)
+
+PL_TEMPLATE = '{"kind": "pl", "sets": {"s": {"breakpoints": %s}}, "topology": ["0", "1"], "topology_is": "complete"}'
+
+
 def breakpoint_error(breakpoints):
     """``(code, where, message)`` of the error a PL body raises."""
-    template = '{"kind": "pl", "sets": {"s": {"breakpoints": %s}}, "topology": ["0", "1"], "topology_is": "complete"}'
     with pytest.raises(DocumentError) as err:
-        parse_space(template % breakpoints)
+        parse_space(PL_TEMPLATE % breakpoints)
     return err.value.code, err.value.where, str(err.value).removeprefix(f"{err.value.where}: ")
 
 
@@ -202,12 +216,56 @@ BAD_BREAKPOINTS = [
     ('[["0", "0"], ["1", "1/2", "0"]]', "bad-breakpoints", "$.sets.s.breakpoints[1]", "a breakpoint is a [x, y] pair of rational strings"),
     ('[["0", "0"], ["1", 1]]', "bad-rational", "$.sets.s.breakpoints[1]", 'expected a rational string like "1/2", got 1'),
     ('"diagonal"', "schema", "$.sets.s.breakpoints", "breakpoints must be a JSON array, got str"),
+    # each distinct literal is read once per document: a failing one is
+    # never stored, so it is reported at its first place; a non-string is
+    # never looked up as the string it prints as
+    ('[["0", "x"], ["1/2", "x"], ["1", "0"]]', "bad-rational", "$.sets.s.breakpoints[0]", "not a rational literal: 'x' (expected p or p/q)"),
+    ('[["0", "0"], ["1/2", "3/2"], ["1", "3/2"]]', "rational-range", "$.sets.s.breakpoints[1]", "degree 3/2 outside [0, 1]"),
+    ('[["0", "1"], ["1", 1]]', "bad-rational", "$.sets.s.breakpoints[1]", 'expected a rational string like "1/2", got 1'),
+    ('[["0", "0"], ["1", ["1"]]]', "bad-rational", "$.sets.s.breakpoints[1]", "expected a rational string like \"1/2\", got ['1']"),
+    ('[["0", "0"], ["1", {"y": "1"}]]', "bad-rational", "$.sets.s.breakpoints[1]", "expected a rational string like \"1/2\", got {'y': '1'}"),
+    ('[["0", "0"], ["1", "%s"]]' % LONG, "bad-rational", "$.sets.s.breakpoints[1]", LONG_MESSAGE),
 ]
 
 
 def test_bad_breakpoints():
     for breakpoints, *expected in BAD_BREAKPOINTS:
         assert breakpoint_error(breakpoints) == tuple(expected), breakpoints
+
+
+BAD_DEGREES = [
+    # (sets, code, where, message) over the universe ["a", "b"]; degrees
+    # are read in universe order, not in the body's key order
+    ('{"s": {"a": "x", "b": "x"}}', "bad-rational", "$.sets.s.a", "not a rational literal: 'x' (expected p or p/q)"),
+    ('{"s": {"b": "x", "a": "y"}}', "bad-rational", "$.sets.s.a", "not a rational literal: 'y' (expected p or p/q)"),
+    ('{"s": {"a": "0", "b": "1"}, "t": {"a": "3/2", "b": "3/2"}}', "rational-range", "$.sets.t.a", "degree 3/2 outside [0, 1]"),
+    ('{"s": {"a": "1", "b": 1}}', "bad-rational", "$.sets.s.b", 'expected a rational string like "1/2", got 1'),
+    ('{"s": {"a": "0", "b": ["1"]}}', "bad-rational", "$.sets.s.b", "expected a rational string like \"1/2\", got ['1']"),
+    ('{"s": {"a": {"v": "1"}, "b": "0"}}', "bad-rational", "$.sets.s.a", "expected a rational string like \"1/2\", got {'v': '1'}"),
+    ('{"s": {"a": "0", "b": "%s"}}' % LONG, "bad-rational", "$.sets.s.b", LONG_MESSAGE),
+]
+
+FINITE_TEMPLATE = '{"kind": "finite", "universe": ["a", "b"], "sets": %s, "topology": ["0", "1"], "topology_is": "complete"}'
+
+
+def test_bad_degrees_in_finite_bodies():
+    for sets, *expected in BAD_DEGREES:
+        with pytest.raises(DocumentError) as err:
+            parse_space(FINITE_TEMPLATE % sets)
+        got = err.value.code, err.value.where, str(err.value).removeprefix(f"{err.value.where}: ")
+        assert got == tuple(expected), sets
+
+
+def test_bad_literals_exit_2_from_the_cli(tmp_path, capsys):
+    """Every document error above is an input error on the command line
+    too: exit 2, never a crash reported as a bug (exit 4)."""
+    cases = [(PL_TEMPLATE % doc, *rest) for doc, *rest in BAD_BREAKPOINTS]
+    cases += [(FINITE_TEMPLATE % doc, *rest) for doc, *rest in BAD_DEGREES]
+    path = tmp_path / "space.json"
+    for text, code, where, message in cases:
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2, text
+        assert capsys.readouterr().err == f"error[{code}]: {where}: {message}\n"
 
 
 def test_complete_lists_are_validated_against_the_axioms():

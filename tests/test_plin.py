@@ -266,6 +266,19 @@ SHARED_X = (pl(("0", "0"), ("1/2", "1"), ("1", "0")), pl(("0", "1"), ("1/2", "1/
 TOUCHING = (pl(("0", "0"), ("1/2", "1/2"), ("1", "0")), PLFuzzySet.constant("1/2"))
 CROSS_AT_BREAKPOINT = (pl(("0", "0"), ("1", "1")), pl(("0", "1"), ("1/2", "1/2"), ("1", "1/4")))
 
+# Order cases as (f, g, f <= g), decided at x = 1/2 alone.  Here only f has
+# a breakpoint there, over or on g's segment [1/4, 1], where g = 2/3; the
+# complements, swapped, give the cases where only g has one.
+RISING_FROM_A_QUARTER = pl(("0", "1"), ("1/4", "1/2"), ("1", "1"))
+ONLY_F_DECIDES = [
+    (pl(("0", "0"), ("1/2", "3/4"), ("1", "0")), RISING_FROM_A_QUARTER, False),
+    (pl(("0", "0"), ("1/2", "2/3"), ("1", "0")), RISING_FROM_A_QUARTER, True),
+]
+BOTH_DECIDE = [
+    (pl(("0", "0"), ("1/2", "3/4"), ("1", "0")), pl(("0", "1"), ("1/2", "1/2"), ("1", "1")), False),
+    (pl(("0", "0"), ("1/2", "3/4"), ("1", "0")), pl(("0", "1"), ("1/2", "3/4"), ("1", "1")), True),
+]
+
 
 class TestSweepMatchesQuadraticReference:
     @pytest.mark.parametrize(
@@ -285,6 +298,25 @@ class TestSweepMatchesQuadraticReference:
         assert f.meet(g) == f and f.join(g) == g
         f, g = CROSS_AT_BREAKPOINT
         assert [x for x, _ in f.meet(g).breakpoints] == [0, Fraction(1, 2), 1]
+
+    @pytest.mark.parametrize(
+        "f, g, expected, side",
+        [
+            *[(f, g, expected, "f") for f, g, expected in ONLY_F_DECIDES],
+            *[(g.complement(), f.complement(), expected, "g") for f, g, expected in ONLY_F_DECIDES],
+            *[(f, g, expected, "both") for f, g, expected in BOTH_DECIDE],
+        ],
+        ids=["f-over", "f-touches", "g-under", "g-touches", "both-over", "both-touch"],
+    )
+    def test_order_is_decided_at_a_breakpoint_of_one_side(self, f, g, expected, side):
+        """The one merged point where ``f(x) >= g(x)``, 1/2, is a breakpoint
+        of f only, of g only, or of both; ``f <= g`` iff it is a touch there."""
+        p, q = f.breakpoints, g.breakpoints
+        merged = sorted({x for x, _ in p} | {x for x, _ in q})
+        half = Fraction(1, 2)
+        assert [x for x in merged if reference_at(p, x) >= reference_at(q, x)] == [half]
+        assert {"f": half in dict(p), "g": half in dict(q)} == {"f": side != "g", "g": side != "f"}
+        assert f.leq(g) == reference_leq(p, q) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(dense_pl_sets(), dense_pl_sets())
