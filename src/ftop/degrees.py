@@ -10,9 +10,12 @@ in this package.
 Documents are read and written on integers.  A literal is read to its
 integer pair ``(p, q)``, as written and not reduced, with no regex: it is
 split at the slash, checked with ``isascii`` and ``isdigit``, and only
-then given to ``int``.  :func:`parse_degree` returns that pair after
-checking ``0 <= p <= q`` on the integers; :func:`parse_rational` and
-:func:`as_degree` build their Fractions from the same reading.
+then given to ``int``.  A part may hold at most :data:`MAX_DIGITS`
+digits: ``int`` reads that many under every interpreter setting, so
+whether a literal reads never depends on the process.
+:func:`parse_degree` returns that pair after checking ``0 <= p <= q`` on
+the integers; :func:`parse_rational` and :func:`as_degree` build their
+Fractions from the same reading.
 :func:`format_ratio` prints a numerator over a scale in reduced form,
 and :func:`format_rational` prints a Fraction through it.  So a document
 that is parsed, computed on and printed builds no Fraction.
@@ -28,6 +31,7 @@ from .errors import DegreeRangeError
 __all__ = [
     "ZERO",
     "ONE",
+    "MAX_DIGITS",
     "as_degree",
     "parse_degree",
     "parse_rational",
@@ -38,6 +42,12 @@ __all__ = [
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The most digits read in one integer of a document: a literal's numerator
+# or denominator, or a JSON number.  CPython's ``int`` converts 640 digits
+# under every ``sys.set_int_max_str_digits`` / ``PYTHONINTMAXSTRDIGITS``
+# setting, since no limit below 640 can be set.
+MAX_DIGITS = 640
+
 
 def _literal(text: str) -> tuple[int, int]:
     """The integers ``(p, q)`` of a ``"p/q"`` (or bare ``"p"``) literal.
@@ -45,15 +55,26 @@ def _literal(text: str) -> tuple[int, int]:
     The grammar is ``-?[0-9]+(/[1-9][0-9]*)?``, matched in full: the text
     is ASCII and each part passes ``isdigit``.  Both tests are needed, and
     ``int`` comes last: ``isdigit`` alone takes other scripts' digits and
-    superscripts, ``int`` alone takes signs, blanks and underscores.
+    superscripts, ``int`` alone takes signs, blanks and underscores.  A
+    part with more than :data:`MAX_DIGITS` digits is refused before
+    ``int`` sees it; only a text that long can hold one.
     """
     # Called on the type, so that a non-string is a TypeError.
     numerator, slash, denominator = str.partition(text, "/")
-    if text.isascii() and numerator.removeprefix("-").isdigit():
-        if not slash:
-            return int(numerator), 1
-        if denominator.isdigit() and denominator[0] != "0":
-            return int(numerator), int(denominator)
+    digits = numerator.removeprefix("-")
+    if (
+        text.isascii()
+        and digits.isdigit()
+        and (not slash or denominator.isdigit() and denominator[0] != "0")
+    ):
+        if len(text) > MAX_DIGITS:
+            longest = max(len(digits), len(denominator))
+            if longest > MAX_DIGITS:
+                raise ValueError(
+                    f"rational literal with {longest} digits in one part; "
+                    f"at most {MAX_DIGITS} are read"
+                )
+        return int(numerator), int(denominator) if slash else 1
     raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from . import fset, plin
-from .degrees import format_ratio, parse_degree
+from .degrees import MAX_DIGITS, format_ratio, parse_degree
 from .errors import DegreeRangeError, DocumentError
 from .fset import FiniteFuzzySet, Universe
 from .functions import FuzzyFunction
@@ -87,6 +87,17 @@ def _reject_float(literal: str) -> Any:
     raise DocumentError("float-literal", "floats forbidden; write 1/2")
 
 
+def _checked_int(literal: str) -> int:
+    """A JSON integer, if it has at most :data:`ftop.degrees.MAX_DIGITS` digits."""
+    digits = len(literal) - literal.startswith("-")
+    if digits > MAX_DIGITS:
+        raise DocumentError(
+            "malformed-json",
+            f"invalid JSON: a number with {digits} digits; at most {MAX_DIGITS} are read",
+        )
+    return int(literal)
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """The object of ``pairs``; a key given twice is an error, not last-wins."""
     obj = dict(pairs)
@@ -98,10 +109,13 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def _loads(text: str) -> Any:
+    """The JSON value of ``text``; any text that is not a document's JSON is
+    a ``DocumentError``, nesting too deep for the parser included."""
     try:
         return json.loads(
             text,
             parse_float=_reject_float,
+            parse_int=_checked_int,
             parse_constant=_reject_float,
             object_pairs_hook=_unique_keys,
         )
@@ -113,6 +127,10 @@ def _loads(text: str) -> Any:
             f"invalid JSON: {exc.msg}",
             where=f"line {exc.lineno} column {exc.colno}",
         ) from exc
+    except RecursionError:
+        raise DocumentError(
+            "malformed-json", "invalid JSON: arrays or objects nested too deeply"
+        ) from None
 
 
 def _expect(node: Any, kind: type, where: str, what: str) -> Any:

@@ -50,12 +50,14 @@ class Universe:
 
     The order is fixed at construction and gives every label a canonical
     index; two universes are interchangeable exactly when their label
-    lists are identical.
+    lists are identical.  The labels are kept as a tuple, whatever
+    sequence they come in, so a universe is always hashable.
     """
 
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise ValueError("universe must be non-empty")
         if any(not isinstance(label, str) or not label for label in self.labels):
@@ -65,7 +67,7 @@ class Universe:
 
     @classmethod
     def of(cls, *labels: str) -> "Universe":
-        return cls(tuple(labels))
+        return cls(labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -97,7 +99,7 @@ class FiniteFuzzySet:
     structural equality is semantic equality: two sets are equal iff they
     share a universe and agree at every point, and ``==`` and ``hash``
     compare the integers only.  ``degrees`` is a derived read-only tuple
-    of Fractions for the library API, ``repr`` and ``sort_key``.  Setting
+    of Fractions for the library API and ``repr``.  Setting
     or deleting a field raises ``FrozenInstanceError``; any other name
     raises ``TypeError`` or ``AttributeError``, by CPython version.
     """
@@ -236,13 +238,11 @@ class FiniteFuzzySet:
     def top(self) -> "FiniteFuzzySet":
         return FiniteFuzzySet.one(self.universe)
 
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.degrees
-
     def _order_key(self, scale: int) -> tuple[int, ...]:
         """The numerators over ``scale``, a multiple of the own scale.
 
-        On one ``scale`` these keys order sets as ``sort_key`` does.
+        On one ``scale`` these keys order sets lexicographically by their
+        degrees, the canonical member order.
         """
         return _rescaled(self, scale)
 

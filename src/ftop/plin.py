@@ -13,7 +13,7 @@ Each set holds one positive integer ``scale`` and integer tuples ``xs`` and
 canonical: interior breakpoints collinear with their neighbours are dropped
 and ``gcd(scale, *xs, *ys) == 1``, so structural equality is pointwise
 equality and ``==`` and ``hash`` compare integers.  ``breakpoints`` is a
-derived tuple of Fractions for the library API, ``repr`` and ``sort_key``.
+derived tuple of Fractions for the library API and ``repr``.
 
 Binary operations (meet, join, order) sweep both breakpoint lists once
 with two pointers, on the lcm of the two scales, so one of them on sets
@@ -160,14 +160,12 @@ class PLFuzzySet:
     def top(self) -> "PLFuzzySet":
         return PLFuzzySet.one()
 
-    def sort_key(self) -> tuple[Breakpoint, ...]:
-        return self.breakpoints
-
     def _order_key(self, scale: int) -> list[int]:
         """``xs`` and ``ys`` over ``scale``, a multiple of the own scale, interleaved.
 
-        On one ``scale`` these keys order sets as ``sort_key`` does: both
-        compare x, then y, breakpoint by breakpoint, and a prefix first.
+        On one ``scale`` these keys order sets lexicographically by their
+        breakpoints, the canonical member order: x, then y, breakpoint by
+        breakpoint, and a prefix first.
         """
         factor = scale // self.scale
         return [value * factor for point in zip(self.xs, self.ys) for value in point]

@@ -32,8 +32,10 @@ grid set of a space at once, as one bitset per verdict, for
 on a fixed sample of each space's grid sets, in its verdicts and in its
 evidence: ``Int(s)``, ``Cl(s)``, ``Cl(Int(s))`` and the two
 semi-operators must equal the values the bitsets selected.  The standalone
-predicates and semi-operators restate the definitions one at a time; the
-tests and the brute-force oracle hold both to them.
+predicates and semi-operators restate the definitions one at a time.  The
+tests hold the classifier, the predicates and the semi-operators to a
+literal reference that shares no code with this package, and the
+brute-force oracle holds the semi-interior to an enumeration of grid sets.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ finite, for every caller that needs it.
 Membership is semantic: a set is open iff it *equals* some member, not iff
 it is listed under the same name.  Members are kept deduplicated and in a
 canonical order so that reports and witness selection are deterministic:
-the lexicographic order of ``sort_key()``, decided on integer keys over the
-lcm of the member scales, so no Fraction is built.  The constructor puts
+lexicographic in the degrees of a finite set, or in the breakpoints of a
+PL set, decided by ``_order_key`` on integer keys over the lcm of the
+member scales, so no Fraction is built.  The constructor puts
 them in that order, so the finite index, ``gridbits`` and ``oracle`` take
 ``members`` as they are and never sort.
 """
@@ -74,7 +75,7 @@ class FuzzyValue(Protocol):
     whose ``interior(s)`` and ``closure(s)`` select a member or its
     complement.  Every value holds its numerators over a positive integer
     ``scale``, and ``_order_key(L)`` for a multiple ``L`` of it is an
-    integer sequence that orders values over ``L`` as ``sort_key`` does.
+    integer sequence whose order over ``L`` is the canonical member order.
     """
 
     _index_type: type
@@ -87,7 +88,6 @@ class FuzzyValue(Protocol):
     def is_zero(self) -> bool: ...
     def bottom(self) -> "FuzzyValue": ...
     def top(self) -> "FuzzyValue": ...
-    def sort_key(self): ...
     def _order_key(self, scale: int) -> Sequence[int]: ...
     def _require_compatible(self, other: object) -> None: ...
 
@@ -112,11 +112,11 @@ class InvalidTopologyError(FtopError, ValueError):
 
 
 def _in_order(members: Iterable[FuzzyValue]) -> tuple[FuzzyValue, ...]:
-    """``members`` in ``sort_key`` order, compared as integers over one scale.
+    """``members`` in canonical order, compared as integers over one scale.
 
     ``_order_key(L)`` over the lcm ``L`` of the member scales orders the
-    members exactly as their Fraction ``sort_key`` does, without building
-    a Fraction.
+    members lexicographically by their degrees or breakpoints, without
+    building a Fraction.
     """
     members = list(members)
     scale = math.lcm(*[member.scale for member in members])

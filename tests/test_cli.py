@@ -295,6 +295,29 @@ def test_float_document_is_an_input_error(capsys, tmp_path):
     assert "error[float-literal]" in err
 
 
+TOPOLOGY_OF = '{"kind": "finite", "universe": ["a"], "sets": {}, "topology": [%s], "topology_is": "complete"}'
+TOO_LONG = "malformed-json]: $: invalid JSON: a number with {} digits; at most 640 are read"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[" * 200_000 + "]" * 200_000, "malformed-json]: $: invalid JSON: arrays or objects nested too deeply"),
+        (TOPOLOGY_OF % ("1" * 5000), TOO_LONG.format(5000)),
+        (TOPOLOGY_OF % ("-" + "1" * 641), TOO_LONG.format(641)),
+        (TOPOLOGY_OF % ("9" * 640), "schema]: $.topology[0]: set names are strings, got " + "9" * 640),
+    ],
+    ids=["nested-200000-deep", "5000-digits", "minus-641-digits", "640-digits"],
+)
+def test_json_reader_limits_are_input_errors(capsys, tmp_path, text, error):
+    """Nesting too deep for the JSON parser, and an integer of more digits
+    than ftop reads, are malformed JSON; an integer of 640 digits reaches
+    the schema checks as before.  Either way exit 2, never a bug (exit 4)."""
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    assert run(capsys, "validate", str(path)) == (2, "", f"error[{error}\n")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "nope.json")
     assert code == 2

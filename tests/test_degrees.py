@@ -1,12 +1,17 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ftop
 from ftop import DegreeRangeError, as_degree, format_rational, parse_rational
-from ftop.degrees import format_ratio, parse_degree
+from ftop.degrees import MAX_DIGITS, format_ratio, parse_degree
 
 
 def test_parse_accepts_plain_and_fraction_forms():
@@ -77,9 +82,12 @@ class TestRoundTrip:
 # the integer parser: ``parse_rational`` built a Fraction, which was then
 # compared against 0 and 1 and printed with ``format_rational``.  Its
 # regex is held to the same literal syntax as the parser's, ASCII digits
-# matched in full; the literals above pin that syntax.
+# matched in full; the literals above pin that syntax.  A part of more than
+# 640 digits, the fewest that every ``int`` digit-limit setting converts,
+# is refused before ``int`` sees it.
 
 _REFERENCE_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+_REFERENCE_DIGITS = 640
 
 
 def reference_format(value: Fraction) -> str:
@@ -93,6 +101,12 @@ def reference_as_degree(text: str) -> Fraction:
     if match is None:
         raise ValueError(f"not a rational literal: {text!r} (expected p or p/q)")
     numerator, denominator = match.groups()
+    longest = max(len(numerator.removeprefix("-")), len(denominator or ""))
+    if longest > _REFERENCE_DIGITS:
+        raise ValueError(
+            f"rational literal with {longest} digits in one part; "
+            f"at most {_REFERENCE_DIGITS} are read"
+        )
     degree = Fraction(int(numerator), int(denominator) if denominator else 1)
     if degree < 0 or degree > 1:
         raise DegreeRangeError(f"degree {reference_format(degree)} outside [0, 1]")
@@ -148,12 +162,34 @@ class TestIntegerParserMatchesFractionPath:
             assert got == expected
         assert outcome(as_degree, text) == expected
 
-    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000, "-" + "1" * 5000])
-    def test_literals_past_the_int_digit_limit_fail_as_in_the_reference(self, text):
-        """``int()`` refuses more than ``sys.get_int_max_str_digits()`` digits."""
-        expected = outcome(reference_as_degree, text)
-        assert expected[0] is ValueError
-        assert outcome(parse_degree, text) == expected
+    @pytest.mark.parametrize("digits", [5000, 641])
+    @pytest.mark.parametrize("form", ["{}", "1/{}", "-{}"], ids=["p", "q", "minus-p"])
+    def test_literals_past_the_int_digit_limit_fail_as_in_the_reference(self, form, digits):
+        """A part of more than ``MAX_DIGITS`` (640) digits is refused with
+        ftop's own message, naming the limit, whatever ``int()`` would do."""
+        expected = outcome(reference_as_degree, form.format("1" * digits))
+        message = f"rational literal with {digits} digits in one part; at most 640 are read"
+        assert expected == (ValueError, message) and MAX_DIGITS == 640
+        assert outcome(parse_degree, form.format("1" * digits)) == expected
+
+    def test_reading_does_not_depend_on_the_int_digit_setting(self):
+        """640 and 641 digits in a part, read in a fresh interpreter under
+        the default digit limit of ``int()`` and under the lowest one it
+        accepts, 640: the same outcome in both runs."""
+        script = (
+            "from ftop.degrees import parse_degree\n"
+            "for text in ('0' * 639 + '1', '0' * 640 + '1', '1/' + '1' * 640, '1/' + '1' * 641):\n"
+            "    try:\n        print(parse_degree(text)[1] % 1000)\n"
+            "    except ValueError as exc:\n        print(exc)\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(ftop.__file__).parents[1])
+        outputs = [
+            subprocess.run([sys.executable, "-c", script], env=setting, capture_output=True, text=True)
+            for setting in (env, dict(env, PYTHONINTMAXSTRDIGITS="640"))
+        ]
+        refused = "rational literal with 641 digits in one part; at most 640 are read"
+        assert [run.stdout for run in outputs] == [f"1\n{refused}\n111\n{refused}\n"] * 2
 
     def test_pairs_are_not_reduced(self):
         assert parse_degree("2/4") == (2, 4)

@@ -20,14 +20,13 @@ from ftop import (
     Universe,
     UniverseMismatchError,
     enumerate_grid_sets,
-    generate,
     inf_family,
     join_family,
+    validate,
 )
 
-from helpers import AB, M1, M2, ONE2, ZERO2, exact_degrees, fs, grid
-
-pair_sets = st.builds(fs, exact_degrees(), exact_degrees())
+import reference
+from helpers import AB, M1, M2, M3, ONE2, ZERO2, exact_degrees, fs, grid, pair_sets
 
 
 def test_universe_rejects_bad_labels():
@@ -46,6 +45,16 @@ def test_universe_lookup():
     with pytest.raises(KeyError, match="label 'z' not in universe"):
         AB.index("z")
     assert AB == Universe.of("a", "b") and hash(AB) == hash(Universe.of("a", "b"))
+
+
+def test_a_universe_from_a_list_equals_one_from_a_tuple():
+    """The constructor keeps its labels as a tuple, whatever sequence they
+    came in, so the two forms are one universe and sets over them combine."""
+    listed = Universe(["a", "b"])
+    assert listed.labels == ("a", "b")
+    assert listed == AB and hash(listed) == hash(AB)
+    low = FiniteFuzzySet.of(listed, ("1/2", 1)).meet(fs(1, "1/3"))
+    assert low == fs("1/2", "1/3")
 
 
 def test_universe_membership_is_a_label_lookup():
@@ -182,17 +191,13 @@ class TestLatticeLaws:
 
 
 def test_ordering_key_sorts_pointwise_lexicographically():
-    assert sorted([ONE2, M2, ZERO2, M1], key=lambda s: s.sort_key()) == [
-        ZERO2,
-        M1,
-        M2,
-        ONE2,
-    ]
+    """Members are ordered by their degrees, the first point first."""
+    assert validate([ONE2, M3, M2, ZERO2, M1]).members == (ZERO2, M1, M2, M3, ONE2)
 
 
-# --- the integer representation against a literal reference --------------
+# --- the integer representation against the literal reference ------------
 #
-# The reference states each operation on the degrees themselves, tuples of
+# ``reference`` states each operation on the degrees themselves, tuples of
 # Fractions in universe order, and shares no code with ``ftop.fset``.
 
 UVW = Universe.of("u", "v", "w")
@@ -211,26 +216,13 @@ def twin(a, b):
     return fs(a, b), (Fraction(a), Fraction(b))
 
 
-def reference_pointwise(op, *columns):
-    """``op`` (min or max) of the degree tuples at every point."""
-    return tuple(op(point) for point in zip(*columns))
-
-
-def reference_complement(degrees):
-    return tuple(1 - d for d in degrees)
-
-
-def reference_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 def assert_same_set(value, degrees):
     """``value`` holds ``degrees`` in canonical form, numerators over the
     lcm of their denominators, and every read-out says so."""
     labels = value.universe.labels
     scale = math.lcm(*[d.denominator for d in degrees])
     assert value.scale == scale and value.nums == tuple(d * scale for d in degrees)
-    assert value.degrees == degrees and value.sort_key() == degrees
+    assert value.degrees == degrees
     inside = ", ".join(f"{label}: {d}" for label, d in zip(labels, degrees))
     assert repr(value) == f"FiniteFuzzySet({{{inside}}})"
     assert value.by_label() == dict(zip(labels, degrees))
@@ -263,21 +255,21 @@ class TestIntegerRepresentationMatchesReference:
         columns = [degrees for _, degrees in pairs]
         first = values[0]
         results = [
-            (first.meet(*values[1:]), reference_pointwise(min, *columns)),
-            (first.join(*values[1:]), reference_pointwise(max, *columns)),
-            *((value.complement(), reference_complement(degrees)) for value, degrees in pairs),
+            (first.meet(*values[1:]), reference.meet(*columns)),
+            (first.join(*values[1:]), reference.join(*columns)),
+            *((value.complement(), reference.complement(degrees)) for value, degrees in pairs),
             *pairs,
         ]
         for value, degrees in results:
             assert_same_set(value, degrees)
         for (s, rs), (t, rt) in product(pairs, repeat=2):
-            assert s.leq(t) == reference_leq(rs, rt)
+            assert s.leq(t) == reference.leq(rs, rt)
             assert (s == t) == (rs == rt)
-            for binary, general, reference in (
-                (s.meet(t), s.meet(t, t), reference_pointwise(min, rs, rt)),
-                (s.join(t), s.join(t, t), reference_pointwise(max, rs, rt)),
+            for binary, general, expected in (
+                (s.meet(t), s.meet(t, t), reference.meet(rs, rt)),
+                (s.join(t), s.join(t, t), reference.join(rs, rt)),
             ):
-                assert_same_set(binary, reference)
+                assert_same_set(binary, expected)
                 assert (binary.scale, binary.nums) == (general.scale, general.nums)
         for (s, rs), (t, rt) in product(results, repeat=2):
             assert (s == t) == (rs == rt)
@@ -299,30 +291,6 @@ class TestIntegerRepresentationMatchesReference:
         expected = product(grid(k), repeat=size)
         for value, degrees in zip(enumerate_grid_sets(spec), expected, strict=True):
             assert_same_set(value, degrees)
-
-    @settings(deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=3).flatmap(
-            lambda n: st.tuples(
-                st.lists(set_pairs(n), max_size=3), st.lists(set_pairs(n), min_size=1, max_size=4)
-            )
-        )
-    )
-    def test_interior_and_closure_agree(self, subbasis_and_queries):
-        """The kernel's integer thresholds select what the reference fold does:
-        the join of the members below ``s``, and below ``1 - s`` for closure."""
-        subbasis, queries = subbasis_and_queries
-        universe = queries[0][0].universe
-        space = generate([value for value, _ in subbasis], universe=universe)
-        members = [m.degrees for m in space.members]
-        bottom = (Fraction(0),) * len(universe)
-        for value, degrees in queries:
-            outside = reference_complement(degrees)
-            inner = [m for m in members if reference_leq(m, degrees)]
-            outer = [m for m in members if reference_leq(m, outside)]
-            assert space.interior(value).degrees == reference_pointwise(max, bottom, *inner)
-            closure = reference_complement(reference_pointwise(max, bottom, *outer))
-            assert space.closure(value).degrees == closure
 
 
 def test_fields_and_other_attributes_stay_read_only():

@@ -26,14 +26,15 @@ from ftop import (
     generate,
     is_semiopen,
     is_somewhat_open,
-    is_somewhat_semiopen,
     validate,
 )
 from ftop.functions import CONTINUITY_CLASSES, OPENNESS_CLASSES
 from ftop.oracle import GridSpec, random_topology
 
-from helpers import MU, M1, M2, ONE2, ZERO2, fs, grid, t_fin, t_pl
-from test_semiclass import CHAIN_QUADRUPLES
+import reference
+from helpers import (
+    CHAIN_QUADRUPLES, MU, M1, M2, ONE2, ZERO2, fs, grid, literal, literal_space, t_fin, t_pl,
+)
 
 UV = Universe.of("u", "v")
 
@@ -256,47 +257,32 @@ def test_witnesses_recheck_as_failures():
     assert seen > 0
 
 
-def reference_classify_function(f: FuzzyFunction) -> FunctionClassification:
-    """The eight-way derivation through the standalone predicates, kept as
-    it stood before classify_function read classify_set: one ``note`` per
-    class and lifted set, the first failing member as witness."""
-    verdicts = {name: True for name in CONTINUITY_CLASSES + OPENNESS_CLASSES}
-    witnesses: dict[str, FiniteFuzzySet] = {}
-
-    def note(name: str, holds: bool, member: FiniteFuzzySet) -> None:
-        if not holds and verdicts[name]:
-            verdicts[name] = False
-            witnesses[name] = member
-
-    domain, codomain = f.domain, f.codomain
-    for beta in codomain.members:
-        back = f.preimage(beta)
-        note("fuzzy_continuous", domain.is_open(back), beta)
-        note("fuzzy_semicontinuous", is_semiopen(domain, back), beta)
-        note("somewhat_fuzzy_continuous", is_somewhat_open(domain, back), beta)
-        note("somewhat_fuzzy_semicontinuous", is_somewhat_semiopen(domain, back), beta)
-    for alpha in domain.members:
-        forward = f.image(alpha)
-        note("fuzzy_open", codomain.is_open(forward), alpha)
-        note("fuzzy_semiopen_fn", is_semiopen(codomain, forward), alpha)
-        note("somewhat_fuzzy_open_fn", is_somewhat_open(codomain, forward), alpha)
-        note("somewhat_fuzzy_semiopen_fn", is_somewhat_semiopen(codomain, forward), alpha)
-
-    return FunctionClassification(**verdicts, witnesses=witnesses)
+def assert_classification_matches_the_reference(f: FuzzyFunction) -> int:
+    """Both lifts of every member, the eight verdicts and the witnesses,
+    in order, against ``reference.classify_map``; returns the number of
+    failed classes.  The map's point positions are read off the labels."""
+    domain, codomain = literal_space(f.domain), literal_space(f.codomain)
+    assigned, labels = dict(f.mapping), f.codomain.universe.labels
+    targets = [labels.index(assigned[x]) for x in f.domain.universe.labels]
+    for beta in f.codomain.members:
+        assert literal(f.preimage(beta)) == reference.preimage(targets, literal(beta))
+    for alpha in f.domain.members:
+        assert literal(f.image(alpha)) == reference.image(targets, len(labels), literal(alpha))
+    c = classify_function(f)
+    verdicts, witnesses = reference.classify_map(domain, codomain, targets)
+    assert c.verdicts() == verdicts
+    assert [(name, literal(member)) for name, member in c.witnesses.items()] == list(
+        witnesses.items()
+    )
+    return len(witnesses)
 
 
 def test_classification_matches_the_predicate_reference():
+    """The reference states each class by its predicate on every member."""
     space = t_fin()
     identity = FuzzyFunction.from_mapping(space, space, {"a": "a", "b": "b"})
     maps = [identity, reference_map(), *(random_triple(seed) for seed in range(60))]
-    failures = 0
-    for f in maps:
-        c = classify_function(f)
-        reference = reference_classify_function(f)
-        assert c.verdicts() == reference.verdicts()
-        assert list(c.witnesses.items()) == list(reference.witnesses.items())
-        failures += len(reference.witnesses)
-    assert failures > 0
+    assert sum(assert_classification_matches_the_reference(f) for f in maps) > 0
 
 
 def test_lifts_pass_the_public_constructor():
@@ -343,9 +329,7 @@ def test_each_distinct_lifted_set_is_classified_once(monkeypatch):
     assert [s for space, s in classified if space is f.codomain] == list(dict.fromkeys(images))
     assert len(classified) == 7
 
-    reference = reference_classify_function(f)
-    assert c.verdicts() == reference.verdicts()
-    assert list(c.witnesses.items()) == list(reference.witnesses.items())
+    assert_classification_matches_the_reference(f)
     assert c.witnesses == {
         "fuzzy_continuous": ys("1/2", 0),
         **dict.fromkeys(OPENNESS_CLASSES, fs(0, "1/3")),

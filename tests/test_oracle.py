@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from itertools import product
 from operator import le
 
 import pytest
@@ -21,8 +22,6 @@ from ftop import (
     check_axioms,
     classify_set,
     generate,
-    inf_family,
-    join_family,
     semi_interior,
 )
 from ftop.oracle import (
@@ -39,7 +38,8 @@ from ftop.oracle import (
     run_campaign,
 )
 
-from helpers import AB, M1, M2, ONE2, ZERO2, fs, grid, t_fin, t_pl
+import reference
+from helpers import AB, M1, M2, ONE2, ZERO2, fs, grid, literal_space, t_fin, t_pl
 
 
 def indiscrete():
@@ -407,19 +407,13 @@ def test_brute_semi_interior_does_not_use_the_walk(monkeypatch):
 
 
 # The literal reference check_space and find_witness are held to, stated on
-# sets.  Each grid set s is taken in enumerate_grid_sets order.  Int(s) is
-# the join of the members below s, and Cl(s) the meet of the complements
-# above it, from the members alone.  Cl(Int(s)) and Int(Cl(s)) go through
-# the space's own operators, where check_space's tables take them too, so a
-# corrupted closure or interior lands on the grid sets where those tables
-# see it.
+# sets.  Each grid set s is taken in enumerate_grid_sets order.  Int(s) and
+# Cl(s) are ``reference.interior`` and ``reference.closure``, from the
+# members alone.  Cl(Int(s)) and Int(Cl(s)) go through the space's own
+# operators, where check_space's tables take them too, so a corrupted
+# closure or interior lands on the grid sets where those tables see it.
 
 ALL_TARGETS = [SearchTarget(h, a) for h in SET_CLASSES for a in SET_CLASSES if h != a]
-
-
-def literal_interior(space, s):
-    """``Int(s)``, the join of the members below ``s``."""
-    return join_family([m for m in space.members if m.leq(s)], space.universe)
 
 
 def literal_verdicts(space, s, interior, closure_of_interior):
@@ -439,14 +433,17 @@ def literal_grid(space, spec):
     """Each grid set in rank order with the nine values :func:`classify_set`
     must give for it: its four verdicts, then ``Int(s)``, ``Cl(s)``,
     ``Cl(Int(s))``, the semi-interior and the semi-closure."""
-    complements = [m.complement() for m in space.members]
-    for s in enumerate_grid_sets(spec, space.universe):
-        interior = literal_interior(space, s)
+    stated, universe = literal_space(space), space.universe
+    sets = enumerate_grid_sets(spec, universe)
+    values = []
+    for s, degrees in zip(sets, product(grid(spec.k), repeat=len(universe)), strict=True):
+        interior = FiniteFuzzySet(universe, reference.interior(stated, degrees))
         closure_of_interior = space.closure(interior)
         verdicts, inner = literal_verdicts(space, s, interior, closure_of_interior)
-        closure = inf_family([c for c in complements if s.leq(c)], space.universe)
+        closure = FiniteFuzzySet(universe, reference.closure(stated, degrees))
         outer = s.join(space.interior(closure))
-        yield s, (*verdicts, interior, closure, closure_of_interior, inner, outer)
+        values.append((s, (*verdicts, interior, closure, closure_of_interior, inner, outer)))
+    return values
 
 
 def classified(space, s):
@@ -456,16 +453,18 @@ def classified(space, s):
     return (*c.verdicts().values(), *evidence)
 
 
-def literal_check_space(space, spec):
+def literal_check_space(space, spec, grid_values=None):
     """:func:`check_space`'s report, stated on sets.
 
     Each grid set in rank order is held to the implication chain, then to
     the three laws of ``SPACE_CHECKS`` in full, and every ``ceil(size /
     8)``-th, the first included, must get all nine values from
-    ``oracle.classify_set``.  The first failure wins.
+    ``oracle.classify_set``.  The first failure wins.  ``grid_values`` is
+    the :func:`literal_grid` of the space, if it is at hand.
     """
     step = -(-spec.size // 8)
-    for rank, (s, values) in enumerate(literal_grid(space, spec)):
+    grid_values = literal_grid(space, spec) if grid_values is None else grid_values
+    for rank, (s, values) in enumerate(grid_values):
         interior, closure, closure_of_interior, inner, outer = values[4:]
         holds = (
             not oracle._chain_breaks(*values[:4]),
@@ -486,14 +485,24 @@ def literal_check_space(space, spec):
     return SpaceCheckReport(True, spec.size)
 
 
-def literal_witnesses(space, spec):
+def literal_verdict_grid(space, spec):
+    """Each grid set in rank order with its four verdicts, as
+    :func:`literal_grid` gives them, from ``Int(s)`` alone."""
+    stated, universe = literal_space(space), space.universe
+    sets = enumerate_grid_sets(spec, universe)
+    for s, degrees in zip(sets, product(grid(spec.k), repeat=len(universe)), strict=True):
+        interior = FiniteFuzzySet(universe, reference.interior(stated, degrees))
+        yield s, literal_verdicts(space, s, interior, space.closure(interior))[0]
+
+
+def literal_witnesses(grid_values):
     """The first grid set of each of the 12 targets, or None, in one pass
-    over the grid: the first set with each combination of verdicts answers
-    every target that combination meets."""
+    over a :func:`literal_grid` or :func:`literal_verdict_grid`: the first
+    set with each combination of verdicts answers every target that
+    combination meets."""
     found, seen = dict.fromkeys(ALL_TARGETS), set()
-    for s in enumerate_grid_sets(spec, space.universe):
-        interior = literal_interior(space, s)
-        verdicts, _ = literal_verdicts(space, s, interior, space.closure(interior))
+    for s, values in grid_values:
+        verdicts = values[:4]
         if verdicts in seen:
             continue
         seen.add(verdicts)
@@ -550,14 +559,18 @@ def test_walk_matches_the_operators_and_classify_set_on_every_grid_set():
     """On every grid set of 250 spaces, and of 100 spaces with members on
     1/6 walked on grids k <= 4, :func:`classify_set` gives the literal
     reference's nine values, and the bitsets its verdicts and the member
-    bits of its ``Int(s)`` and of the complement ``Cl(s)``."""
+    bits of its ``Int(s)`` and of the complement ``Cl(s)``.  The check
+    and the search are held to the same literal grid of each space here,
+    so that it is computed once."""
     for spec, space in all_walk_property_spaces():
         bit = {m: j for j, m in enumerate(space.members)}
+        grid_values = literal_grid(space, spec)
         expected = []
-        for s, values in literal_grid(space, spec):
+        for s, values in grid_values:
             assert classified(space, s) == values
             expected.append((values[:4], [bit[values[4]]], [bit[values[5].complement()]]))
         assert bitset_walk(space, spec.k) == expected
+        assert_check_and_search_match(space, spec, grid_values)
 
 
 # 76 members over 46,656 grid sets: 36 blocks of 1296 ranks, two head points.
@@ -682,21 +695,28 @@ def multi_block_spaces():
             yield spec, random_topology(members, master.randint(0, 10**9), master.randint(1, 4))
 
 
-def test_check_and_search_match_the_literal_reference():
+def assert_check_and_search_match(space, spec, grid_values=None):
     """Equal reports, or an OffGridError naming the lcm of the member
-    scales, and equal witnesses or misses for all 12 targets, on the 350
-    walk property spaces and the 14 multi-block spaces."""
+    scales, and equal witnesses or misses for all 12 targets.
+    ``grid_values`` is the :func:`literal_grid` of the space, if at hand."""
+    if any(spec.k % member.scale for member in space.members):
+        with pytest.raises(OffGridError) as err:
+            check_space(space, spec)
+        assert err.value.required_k == math.lcm(*[member.scale for member in space.members])
+    else:
+        grid_values = grid_values or literal_grid(space, spec)
+        assert check_space(space, spec) == literal_check_space(space, spec, grid_values)
+    witnesses = literal_witnesses(grid_values or literal_verdict_grid(space, spec))
+    for target in ALL_TARGETS:
+        assert find_witness(space, target, spec) == witnesses[target], (space.members, spec, target)
+
+
+def test_check_and_search_match_the_literal_reference():
+    """:func:`assert_check_and_search_match` on the 14 multi-block spaces;
+    the walk test holds the 350 walk property spaces to it."""
     assert len(ALL_TARGETS) == 12
-    for spec, space in [*all_walk_property_spaces(), *multi_block_spaces()]:
-        if any(spec.k % member.scale for member in space.members):
-            with pytest.raises(OffGridError) as err:
-                check_space(space, spec)
-            assert err.value.required_k == math.lcm(*[member.scale for member in space.members])
-        else:
-            assert check_space(space, spec) == literal_check_space(space, spec)
-        witnesses = literal_witnesses(space, spec)
-        for target in ALL_TARGETS:
-            assert find_witness(space, target, spec) == witnesses[target], (space.members, spec, target)
+    for spec, space in multi_block_spaces():
+        assert_check_and_search_match(space, spec)
 
 
 class CorruptedSpace(FuzzyTopology):
@@ -763,7 +783,7 @@ def test_the_literal_reference_does_not_use_the_bitsets(monkeypatch):
 
     monkeypatch.setattr(oracle, "GridBits", no_bitsets)
     assert literal_check_space(t_fin(), GridSpec(2, 6)) == SpaceCheckReport(True, 49)
-    witnesses = literal_witnesses(t_fin(), GridSpec(2, 2))
+    witnesses = literal_witnesses(literal_verdict_grid(t_fin(), GridSpec(2, 2)))
     assert witnesses[SearchTarget.parse("semiopen-not-open")] == fs(0, "1/2")
 
 
@@ -819,7 +839,7 @@ def test_find_witness_matches_the_enumerating_reference():
     for seed, member_grid in (("search-on-grid", None), ("search-off-grid", 6)):
         for spec, space in walk_property_spaces(150, seed, member_grid):
             off_grid = any(spec.k % member.scale for member in space.members)
-            witnesses = literal_witnesses(space, spec)
+            witnesses = literal_witnesses(literal_verdict_grid(space, spec))
             for target in ALL_TARGETS:
                 expected = witnesses[target]
                 assert find_witness(space, target, spec) == expected, (space.members, spec, target)

@@ -5,12 +5,12 @@ Three independent checks back the lattice operations:
 * pointwise evaluation: any claimed meet/join/order result must agree
   with ``at()`` on every merged breakpoint and on the midpoint of every
   merged segment, which pins the whole piecewise-linear function exactly;
-* a literal quadratic reference (``reference_*`` below), stated on
-  tuples of Fraction breakpoints and sharing no code with ``ftop.plin``:
-  it evaluates both functions by a linear scan at every merged x and
-  drops collinear points by the literal rule.  The linear sweep must
-  reproduce its breakpoints and verdicts exactly, and the integer
-  representation its scale, numerators and read-outs;
+* the literal quadratic reference in ``reference``, stated on tuples of
+  Fraction breakpoints and sharing no code with ``ftop``: it evaluates
+  both functions by a linear scan at every merged x and drops collinear
+  points by the literal rule.  The linear sweep must reproduce its
+  breakpoints and verdicts exactly, and the integer representation its
+  scale, numerators and read-outs;
 * a projection onto a finite universe: the PL operators, evaluated at the
   projection points, must equal the finite-backend operators there.
 """
@@ -42,18 +42,8 @@ from ftop import (
 )
 from ftop.plin import _mass
 
-from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, exact_degrees, pl
-
-
-@st.composite
-def pl_sets(draw):
-    inner = draw(
-        st.lists(
-            exact_degrees(8).filter(lambda q: 0 < q < 1), unique=True, min_size=0, max_size=3
-        )
-    )
-    xs = [Fraction(0), *sorted(inner), Fraction(1)]
-    return PLFuzzySet.from_breakpoints([(x, draw(exact_degrees(8))) for x in xs])
+import reference
+from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, exact_degrees, pl, pl_sets
 
 
 @st.composite
@@ -69,81 +59,6 @@ def dense_pl_sets(draw, max_breakpoints=40):
     xs = [0, *sorted(inner), den]
     ys = draw(st.lists(st.integers(0, 6), min_size=len(xs), max_size=len(xs)))
     return PLFuzzySet(tuple((Fraction(x, den), Fraction(y, 6)) for x, y in zip(xs, ys)))
-
-
-# The quadratic algorithm the linear sweep replaced, as the reference, on
-# breakpoint tuples: evaluate both functions at every merged x by a linear
-# scan, then drop collinear points.
-
-
-def reference_at(points, x):
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x0 <= x <= x1:
-            if x == x0:
-                return y0
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    raise AssertionError("unreachable: breakpoints cover [0, 1]")
-
-
-def reference_merged_grid(p, q):
-    xs = sorted({x for x, _ in p} | {x for x, _ in q})
-    crossings = []
-    for x0, x1 in zip(xs, xs[1:]):
-        d0 = reference_at(p, x0) - reference_at(q, x0)
-        d1 = reference_at(p, x1) - reference_at(q, x1)
-        if (d0 > 0 and d1 < 0) or (d0 < 0 and d1 > 0):
-            t = d0 / (d0 - d1)
-            crossings.append(x0 + t * (x1 - x0))
-    return sorted(set(xs) | set(crossings))
-
-
-def reference_fold(op, first, others):
-    result = first
-    for q in others:
-        xs = reference_merged_grid(result, q)
-        result = reference_canonicalize(
-            tuple((x, op(reference_at(result, x), reference_at(q, x))) for x in xs)
-        )
-    return result
-
-
-def reference_leq(p, q):
-    xs = sorted({x for x, _ in p} | {x for x, _ in q})
-    return all(reference_at(p, x) <= reference_at(q, x) for x in xs)
-
-
-def reference_canonicalize(points):
-    """Drop interior points collinear with their neighbours.
-
-    An interior point is removable iff the segment from the last kept point
-    to the next point passes through it; testing against the last *kept*
-    point (not the raw predecessor) collapses whole collinear runs.
-    """
-    kept = [points[0]]
-    for (x1, y1), (x2, y2) in zip(points[1:], points[2:]):
-        x0, y0 = kept[-1]
-        if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
-            kept.append((x1, y1))
-    return (*kept, points[-1])
-
-
-def reference_breakpoint_error(points):
-    """The message of the first breakpoint rule ``points`` breaks, or None.
-
-    The rules, in order: at least two points, x from 0 to 1, x strictly
-    increasing, every y in ``[0, 1]``.
-    """
-    if len(points) < 2:
-        return "need at least the two endpoint breakpoints"
-    if points[0][0] != 0 or points[-1][0] != 1:
-        return "breakpoints must start at x=0 and end at x=1"
-    for (x0, _), (x1, _) in zip(points, points[1:]):
-        if x1 <= x0:
-            return f"x-coordinates must strictly increase: {x0} then {x1}"
-    for _, y in points:
-        if not 0 <= y <= 1:
-            return f"membership value {y} outside [0, 1]"
-    return None
 
 
 def sample_points(*sets):
@@ -289,9 +204,9 @@ class TestSweepMatchesQuadraticReference:
     def test_named_cases(self, f, g):
         for a, b in ((f, g), (g, f)):
             p, q = a.breakpoints, b.breakpoints
-            assert a.meet(b).breakpoints == reference_fold(min, p, [q])
-            assert a.join(b).breakpoints == reference_fold(max, p, [q])
-            assert a.leq(b) == reference_leq(p, q)
+            assert a.meet(b).breakpoints == reference.fold(min, p, [q])
+            assert a.join(b).breakpoints == reference.fold(max, p, [q])
+            assert a.leq(b) == reference.leq(p, q)
 
     def test_touching_and_breakpoint_crossings_add_no_point(self):
         f, g = TOUCHING
@@ -314,18 +229,18 @@ class TestSweepMatchesQuadraticReference:
         p, q = f.breakpoints, g.breakpoints
         merged = sorted({x for x, _ in p} | {x for x, _ in q})
         half = Fraction(1, 2)
-        assert [x for x in merged if reference_at(p, x) >= reference_at(q, x)] == [half]
+        assert [x for x in merged if reference.at(p, x) >= reference.at(q, x)] == [half]
         assert {"f": half in dict(p), "g": half in dict(q)} == {"f": side != "g", "g": side != "f"}
-        assert f.leq(g) == reference_leq(p, q) == expected
+        assert f.leq(g) == reference.leq(p, q) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(dense_pl_sets(), dense_pl_sets())
     def test_binary_operations(self, f, g):
         p, q = f.breakpoints, g.breakpoints
-        assert f.meet(g).breakpoints == reference_fold(min, p, [q])
-        assert f.join(g).breakpoints == reference_fold(max, p, [q])
+        assert f.meet(g).breakpoints == reference.fold(min, p, [q])
+        assert f.join(g).breakpoints == reference.fold(max, p, [q])
         for a, b in ((f, g), (g, f), (f, f.join(g)), (f.meet(g), g)):
-            assert a.leq(b) == reference_leq(a.breakpoints, b.breakpoints)
+            assert a.leq(b) == reference.leq(a.breakpoints, b.breakpoints)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -335,8 +250,8 @@ class TestSweepMatchesQuadraticReference:
     def test_variadic_calls(self, f, others):
         """Three to five arguments fold exactly like the reference."""
         p, qs = f.breakpoints, [g.breakpoints for g in others]
-        assert f.meet(*others).breakpoints == reference_fold(min, p, qs)
-        assert f.join(*others).breakpoints == reference_fold(max, p, qs)
+        assert f.meet(*others).breakpoints == reference.fold(min, p, qs)
+        assert f.join(*others).breakpoints == reference.fold(max, p, qs)
 
 
 def project(f, points, universe):
@@ -364,7 +279,7 @@ class TestProjectionOracle:
             {
                 x
                 for f, g in combinations(functions, 2)
-                for x in reference_merged_grid(f.breakpoints, g.breakpoints)
+                for x in reference.merged_grid(f.breakpoints, g.breakpoints)
             }
         )
         universe = Universe(tuple(str(x) for x in points))
@@ -404,7 +319,7 @@ def test_malformed_breakpoints_raise_value_error():
 def pl_pair(*pairs):
     """A PL set and its canonical breakpoints, from the same ``(x, y)`` pairs."""
     points = tuple((Fraction(x), Fraction(y)) for x, y in pairs)
-    return PLFuzzySet(points), reference_canonicalize(points)
+    return PLFuzzySet(points), reference.canonicalize(points)
 
 
 @st.composite
@@ -416,22 +331,18 @@ def pl_pairs(draw, max_inner=6):
     return pl_pair(*((x, draw(exact_degrees())) for x in [Fraction(0), *sorted(inner), Fraction(1)]))
 
 
-def reference_complement(points):
-    return tuple((x, 1 - y) for x, y in points)
-
-
 def assert_same_set(value, points):
     """``value`` holds the canonical ``points``: coordinates over the lcm of
     every denominator, and every read-out says so."""
     scale = math.lcm(*[c.denominator for point in points for c in point])
     xs, ys = tuple(x * scale for x, _ in points), tuple(y * scale for _, y in points)
     assert (value.scale, value.xs, value.ys) == (scale, xs, ys)
-    assert value.breakpoints == points and value.sort_key() == points
+    assert value.breakpoints == points
     inside = ", ".join(f"({x}, {y})" for x, y in points)
     assert repr(value) == f"PLFuzzySet([{inside}])"
     assert value.is_zero() == all(y == 0 for _, y in points)
     sample = sample_points(value)
-    assert [value.at(x) for x in sample] == [reference_at(points, x) for x in sample]
+    assert [value.at(x) for x in sample] == [reference.at(points, x) for x in sample]
     rebuilt = PLFuzzySet(points)
     assert rebuilt == value and hash(rebuilt) == hash(value)
 
@@ -463,15 +374,15 @@ class TestIntegerRepresentationMatchesReference:
         references = [points for _, points in pairs]
         first, ref_first = values[0], references[0]
         results = [
-            (first.meet(*values[1:]), reference_fold(min, ref_first, references[1:])),
-            (first.join(*values[1:]), reference_fold(max, ref_first, references[1:])),
-            *((value.complement(), reference_complement(points)) for value, points in pairs),
+            (first.meet(*values[1:]), reference.fold(min, ref_first, references[1:])),
+            (first.join(*values[1:]), reference.fold(max, ref_first, references[1:])),
+            *((value.complement(), reference.complement(points)) for value, points in pairs),
             *pairs,
         ]
         for value, points in results:
             assert_same_set(value, points)
         for (s, rs), (t, rt) in product(results, repeat=2):
-            assert s.leq(t) == reference_leq(rs, rt)
+            assert s.leq(t) == reference.leq(rs, rt)
             assert (s == t) == (rs == rt)
             assert s != t or hash(s) == hash(t)
 
@@ -480,9 +391,9 @@ class TestIntegerRepresentationMatchesReference:
     def test_dense_binary_operations_agree(self, f, g):
         """Many crossings, shared x-coordinates and touching points."""
         p, q = f.breakpoints, g.breakpoints
-        assert_same_set(f.meet(g), reference_fold(min, p, [q]))
-        assert_same_set(f.join(g), reference_fold(max, p, [q]))
-        assert f.leq(g) == reference_leq(p, q) and g.leq(f) == reference_leq(q, p)
+        assert_same_set(f.meet(g), reference.fold(min, p, [q]))
+        assert_same_set(f.join(g), reference.fold(max, p, [q]))
+        assert f.leq(g) == reference.leq(p, q) and g.leq(f) == reference.leq(q, p)
 
     def test_a_shrinking_scale_is_divided_out(self):
         collinear = pl(("0", "0"), ("1/7", "1/7"), ("1", "1"))

@@ -21,12 +21,7 @@ from ftop import (
     Universe,
     brute_semi_interior,
     build_topology,
-    classify_set,
     document_for_space,
-    generate,
-    is_semiopen,
-    is_somewhat_open,
-    is_somewhat_semiopen,
     parse_space,
     print_space,
     semi_closure,
@@ -34,18 +29,10 @@ from ftop import (
 )
 from ftop.documents import space_as_data
 
-from helpers import exact_degrees, grid
-
-from test_plin import reference_breakpoint_error, reference_canonicalize
+import reference
+from helpers import exact_degrees, quarter_sets, quarter_spaces
 
 K = 4
-UNIVERSE = Universe.of("a", "b")
-
-quarters = st.sampled_from(grid(K))
-grid_sets = st.builds(lambda a, b: FiniteFuzzySet(UNIVERSE, (a, b)), quarters, quarters)
-grid_spaces = st.lists(grid_sets, max_size=3).map(
-    lambda sets: generate(sets, universe=UNIVERSE)
-)
 
 
 class TestClosedFormAgainstBruteForce:
@@ -57,52 +44,30 @@ class TestClosedFormAgainstBruteForce:
     """
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_spaces, grid_sets)
+    @given(quarter_spaces, quarter_sets)
     def test_semi_interior_routes_agree(self, space, s):
         spec = GridSpec(2, K)
         assert brute_semi_interior(space, s, spec) == semi_interior(space, s)
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_spaces, grid_sets)
+    @given(quarter_spaces, quarter_sets)
     def test_semi_closure_is_the_dual_route(self, space, s):
         brute = brute_semi_interior(space, s.complement(), GridSpec(2, K))
         assert semi_closure(space, s) == brute.complement()
-
-
-class TestClassificationConsistency:
-    """classify_set repeats exactly what the predicates say."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(grid_spaces, grid_sets)
-    def test_verdicts_match_predicates(self, space, s):
-        verdicts = classify_set(space, s).verdicts()
-        assert verdicts["open"] == space.is_open(s)
-        assert verdicts["semiopen"] == is_semiopen(space, s)
-        assert verdicts["somewhat_open"] == is_somewhat_open(space, s)
-        assert verdicts["somewhat_semiopen"] == is_somewhat_semiopen(space, s)
-
-    @settings(max_examples=60, deadline=None)
-    @given(grid_spaces, grid_sets)
-    def test_evidence_operators_bound_the_set(self, space, s):
-        c = classify_set(space, s)
-        assert c.interior.leq(c.semi_interior)
-        assert c.semi_interior.leq(s)
-        assert s.leq(c.semi_closure)
-        assert c.semi_closure.leq(c.closure)
 
 
 class TestDocumentRoundTrips:
     """Printing and re-parsing a document loses nothing."""
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_spaces)
+    @given(quarter_spaces)
     def test_space_survives_description(self, space):
         doc = document_for_space(space)
         rebuilt = build_topology(parse_space(print_space(doc)))
         assert rebuilt.members == space.members
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_spaces)
+    @given(quarter_spaces)
     def test_as_data_is_stable(self, space):
         doc = document_for_space(space)
         assert space_as_data(parse_space(print_space(doc))) == space_as_data(doc)
@@ -197,9 +162,9 @@ class TestIntegerDocumentBoundary:
         the message of the first rule it breaks."""
         pairs = [[data.draw(literal(x)), data.draw(literal(y))] for x, y in points]
         text = pl_document({"s": pairs})
-        message = reference_breakpoint_error(points)
+        message = reference.breakpoint_error(points)
         if message is None:
-            assert parse_space(text).resolve("s").breakpoints == reference_canonicalize(points)
+            assert parse_space(text).resolve("s").breakpoints == reference.canonicalize(points)
         else:
             with pytest.raises(DocumentError) as err:
                 parse_space(text)

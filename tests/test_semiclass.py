@@ -2,13 +2,16 @@
 
 Every frozen value below was recomputed independently first: either by
 hand from the member lists or by the grid brute force in
-``ftop.oracle`` (see test_oracle for the agreement checks).
+``ftop.oracle`` (see test_oracle for the agreement checks).  The
+classifier, the predicates and the semi-operators are held to the
+definitions in ``reference``, on finite and PL spaces.
 """
 
 import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftop import (
     HierarchyInvariantError,
@@ -25,9 +28,11 @@ from ftop import (
     set_verdicts,
 )
 
-from helpers import ALPHA, BETA, LAM, M2, MU, SIGMA, ZERO2, fs, t_fin, t_pl
-
-from test_topology import pair_sets, small_spaces
+import reference
+from helpers import (
+    ALPHA, BETA, CHAIN_QUADRUPLES, LAM, M2, MU, SIGMA, ZERO2, fs, literal, literal_space,
+    pair_sets, quarter_sets, quarter_spaces, small_spaces, t_fin, t_pl,
+)
 
 
 def test_semi_interior_reference_value():
@@ -135,14 +140,6 @@ def test_set_verdicts_refuses_a_broken_chain():
             classify(Broken(), fs("1/2", 0))
 
 
-CHAIN_QUADRUPLES = {
-    (True, True, True, True),
-    (False, True, True, True),
-    (False, False, True, True),
-    (False, False, False, False),
-}
-
-
 def classification_with(quadruple):
     names = ("is_open", "is_semiopen", "is_somewhat_open", "is_somewhat_semiopen")
     return SetClassification(
@@ -165,24 +162,30 @@ def test_exactly_the_chain_quadruples_are_accepted():
 
 
 def assert_classification_matches_definitions(space, s):
-    """``classify_set`` derives all eight fields from four operator values;
-    each must equal the standalone definition."""
+    """The nine values of ``classify_set``, ``set_verdicts``, and the
+    standalone predicates and semi-operators, each against the reference."""
+    stated, t = literal_space(space), literal(s)
+    verdicts = reference.set_verdicts(stated, t)
+    interior, closure = reference.interior(stated, t), reference.closure(stated, t)
     c = classify_set(space, s)
-    assert c.is_open == space.is_open(s)
-    assert c.is_semiopen == is_semiopen(space, s)
-    assert c.is_somewhat_open == is_somewhat_open(space, s)
-    assert c.is_somewhat_semiopen == is_somewhat_semiopen(space, s)
-    assert c.interior == space.interior(s)
-    assert c.closure == space.closure(s)
-    assert c.semi_interior == semi_interior(space, s)
-    assert c.semi_closure == semi_closure(space, s)
-    assert c.closure_of_interior == space.closure(space.interior(s))
-    assert set_verdicts(space, s) == c.verdicts()
+    assert c.verdicts() == set_verdicts(space, s) == verdicts
+    evidence = (c.interior, c.closure, c.closure_of_interior)
+    assert [literal(v) for v in evidence] == [interior, closure, reference.closure(stated, interior)]
+    inner, outer = reference.semi_interior(stated, t), reference.semi_closure(stated, t)
+    assert literal(c.semi_interior) == literal(semi_interior(space, s)) == inner
+    assert literal(c.semi_closure) == literal(semi_closure(space, s)) == outer
+    standalone = (is_semiopen, is_somewhat_open, is_somewhat_semiopen)
+    assert [held(space, s) for held in standalone] == list(verdicts.values())[1:]
+    semiclosed = reference.set_verdicts(stated, reference.complement(t))["semiopen"]
+    assert is_semiclosed(space, s) == semiclosed
 
 
-@settings(deadline=None)
-@given(small_spaces, pair_sets)
-def test_classify_set_matches_definitions_on_finite_spaces(space, s):
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(st.tuples(small_spaces, pair_sets), st.tuples(quarter_spaces, quarter_sets)))
+def test_classify_set_matches_definitions_on_finite_spaces(space_and_set):
+    """Spaces with mixed denominators up to 12, and spaces on the quarter
+    grid queried on it, where members and queries often coincide."""
+    space, s = space_and_set
     assert_classification_matches_definitions(space, s)
     for member in space.members:
         assert_classification_matches_definitions(space, member)

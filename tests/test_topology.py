@@ -2,11 +2,12 @@
 
 Expected interior/closure values for the two reference spaces were
 derived by hand from the member lists (filter the members pointwise,
-fold with join or meet) before being frozen here.  That fold is also
-kept below, verbatim, as the one reference the operators of both
-backends must reproduce, and so are the pair loops ``check_axioms`` and ``generate`` ran before they
-skipped comparable pairs, and before ``generate`` became a meet pass and
-a join pass.
+fold with join or meet) before being frozen here.  That fold, stated in
+``reference``, is what the operators of both backends must reproduce, and
+the canonical member order is the reference's too.  The pair loops
+``check_axioms`` and ``generate`` ran before they skipped comparable
+pairs, and before ``generate`` became a meet pass and a join pass, are
+kept below as the reference for those two.
 """
 
 import random
@@ -16,7 +17,7 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftop import (
@@ -37,12 +38,11 @@ from ftop import (
 )
 from ftop.topology import DEFAULT_GENERATION_CAP, AxiomViolation, FuzzyValue
 
+import reference
 from helpers import (
-    ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, exact_degrees, fs, t_fin, t_pl
+    ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, exact_degrees, fs, literal,
+    literal_space, pair_sets, pl_sets, small_spaces, t_fin, t_pl,
 )
-
-from test_fset import pair_sets
-from test_plin import pl_sets
 
 
 def test_valid_families_have_no_violations():
@@ -111,27 +111,6 @@ def test_validate_deduplicates_and_orders_members():
     space = validate([ONE2, M1, ZERO2, M1, ONE2, ZERO2])
     assert space.members == (ZERO2, M1, ONE2)
     assert space.bottom == ZERO2 and space.top == ONE2
-
-
-@pytest.mark.parametrize(
-    "space",
-    [t_fin(), t_pl(), generate([fs(1, "1/3"), fs("1/2", 1), fs("1/4", "3/4")])],
-    ids=["t_fin", "t_pl", "generated"],
-)
-def test_the_constructor_puts_members_in_sort_key_order(space):
-    """Whatever order the members come in, ``members`` is in ``sort_key``
-    order, and the index built on it selects what the ordered space does."""
-    expected = tuple(sorted(space.members, key=lambda member: member.sort_key()))
-    queries = [*space.members, *(member.complement() for member in space.members)]
-    rng = random.Random(0)
-    for _ in range(5):
-        shuffled = list(space.members)
-        rng.shuffle(shuffled)
-        rebuilt = FuzzyTopology(tuple(shuffled))
-        assert rebuilt.members == expected
-        for s in queries:
-            assert rebuilt.interior(s) == space.interior(s)
-            assert rebuilt.closure(s) == space.closure(s)
 
 
 def test_generate_from_empty_subbasis():
@@ -215,12 +194,6 @@ def test_openness_is_semantic_not_nominal():
     assert not space.is_open(fs("1/2", "1/4"))
 
 
-small_spaces = st.builds(
-    lambda sets: generate(sets, universe=Universe.of("a", "b")),
-    st.lists(pair_sets, max_size=3),
-)
-
-
 class TestOperatorLaws:
     @settings(deadline=None)
     @given(small_spaces, pair_sets)
@@ -253,50 +226,44 @@ class TestOperatorLaws:
         assert space.closure(low).leq(space.closure(high))
 
 
-# The fold the greatest-member selection replaced, kept verbatim as the
-# reference for both backends: join every member below s, meet every
-# closed set above s.
-
-
-def reference_interior(space, s):
-    return space.bottom.join(*[m for m in space.members if m.leq(s)])
-
-
-def reference_closure(space, s):
-    return space.top.meet(*[m.complement() for m in space.members if s.leq(m.complement())])
+# The greatest-member selection of both backends against the fold it
+# replaced, ``reference.interior`` and ``reference.closure``: the join of
+# every member below s, and the meet of every closed set above s.
 
 
 def assert_operators_match_reference(space, queries):
-    members = set(space.members)
+    stated = literal_space(space)
     for s in queries:
         interior, closure = space.interior(s), space.closure(s)
-        assert interior == reference_interior(space, s)
-        assert closure == reference_closure(space, s)
-        assert interior in members
-        assert closure.complement() in members
+        assert literal(interior) == reference.interior(stated, literal(s))
+        assert literal(closure) == reference.closure(stated, literal(s))
+        assert interior in space.members
+        assert closure.complement() in space.members
 
 
 @st.composite
 def spaces_with_queries(draw):
-    """A generated space on a 1/k grid and queries with their own denominators.
+    """A generated space and queries with their own denominators.
 
-    Query degrees with denominators 3, 4, 5, 7 or 12 mostly fall between
-    the member degrees, which pins the floor and ceil thresholds of the
-    kernel.
+    The members lie on one 1/k grid, or mix denominators up to 12 from
+    point to point.  Query degrees with denominators 3, 4, 5, 7 or 12
+    mostly fall between the member degrees, which pins the floor and ceil
+    thresholds of the kernel.
     """
     universe = Universe(("u", "v", "w")[: draw(st.integers(1, 3))])
     k = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    on_grid = st.integers(0, k).map(lambda n: Fraction(n, k))
+    member_degrees = draw(st.sampled_from([on_grid, exact_degrees()]))
+    off_grid = st.sampled_from([3, 4, 5, 7, 12]).flatmap(
+        lambda d: st.integers(0, d).map(lambda n: Fraction(n, d))
+    )
 
-    def grid_set(denominators):
-        return FiniteFuzzySet(
-            universe,
-            tuple(Fraction(draw(st.integers(0, d)), d) for d in denominators),
-        )
+    def drawn_set(degrees):
+        return FiniteFuzzySet(universe, tuple(draw(degrees) for _ in universe))
 
-    subbasis = [grid_set([k] * len(universe)) for _ in range(draw(st.integers(0, 4)))]
+    subbasis = [drawn_set(member_degrees) for _ in range(draw(st.integers(0, 4)))]
     space = generate(subbasis, universe=universe)
-    off_grid = st.sampled_from([3, 4, 5, 7, 12])
-    queries = [grid_set([draw(off_grid) for _ in universe]) for _ in range(6)]
+    queries = [drawn_set(off_grid) for _ in range(6)]
     return space, [*queries, *space.members, *(m.complement() for m in space.members)]
 
 
@@ -483,7 +450,7 @@ def reference_generate(
             )
         family.update(fresh)
         frontier = list(fresh)
-    return FuzzyTopology(tuple(sorted(family, key=lambda v: v.sort_key())))
+    return FuzzyTopology(tuple(family))
 
 
 @st.composite
@@ -652,20 +619,29 @@ class TestPLSelectionMatchesFold:
 
 
 class TestMemberOrderMatchesSortKey:
-    """``validate`` and ``generate`` order members on integer keys over one
-    scale; the order must be the lexicographic order of the Fraction
-    ``sort_key``, on families whose members have different scales."""
+    """``validate``, ``generate`` and the constructor order members on
+    integer keys over one scale; the order must be that of the sort key
+    ``reference.order`` states, the lexicographic order of the degrees or
+    breakpoints, on families whose members have different scales, and
+    whatever order they came in.  (A shuffled space answers queries as the
+    ordered one does: ``test_member_order_is_not_trusted`` and
+    ``test_generated_spaces_with_crossings``.)"""
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(st.lists(pair_sets, max_size=4), st.lists(pl_sets(), min_size=1, max_size=3)),
         st.randoms(use_true_random=False),
     )
+    @example(t_fin().members, random.Random(0))
+    @example(t_pl().members, random.Random(0))
+    @example([fs(1, "1/3"), fs("1/2", 1), fs("1/4", "3/4")], random.Random(0))
     def test_validate_and_generate(self, subbasis, rng):
         space = generate(subbasis, universe=M1.universe, cap=400)
-        expected = tuple(sorted(space.members, key=lambda v: v.sort_key()))
-        assert space.members == expected
+        members = [literal(member) for member in space.members]
+        assert members == reference.order(members)
         shuffled = list(space.members)
         rng.shuffle(shuffled)
-        assert validate(shuffled).members == expected
+        assert validate(shuffled).members == space.members
+        rng.shuffle(shuffled)
+        assert FuzzyTopology(tuple(shuffled)).members == space.members
 
