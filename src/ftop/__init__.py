@@ -9,119 +9,35 @@ values in the library API, both backends hold them as integer numerators
 over one scale per set, and documents are parsed and printed on those
 integers (``degrees.parse_degree``, ``degrees.format_ratio``), so a CLI
 request builds no Fraction.  Floats are rejected at every boundary.
+
+Every name in a public module's ``__all__`` is importable from ``ftop``,
+and ``ftop.__all__`` is those lists joined in layer order, so each module's
+``__all__`` is the one statement of its public names.  ``gridbits`` is
+internal, and ``cli`` (whose import builds the argument parser) is left
+to ``ftop.cli``.
 """
 
-from .degrees import ONE, ZERO, as_degree, format_rational, parse_rational
-from .documents import (
-    FunctionDocument,
-    SpaceDocument,
-    build_function,
-    build_topology,
-    document_for_space,
-    parse_function,
-    parse_space,
-    print_function,
-    print_space,
-)
-from .errors import (
-    BackendMismatchError,
-    DegreeRangeError,
-    DocumentError,
-    FtopError,
-    HierarchyInvariantError,
-    OffGridError,
-    ResourceCapError,
-    UniverseMismatchError,
-)
-from .fset import FiniteFuzzySet, Universe, inf_family, join_family
-from .functions import FunctionClassification, FuzzyFunction, classify_function
-from .oracle import (
-    GridSpec,
-    SearchTarget,
-    SpaceCheckReport,
-    brute_semi_interior,
-    check_space,
-    enumerate_grid_sets,
-    find_witness,
-    random_topology,
-    run_campaign,
-)
-from .plin import PLFuzzySet
-from .semiclass import (
-    SetClassification,
-    classify_set,
-    is_semiclosed,
-    is_semiopen,
-    is_somewhat_open,
-    is_somewhat_semiopen,
-    semi_closure,
-    semi_interior,
-    set_verdicts,
-)
-from .topology import (
-    AxiomViolation,
-    FuzzyTopology,
-    InvalidTopologyError,
-    check_axioms,
-    generate,
-    validate,
-)
+from .degrees import *
+from .fset import *
+from .plin import *
+from .topology import *
+from .semiclass import *
+from .functions import *
+from .oracle import *
+from .documents import *
+from .errors import *
+from . import degrees, documents, errors, fset, functions, oracle, plin, semiclass, topology
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ZERO",
-    "ONE",
-    "as_degree",
-    "parse_rational",
-    "format_rational",
-    "Universe",
-    "FiniteFuzzySet",
-    "join_family",
-    "inf_family",
-    "PLFuzzySet",
-    "FuzzyTopology",
-    "AxiomViolation",
-    "InvalidTopologyError",
-    "check_axioms",
-    "validate",
-    "generate",
-    "SetClassification",
-    "classify_set",
-    "set_verdicts",
-    "is_semiopen",
-    "is_semiclosed",
-    "semi_interior",
-    "semi_closure",
-    "is_somewhat_open",
-    "is_somewhat_semiopen",
-    "FuzzyFunction",
-    "FunctionClassification",
-    "classify_function",
-    "GridSpec",
-    "SearchTarget",
-    "SpaceCheckReport",
-    "enumerate_grid_sets",
-    "brute_semi_interior",
-    "random_topology",
-    "check_space",
-    "find_witness",
-    "run_campaign",
-    "SpaceDocument",
-    "FunctionDocument",
-    "parse_space",
-    "print_space",
-    "parse_function",
-    "print_function",
-    "build_topology",
-    "build_function",
-    "document_for_space",
-    "FtopError",
-    "DegreeRangeError",
-    "UniverseMismatchError",
-    "BackendMismatchError",
-    "ResourceCapError",
-    "OffGridError",
-    "HierarchyInvariantError",
-    "DocumentError",
-]
+__all__ = (
+    degrees.__all__
+    + fset.__all__
+    + plin.__all__
+    + topology.__all__
+    + semiclass.__all__
+    + functions.__all__
+    + oracle.__all__
+    + documents.__all__
+    + errors.__all__
+)

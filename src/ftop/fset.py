@@ -57,6 +57,11 @@ class Universe:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):
+            raise TypeError(
+                f"universe labels must be a sequence, not the string {self.labels!r}; "
+                "use Universe.of(...) or a tuple"
+            )
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise ValueError("universe must be non-empty")
@@ -151,6 +156,8 @@ class FiniteFuzzySet:
             if extra:
                 raise KeyError(f"degrees given for unknown labels {extra}")
             values = tuple([as_degree(degrees[label]) for label in universe])
+        elif isinstance(degrees, str):
+            raise TypeError(f"degrees must be a mapping or a tuple, not the string {degrees!r}")
         else:
             values = tuple([as_degree(value) for value in degrees])
         return cls(universe, values)

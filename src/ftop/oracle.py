@@ -56,11 +56,11 @@ import string
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
-from .errors import HierarchyInvariantError, OffGridError, ResourceCapError, UniverseMismatchError
+from .errors import HierarchyInvariantError, OffGridError, ResourceCapError
 from .fset import FiniteFuzzySet, Universe, _reduced, _rescaled, join_family
 from .functions import FuzzyFunction, classify_function
 from .gridbits import GridBits
-from .semiclass import _chain_breaks, classify_set, is_semiopen, semi_interior
+from .semiclass import _CLASSES, _chain_breaks, classify_set, is_semiopen, semi_interior
 from .topology import FuzzyTopology, generate
 
 __all__ = [
@@ -162,19 +162,16 @@ def enumerate_grid_sets(
     significant, so the first set satisfying any predicate is canonical
     and stable across runs.  With ``below``, a set on the same universe,
     only the grid sets below it are yielded, in the same order: the
-    numerators ``0..floor(below(x) * k)`` at each point ``x``.  The sets
-    skip constructor validation: the spec and the universe size are
-    checked here, and grid degrees lie in ``[0, 1]``.
+    numerators ``0..floor(below(x) * k)`` at each point ``x``; ``below``
+    passes the check of every finite set operation.  The sets skip
+    constructor validation: the spec and the universe size are checked
+    here, and grid degrees lie in ``[0, 1]``.
     """
     universe = _grid_universe(spec, universe)
     k = spec.k
-    if below is None:
-        boxes = [range(k + 1)] * spec.universe_size
-    elif below.universe != universe:
-        raise UniverseMismatchError(
-            f"universes differ: {universe.labels} vs {below.universe.labels}"
-        )
-    else:
+    boxes = [range(k + 1)] * spec.universe_size
+    if below is not None:
+        FiniteFuzzySet.zero(universe)._require_compatible(below)
         boxes = [range(n * k // below.scale + 1) for n in below.nums]
     for nums in itertools.product(*boxes):
         yield _reduced(universe, k, nums)
@@ -379,7 +376,7 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
 
 # The classes a search can name, strongest first: the verdicts of
 # semiclass.set_verdicts, spelled with "-" for "_".
-SET_CLASSES = ("open", "semiopen", "somewhat-open", "somewhat-semiopen")
+SET_CLASSES = tuple(name.replace("_", "-") for name in _CLASSES)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,9 @@ __all__ = [
     "classify_set",
 ]
 
+# The four set classes, strongest first: the keys of every verdict dict.
+_CLASSES = ("open", "semiopen", "somewhat_open", "somewhat_semiopen")
+
 
 def is_semiopen(space: FuzzyTopology, s: FuzzyValue) -> bool:
     """True iff ``s`` lies below the closure of its interior."""
@@ -137,32 +140,29 @@ class SetClassification:
         _require_chain(self.verdicts())
 
     def verdicts(self) -> dict[str, bool]:
-        return {
-            "open": self.is_open,
-            "semiopen": self.is_semiopen,
-            "somewhat_open": self.is_somewhat_open,
-            "somewhat_semiopen": self.is_somewhat_semiopen,
-        }
+        held = (self.is_open, self.is_semiopen, self.is_somewhat_open, self.is_somewhat_semiopen)
+        return dict(zip(_CLASSES, held))
 
 
 def _derive(space: FuzzyTopology, s: FuzzyValue):
     """The four verdicts, strongest first, from ``Int(s)`` and ``Cl(Int(s))``.
 
-    Returns the verdict dict with ``Int(s)``, ``Cl(Int(s))`` and the
-    semi-interior ``s /\\ Cl(Int(s))``; ``s`` is open iff ``Int(s) = s``,
-    since the interior is a member below ``s``.  The chain is not checked.
+    Returns the verdicts, in :data:`_CLASSES` order, with ``Int(s)``,
+    ``Cl(Int(s))`` and the semi-interior ``s /\\ Cl(Int(s))``; ``s`` is
+    open iff ``Int(s) = s``, since the interior is a member below ``s``.
+    The chain is not checked.
     """
     interior = space.interior(s)
     closure_of_interior = space.closure(interior)
     inner = s.meet(closure_of_interior)
     zero = s.is_zero()
-    verdicts = {
-        "open": interior == s,
-        "semiopen": s.leq(closure_of_interior),
-        "somewhat_open": zero or not interior.is_zero(),
-        "somewhat_semiopen": zero or not inner.is_zero(),
-    }
-    return verdicts, interior, closure_of_interior, inner
+    held = (
+        interior == s,
+        s.leq(closure_of_interior),
+        zero or not interior.is_zero(),
+        zero or not inner.is_zero(),
+    )
+    return held, interior, closure_of_interior, inner
 
 
 def set_verdicts(space: FuzzyTopology, s: FuzzyValue) -> dict[str, bool]:
@@ -171,7 +171,7 @@ def set_verdicts(space: FuzzyTopology, s: FuzzyValue) -> dict[str, bool]:
     Costs two operator calls where :func:`classify_set` makes four, and
     refuses the same chain-breaking verdicts.
     """
-    verdicts = _derive(space, s)[0]
+    verdicts = dict(zip(_CLASSES, _derive(space, s)[0]))
     _require_chain(verdicts)
     return verdicts
 
@@ -182,10 +182,10 @@ def classify_set(space: FuzzyTopology, s: FuzzyValue) -> SetClassification:
     The verdicts come from the same derivation as :func:`set_verdicts`;
     the evidence adds ``Cl(s)`` and ``Int(Cl(s))`` for the semi-closure.
     """
-    verdicts, interior, closure_of_interior, inner = _derive(space, s)
+    held, interior, closure_of_interior, inner = _derive(space, s)
     closure = space.closure(s)
     return SetClassification(
-        *verdicts.values(),
+        *held,
         interior=interior,
         closure=closure,
         closure_of_interior=closure_of_interior,

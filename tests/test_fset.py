@@ -36,6 +36,11 @@ def test_universe_rejects_bad_labels():
         Universe.of("a", "a")
     with pytest.raises(ValueError):
         Universe.of("a", "")
+    # A string is a sequence of one-letter strings, not a list of labels.
+    for text in ("abc", "ab", ""):
+        with pytest.raises(TypeError, match=r"not the string .*Universe\.of\(\.\.\.\) or a tuple"):
+            Universe(text)
+    assert Universe.of("abc").labels == ("abc",)
 
 
 def test_universe_lookup():
@@ -66,6 +71,11 @@ def test_universe_membership_is_a_label_lookup():
 
 def test_of_mapping_requires_exact_label_cover():
     assert FiniteFuzzySet.of(AB, {"a": "1/2", "b": 0}) == fs("1/2", 0)
+    assert FiniteFuzzySet.of(AB, iter(["1/2", 0])) == fs("1/2", 0)
+    # A string is not a sequence of degrees, one per character.
+    for text in ("01", "1/2"):
+        with pytest.raises(TypeError, match="a mapping or a tuple, not the string"):
+            FiniteFuzzySet.of(AB, text)
     with pytest.raises(KeyError):
         FiniteFuzzySet.of(AB, {"a": "1/2"})
     with pytest.raises(KeyError):

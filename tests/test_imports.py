@@ -1,14 +1,41 @@
-"""The imports of the test modules, read with ``ast``.
+"""The imports of the test modules, read with ``ast``, and the package surface.
 
 ``reference`` is the independent statement every operator and classifier
 test compares with, so it must not import ``ftop``; and each test module
 stands alone, sharing code only through ``helpers`` and ``reference``.
+
+``ftop`` re-exports the ``__all__`` of each public module, joined in layer
+order, so a module's ``__all__`` is the one list of its public names.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import ftop
+
 TESTS = Path(__file__).resolve().parent
+
+PUBLIC_MODULES = [
+    "degrees", "fset", "plin", "topology", "semiclass", "functions", "oracle", "documents", "errors"
+]
+
+# The names the package exported while it kept its own hand-written list;
+# none of them may be lost.
+EXPORTED_BEFORE = """
+    ZERO ONE as_degree parse_rational format_rational Universe FiniteFuzzySet join_family
+    inf_family PLFuzzySet FuzzyTopology AxiomViolation InvalidTopologyError check_axioms validate
+    generate SetClassification classify_set set_verdicts is_semiopen is_semiclosed semi_interior
+    semi_closure is_somewhat_open is_somewhat_semiopen FuzzyFunction FunctionClassification
+    classify_function GridSpec SearchTarget SpaceCheckReport enumerate_grid_sets
+    brute_semi_interior random_topology check_space find_witness run_campaign SpaceDocument
+    FunctionDocument parse_space print_space parse_function print_function build_topology
+    build_function document_for_space FtopError DegreeRangeError UniverseMismatchError
+    BackendMismatchError ResourceCapError OffGridError HierarchyInvariantError DocumentError
+""".split()
 
 
 def imported_modules(path):
@@ -36,3 +63,24 @@ def test_no_test_module_imports_another():
         if module.split(".")[0].startswith("test_")
     }
     assert crossing == set()
+
+
+def test_the_package_exports_each_public_module_all():
+    modules = [importlib.import_module(f"ftop.{name}") for name in PUBLIC_MODULES]
+    joined = [name for module in modules for name in module.__all__]
+    assert ftop.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ftop, name) is getattr(module, name), (module.__name__, name)
+    assert len(EXPORTED_BEFORE) == 54
+    assert set(EXPORTED_BEFORE) <= set(ftop.__all__)
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    """``ftop.cli`` builds its argument parser on import; ``import ftop``
+    loads neither it nor ``argparse``."""
+    code = "import ftop, sys; print(sorted({'ftop.cli', 'argparse'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ftop.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")

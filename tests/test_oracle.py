@@ -16,6 +16,7 @@ from ftop import (
     FuzzyTopology,
     HierarchyInvariantError,
     OffGridError,
+    PLFuzzySet,
     ResourceCapError,
     Universe,
     UniverseMismatchError,
@@ -85,7 +86,7 @@ def test_enumeration_below_a_set_keeps_the_grid_sets_below_it_in_order(s):
     expected = [g for g in enumerate_grid_sets(spec, AB) if g.leq(s)]
     assert list(enumerate_grid_sets(spec, AB, below=s)) == expected
     other = FiniteFuzzySet.of(Universe.of("x", "y"), ("1/2", 0))
-    with pytest.raises(UniverseMismatchError):
+    with pytest.raises(UniverseMismatchError, match=r"^universes differ: \('a', 'b'\) vs \('x', 'y'\)$"):
         list(enumerate_grid_sets(spec, AB, below=other))
 
 
@@ -99,6 +100,9 @@ def test_enumerated_sets_pass_the_public_constructor():
 def test_enumeration_universe_must_match_spec():
     with pytest.raises(ValueError):
         list(enumerate_grid_sets(GridSpec(3, 2), AB))
+    # ``below`` passes the check every finite set operation applies.
+    with pytest.raises(BackendMismatchError, match="expected FiniteFuzzySet, got PLFuzzySet"):
+        list(enumerate_grid_sets(GridSpec(2, 2), below=PLFuzzySet.zero()))
     # The grid walk would otherwise run over the space's own points.
     target = SearchTarget.parse("somewhat-open-not-open")
     for size in (1, 3):
