@@ -14,6 +14,14 @@ public constructor and the derived ``degrees`` view.  Every set built
 from degrees, by the public constructor or the document reader, comes
 from integer ratios ``(p, q)`` through the one entry :func:`_from_ratios`.
 
+Sets are checked where they enter: the public ``meet``, ``join`` and
+``leq`` check that every argument is a finite set over the same universe
+(``_require_compatible``), and then run the unchecked binary primitives
+:func:`_meet`, :func:`_join` and :func:`_leq`.  Code that holds sets it
+built or checked already, such as ``topology`` and ``semiclass``, calls
+those primitives directly, as the methods ``_meet``, ``_join`` and
+``_leq``.
+
 Sets are built by setting their three slots through the class's own slot
 member descriptors, bound once at import: a frozen dataclass refuses
 ``setattr``, and ``object.__setattr__`` looks the descriptor up again on
@@ -198,15 +206,14 @@ class FiniteFuzzySet:
         return _trusted(self.universe, scale, tuple([scale - n for n in self.nums]))
 
     def _pointwise(self, op, others: tuple["FiniteFuzzySet", ...]) -> "FiniteFuzzySet":
+        """Check every set in ``others``, then take ``op`` of all of them in one pass."""
         scale = self.scale
         for other in others:
             self._require_compatible(other)
             if other.scale != scale:
                 scale = math.lcm(scale, other.scale)
-        if not others:
-            return self
-        if len(others) == 1 and others[0].scale == self.scale:
-            return _reduced(self.universe, scale, tuple(list(map(op, self.nums, others[0].nums))))
+        if len(others) < 2:
+            return _combine(op, self, others[0]) if others else self
         columns = [_rescaled(value, scale) for value in (self, *others)]
         return _reduced(self.universe, scale, tuple(list(map(op, *columns))))
 
@@ -224,13 +231,7 @@ class FiniteFuzzySet:
         On different scales ``a / p <= b / q`` is compared as ``a * q <= b * p``.
         """
         self._require_compatible(other)
-        p, q = self.scale, other.scale
-        if p == q:
-            return all(map(le, self.nums, other.nums))
-        for a, b in zip(self.nums, other.nums):
-            if a * q > b * p:
-                return False
-        return True
+        return _leq(self, other)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -312,6 +313,40 @@ def _rescaled(value: FiniteFuzzySet, scale: int) -> tuple[int, ...]:
     """The numerators of ``value`` over ``scale``, a multiple of its own scale."""
     factor = scale // value.scale
     return value.nums if factor == 1 else tuple([n * factor for n in value.nums])
+
+
+def _leq(f: FiniteFuzzySet, g: FiniteFuzzySet) -> bool:
+    """``f <= g`` at every point, for sets over one universe; nothing is checked."""
+    p, q = f.scale, g.scale
+    if p == q:
+        return all(map(le, f.nums, g.nums))
+    for a, b in zip(f.nums, g.nums):
+        if a * q > b * p:
+            return False
+    return True
+
+
+def _combine(op, f: FiniteFuzzySet, g: FiniteFuzzySet) -> FiniteFuzzySet:
+    """``op`` (min or max) of f and g at every point, over the lcm of their scales."""
+    scale = f.scale
+    if g.scale == scale:
+        return _reduced(f.universe, scale, tuple(list(map(op, f.nums, g.nums))))
+    scale = math.lcm(scale, g.scale)
+    values = map(op, _rescaled(f, scale), _rescaled(g, scale))
+    return _reduced(f.universe, scale, tuple(list(values)))
+
+
+def _meet(f: FiniteFuzzySet, g: FiniteFuzzySet) -> FiniteFuzzySet:
+    return _combine(min, f, g)
+
+
+def _join(f: FiniteFuzzySet, g: FiniteFuzzySet) -> FiniteFuzzySet:
+    return _combine(max, f, g)
+
+
+# The unchecked binary primitives, for callers that hold sets over one
+# universe already: lattice results and members of one space.
+FiniteFuzzySet._leq, FiniteFuzzySet._meet, FiniteFuzzySet._join = _leq, _meet, _join
 
 
 class _MemberIndex:

@@ -9,10 +9,11 @@ it acts on fuzzy sets through the usual lifts
 and is classified eight ways: four continuity classes (preimages of the
 codomain's opens are open / semiopen / somewhat open / somewhat semiopen)
 and the four mirror-image openness classes on images of the domain's
-opens.  Each distinct lifted set is classified once by
-``semiclass.set_verdicts``, whose four verdicts, in chain order, decide
-the four classes of its side: members often share a preimage or an
-image, and a repeat can fail no class that its first occurrence did not.
+opens.  Each distinct lifted set is classified once by the derivation
+behind ``semiclass.set_verdicts``, whose four verdicts, in chain order,
+decide the four classes of its side: members often share a preimage or
+an image, and a repeat can fail no class that its first occurrence did
+not.
 Both quadruples obey the same implication chain as sets do, with the two
 somewhat classes provably coinciding; :class:`FunctionClassification`
 enforces that chain at construction through ``semiclass._require_chain``.
@@ -28,7 +29,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .fset import FiniteFuzzySet, _reduced
-from .semiclass import _require_chain, set_verdicts
+from .semiclass import _require_chain, _set_verdicts
 from .topology import FuzzyTopology
 
 __all__ = [
@@ -97,12 +98,20 @@ class FuzzyFunction:
     def preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:
         """Pull a codomain fuzzy set back along the map: ``x -> beta(f(x))``."""
         self.codomain.members[0]._require_compatible(beta)
-        nums = beta.nums
-        return _reduced(self.domain.universe, beta.scale, tuple([nums[y] for y in self._targets]))
+        return self._preimage(beta)
 
     def image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:
         """Push a domain fuzzy set forward: sup over each fiber, 0 if empty."""
         self.domain.members[0]._require_compatible(alpha)
+        return self._image(alpha)
+
+    def _preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:
+        """:meth:`preimage` of a set over the codomain's universe, unchecked."""
+        nums = beta.nums
+        return _reduced(self.domain.universe, beta.scale, tuple([nums[y] for y in self._targets]))
+
+    def _image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:
+        """:meth:`image` of a set over the domain's universe, unchecked."""
         codomain_universe = self.codomain.universe
         best = [0] * len(codomain_universe)
         for y, n in zip(self._targets, alpha.nums):
@@ -134,7 +143,7 @@ class FunctionClassification:
 
     def __post_init__(self) -> None:
         for names in (CONTINUITY_CLASSES, OPENNESS_CLASSES):
-            _require_chain({name: getattr(self, name) for name in names})
+            _require_chain(names, [getattr(self, name) for name in names])
 
     def verdicts(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in CONTINUITY_CLASSES + OPENNESS_CLASSES}
@@ -150,19 +159,20 @@ def classify_function(f: FuzzyFunction) -> FunctionClassification:
     verdicts, in chain order, are the verdicts of the four classes on its
     side, and the first failing member is recorded as the witness for its
     class; a later member with the same lifted set cannot fail earlier.
+    No set is checked: the members and their lifts belong to the spaces.
     """
     verdicts: dict[str, bool] = {}
     witnesses: dict[str, FiniteFuzzySet] = {}
     for names, space, members, lift in (
-        (CONTINUITY_CLASSES, f.domain, f.codomain.members, f.preimage),
-        (OPENNESS_CLASSES, f.codomain, f.domain.members, f.image),
+        (CONTINUITY_CLASSES, f.domain, f.codomain.members, f._preimage),
+        (OPENNESS_CLASSES, f.codomain, f.domain.members, f._image),
     ):
         verdicts.update(dict.fromkeys(names, True))
         firsts: dict[FiniteFuzzySet, FiniteFuzzySet] = {}
         for member in members:
             firsts.setdefault(lift(member), member)
         for lifted, member in firsts.items():
-            held = set_verdicts(space, lifted).values()
+            held = _set_verdicts(space, lifted)
             for name, holds in zip(names, held):
                 if not holds and verdicts[name]:
                     verdicts[name] = False

@@ -88,7 +88,7 @@ class GridBits:
         members = space.members
         # Per member bit: its digits ceil(m(x) * k), and its closure Cl(m).
         self.lows = [tuple([-(-v * k // m.scale) for v in m.nums]) for m in members]
-        self.closures_of_interiors = [space.closure(m) for m in members]
+        self.closures_of_interiors = [space._index.closure(m) for m in members]
         # Per member, top bit first: where it is below s, its rank if it
         # lies on the grid, which of the distinct Cl(m) is its own, and
         # whether it is non-zero.

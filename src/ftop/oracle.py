@@ -313,7 +313,7 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     members = space.members
     complements = [m.complement() for m in members]
     closures_of_interiors = grid.closures_of_interiors
-    interiors_of_closures = [space.interior(c) for c in complements]
+    interiors_of_closures = [space._index.interior(c) for c in complements]
     # The member halves: where one fails, its law fails on every rank the
     # member is Int(s), or its complement Cl(s).  On the grid a member's
     # digits are its numerators over k; one with other digits may be
@@ -321,9 +321,9 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     below_members = {
         j
         for j, m in enumerate(members)
-        if not m.leq(closures_of_interiors[j]) or grid.lows[j] != _rescaled(m, k)
+        if not m._leq(closures_of_interiors[j]) or grid.lows[j] != _rescaled(m, k)
     }
-    above_members = [j for j, c in enumerate(complements) if not interiors_of_closures[j].leq(c)]
+    above_members = [j for j, c in enumerate(complements) if not interiors_of_closures[j]._leq(c)]
     complement_bits = {c: j for j, c in enumerate(complements)}
     matches = [complement_bits.get(c) for c in closures_of_interiors]
     step = -(-spec.size // _SAMPLE)

@@ -18,12 +18,16 @@ derived tuple of Fractions for the library API and ``repr``.
 Binary operations (meet, join, order) sweep both breakpoint lists once
 with two pointers, on the lcm of the two scales, so one of them on sets
 with m and n breakpoints costs O(m + n) integer steps.  Meet and join
-read the merged points from the generator :func:`_walk`; the order test
-:func:`_leq`, which interior and closure call once per member tried, is
-the same sweep written out as one loop that stops at the first
-violation.  A value interpolated on a segment of width ``d`` is kept as
-a numerator over ``d * scale``, so comparisons cross-multiply instead of
-dividing.  Variadic meet and join fold pairwise.  Every set built from
+(:func:`_combine`) read the merged points from the generator
+:func:`_walk`; the order test :func:`_leq`, which interior and closure
+call once per member tried, is the same sweep written out as one loop
+that stops at the first violation.  A value interpolated on a segment
+of width ``d`` is kept as a numerator over ``d * scale``, so comparisons
+cross-multiply instead of dividing.  Variadic meet and join fold
+pairwise.  The public ``meet``, ``join`` and ``leq`` check that every
+argument is a PL set, then run these primitives; code that holds PL sets
+already calls them directly, as the methods ``_meet``, ``_join`` and
+``_leq``, as in ``fset``.  Every set built from
 breakpoints, by the public constructor or the document reader, comes
 from integer ratios through the one entry :func:`_from_ratios`, which
 states the breakpoint rules; lattice results, computed from valid sets,
@@ -94,8 +98,24 @@ class PLFuzzySet:
 
     @classmethod
     def from_breakpoints(cls, pairs: Iterable[tuple[object, object]]) -> "PLFuzzySet":
-        """Build from ``(x, y)`` pairs of ints, Fractions, or "p/q" strings."""
-        return cls([(as_degree(x), as_degree(y)) for x, y in pairs])
+        """Build from ``(x, y)`` pairs of ints, Fractions, or "p/q" strings.
+
+        A string, as the argument or as an item, is a ``TypeError``: it
+        would unpack into characters.  Any other item that is not a pair
+        is a ``ValueError`` naming it.
+        """
+        if isinstance(pairs, str):
+            raise TypeError(f"breakpoints must be (x, y) pairs, not the string {pairs!r}")
+        points = []
+        for pair in pairs:
+            if isinstance(pair, str):
+                raise TypeError(f"a breakpoint must be an (x, y) pair, not the string {pair!r}")
+            try:
+                x, y = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"breakpoint {pair!r} is not an (x, y) pair") from None
+            points.append((as_degree(x), as_degree(y)))
+        return cls(points)
 
     @classmethod
     def constant(cls, value: object) -> "PLFuzzySet":
@@ -367,6 +387,18 @@ def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
         out.append((x * (d // c), y // c, d // c))
         x0, a0, e0, d0 = x, a, e, d
     return _trusted(*_reduced(scale, out))
+
+
+def _meet(f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
+    return _combine(min, f, g)
+
+
+def _join(f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
+    return _combine(max, f, g)
+
+
+# The unchecked binary primitives, as in ``fset``: every PL set is on [0, 1].
+PLFuzzySet._leq, PLFuzzySet._meet, PLFuzzySet._join = _leq, _meet, _join
 
 
 def _mass(value: PLFuzzySet) -> int:

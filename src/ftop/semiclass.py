@@ -24,7 +24,11 @@ through :func:`_require_chain` by :class:`SetClassification`, by
 Besides the standalone definitions, one derivation (``_derive``) turns
 interiors and closures into verdicts.  :func:`set_verdicts` returns its
 verdicts alone, which is all ``functions.classify_function`` reads of a
-lifted set; :func:`classify_set` adds the evidence.
+lifted set (through ``_set_verdicts``, which does not check the set);
+:func:`classify_set` adds the evidence.  Both check the query once and
+then read the space's member index and the unchecked lattice primitives,
+while the standalone predicates and semi-operators go through the public,
+checked operators and lattice operations, one definition at a time.
 ``gridbits.GridBits`` derives the same verdicts a second way, for every
 grid set of a space at once, as one bitset per verdict, for
 ``oracle.check_space`` and ``oracle.find_witness`` alike.
@@ -41,7 +45,7 @@ brute-force oracle holds the semi-interior to an enumeration of grid sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 from .errors import HierarchyInvariantError
 from .topology import FuzzyTopology, FuzzyValue
@@ -110,10 +114,13 @@ def _chain_breaks(strong: int, semi: int, somewhat: int, somewhat_semi: int) -> 
     return strong & ~semi | semi & ~somewhat | somewhat ^ somewhat_semi
 
 
-def _require_chain(verdicts: Mapping[str, bool]) -> None:
-    """Refuse named verdicts, strongest first, that :func:`_chain_breaks` rejects."""
-    if _chain_breaks(*verdicts.values()):
-        shown = ", ".join(f"{name}={held}" for name, held in verdicts.items())
+def _require_chain(names: Sequence[str], held: Sequence[bool]) -> None:
+    """Refuse verdicts, strongest first, that :func:`_chain_breaks` rejects.
+
+    ``names`` name the four verdicts in ``held``, for the message.
+    """
+    if _chain_breaks(*held):
+        shown = ", ".join(f"{name}={value}" for name, value in zip(names, held))
         raise HierarchyInvariantError(f"impossible verdict combination: {shown}")
 
 
@@ -137,7 +144,7 @@ class SetClassification:
     semi_closure: FuzzyValue
 
     def __post_init__(self) -> None:
-        _require_chain(self.verdicts())
+        _require_chain(_CLASSES, self.verdicts().values())
 
     def verdicts(self) -> dict[str, bool]:
         held = (self.is_open, self.is_semiopen, self.is_somewhat_open, self.is_somewhat_semiopen)
@@ -150,45 +157,66 @@ def _derive(space: FuzzyTopology, s: FuzzyValue):
     Returns the verdicts, in :data:`_CLASSES` order, with ``Int(s)``,
     ``Cl(Int(s))`` and the semi-interior ``s /\\ Cl(Int(s))``; ``s`` is
     open iff ``Int(s) = s``, since the interior is a member below ``s``.
-    The chain is not checked.
+    ``s`` must already be checked against the space: the operators are
+    read off ``space._index`` and the lattice work is unchecked.  The
+    chain is not checked.
     """
-    interior = space.interior(s)
-    closure_of_interior = space.closure(interior)
-    inner = s.meet(closure_of_interior)
+    index = space._index
+    interior = index.interior(s)
+    closure_of_interior = index.closure(interior)
+    inner = s._meet(closure_of_interior)
     zero = s.is_zero()
     held = (
         interior == s,
-        s.leq(closure_of_interior),
+        s._leq(closure_of_interior),
         zero or not interior.is_zero(),
         zero or not inner.is_zero(),
     )
     return held, interior, closure_of_interior, inner
 
 
+def _set_verdicts(space: FuzzyTopology, s: FuzzyValue) -> tuple[bool, ...]:
+    """The verdicts of :func:`set_verdicts` as a tuple, for an ``s`` already checked.
+
+    ``functions.classify_function`` classifies the lifts of members
+    through here.  Refuses verdicts that break the chain.
+    """
+    held = _derive(space, s)[0]
+    _require_chain(_CLASSES, held)
+    return held
+
+
 def set_verdicts(space: FuzzyTopology, s: FuzzyValue) -> dict[str, bool]:
     """The four verdicts of :func:`classify_set`, without the evidence.
 
-    Costs two operator calls where :func:`classify_set` makes four, and
-    refuses the same chain-breaking verdicts.
+    Checks ``s`` against the space once, then makes two operator calls
+    where :func:`classify_set` makes four, and refuses the same
+    chain-breaking verdicts.
     """
-    verdicts = dict(zip(_CLASSES, _derive(space, s)[0]))
-    _require_chain(verdicts)
-    return verdicts
+    space._check_value(s)
+    return dict(zip(_CLASSES, _set_verdicts(space, s)))
 
 
 def classify_set(space: FuzzyTopology, s: FuzzyValue) -> SetClassification:
     """All four set-level verdicts plus the operator values behind them.
 
-    The verdicts come from the same derivation as :func:`set_verdicts`;
-    the evidence adds ``Cl(s)`` and ``Int(Cl(s))`` for the semi-closure.
+    Checks ``s`` against the space once, then takes the verdicts from the
+    same derivation as :func:`set_verdicts`; the evidence adds ``Cl(s)``
+    and ``Int(Cl(s))`` for the semi-closure.  The semi-closure is built
+    by the public ``join``, as :func:`semi_closure` builds it, which
+    checks ``Int(Cl(s))`` once more: that keeps the lattice work of a
+    classification visible to tracing that wraps only public calls
+    (``perfbench/spans.py``), on the PL backend in particular.
     """
+    space._check_value(s)
     held, interior, closure_of_interior, inner = _derive(space, s)
-    closure = space.closure(s)
+    index = space._index
+    closure = index.closure(s)
     return SetClassification(
         *held,
         interior=interior,
         closure=closure,
         closure_of_interior=closure_of_interior,
         semi_interior=inner,
-        semi_closure=s.join(space.interior(closure)),
+        semi_closure=s.join(index.interior(closure)),
     )

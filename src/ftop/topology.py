@@ -12,7 +12,10 @@ meets and all joins of subfamilies, so each operator selects one member:
   closed sets above ``s`` are the complements of the members below
   ``1 - s``, and their meet is the complement of their join.
 
-Each backend supplies that lookup as an index built once per space.  The
+Each backend supplies that lookup as an index built once per space.
+The public :meth:`FuzzyTopology.interior` and :meth:`FuzzyTopology.closure`
+check their argument against the space; the classifiers and the oracle
+check a query once and then read ``space._index`` directly.  The
 finite index (``fset._MemberIndex``) ANDs integer bitmasks, with dual
 thresholds for closure, so it never computes ``1 - s``.  The
 piecewise-linear index (``plin._MemberIndex``) sorts the members by exact
@@ -68,9 +71,14 @@ class FuzzyValue(Protocol):
     """What a set backend must provide for topology-level code.
 
     ``meet(*others)`` and ``join(*others)`` are the pointwise min and max
-    of the value and any number of others.  ``_require_compatible(other)``
-    raises ``BackendMismatchError`` for a value of another backend and
-    ``UniverseMismatchError`` for one over another universe.
+    of the value and any number of others, and ``leq`` the pointwise
+    order.  These public operations check each argument with
+    ``_require_compatible(other)``, which raises ``BackendMismatchError``
+    for a value of another backend and ``UniverseMismatchError`` for one
+    over another universe.  ``_leq``, ``_meet`` and ``_join`` are the same
+    binary operations without that check, for code that holds values it
+    built or checked already: a set is checked once, where it enters a
+    public entry, and the lattice work behind that entry runs unchecked.
     ``_index_type(members)`` builds the backend's greatest-member index,
     whose ``interior(s)`` and ``closure(s)`` select a member or its
     complement.  Every value holds its numerators over a positive integer
@@ -85,6 +93,9 @@ class FuzzyValue(Protocol):
     def meet(self, *others: "FuzzyValue") -> "FuzzyValue": ...
     def join(self, *others: "FuzzyValue") -> "FuzzyValue": ...
     def leq(self, other: "FuzzyValue") -> bool: ...
+    def _meet(self, other: "FuzzyValue") -> "FuzzyValue": ...
+    def _join(self, other: "FuzzyValue") -> "FuzzyValue": ...
+    def _leq(self, other: "FuzzyValue") -> bool: ...
     def is_zero(self) -> bool: ...
     def bottom(self) -> "FuzzyValue": ...
     def top(self) -> "FuzzyValue": ...
@@ -130,22 +141,28 @@ def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
     a finite family this is equivalent to closure under all finite meets
     and arbitrary joins of subfamilies.  Violations come in member order of
     ``(a, b)``, after any missing constant, with a pair's meet before its join.
+    Each distinct member is checked against the first once, up front, so
+    a family mixing backends or universes raises at its first odd member,
+    and the pairs are compared and combined unchecked.
     """
     if not opens:
         raise ValueError("a topology candidate must be a non-empty family")
     members = list(dict.fromkeys(opens))
+    first = members[0]
+    for member in members:
+        first._require_compatible(member)
     member_set = set(members)
     violations: list[AxiomViolation] = []
-    bottom, top = members[0].bottom(), members[0].top()
+    bottom, top = first.bottom(), first.top()
     if bottom not in member_set:
         violations.append(AxiomViolation("i", "the constant-0 set is not a member", (bottom,)))
     if top not in member_set:
         violations.append(AxiomViolation("i", "the constant-1 set is not a member", (top,)))
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            if a.leq(b) or b.leq(a):
+            if a._leq(b) or b._leq(a):
                 continue
-            low, high = a.meet(b), a.join(b)
+            low, high = a._meet(b), a._join(b)
             if low not in member_set:
                 violations.append(
                     AxiomViolation("ii", "a pairwise meet is not a member", (a, b, low))
@@ -173,20 +190,24 @@ def _require_cap(family: dict, cap: int) -> None:
         )
 
 
-def _close(generators: Iterable[FuzzyValue], combine, cap: int) -> dict:
+def _close(generators: Iterable[FuzzyValue], combine, cap: int, check=None) -> dict:
     """Each generator ``g``, with ``combine(m, g)`` for each member ``m`` so far.
 
     A member comparable with ``g`` is skipped: its meet and join with ``g``
-    are ``m`` or ``g``.  Each generator is compared with every earlier one,
-    which checks its backend and universe.  The family starts empty: the
-    constants are comparable with every set, so on a chain they would only
-    add comparisons.  The ``cap`` is checked after each generator, so the
+    are ``m`` or ``g``.  ``check(g)``, if given, runs as ``g`` is reached,
+    so a generator of another backend or universe raises there, before it
+    is compared with anything; the comparisons (``_leq``) and ``combine``
+    do not check.  The family starts empty: the constants are comparable
+    with every set, so on a chain they would only add comparisons.  The
+    ``cap`` is checked after each generator, so the
     family holds at most about twice the cap; the family is a subset of
     the result, so exceeding the cap here means the result does too.
     """
     family: dict = {}
     for g in generators:
-        grown = [combine(m, g) for m in family if not (m.leq(g) or g.leq(m))]
+        if check is not None:
+            check(g)
+        grown = [combine(m, g) for m in family if not (m._leq(g) or g._leq(m))]
         family[g] = None
         family.update(dict.fromkeys(grown))
         _require_cap(family, cap)
@@ -213,6 +234,8 @@ def generate(
     instead of a silent truncation.  Each pass checks the cap as it grows,
     which stops early on a subset of the result, and the final family is
     checked once more, so the error is raised iff the result exceeds the cap.
+    The meet pass checks each subbasis set against the constants as it
+    reaches it; the members it builds from them are not checked again.
     """
     cap = DEFAULT_GENERATION_CAP if cap is None else cap
     if subbasis:
@@ -221,8 +244,8 @@ def generate(
         bottom, top = FiniteFuzzySet.zero(universe), FiniteFuzzySet.one(universe)
     else:
         raise ValueError("an empty subbasis needs a universe to pick the constants from")
-    base = _close(subbasis, lambda m, g: m.meet(g), cap)
-    family = _close(base, lambda m, g: m.join(g), cap)
+    base = _close(subbasis, lambda m, g: m._meet(g), cap, bottom._require_compatible)
+    family = _close(base, lambda m, g: m._join(g), cap)
     family.update(dict.fromkeys((bottom, top)))
     _require_cap(family, cap)
     return FuzzyTopology(tuple(family))

@@ -3,7 +3,9 @@
 ``t_fin()`` is a five-member topology on a two-point universe whose
 degrees (0, 1/3, 1/2, 2/3, 1) exercise non-grid-aligned arithmetic;
 ``t_pl()`` is the five-member piecewise-linear topology whose non-open
-sets ``ALPHA`` and ``BETA`` separate the openness classes.  ``grid(k)``
+sets ``ALPHA`` and ``BETA`` separate the openness classes.
+``reference_map()`` maps ``t_fin()`` onto ``t_codomain()``, whose only
+non-constant open is {u:1/2, v:0}.  ``grid(k)``
 is the degree grid the finite grid sets are drawn from, and
 ``exact_degrees()`` the hypothesis strategy for exact degrees; the other
 strategies below are shared by several test modules.  ``literal(value)``
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from ftop import FiniteFuzzySet, PLFuzzySet, Universe, generate, validate
+from ftop import FiniteFuzzySet, FuzzyFunction, PLFuzzySet, Universe, generate, validate
 
 import reference
 
@@ -48,6 +50,21 @@ ONE2 = fs(1, 1)
 
 def t_fin():
     return validate([ZERO2, M1, M2, M3, ONE2])
+
+
+UV = Universe.of("u", "v")
+
+
+def ys(u, v) -> FiniteFuzzySet:
+    return FiniteFuzzySet.of(UV, (u, v))
+
+
+def t_codomain():
+    return validate([ys(0, 0), ys("1/2", 0), ys(1, 1)])
+
+
+def reference_map():
+    return FuzzyFunction.from_mapping(t_fin(), t_codomain(), {"a": "u", "b": "v"})
 
 
 def pl(*pairs) -> PLFuzzySet:

@@ -26,30 +26,15 @@ from ftop import (
     generate,
     is_semiopen,
     is_somewhat_open,
-    validate,
 )
 from ftop.functions import CONTINUITY_CLASSES, OPENNESS_CLASSES
 from ftop.oracle import GridSpec, random_topology
 
 import reference
 from helpers import (
-    CHAIN_QUADRUPLES, MU, M1, M2, ONE2, ZERO2, fs, grid, literal, literal_space, t_fin, t_pl,
+    CHAIN_QUADRUPLES, MU, M1, M2, ONE2, UV, ZERO2, fs, grid, literal, literal_space,
+    reference_map, t_codomain, t_fin, t_pl, ys,
 )
-
-UV = Universe.of("u", "v")
-
-
-def ys(u, v):
-    return FiniteFuzzySet.of(UV, (u, v))
-
-
-def t_codomain():
-    return validate([ys(0, 0), ys("1/2", 0), ys(1, 1)])
-
-
-def reference_map():
-    return FuzzyFunction.from_mapping(t_fin(), t_codomain(), {"a": "u", "b": "v"})
-
 
 def test_mapping_must_be_total_and_well_aimed():
     dom, cod = t_fin(), t_codomain()
@@ -317,13 +302,13 @@ def test_each_distinct_lifted_set_is_classified_once(monkeypatch):
     assert (len(images), len(set(images))) == (5, 4)
 
     classified = []
-    set_verdicts = ftop.functions.set_verdicts
+    set_verdicts = ftop.functions._set_verdicts
 
     def counting(space, s):
         classified.append((space, s))
         return set_verdicts(space, s)
 
-    monkeypatch.setattr(ftop.functions, "set_verdicts", counting)
+    monkeypatch.setattr(ftop.functions, "_set_verdicts", counting)
     c = classify_function(f)
     assert [s for space, s in classified if space is f.domain] == list(dict.fromkeys(preimages))
     assert [s for space, s in classified if space is f.codomain] == list(dict.fromkeys(images))

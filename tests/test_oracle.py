@@ -723,22 +723,34 @@ def test_check_and_search_match_the_literal_reference():
         assert_check_and_search_match(space, spec)
 
 
-class CorruptedSpace(FuzzyTopology):
-    """``t_fin`` with one closure or interior value replaced by ``value``."""
+class CorruptedIndex:
+    """A space's member index with one closure or interior value replaced by ``value``."""
 
-    def __init__(self, operator, argument, value):
-        super().__init__(t_fin().members)
-        object.__setattr__(self, "corruption", (operator, argument, value))
+    def __init__(self, space, operator, argument, value):
+        self.honest = space.members[0]._index_type(space.members)
+        self.corruption = (operator, argument, value)
 
     def _corrupt(self, operator, s, honest):
         wrapped, argument, value = self.corruption
         return value if (operator, s) == (wrapped, argument) else honest
 
     def closure(self, s):
-        return self._corrupt("closure", s, super().closure(s))
+        return self._corrupt("closure", s, self.honest.closure(s))
 
     def interior(self, s):
-        return self._corrupt("interior", s, super().interior(s))
+        return self._corrupt("interior", s, self.honest.interior(s))
+
+
+class CorruptedSpace(FuzzyTopology):
+    """``t_fin`` with one closure or interior value of its index corrupted.
+
+    The public operators, ``classify_set`` and the bitsets all read the
+    index, so each of them sees the corruption.
+    """
+
+    def __init__(self, operator, argument, value):
+        super().__init__(t_fin().members)
+        object.__setattr__(self, "_index", CorruptedIndex(self, operator, argument, value))
 
 
 # Each corruption spoils one member's Cl(m) or one complement's Int(1 - m)

@@ -18,6 +18,7 @@ Three independent checks back the lattice operations:
 import copy
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
@@ -89,6 +90,27 @@ def test_construction_rejects_bad_degrees():
     points = [(0, 0), ("1/2", "3/2"), ("1/2", 0), (1, 0)]
     with pytest.raises(ValueError, match=r"^x-coordinates must strictly increase: 1/2 then 1/2$"):
         PLFuzzySet([(Fraction(x), Fraction(y)) for x, y in points])
+
+
+def test_from_breakpoints_refuses_a_string_argument():
+    """A string would unpack into its characters."""
+    message = r"^breakpoints must be \(x, y\) pairs, not the string '01'$"
+    with pytest.raises(TypeError, match=message):
+        PLFuzzySet.from_breakpoints("01")
+
+
+def test_from_breakpoints_refuses_a_string_item():
+    """``"01"`` would read as the breakpoint (0, 1)."""
+    message = r"^a breakpoint must be an \(x, y\) pair, not the string '01'$"
+    with pytest.raises(TypeError, match=message):
+        PLFuzzySet.from_breakpoints(["01", "11"])
+
+
+def test_from_breakpoints_refuses_an_item_that_is_not_a_pair():
+    for item in [(0,), (0, 0, 0), 0]:
+        message = rf"^breakpoint {re.escape(repr(item))} is not an \(x, y\) pair$"
+        with pytest.raises(ValueError, match=message):
+            PLFuzzySet.from_breakpoints([item, (1, 1)])
 
 
 def test_collinear_interior_points_collapse():

@@ -14,9 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftop import (
+    BackendMismatchError,
+    FiniteFuzzySet,
     HierarchyInvariantError,
     PLFuzzySet,
     SetClassification,
+    Universe,
+    UniverseMismatchError,
     classify_set,
     generate,
     is_semiclosed,
@@ -135,9 +139,35 @@ def test_set_verdicts_refuses_a_broken_chain():
         def closure(self, s):
             return s.bottom()
 
+    space = t_fin()
+    space.__dict__["_index"] = Broken()
     for classify in (set_verdicts, classify_set):
         with pytest.raises(HierarchyInvariantError):
-            classify(Broken(), fs("1/2", 0))
+            classify(space, fs("1/2", 0))
+
+
+# Every semiclass entry that takes a space and a set.
+ENTRIES = (
+    classify_set, set_verdicts, is_semiopen, is_semiclosed,
+    semi_interior, semi_closure, is_somewhat_open, is_somewhat_semiopen,
+)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.__name__)
+def test_entries_refuse_sets_the_space_cannot_hold(entry):
+    """A set of the other backend, or over another universe, raises before
+    any verdict; none of the sets is zero or one, which some entries
+    answer without an operator."""
+    other_universe = FiniteFuzzySet.of(Universe.of("u", "v"), ("1/2", "1/3"))
+    refusals = (
+        (t_fin(), MU, BackendMismatchError, "expected FiniteFuzzySet, got PLFuzzySet"),
+        (t_pl(), fs("1/2", "1/3"), BackendMismatchError, "expected PLFuzzySet, got FiniteFuzzySet"),
+        (t_fin(), other_universe, UniverseMismatchError,
+         r"universes differ: \('a', 'b'\) vs \('u', 'v'\)"),
+    )
+    for space, s, error, message in refusals:
+        with pytest.raises(error, match=f"^{message}$"):
+            entry(space, s)
 
 
 def classification_with(quadruple):

@@ -484,26 +484,28 @@ subbases = st.one_of(finite_subbases(), pl_subbases())
 
 @contextmanager
 def recorded_pairs():
-    """Record the pairs that ``meet`` combines, on both backends.
+    """Record the pairs that ``_meet`` combines, on both backends.
 
-    ``leq`` fails at once on an ordered pair it has already compared, so a
-    step that revisits pairs fails here instead of looping forever.
+    ``_leq`` fails at once on an ordered pair it has already compared, so
+    a step that revisits pairs fails here instead of looping forever.  The
+    pairwise step compares and combines members it has checked already,
+    through these unchecked primitives.
     """
     compared, combined = set(), []
 
     def patched(cls):
-        leq, meet = cls.leq, cls.meet
+        leq, meet = cls._leq, cls._meet
 
         def once_leq(self, other):
             assert (self, other) not in compared, "a pair was compared twice"
             compared.add((self, other))
             return leq(self, other)
 
-        def recorded_meet(self, *others):
-            combined.extend((self, other) for other in others)
-            return meet(self, *others)
+        def recorded_meet(self, other):
+            combined.append((self, other))
+            return meet(self, other)
 
-        return mock.patch.multiple(cls, leq=once_leq, meet=recorded_meet)
+        return mock.patch.multiple(cls, _leq=once_leq, _meet=recorded_meet)
 
     with patched(FiniteFuzzySet), patched(PLFuzzySet):
         yield combined
