@@ -20,7 +20,8 @@ Sets are checked where they enter: the public ``meet``, ``join`` and
 :func:`_meet`, :func:`_join` and :func:`_leq`.  Code that holds sets it
 built or checked already, such as ``topology`` and ``semiclass``, calls
 those primitives directly, as the methods ``_meet``, ``_join`` and
-``_leq``.
+``_leq``, and asks :func:`_meets` whether two sets meet, ``f /\\ g != 0``,
+without building the meet.
 
 Sets are built by setting their three slots through the class's own slot
 member descriptors, bound once at import: a frozen dataclass refuses
@@ -336,6 +337,11 @@ def _combine(op, f: FiniteFuzzySet, g: FiniteFuzzySet) -> FiniteFuzzySet:
     return _reduced(f.universe, scale, tuple(list(values)))
 
 
+def _meets(f: FiniteFuzzySet, g: FiniteFuzzySet) -> bool:
+    """``f /\\ g != 0``: some point is positive in both, on any two scales."""
+    return any(map(min, f.nums, g.nums))
+
+
 def _meet(f: FiniteFuzzySet, g: FiniteFuzzySet) -> FiniteFuzzySet:
     return _combine(min, f, g)
 
@@ -347,6 +353,7 @@ def _join(f: FiniteFuzzySet, g: FiniteFuzzySet) -> FiniteFuzzySet:
 # The unchecked binary primitives, for callers that hold sets over one
 # universe already: lattice results and members of one space.
 FiniteFuzzySet._leq, FiniteFuzzySet._meet, FiniteFuzzySet._join = _leq, _meet, _join
+FiniteFuzzySet._meets = _meets
 
 
 class _MemberIndex:

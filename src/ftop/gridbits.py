@@ -124,11 +124,14 @@ class GridBits:
         for i, prefix in enumerate(itertools.product(range(self.k + 1), repeat=self.head)):
             yield i * self.size, prefix
 
+    def digits(self, rank: int) -> tuple[int, ...]:
+        """The numerators over ``k`` of the grid set of ``rank``: its base-``(k + 1)`` digits."""
+        base = self.k + 1
+        return tuple([rank // place % base for place in self._rank_places])
+
     def grid_set(self, rank: int) -> FiniteFuzzySet:
         """The grid set of ``rank``, built as ``oracle.enumerate_grid_sets`` builds it."""
-        base = self.k + 1
-        digits = tuple([rank // place % base for place in self._rank_places])
-        return _reduced(self.universe, self.k, digits)
+        return _reduced(self.universe, self.k, self.digits(rank))
 
     @cached_property
     def duals(self) -> list[tuple[int, tuple]]:

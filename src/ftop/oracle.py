@@ -188,7 +188,11 @@ def brute_semi_interior(
     semi-interior and equals the closed form whenever the closed form's
     output lies on the grid, which makes this the validation oracle for
     that identity.  Only the grid sets below ``s`` are built, by
-    :func:`enumerate_grid_sets` with ``below=s``.
+    :func:`enumerate_grid_sets` with ``below=s``.  Each semiopen test is
+    the public, checked :func:`ftop.semiclass.is_semiopen`, whose ``leq``
+    is the only public ``FiniteFuzzySet.leq`` call of the benchmark's
+    ``sweep`` workload: the benchmark smoke test's
+    ``fset.leq.calls > 0`` rests on it.
     """
     universe = space._finite_universe("grid enumeration")
     space._check_value(s)
@@ -326,6 +330,9 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
     above_members = [j for j, c in enumerate(complements) if not interiors_of_closures[j]._leq(c)]
     complement_bits = {c: j for j, c in enumerate(complements)}
     matches = [complement_bits.get(c) for c in closures_of_interiors]
+    # Per member bit, the digits over k of Cl(m) and of Int(1 - m), for the sample.
+    closure_digits = [_rescaled(c, k) for c in closures_of_interiors]
+    interior_digits = [_rescaled(i, k) for i in interiors_of_closures]
     step = -(-spec.size // _SAMPLE)
     for base, prefix in grid.blocks():
         closure_ranks = grid.closures(prefix)
@@ -342,7 +349,8 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
         broken = chain | below | above | disagree
         first = (broken & -broken).bit_length() - 1 if broken else grid.size
         for offset in range(-base % step, first, step):
-            s = grid.grid_set(base + offset)
+            nums = grid.digits(base + offset)
+            s = _reduced(universe, k, nums)
             # The member bits whose ranks hold s: its Int(s) and its Cl(s).
             for inner, ranks in selected:
                 if ranks >> offset & 1:
@@ -352,14 +360,13 @@ def check_space(space: FuzzyTopology, spec: GridSpec) -> SpaceCheckReport:
                     break
             # The semi-interior and semi-closure as pointwise min and max of
             # numerators over k, independent of the sets' meet and join.
-            nums, closure_of_interior = _rescaled(s, k), closures_of_interiors[inner]
-            low = tuple(map(min, nums, _rescaled(closure_of_interior, k)))
-            high = tuple(map(max, nums, _rescaled(interiors_of_closures[outer], k)))
+            low = tuple(map(min, nums, closure_digits[inner]))
+            high = tuple(map(max, nums, interior_digits[outer]))
             walked = (
                 *[bool(v >> offset & 1) for v in verdict_bits],
                 members[inner],
                 complements[outer],
-                closure_of_interior,
+                closures_of_interiors[inner],
                 _reduced(universe, k, low),
                 _reduced(universe, k, high),
             )

@@ -23,15 +23,17 @@ with m and n breakpoints costs O(m + n) integer steps.  Meet and join
 call once per member tried, is the same sweep written out as one loop
 that stops at the first violation.  A value interpolated on a segment
 of width ``d`` is kept as a numerator over ``d * scale``, so comparisons
-cross-multiply instead of dividing.  Variadic meet and join fold
-pairwise.  The public ``meet``, ``join`` and ``leq`` check that every
-argument is a PL set, then run these primitives; code that holds PL sets
-already calls them directly, as the methods ``_meet``, ``_join`` and
-``_leq``, as in ``fset``.  Every set built from
-breakpoints, by the public constructor or the document reader, comes
-from integer ratios through the one entry :func:`_from_ratios`, which
-states the breakpoint rules; lattice results, computed from valid sets,
-skip it.
+cross-multiply instead of dividing.  :func:`_meets`, whether
+``f /\\ g != 0``, is one more pass of :func:`_walk` that stops at the
+first cell where both sets are positive, and builds nothing.  Variadic
+meet and join fold pairwise.  The public ``meet``, ``join`` and ``leq``
+check that every argument is a PL set, then run these primitives; code
+that holds PL sets already calls them directly, as the methods
+``_meet``, ``_join``, ``_leq`` and ``_meets``, as in ``fset``.  Every
+set built from breakpoints, by the public constructor or the document
+reader, comes from integer ratios through the one entry
+:func:`_from_ratios`, which states the breakpoint rules; lattice
+results, computed from valid sets, skip it.
 A topology's interior and closure select a member by its exact mass
 (``_MemberIndex``), with no join built; closure is the dual of interior,
 ``1 - Int(1 - s)``, and tests the order with the same ``_leq``.
@@ -354,6 +356,23 @@ def _leq(f: PLFuzzySet, g: PLFuzzySet) -> bool:
     return True
 
 
+def _meets(f: PLFuzzySet, g: PLFuzzySet) -> bool:
+    """``f /\\ g != 0``, in one pass of :func:`_walk` that stops where they meet.
+
+    Both sets are linear on each merged cell, and a linear function that
+    is not negative is positive inside a cell iff it is positive at one of
+    its ends.  So they are both positive somewhere iff some cell has each
+    of them positive at one of its ends; the first point is a cell of its
+    own.  Only signs are read, so the widths ``d`` do not matter.
+    """
+    a0 = b0 = 0
+    for _, a, b, _ in _walk(*_common(f, g)[1:]):
+        if (a0 or a) and (b0 or b):
+            return True
+        a0, b0 = a, b
+    return False
+
+
 def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
     """``op`` (min or max) of f and g, crossings included, canonical.
 
@@ -399,6 +418,7 @@ def _join(f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
 
 # The unchecked binary primitives, as in ``fset``: every PL set is on [0, 1].
 PLFuzzySet._leq, PLFuzzySet._meet, PLFuzzySet._join = _leq, _meet, _join
+PLFuzzySet._meets = _meets
 
 
 def _mass(value: PLFuzzySet) -> int:

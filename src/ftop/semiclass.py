@@ -22,13 +22,19 @@ through :func:`_require_chain` by :class:`SetClassification`, by
 ``oracle.check_space``.
 
 Besides the standalone definitions, one derivation (``_derive``) turns
-interiors and closures into verdicts.  :func:`set_verdicts` returns its
-verdicts alone, which is all ``functions.classify_function`` reads of a
-lifted set (through ``_set_verdicts``, which does not check the set);
-:func:`classify_set` adds the evidence.  Both check the query once and
-then read the space's member index and the unchecked lattice primitives,
-while the standalone predicates and semi-operators go through the public,
-checked operators and lattice operations, one definition at a time.
+``Int(s)`` and ``Cl(Int(s))`` into verdicts, and builds no set of its
+own: it asks whether ``s`` meets ``Cl(Int(s))`` with the unchecked
+``_meets``, which decides somewhat semiopen without building the
+semi-interior.
+:func:`set_verdicts` returns its verdicts alone, which is all
+``functions.classify_function`` reads of a lifted set (through
+``_set_verdicts``, which does not check the set); :func:`classify_set`
+adds the evidence, and builds the two sets in it that are not members or
+their complements, the semi-interior and the semi-closure.  Both check
+the query once and then read the space's member index and the unchecked
+lattice primitives, while the standalone predicates and semi-operators
+go through the public, checked operators and lattice operations, one
+definition at a time.
 ``gridbits.GridBits`` derives the same verdicts a second way, for every
 grid set of a space at once, as one bitset per verdict, for
 ``oracle.check_space`` and ``oracle.find_witness`` alike.
@@ -144,7 +150,8 @@ class SetClassification:
     semi_closure: FuzzyValue
 
     def __post_init__(self) -> None:
-        _require_chain(_CLASSES, self.verdicts().values())
+        held = (self.is_open, self.is_semiopen, self.is_somewhat_open, self.is_somewhat_semiopen)
+        _require_chain(_CLASSES, held)
 
     def verdicts(self) -> dict[str, bool]:
         held = (self.is_open, self.is_semiopen, self.is_somewhat_open, self.is_somewhat_semiopen)
@@ -154,9 +161,16 @@ class SetClassification:
 def _derive(space: FuzzyTopology, s: FuzzyValue):
     """The four verdicts, strongest first, from ``Int(s)`` and ``Cl(Int(s))``.
 
-    Returns the verdicts, in :data:`_CLASSES` order, with ``Int(s)``,
-    ``Cl(Int(s))`` and the semi-interior ``s /\\ Cl(Int(s))``; ``s`` is
-    open iff ``Int(s) = s``, since the interior is a member below ``s``.
+    Returns the verdicts, in :data:`_CLASSES` order, with ``Int(s)`` and
+    ``Cl(Int(s))``, and builds no set besides what the index builds
+    (nothing on the finite backend).  ``s`` is open iff ``Int(s) = s``,
+    since the interior is a member below ``s``; semiopen iff
+    ``s <= Cl(Int(s))``; somewhat open iff ``s`` is zero or ``Int(s)``
+    is not; and somewhat semiopen iff ``s`` is zero or meets
+    ``Cl(Int(s))``, that is, iff the semi-interior ``s /\\ Cl(Int(s))``
+    is not zero, which ``_meets`` answers without building it.  The last
+    verdict is derived from its definition, not from the theorem that it
+    equals the third, so the chain check compares two computations.
     ``s`` must already be checked against the space: the operators are
     read off ``space._index`` and the lattice work is unchecked.  The
     chain is not checked.
@@ -164,15 +178,14 @@ def _derive(space: FuzzyTopology, s: FuzzyValue):
     index = space._index
     interior = index.interior(s)
     closure_of_interior = index.closure(interior)
-    inner = s._meet(closure_of_interior)
     zero = s.is_zero()
     held = (
         interior == s,
         s._leq(closure_of_interior),
         zero or not interior.is_zero(),
-        zero or not inner.is_zero(),
+        zero or s._meets(closure_of_interior),
     )
-    return held, interior, closure_of_interior, inner
+    return held, interior, closure_of_interior
 
 
 def _set_verdicts(space: FuzzyTopology, s: FuzzyValue) -> tuple[bool, ...]:
@@ -190,8 +203,8 @@ def set_verdicts(space: FuzzyTopology, s: FuzzyValue) -> dict[str, bool]:
     """The four verdicts of :func:`classify_set`, without the evidence.
 
     Checks ``s`` against the space once, then makes two operator calls
-    where :func:`classify_set` makes four, and refuses the same
-    chain-breaking verdicts.
+    where :func:`classify_set` makes four, builds no set on the finite
+    backend, and refuses the same chain-breaking verdicts.
     """
     space._check_value(s)
     return dict(zip(_CLASSES, _set_verdicts(space, s)))
@@ -201,15 +214,18 @@ def classify_set(space: FuzzyTopology, s: FuzzyValue) -> SetClassification:
     """All four set-level verdicts plus the operator values behind them.
 
     Checks ``s`` against the space once, then takes the verdicts from the
-    same derivation as :func:`set_verdicts`; the evidence adds ``Cl(s)``
-    and ``Int(Cl(s))`` for the semi-closure.  The semi-closure is built
-    by the public ``join``, as :func:`semi_closure` builds it, which
-    checks ``Int(Cl(s))`` once more: that keeps the lattice work of a
+    same derivation as :func:`set_verdicts`.  The evidence is built here:
+    the semi-interior ``s /\\ Cl(Int(s))``, unchecked, and ``Cl(s)`` and
+    ``Int(Cl(s))`` for the semi-closure.  The semi-closure is built by the
+    public ``join``, as :func:`semi_closure` builds it, which checks
+    ``Int(Cl(s))`` once more: that keeps the lattice work of a
     classification visible to tracing that wraps only public calls
-    (``perfbench/spans.py``), on the PL backend in particular.
+    (``perfbench/spans.py``).  On the ``pl`` workload that ``join`` is the
+    only public PL binary call, and the benchmark smoke test's
+    ``plin.points_in > 0`` rests on it.
     """
     space._check_value(s)
-    held, interior, closure_of_interior, inner = _derive(space, s)
+    held, interior, closure_of_interior = _derive(space, s)
     index = space._index
     closure = index.closure(s)
     return SetClassification(
@@ -217,6 +233,6 @@ def classify_set(space: FuzzyTopology, s: FuzzyValue) -> SetClassification:
         interior=interior,
         closure=closure,
         closure_of_interior=closure_of_interior,
-        semi_interior=inner,
+        semi_interior=s._meet(closure_of_interior),
         semi_closure=s.join(index.interior(closure)),
     )

@@ -79,6 +79,8 @@ class FuzzyValue(Protocol):
     binary operations without that check, for code that holds values it
     built or checked already: a set is checked once, where it enters a
     public entry, and the lattice work behind that entry runs unchecked.
+    ``_meets(other)``, also unchecked, is true iff the meet is not zero,
+    and builds no set.
     ``_index_type(members)`` builds the backend's greatest-member index,
     whose ``interior(s)`` and ``closure(s)`` select a member or its
     complement.  Every value holds its numerators over a positive integer
@@ -96,6 +98,7 @@ class FuzzyValue(Protocol):
     def _meet(self, other: "FuzzyValue") -> "FuzzyValue": ...
     def _join(self, other: "FuzzyValue") -> "FuzzyValue": ...
     def _leq(self, other: "FuzzyValue") -> bool: ...
+    def _meets(self, other: "FuzzyValue") -> bool: ...
     def is_zero(self) -> bool: ...
     def bottom(self) -> "FuzzyValue": ...
     def top(self) -> "FuzzyValue": ...

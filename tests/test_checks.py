@@ -1,11 +1,12 @@
-"""Where sets are checked: once, where they enter a public entry.
+"""Where sets are checked, and how many sets a verdict builds.
 
 Each public entry checks the backend and universe of the sets it is
 given with ``_require_compatible``; the lattice work behind it runs on
-the unchecked primitives ``_leq``, ``_meet`` and ``_join`` and reads the
-space's member index directly.  These tests count the checks for fixed
-inputs, so a change that brings back a check per internal call fails
-here, whatever its effect on timing.
+the unchecked primitives ``_leq``, ``_meet``, ``_join`` and ``_meets``
+and reads the space's member index directly.  These tests count the
+checks, and the finite sets built, for fixed inputs, so a change that
+brings back a check per internal call, or a set built only to be asked
+whether it is zero, fails here, whatever its effect on timing.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from ftop import (
     generate,
     set_verdicts,
 )
+from ftop import fset
 
 from helpers import ALPHA, BETA, MU, fs, reference_map, t_fin, t_pl
 
@@ -90,3 +92,47 @@ def test_check_space_checks_only_its_classify_set_sample(checks):
     ``classify_set``, which makes 2 checks.  The member halves compare
     members and their complements unchecked."""
     assert checks(check_space, t_fin(), GridSpec(2, 6)) == 7 * 2
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the finite sets built, as calls of ``fset._trusted``, which
+    every finite set goes through.
+
+    ``builds(call, *args)`` runs ``call(*args)`` and returns the number of
+    sets it built.
+    """
+    built = []
+
+    def counting(*args, build=fset._trusted):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fset, "_trusted", counting)
+
+    def count(call, *args):
+        built.clear()
+        call(*args)
+        return len(built)
+
+    return count
+
+
+def test_verdicts_build_no_set_and_the_evidence_two(builds):
+    """``set_verdicts``: 0, since whether ``s`` meets ``Cl(Int(s))`` is
+    asked without building the meet, and the operators select members
+    and their complements.  ``classify_set``: 2, the semi-interior and the
+    semi-closure of its evidence.  The index is built before counting."""
+    space, s = t_fin(), fs("3/4", "1/4")
+    space._index
+    assert builds(set_verdicts, space, s) == 0
+    assert builds(classify_set, space, s) == 2
+
+
+def test_classify_function_builds_one_set_per_lift(builds):
+    """8: the preimage of each of the 3 codomain members and the image of
+    each of the 5 domain members; their verdicts build nothing.  Both
+    indexes are built before counting."""
+    f = reference_map()
+    f.domain._index, f.codomain._index
+    assert builds(classify_function, f) == len(f.codomain.members) + len(f.domain.members) == 8

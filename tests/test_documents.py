@@ -16,6 +16,7 @@ from ftop import (
     build_topology,
     classify_function,
     document_for_space,
+    function_as_data,
     parse_function,
     parse_space,
     print_function,
@@ -311,6 +312,7 @@ def test_function_document_round_trip_and_build():
         assert doc.map == listed
         assert parse_function(print_function(doc)) == doc
         assert tuple(json.loads(print_function(doc))["map"].items()) == listed
+        assert json.loads(print_function(doc)) == function_as_data(doc)
         fn = build_function(doc)
         assert fn.mapping == (("a", "u"), ("b", "v"))
         assert classify_function(fn).fuzzy_continuous

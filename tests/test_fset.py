@@ -334,3 +334,18 @@ def test_sets_stay_immutable_and_picklable():
             del s.scale
         copy = pickle.loads(pickle.dumps(s))
         assert copy == s and (copy.scale, copy.nums) == (scale, nums)
+
+
+# Degrees that are 0 about half the time, so that sets that meet and sets
+# that do not are both common; the others have denominators up to 12.
+sparse_degrees = st.one_of(st.just(Fraction(0)), exact_degrees())
+
+
+@given(st.tuples(*[sparse_degrees] * 3), st.tuples(*[sparse_degrees] * 3))
+@example((Fraction(1, 2), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 3), Fraction(0)))
+@example((Fraction(1, 2), Fraction(0), Fraction(1, 7)), (Fraction(0), Fraction(1, 3), Fraction(1)))
+def test_meets_iff_the_meet_is_not_zero(a, b):
+    """``_meets`` answers ``s /\\ t != 0`` without building the meet, on
+    one scale or two."""
+    s, t = FiniteFuzzySet(UVW, a), FiniteFuzzySet(UVW, b)
+    assert s._meets(t) == (not s._meet(t).is_zero()) == t._meets(s)

@@ -470,3 +470,35 @@ class TestMass:
         assert mass(value) == trapezoid(points)
         assert mass(value) + mass(value.complement()) == 1
 
+
+
+@st.composite
+def sparse_pl_sets(draw):
+    """Breakpoints on a coarse grid of x, about half of them at 0, so that
+    sets that meet and sets that do not are both common."""
+    den = draw(st.sampled_from([2, 3, 4, 6, 12]))
+    inner = draw(st.lists(st.integers(1, den - 1), unique=True, max_size=den - 1))
+    xs = [0, *sorted(inner), den]
+    ys = [draw(st.one_of(st.just(0), st.integers(1, 6))) for _ in xs]
+    return PLFuzzySet(tuple((Fraction(x, den), Fraction(y, 6)) for x, y in zip(xs, ys)))
+
+
+class TestMeets:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(sparse_pl_sets(), pl_sets()), st.one_of(sparse_pl_sets(), pl_sets()))
+    def test_meets_iff_the_meet_is_not_zero(self, f, g):
+        """``_meets`` answers ``f /\\ g != 0`` without building the meet."""
+        assert f._meets(g) == (not f._meet(g).is_zero()) == g._meets(f)
+
+    @pytest.mark.parametrize("f, g, expected", [
+        # each is zero at the other's only positive breakpoint, yet both
+        # are positive inside the one cell
+        (pl((0, 0), (1, 1)), pl((0, 1), (1, 0)), True),
+        # positive on [0, 1/2) and on (1/2, 1]: they touch at 0 only
+        (pl((0, 1), ("1/2", 0), (1, 0)), pl((0, 0), ("1/2", 0), (1, 1)), False),
+        # both positive at x = 0 alone
+        (pl((0, 1), ("1/4", 0), (1, 0)), pl((0, "1/2"), ("1/3", 0), (1, 0)), True),
+        (PLFuzzySet.zero(), PLFuzzySet.one(), False),
+    ], ids=["crossing-ramps", "halves", "at-zero", "zero-one"])
+    def test_named_cases(self, f, g, expected):
+        assert f._meets(g) == g._meets(f) == (not f.meet(g).is_zero()) == expected

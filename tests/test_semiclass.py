@@ -21,6 +21,7 @@ from ftop import (
     SetClassification,
     Universe,
     UniverseMismatchError,
+    classify_function,
     classify_set,
     generate,
     is_semiclosed,
@@ -35,7 +36,7 @@ from ftop import (
 import reference
 from helpers import (
     ALPHA, BETA, CHAIN_QUADRUPLES, LAM, M2, MU, SIGMA, ZERO2, fs, literal, literal_space,
-    pair_sets, quarter_sets, quarter_spaces, small_spaces, t_fin, t_pl,
+    pair_sets, pl, quarter_sets, quarter_spaces, reference_map, small_spaces, t_fin, t_pl,
 )
 
 
@@ -144,6 +145,44 @@ def test_set_verdicts_refuses_a_broken_chain():
     for classify in (set_verdicts, classify_set):
         with pytest.raises(HierarchyInvariantError):
             classify(space, fs("1/2", 0))
+
+
+class Disjoint:
+    """``Int(s)`` is a fixed non-zero set and ``Cl`` a fixed set that does
+    not meet the query: somewhat open, but not somewhat semiopen."""
+
+    def __init__(self, interior, closure):
+        self._interior, self._closure = interior, closure
+
+    def interior(self, s):
+        return self._interior
+
+    def closure(self, s):
+        return self._closure
+
+
+@pytest.mark.parametrize("space, s, index", [
+    (t_fin(), M2, Disjoint(fs(0, "1/3"), fs(0, 1))),
+    (t_pl(), pl((0, 1), ("1/2", 0), (1, 0)), Disjoint(MU, MU)),
+], ids=["finite", "pl"])
+def test_somewhat_semiopen_is_derived_not_inferred(space, s, index):
+    """The fourth verdict comes from ``s /\\ Cl(Int(s))``, not from the
+    theorem that it equals the third: with ``Int(s) != 0`` and ``Cl(Int(s))``
+    disjoint from ``s`` the chain breaks, and every classifier refuses it."""
+    space.__dict__["_index"] = index
+    for classify in (set_verdicts, classify_set):
+        with pytest.raises(HierarchyInvariantError, match="somewhat_open=True, somewhat_semiopen=False"):
+            classify(space, s)
+
+
+def test_a_lift_with_a_disjoint_closure_breaks_the_chain():
+    """``classify_function`` classifies the lift {a: 1/2, b: 0} of the
+    codomain open {u: 1/2, v: 0} through the same derivation, so it
+    refuses the same broken index."""
+    f = reference_map()
+    f.domain.__dict__["_index"] = Disjoint(fs(0, "1/3"), fs(0, 1))
+    with pytest.raises(HierarchyInvariantError, match="somewhat_open=True, somewhat_semiopen=False"):
+        classify_function(f)
 
 
 # Every semiclass entry that takes a space and a set.

@@ -14,8 +14,11 @@ import pytest
 
 from ftop.cli import main
 
-# (seeds, universe size, grid) -> sha256 of the JSON report.
+# (seeds, universe size, grid) -> sha256 of the JSON report.  The maps of
+# (100, 3, 3) reach all four continuity quadruples, strongest first: TTTT 25,
+# FTTT 12, FFTT 5 (somewhat continuous, not semicontinuous) and FFFF 58.
 VERIFY_DIGESTS = {
+    (100, 3, 3): "fbe177ae6aa6ce8f80d06b4b2daf0c59ddf8daf70122246a12c02c93a8fdbea3",
     (20, 4, 4): "dc09c988b277a13a19b22baa24b2b909b44ec841e87585a13d943652d96d6150",
     (20, 5, 4): "4b2120ded74990f563433959b708d640ce17531c0f570686a13b479625540089",
     (50, 3, 3): "32a4598e1e5a94526ae5e8c0d1e7877194ddb9604c9ebf65b3cd9df320eb2784",
