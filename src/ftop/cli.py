@@ -50,7 +50,7 @@ from .documents import (
 from .errors import DocumentError, HierarchyInvariantError, ResourceCapError
 from .functions import classify_function
 from .oracle import _GRID_LABELS, GridSpec, SearchTarget, find_witness, run_campaign
-from .semiclass import classify_set
+from .semiclass import classify_set, set_verdicts
 from .topology import InvalidTopologyError
 
 __all__ = ["main", "build_parser"]
@@ -227,7 +227,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
         report["witness"] = None
         return report, EXIT_NEGATIVE
     report["witness"] = set_as_data(witness)
-    report["witness_verdicts"] = classify_set(space, witness).verdicts()
+    report["witness_verdicts"] = set_verdicts(space, witness)
     return report, EXIT_OK
 
 

@@ -207,23 +207,23 @@ class FiniteFuzzySet:
         return _trusted(self.universe, scale, tuple([scale - n for n in self.nums]))
 
     def _pointwise(self, op, others: tuple["FiniteFuzzySet", ...]) -> "FiniteFuzzySet":
-        """Check every set in ``others``, then take ``op`` of all of them in one pass."""
-        scale = self.scale
+        """``op`` (min or max) of self and ``others``, folded pairwise, as in ``plin``.
+
+        Each set is checked as the fold reaches it, then combined with the
+        result so far by the unchecked :func:`_combine`.
+        """
+        result = self
         for other in others:
             self._require_compatible(other)
-            if other.scale != scale:
-                scale = math.lcm(scale, other.scale)
-        if len(others) < 2:
-            return _combine(op, self, others[0]) if others else self
-        columns = [_rescaled(value, scale) for value in (self, *others)]
-        return _reduced(self.universe, scale, tuple(list(map(op, *columns))))
+            result = _combine(op, result, other)
+        return result
 
     def meet(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
-        """Pointwise minimum of self and every set in ``others``, in one pass."""
+        """Pointwise minimum of self and every set in ``others``, folded pairwise."""
         return self._pointwise(min, others)
 
     def join(self, *others: "FiniteFuzzySet") -> "FiniteFuzzySet":
-        """Pointwise maximum of self and every set in ``others``, in one pass."""
+        """Pointwise maximum of self and every set in ``others``, folded pairwise."""
         return self._pointwise(max, others)
 
     def leq(self, other: "FiniteFuzzySet") -> bool:

@@ -9,10 +9,11 @@ grid set, the bit-parallel representation of Baeza-Yates and Gonnet ("A
 new approach to text searching", CACM 35(10), 1992).  The ranks where a
 member lies below ``s``, or below ``1 - s``, come from the member's own
 grid digits, ``ceil(m(x) * k)`` per point, read off its numerators;
-``Int(s)`` and ``Cl(s)`` follow by taking the members from the highest
-bit down, and the four verdicts from two boxes of ranks per distinct
-``Cl(Int(s))``.  The members come in the space's own order, and no
-index is read.
+``Int(s)`` and ``Cl(s)`` follow from one cover walk that takes the
+members from the highest bit down, over their boxes below ``s`` and
+over their dual boxes below ``1 - s``, and the four verdicts from two
+boxes of ranks per distinct ``Cl(Int(s))``.  The members come in the
+space's own order, and no index is read.
 ``oracle.check_space`` and ``oracle.find_witness`` read the laws, the
 first violation and the first witness off the lowest set bits.  Memory
 is bounded by a block, and a block keeps no stripe: each box, for
@@ -66,9 +67,11 @@ class GridBits:
     least ``lows[j]``, and below ``1 - s`` where every digit is at most
     ``k`` minus them (:attr:`duals`).  ``Int(s)`` is the member with the
     highest bit below ``s``, so member ``j`` is ``Int(s)`` on the ranks it
-    is below minus those of every higher member (:meth:`verdicts`);
-    ``Cl(s)``, the complement of the highest member below ``1 - s``,
-    likewise (:meth:`closures`).  ``closures_of_interiors[j]`` is
+    is below minus those of every higher member; ``Cl(s)`` is the
+    complement of the highest member below ``1 - s``.  One walk,
+    :meth:`_cover`, selects both: :meth:`verdicts` runs it over the
+    member boxes, :meth:`closures` over the dual boxes, so the duality
+    lives only in the boxes.  ``closures_of_interiors[j]`` is
     ``Cl(m)``, the set; its floor digits bound where ``s`` is semiopen.
     """
 
@@ -139,17 +142,28 @@ class GridBits:
         zeros, k, lows = [0] * len(self.universe), self.k, self.lows
         return [(j, self.box(zeros, [k - v for v in lows[j]])) for j in reversed(range(len(lows)))]
 
+    def _cover(self, boxes: list, prefix: tuple[int, ...]) -> Iterator[tuple[tuple, int]]:
+        """Each entry of ``boxes``, top bit first, with the ranks it adds.
+
+        An entry's box (its second item) is admitted to the block at
+        ``prefix``; an entry that adds no rank to those of the entries
+        before it is skipped, and the walk stops once the block is
+        covered.  The greatest member below ``s`` is the first to cover
+        ``s``'s rank, and so is the greatest below ``1 - s`` over the
+        dual boxes: one walk selects ``Int(s)`` and ``Cl(s)`` alike.
+        """
+        covered = 0
+        for entry in boxes:
+            ranks = _admitted(entry[1], prefix) & ~covered
+            if ranks:
+                covered |= ranks
+                yield entry, ranks
+                if covered == self.full:
+                    return
+
     def closures(self, prefix: tuple[int, ...]) -> dict[int, int]:
         """Where each complement is ``Cl(s)`` in the block at ``prefix``, by member bit."""
-        selected, covered = {}, 0
-        for j, dual in self.duals:
-            dual = _admitted(dual, prefix)
-            if dual & ~covered:
-                selected[j] = dual & ~covered
-                covered |= dual
-                if covered == self.full:
-                    break
-        return selected
+        return {j: ranks for (j, _), ranks in self._cover(self.duals, prefix)}
 
     def verdicts(self, base: int, prefix: tuple[int, ...]) -> tuple:
         """The four verdicts in the block at ``base`` as bitsets, and each ``Int(s)``.
@@ -163,14 +177,9 @@ class GridBits:
         """
         semiopen = [_admitted(box, prefix) for box in self.semiopen]
         disjoint = [_admitted(box, prefix) for box in self.disjoint]
-        covered = opened = semi = somewhat = meets = 0
+        opened = semi = somewhat = meets = 0
         selected = []
-        for j, below, rank, key, nonzero in self.members:
-            below = _admitted(below, prefix)
-            interior = below & ~covered
-            if not interior:
-                continue
-            covered |= below
+        for (j, _, rank, key, nonzero), interior in self._cover(self.members, prefix):
             selected.append((j, interior))
             if 0 <= rank - base < self.size:
                 opened |= interior & 1 << rank - base
@@ -178,7 +187,5 @@ class GridBits:
             meets |= interior & ~disjoint[key]
             if nonzero:
                 somewhat |= interior
-            if covered == self.full:
-                break
         zero = int(base == 0)
         return opened, semi, somewhat | zero, meets | zero, selected

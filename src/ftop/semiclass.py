@@ -149,13 +149,16 @@ class SetClassification:
     semi_interior: FuzzyValue
     semi_closure: FuzzyValue
 
+    @property
+    def _held(self) -> tuple[bool, bool, bool, bool]:
+        """The four verdicts, strongest first, in :data:`_CLASSES` order."""
+        return (self.is_open, self.is_semiopen, self.is_somewhat_open, self.is_somewhat_semiopen)
+
     def __post_init__(self) -> None:
-        held = (self.is_open, self.is_semiopen, self.is_somewhat_open, self.is_somewhat_semiopen)
-        _require_chain(_CLASSES, held)
+        _require_chain(_CLASSES, self._held)
 
     def verdicts(self) -> dict[str, bool]:
-        held = (self.is_open, self.is_semiopen, self.is_somewhat_open, self.is_somewhat_semiopen)
-        return dict(zip(_CLASSES, held))
+        return dict(zip(_CLASSES, self._held))
 
 
 def _derive(space: FuzzyTopology, s: FuzzyValue):

@@ -255,6 +255,9 @@ def test_search_not_found(capsys, tmp_path):
     assert code == 1
     assert report["found"] is False
     assert report["witness"] is None
+    code, out, _ = run(capsys, "search", "--target", "semiopen-not-open", "--space", path, "--grid", "2")
+    assert code == 1
+    assert "found: false" in out.splitlines() and "witness: null" in out.splitlines()
 
 
 def test_search_rejects_bad_targets(capsys, tmp_path):

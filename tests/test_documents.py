@@ -252,9 +252,12 @@ def test_bad_degrees_in_finite_bodies():
 
 def test_bad_literals_exit_2_from_the_cli(tmp_path, capsys):
     """Every document error above is an input error on the command line
-    too: exit 2, never a crash reported as a bug (exit 4)."""
+    too: exit 2, never a crash reported as a bug (exit 4).  So is a
+    complete topology listed as ``[]``, which parses but cannot be built."""
     cases = [(PL_TEMPLATE % doc, *rest) for doc, *rest in BAD_BREAKPOINTS]
     cases += [(FINITE_TEMPLATE % doc, *rest) for doc, *rest in BAD_DEGREES]
+    empty = '{"kind": "finite", "universe": ["a"], "sets": {}, "topology": [], "topology_is": "complete"}'
+    cases.append((empty, "schema", "$.topology", "a complete topology cannot be an empty list"))
     path = tmp_path / "space.json"
     for text, code, where, message in cases:
         path.write_text(text, encoding="utf-8")

@@ -130,6 +130,9 @@ def test_other_backends_are_rejected():
         assert isinstance(err.value, FtopError) and isinstance(err.value, TypeError)
     with pytest.raises(BackendMismatchError):
         ZERO2.join(M1, PLFuzzySet.zero())
+    # A value that is no finite set compares unequal, through NotImplemented.
+    assert ONE2.__eq__(1) is NotImplemented
+    assert (ONE2 == 1) is False and ONE2 != PLFuzzySet.one()
 
 
 def test_known_lattice_values():
@@ -145,8 +148,9 @@ def test_family_folds():
     assert inf_family([ONE2, M2]) == M2
     assert join_family([], universe=AB) == ZERO2
     assert inf_family([], universe=AB) == ONE2
-    with pytest.raises(ValueError):
-        join_family([])
+    for family in (join_family, inf_family):
+        with pytest.raises(ValueError, match="empty family needs an explicit universe"):
+            family([])
 
 
 class TestLatticeLaws:

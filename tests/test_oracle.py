@@ -2,11 +2,13 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from operator import le
 
 import pytest
 
+import ftop.functions as functions
 import ftop.gridbits as gridbits
 import ftop.oracle as oracle
 from ftop import (
@@ -67,6 +69,18 @@ def test_grid_spec_budget_guard():
     with pytest.raises(ResourceCapError):
         GridSpec(8, 9, budget=1000)
     GridSpec(2, 2, budget=9)
+    for args, message in [
+        ((0, 2), "universe_size must be >= 1, got 0"),
+        ((2, 0), "grid denominator must be >= 1, got 0"),
+        ((2, 2, 0), "budget must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GridSpec(*args)
+    # Grid universes are labelled a to z: a 27-point spec is a sound count
+    # of sets, but has no universe.
+    assert GridSpec(26, 1, budget=2**26).universe().labels[-1] == "z"
+    with pytest.raises(ValueError, match="a grid universe has at most 26 points, got 27"):
+        GridSpec(27, 1, budget=2**27).universe()
 
 
 def test_enumeration_is_lexicographic_and_complete():
@@ -387,6 +401,48 @@ def test_campaign_fails_under_a_lawful_but_wrong_classify_set(monkeypatch, mutan
     for failure in result.failures:
         assert failure.phase == "space-laws"
         assert failure.detail.startswith("classify-set-agrees-with-walk fails on ")
+
+
+def test_campaign_compares_every_seed_even_off_the_grid(monkeypatch):
+    """A closed form scaled by 3/4 leaves the 1/3 grid wherever it is not
+    zero.  Every seed still compares it with the brute force, and the run
+    names exactly the seeds whose semi-interior is not zero."""
+    honest, nonzero = oracle.semi_interior, []
+
+    def three_quarters(space, s):
+        value = honest(space, s)
+        nonzero.append(not value.is_zero())
+        if value.is_zero():
+            return value
+        return FiniteFuzzySet(value.universe, [d * Fraction(3, 4) for d in value.degrees])
+
+    monkeypatch.setattr(oracle, "semi_interior", three_quarters)
+    result = run_campaign(20, 3, 3)
+    assert not result.ok and result.agreements_checked == 20
+    seeds = [failure.seed for failure in result.failures]
+    assert seeds == [seed for seed, hit in enumerate(nonzero) if hit]
+    assert seeds == [1, 3, 6, 7, 8, 9, 11, 12, 15, 16]
+    for failure in result.failures:
+        assert failure.phase == "semi-interior-agreement"
+        assert failure.detail.startswith("closed form ") and " != brute force " in failure.detail
+
+
+def test_campaign_lists_a_function_law_refusal_with_its_seed(monkeypatch):
+    """Lifted-set verdicts that break the chain make
+    ``FunctionClassification`` refuse every map: one ``function-laws``
+    failure per seed, and nothing else fails."""
+    monkeypatch.setattr(functions, "_set_verdicts", lambda space, s: (False, True, False, True))
+    result = run_campaign(3, 2, 2)
+    assert [(failure.phase, failure.seed) for failure in result.failures] == [
+        ("function-laws", seed) for seed in range(3)
+    ]
+    assert result.functions_checked == 3
+    for failure in result.failures:
+        assert failure.detail == (
+            "impossible verdict combination: fuzzy_continuous=False, "
+            "fuzzy_semicontinuous=True, somewhat_fuzzy_continuous=False, "
+            "somewhat_fuzzy_semicontinuous=True"
+        )
 
 
 def test_space_checks_name_the_laws_once():
@@ -872,7 +928,7 @@ def test_campaign_is_deterministic_and_counts_evidence():
     assert first.spaces_checked == 8
     assert first.sets_checked == 8 * 9
     assert first.functions_checked == 8
-    assert 0 < first.agreements_checked <= 8
+    assert first.agreements_checked == 8
     data = first.as_dict()
     assert data["ok"] is True and data["failures"] == []
     with pytest.raises(ValueError, match="seeds must be >= 1, got -2"):

@@ -110,6 +110,7 @@ def test_queries_over_another_universe_are_rejected():
 def test_validate_deduplicates_and_orders_members():
     space = validate([ONE2, M1, ZERO2, M1, ONE2, ZERO2])
     assert space.members == (ZERO2, M1, ONE2)
+    assert list(space) == [ZERO2, M1, ONE2] and len(space) == 3
     assert space.bottom == ZERO2 and space.top == ONE2
 
 
@@ -118,6 +119,8 @@ def test_generate_from_empty_subbasis():
     assert space.members == (ZERO2, ONE2)
     with pytest.raises(ValueError):
         generate([])
+    with pytest.raises(ValueError, match="a topology candidate must be a non-empty family"):
+        check_axioms([])
 
 
 def test_generate_closes_under_meet_and_join():
