@@ -24,23 +24,27 @@ not bad input: a broken internal invariant or any other exception.
 ``FTOP_CAP`` in the environment overrides the default generation cap;
 ``--cap`` overrides both.
 
-A ``--space``/``--fn`` argument is first tried as a filesystem path and
-then as the name of a bundled document, so ``ftop validate example1.json``
-works from any directory.
+A ``--space``/``--fn`` argument is opened once as a filesystem path.  If
+there is no file by that name (nothing there, a directory, or a path
+through a non-directory) and the name holds no ``/`` or ``\\``, it is
+read as the name of a bundled document instead, so ``ftop validate
+example1.json`` works from any directory and a local ``example1.json``
+shadows the bundled one.  A name with a separator never reaches the
+bundled documents.  JSON reports are printed by ``documents._json_text``,
+whose bytes are those of ``json.dumps(report, indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from importlib import resources
-from pathlib import Path
 from typing import Any, Sequence
 
 from .documents import (
+    _json_text,
     build_function,
     build_topology,
     parse_function,
@@ -62,17 +66,25 @@ EXIT_CAP = 3
 EXIT_BUG = 4
 
 
+_NOT_A_FILE = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+
 def _read_document(name: str) -> str:
-    """The document ``name`` as text; bytes that are not UTF-8 are an input error."""
-    source = Path(name)
-    if not source.is_file() and "/" not in name and "\\" not in name:
-        source = resources.files("ftop") / "data" / name
-    if not source.is_file():
-        raise DocumentError("missing-file", f"no such file or bundled document: {name}")
+    """The document ``name`` as text, from the file or else the bundled
+    document of that name; bytes that are not UTF-8 are an input error."""
     try:
-        return source.read_text(encoding="utf-8")
+        try:
+            with open(name, encoding="utf-8") as handle:
+                return handle.read()
+        except _NOT_A_FILE:
+            if "/" in name or "\\" in name:
+                raise
+            return (resources.files("ftop") / "data" / name).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError("bad-encoding", f"{name} is not UTF-8 text: {exc.reason}") from exc
+    except (*_NOT_A_FILE, ValueError):
+        # ValueError: a name no file can have, such as one holding NUL.
+        raise DocumentError("missing-file", f"no such file or bundled document: {name}") from None
 
 
 def _generation_cap(args: argparse.Namespace) -> int | None:
@@ -115,7 +127,7 @@ def _render_text(value: Any, lines: list[str], indent: int = 0, label: str | Non
     pad = "  " * indent
     if isinstance(value, dict):
         if label is not None:
-            lines.append(f"{pad}{label}:")
+            lines.append(f"{pad}{label}:" if value else f"{pad}{label}: {{}}")
             indent += 1
         for key, item in value.items():
             _render_text(item, lines, indent, key)
@@ -133,7 +145,7 @@ def _render_text(value: Any, lines: list[str], indent: int = 0, label: str | Non
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json_text(report) + "\n")
     else:
         lines: list[str] = []
         _render_text(report, lines)

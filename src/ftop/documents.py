@@ -43,12 +43,20 @@ table from literal text to pair for that one call, and a repeated literal
 is looked up in it.  A literal that fails is never stored, so each of its
 places reads it again and fails there.  The ``where`` path of a degree is
 built only when one fails.
+
+Every JSON text the package prints, documents and CLI reports alike,
+comes from one printer, :func:`_json_text`.  Its bytes are those of
+``json.dumps(value, indent=2)``, without the stdlib's pure-Python
+indenting encoder; it prints objects with string keys, arrays, strings,
+booleans, null and integers, and refuses anything else, a float
+included, with ``TypeError``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Union
 
 from . import fset, plin
@@ -81,6 +89,60 @@ SetBody = Union[FiniteFuzzySet, PLFuzzySet]
 
 _SPACE_KEYS = frozenset({"kind", "universe", "sets", "topology", "topology_is"})
 _FUNCTION_KEYS = frozenset({"domain", "codomain", "map"})
+
+
+def _json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, for the values a report or document holds.
+
+    Strings are escaped by the stdlib's ASCII escaper and integers printed
+    by ``int.__repr__``, as ``json.dumps`` does; a float, a set, a key that
+    is not a string or any other value raises ``TypeError``.
+    """
+    parts: list[str] = []
+    _write_json(value, parts, "\n")
+    return "".join(parts)
+
+
+def _write_json(value: Any, parts: list[str], newline: str) -> None:
+    """Append the JSON of ``value`` to ``parts``; ``newline`` ends a line at its depth."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(opener)
+            parts.append(_escape(key))
+            parts.append(": ")
+            _write_json(item, parts, inner)
+            opener = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            parts.append(opener)
+            _write_json(item, parts, inner)
+            opener = "," + inner
+        parts.append(newline + "]")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _reject_float(literal: str) -> Any:
@@ -340,7 +402,7 @@ def space_as_data(doc: SpaceDocument) -> dict:
 
 def print_space(doc: SpaceDocument) -> str:
     """Canonical JSON text; ``parse_space`` inverts it exactly."""
-    return json.dumps(space_as_data(doc), indent=2) + "\n"
+    return _json_text(space_as_data(doc)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -401,7 +463,7 @@ def function_as_data(doc: FunctionDocument) -> dict:
 
 
 def print_function(doc: FunctionDocument) -> str:
-    return json.dumps(function_as_data(doc), indent=2) + "\n"
+    return _json_text(function_as_data(doc)) + "\n"
 
 
 def build_topology(doc: SpaceDocument, *, cap: int | None = None) -> FuzzyTopology:

@@ -235,6 +235,20 @@ def test_classify_fn(capsys, tmp_path):
     assert "fuzzy_continuous" not in report["witnesses"]
 
 
+def test_a_map_in_every_class_prints_an_empty_witness_map(capsys, tmp_path):
+    """The identity holds all eight verdicts, so it has no witnesses: the
+    text report prints ``witnesses: {}``, not a bare header."""
+    identity = {"domain": FINITE_SPACE, "codomain": FINITE_SPACE, "map": {"a": "a", "b": "b"}}
+    path = write_doc(tmp_path, "fn.json", identity)
+    code, report, _ = run_json(capsys, "classify", "fn", "--fn", path)
+    assert code == 0
+    assert len(report["verdicts"]) == 8 and all(report["verdicts"].values())
+    assert report["witnesses"] == {}
+    code, out, _ = run(capsys, "classify", "fn", "--fn", path)
+    assert code == 0
+    assert out.endswith("\nwitnesses: {}\n")
+
+
 def test_search_found(capsys, tmp_path):
     path = write_doc(tmp_path, "s.json", FINITE_SPACE)
     code, report, _ = run_json(
@@ -325,6 +339,69 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "nope.json")
     assert code == 2
     assert "error[missing-file]" in err
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_documents_read_as_lf(capsys, tmp_path, monkeypatch, newline):
+    """Documents are read in text mode: any line ending gives the LF report."""
+    monkeypatch.chdir(tmp_path)
+    lf = (json.dumps(FINITE_SPACE, indent=2) + "\n").encode()
+    reports = []
+    for text in (lf, lf.replace(b"\n", newline)):
+        (tmp_path / "s.json").write_bytes(text)
+        reports.append(run(capsys, "--format", "json", "classify", "set", "m3", "--space", "s.json"))
+    assert reports[0][:2] == reports[1][:2]
+    assert reports[0][0] == 0 and json.loads(reports[0][1])["set"] == "m3"
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_malformed_documents_name_the_same_place_whatever_the_line_ending(
+    capsys, tmp_path, newline
+):
+    path = tmp_path / "s.json"
+    lines = [b"{", b'  "kind": "finite",', b'  "universe": ["a"]', b'  "sets": {}', b"}", b""]
+    path.write_bytes(newline.join(lines))
+    assert run(capsys, "validate", str(path)) == (
+        2, "", "error[malformed-json]: line 4 column 3: invalid JSON: Expecting ',' delimiter\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sub", "sub/", "./example1.json", "nowhere/example1.json", "s.json/example1.json",
+     "sub\\example1.json", "example1.json\x00"],
+    ids=["directory", "directory-slash", "dot-slash", "missing-dir", "through-a-file", "backslash",
+         "nul-byte"],
+)
+def test_directories_and_paths_with_a_separator_are_missing_files(
+    capsys, tmp_path, monkeypatch, name
+):
+    """A directory is no document, and a name holding ``/`` or ``\\`` is a
+    path only: the bundled ``example1.json`` is not read for it.  A name no
+    file can have is missing too, not a bug."""
+    (tmp_path / "sub").mkdir()
+    write_doc(tmp_path, "s.json", FINITE_SPACE)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "validate", name)
+    assert (code, out) == (2, "")
+    assert err == f"error[missing-file]: $: no such file or bundled document: {name}\n"
+
+
+def test_a_local_document_shadows_the_bundled_one(capsys, tmp_path, monkeypatch):
+    code, bundled, _ = run_json(capsys, "validate", "example1.json")
+    assert (code, bundled["kind"], bundled["members"]) == (0, "pl", 5)
+    write_doc(tmp_path, "example1.json", INDISCRETE_SPACE)
+    monkeypatch.chdir(tmp_path)
+    code, local, _ = run_json(capsys, "validate", "example1.json")
+    assert (code, local["kind"], local["members"]) == (0, "finite", 2)
+
+
+def test_a_local_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path, monkeypatch):
+    (tmp_path / "example1.json").write_bytes(b'{"kind": "finite", "universe": ["\xff"]}')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "validate", "example1.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[bad-encoding]: $: example1.json is not UTF-8 text: ")
 
 
 def test_cap_flag_stops_generation(capsys, tmp_path):

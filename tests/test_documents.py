@@ -4,6 +4,8 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftop import (
     BackendMismatchError,
@@ -23,6 +25,7 @@ from ftop import (
     print_space,
 )
 from ftop.cli import main
+from ftop.documents import _json_text
 
 from helpers import ALPHA, LAM, MU, SIGMA, fs, t_fin, t_pl
 
@@ -349,3 +352,52 @@ def test_document_for_space_rejects_pl_spaces():
     with pytest.raises(FtopError) as err:
         document_for_space(t_pl())
     assert isinstance(err.value, BackendMismatchError)
+
+
+# Values of every shape the printer takes: keys and strings of any text
+# (non-ASCII, control characters, quotes, backslashes, lone surrogates),
+# integers wider than 64 bits, and an empty object and array among the
+# leaves, so that they turn up at every depth.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | ANY_TEXT
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
+    | st.just({})
+    | st.just([])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(ANY_TEXT, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_the_printer_writes_the_bytes_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_the_printer_writes_empty_containers_at_every_depth():
+    value: object = {"": {}, "[]": [], "()": ()}
+    for _ in range(4):
+        value = [{}, [], value, (), {"k": {}, "l": [], "v": value}]
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, {"a": [1, 0.5]}, float("nan"), {1, 2}, {"a": frozenset()}, {1: "a"}, [{True: "a"}], object()],
+    ids=["float", "nested-float", "nan", "set", "nested-frozenset", "int-key", "bool-key", "object"],
+)
+def test_the_printer_refuses_floats_sets_and_non_string_keys(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
