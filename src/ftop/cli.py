@@ -31,7 +31,9 @@ read as the name of a bundled document instead, so ``ftop validate
 example1.json`` works from any directory and a local ``example1.json``
 shadows the bundled one.  A name with a separator never reaches the
 bundled documents.  JSON reports are printed by ``documents._json_text``,
-whose bytes are those of ``json.dumps(report, indent=2)``.
+whose bytes are those of ``json.dumps(report, indent=2)``; a text report
+prints each of its scalars through the same printer, so a string label
+``"true"`` never reads as the boolean ``true``.
 """
 
 from __future__ import annotations
@@ -113,34 +115,24 @@ def _require_positive(
         raise DocumentError(code, f"must be at most {most}, got {value}", flag)
 
 
-def _render_scalar(value: Any) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    return str(value)
-
-
 def _render_text(value: Any, lines: list[str], indent: int = 0, label: str | None = None) -> None:
+    """Append the text lines of ``value``: one ``label: value`` line per scalar,
+    list of scalars or empty container, every value printed as its JSON text."""
     pad = "  " * indent
-    if isinstance(value, dict):
+    if isinstance(value, dict) and value:
         if label is not None:
-            lines.append(f"{pad}{label}:" if value else f"{pad}{label}: {{}}")
+            lines.append(f"{pad}{label}:")
             indent += 1
         for key, item in value.items():
             _render_text(item, lines, indent, key)
+    elif isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
+        lines.append(f"{pad}{label}:")
+        for i, item in enumerate(value):
+            _render_text(item, lines, indent + 1, f"[{i}]")
     elif isinstance(value, list):
-        if all(not isinstance(item, (dict, list)) for item in value):
-            rendered = ", ".join(_render_scalar(item) for item in value)
-            lines.append(f"{pad}{label}: [{rendered}]")
-        else:
-            lines.append(f"{pad}{label}:")
-            for i, item in enumerate(value):
-                _render_text(item, lines, indent + 1, f"[{i}]")
+        lines.append(f"{pad}{label}: [{', '.join(map(_json_text, value))}]")
     else:
-        lines.append(f"{pad}{label}: {_render_scalar(value)}")
+        lines.append(f"{pad}{label}: {_json_text(value)}")
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -249,6 +249,23 @@ def test_a_map_in_every_class_prints_an_empty_witness_map(capsys, tmp_path):
     assert out.endswith("\nwitnesses: {}\n")
 
 
+def test_text_scalars_are_printed_as_json(capsys, tmp_path):
+    """A codomain label ``"true"`` or ``"null"`` prints quoted, as its JSON
+    text, so it never reads as the keyword; keys stay bare."""
+    keywords = {
+        "kind": "finite", "universe": ["true", "null"], "sets": {},
+        "topology": ["0", "1"], "topology_is": "complete",
+    }
+    doc = {"domain": INDISCRETE_SPACE, "codomain": keywords, "map": {"a": "true", "b": "null"}}
+    path = write_doc(tmp_path, "fn.json", doc)
+    code, out, _ = run(capsys, "classify", "fn", "--fn", path)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ['command: "classify fn"', f"fn: {json.dumps(path)}"]
+    assert lines[lines.index("map:") + 1 :][:2] == ['  a: "true"', '  b: "null"']
+    assert "  fuzzy_continuous: true" in lines
+
+
 def test_search_found(capsys, tmp_path):
     path = write_doc(tmp_path, "s.json", FINITE_SPACE)
     code, report, _ = run_json(

@@ -22,11 +22,10 @@ from ftop import (
     enumerate_grid_sets,
     inf_family,
     join_family,
-    validate,
 )
 
 import reference
-from helpers import AB, M1, M2, M3, ONE2, ZERO2, exact_degrees, fs, grid, pair_sets
+from helpers import AB, M1, M2, ONE2, ZERO2, exact_degrees, fs, grid
 
 
 def test_universe_rejects_bad_labels():
@@ -151,62 +150,6 @@ def test_family_folds():
     for family in (join_family, inf_family):
         with pytest.raises(ValueError, match="empty family needs an explicit universe"):
             family([])
-
-
-class TestLatticeLaws:
-    @given(pair_sets, pair_sets)
-    def test_commutativity(self, s, t):
-        """s∨t = t∨s and s∧t = t∧s."""
-        assert s.join(t) == t.join(s)
-        assert s.meet(t) == t.meet(s)
-
-    @given(pair_sets, pair_sets, pair_sets)
-    def test_associativity(self, s, t, u):
-        """(s∨t)∨u = s∨(t∨u), dually for meet."""
-        assert s.join(t).join(u) == s.join(t.join(u))
-        assert s.meet(t).meet(u) == s.meet(t.meet(u))
-
-    @given(pair_sets, pair_sets)
-    def test_absorption(self, s, t):
-        """s∨(s∧t) = s = s∧(s∨t)."""
-        assert s.join(s.meet(t)) == s
-        assert s.meet(s.join(t)) == s
-
-    @given(pair_sets, pair_sets)
-    def test_de_morgan(self, s, t):
-        """1−(s∨t) = (1−s)∧(1−t)."""
-        assert s.join(t).complement() == s.complement().meet(t.complement())
-
-    @given(pair_sets, pair_sets)
-    def test_results_pass_the_constructor_checks(self, s, t):
-        """Lattice results are built unchecked; the public checks accept them."""
-        for result in (s.join(t), s.meet(t), s.complement()):
-            assert FiniteFuzzySet(result.universe, result.degrees) == result
-
-    @given(pair_sets)
-    def test_complement_involution(self, s):
-        """1−(1−s) = s."""
-        assert s.complement().complement() == s
-
-    @given(pair_sets, pair_sets)
-    def test_order_agrees_with_join(self, s, t):
-        """s ≤ t iff s∨t = t."""
-        assert s.leq(t) == (s.join(t) == t)
-
-    @given(pair_sets, st.lists(pair_sets, max_size=5))
-    def test_many_folds_match_binary(self, s, others):
-        """Variadic join/meet equal the binary folds."""
-        expected_join, expected_meet = s, s
-        for t in others:
-            expected_join = expected_join.join(t)
-            expected_meet = expected_meet.meet(t)
-        assert s.join(*others) == expected_join
-        assert s.meet(*others) == expected_meet
-
-
-def test_ordering_key_sorts_pointwise_lexicographically():
-    """Members are ordered by their degrees, the first point first."""
-    assert validate([ONE2, M3, M2, ZERO2, M1]).members == (ZERO2, M1, M2, M3, ONE2)
 
 
 # --- the integer representation against the literal reference ------------

@@ -1,8 +1,10 @@
 """The imports of the test modules, read with ``ast``, and the package surface.
 
-``reference`` is the independent statement every operator and classifier
-test compares with, so it must not import ``ftop``; and each test module
-stands alone, sharing code only through ``helpers`` and ``reference``.
+Three shared modules are not tests.  ``reference`` is the independent
+statement every operator and classifier test compares with, and
+``mutants`` the registry of mutants that applies each to a copy of the
+sources, so neither may import ``ftop``.  ``helpers`` holds the fixtures.
+Each test module stands alone, sharing code only through these three.
 
 ``ftop`` re-exports the ``__all__`` of each public module, joined in layer
 order, so a module's ``__all__`` is the one list of its public names.
@@ -14,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ftop
 
@@ -49,15 +53,18 @@ def imported_modules(path):
     return names
 
 
-def test_the_reference_imports_nothing_from_ftop():
-    names = imported_modules(TESTS / "reference.py")
-    assert "fractions" in names
+@pytest.mark.parametrize(
+    "module, stdlib", [("reference.py", "fractions"), ("mutants.py", "subprocess")]
+)
+def test_the_shared_modules_import_nothing_from_ftop(module, stdlib):
+    names = imported_modules(TESTS / module)
+    assert stdlib in names
     assert {name for name in names if name.split(".")[0] == "ftop"} == set()
 
 
 def test_no_test_module_imports_another():
     modules = {path.name: imported_modules(path) for path in sorted(TESTS.glob("*.py"))}
-    assert {"helpers.py", "reference.py", "test_imports.py"} <= set(modules)
+    assert {"helpers.py", "mutants.py", "reference.py", "test_imports.py"} <= set(modules)
     crossing = {
         (name, module) for name, names in modules.items() for module in names
         if module.split(".")[0].startswith("test_")

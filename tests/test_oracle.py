@@ -129,14 +129,6 @@ def test_enumeration_universe_must_match_spec():
             brute_semi_interior(t_fin(), ZERO2, spec)
 
 
-def test_brute_semi_interior_fixed_points():
-    space = t_fin()
-    spec = GridSpec(2, 6)
-    assert brute_semi_interior(space, ZERO2, spec) == ZERO2
-    for member in space.members:
-        assert brute_semi_interior(space, member, spec) == member
-
-
 def test_brute_semi_interior_matches_closed_form_reference():
     space = t_fin()
     s = fs("3/4", "1/4")
@@ -886,38 +878,6 @@ def test_find_witness_reference_values():
 def test_find_witness_not_found_in_indiscrete_space():
     target = SearchTarget.parse("semiopen-not-open")
     assert find_witness(indiscrete(), target, GridSpec(2, 4)) is None
-
-
-def test_witnesses_match_their_targets():
-    space = t_fin()
-    for text, k in [
-        ("semiopen-not-open", 2),
-        ("somewhat-open-not-semiopen", 4),
-        ("somewhat-open-not-open", 2),
-    ]:
-        target = SearchTarget.parse(text)
-        witness = find_witness(space, target, GridSpec(2, k))
-        assert witness is not None
-        verdicts = classify_set(space, witness).verdicts()
-        assert verdicts[target.have.replace("-", "_")]
-        assert not verdicts[target.avoid.replace("-", "_")]
-
-
-def test_find_witness_matches_the_enumerating_reference():
-    """Same witness or the same miss as :func:`literal_witnesses`, which
-    enumerates every grid set, for all 12 targets, on 150 spaces searched
-    on their own grid and 150 with members on 1/6 searched on grids k <= 4."""
-    found = {True: {True: 0, False: 0}, False: {True: 0, False: 0}}
-    for seed, member_grid in (("search-on-grid", None), ("search-off-grid", 6)):
-        for spec, space in walk_property_spaces(150, seed, member_grid):
-            off_grid = any(spec.k % member.scale for member in space.members)
-            witnesses = literal_witnesses(literal_verdict_grid(space, spec))
-            for target in ALL_TARGETS:
-                expected = witnesses[target]
-                assert find_witness(space, target, spec) == expected, (space.members, spec, target)
-                found[off_grid][expected is not None] += 1
-    # Hits and misses, each on and off the grid.
-    assert all(count for by_hit in found.values() for count in by_hit.values()), found
 
 
 def test_campaign_is_deterministic_and_counts_evidence():

@@ -1,9 +1,8 @@
 """Cross-module laws checked on randomized inputs.
 
 Per-module property tests live next to their units; this file holds the
-laws that only make sense once several modules cooperate, such as the
-closed form for the semi-interior agreeing with the brute-force sweep,
-and documents surviving a print/parse round trip.
+laws that only make sense once several modules cooperate, such as
+documents surviving a print/parse round trip.
 """
 
 import json
@@ -17,43 +16,16 @@ from ftop import (
     DocumentError,
     FiniteFuzzySet,
     PLFuzzySet,
-    GridSpec,
     Universe,
-    brute_semi_interior,
     build_topology,
     document_for_space,
     parse_space,
     print_space,
-    semi_closure,
-    semi_interior,
 )
 from ftop.documents import space_as_data
 
 import reference
-from helpers import exact_degrees, quarter_sets, quarter_spaces
-
-K = 4
-
-
-class TestClosedFormAgainstBruteForce:
-    """The two semi-interior routes never disagree on grid data.
-
-    The closed form computes ``s.meet(closure(interior(s)))``; the oracle joins every
-    semiopen grid set below ``s``.  On-grid inputs keep both answers on
-    the grid, so equality here is exact, not approximate.
-    """
-
-    @settings(max_examples=60, deadline=None)
-    @given(quarter_spaces, quarter_sets)
-    def test_semi_interior_routes_agree(self, space, s):
-        spec = GridSpec(2, K)
-        assert brute_semi_interior(space, s, spec) == semi_interior(space, s)
-
-    @settings(max_examples=60, deadline=None)
-    @given(quarter_spaces, quarter_sets)
-    def test_semi_closure_is_the_dual_route(self, space, s):
-        brute = brute_semi_interior(space, s.complement(), GridSpec(2, K))
-        assert semi_closure(space, s) == brute.complement()
+from helpers import exact_degrees, quarter_spaces
 
 
 class TestDocumentRoundTrips:

@@ -268,49 +268,3 @@ def test_classify_set_matches_definitions_on_pl_spaces(space):
     for s in [*queries, *space.members]:
         for query in (s, s.complement()):
             assert_classification_matches_definitions(space, query)
-
-
-class TestSemiOperatorLaws:
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_semi_interior_is_a_semiopen_lower_bound(self, space, s):
-        """Int_s(s) ≤ s and Int_s(s) is itself semiopen."""
-        inner = semi_interior(space, s)
-        assert inner.leq(s)
-        assert is_semiopen(space, inner)
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_semi_closure_is_a_semiclosed_upper_bound(self, space, s):
-        """s ≤ Cl_s(s) and Cl_s(s) is itself semiclosed."""
-        outer = semi_closure(space, s)
-        assert s.leq(outer)
-        assert is_semiclosed(space, outer)
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_semi_operators_fix_their_outputs(self, space, s):
-        """Int_s and Cl_s are idempotent."""
-        inner = semi_interior(space, s)
-        outer = semi_closure(space, s)
-        assert semi_interior(space, inner) == inner
-        assert semi_closure(space, outer) == outer
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_semi_operators_are_complement_duals(self, space, s):
-        """Int_s(s) = 1 − Cl_s(1−s)."""
-        assert semi_interior(space, s) == semi_closure(space, s.complement()).complement()
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_sandwich_between_plain_operators(self, space, s):
-        """Int ≤ Int_s ≤ s ≤ Cl_s ≤ Cl."""
-        assert space.interior(s).leq(semi_interior(space, s))
-        assert semi_closure(space, s).leq(space.closure(s))
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_somewhat_verdicts_coincide(self, space, s):
-        """A set is somewhat open iff it is somewhat semiopen."""
-        assert is_somewhat_open(space, s) == is_somewhat_semiopen(space, s)

@@ -41,7 +41,7 @@ from ftop.topology import DEFAULT_GENERATION_CAP, AxiomViolation, FuzzyValue
 import reference
 from helpers import (
     ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, exact_degrees, fs, literal,
-    literal_space, pair_sets, pl_sets, small_spaces, t_fin, t_pl,
+    literal_space, pair_sets, pl_sets, t_fin, t_pl,
 )
 
 
@@ -197,38 +197,6 @@ def test_openness_is_semantic_not_nominal():
     assert not space.is_open(fs("1/2", "1/4"))
 
 
-class TestOperatorLaws:
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_interior_below_argument_below_closure(self, space, s):
-        """Int(s) ≤ s ≤ Cl(s)."""
-        assert space.interior(s).leq(s)
-        assert s.leq(space.closure(s))
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_idempotence(self, space, s):
-        """Int∘Int = Int and Cl∘Cl = Cl."""
-        interior = space.interior(s)
-        closure = space.closure(s)
-        assert space.interior(interior) == interior
-        assert space.closure(closure) == closure
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets)
-    def test_duality(self, space, s):
-        """Int(s) = 1 − Cl(1−s)."""
-        assert space.interior(s) == space.closure(s.complement()).complement()
-
-    @settings(deadline=None)
-    @given(small_spaces, pair_sets, pair_sets)
-    def test_monotonicity(self, space, s, t):
-        """s ≤ t forces Int(s) ≤ Int(t) and Cl(s) ≤ Cl(t)."""
-        low, high = s.meet(t), s.join(t)
-        assert space.interior(low).leq(space.interior(high))
-        assert space.closure(low).leq(space.closure(high))
-
-
 # The greatest-member selection of both backends against the fold it
 # replaced, ``reference.interior`` and ``reference.closure``: the join of
 # every member below s, and the meet of every closed set above s.
@@ -317,12 +285,6 @@ class TestFiniteKernelMatchesFold:
             space.closure(s)
             space.is_open(s)
         assert set(vars(space)) <= fixed
-
-
-def test_pl_operators_match_the_fold():
-    space = t_pl()
-    queries = [ALPHA, BETA, *space.members, *(m.complement() for m in space.members)]
-    assert_operators_match_reference(space, queries)
 
 
 def pl_xs(draw, lo, hi):
