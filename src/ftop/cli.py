@@ -10,8 +10,8 @@ Subcommands:
   between two finite spaces, with a witness for every failure.
 * ``search --target <have>-not-<avoid> --space <file> --grid k`` hunts
   for a grid set separating two classes.
-* ``verify --seeds N --universe-size n --grid k [--cap M]`` runs the
-  randomized self-check campaign.
+* ``verify --seeds N --universe-size n --grid k`` runs the randomized
+  self-check campaign.
 
 Reports go to stdout, as JSON (``--format json``) or as an equivalent
 plain-text rendering of the same data; timing and error diagnostics go
@@ -21,8 +21,10 @@ topology, witness not found, campaign violation), 2 input error (a
 ``DocumentError`` with its code, such as a bad document, target, grid or
 cap, or an unreadable file), 3 resource cap exceeded, 4 a bug in ftop,
 not bad input: a broken internal invariant or any other exception.
-``FTOP_CAP`` in the environment overrides the default generation cap;
-``--cap`` overrides both.
+``FTOP_CAP`` in the environment overrides the default generation cap of
+``validate``, ``classify`` and ``search``; ``--cap`` overrides both.
+``verify`` takes neither: its spaces stay far below the default cap, and
+its grids are bounded by the fixed ``oracle.DEFAULT_ENUMERATION_BUDGET``.
 
 A ``--space``/``--fn`` argument is opened once as a filesystem path.  If
 there is no file by that name (nothing there, a directory, or a path
@@ -239,9 +241,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     _require_positive("--seeds", args.seeds, "bad-seeds")
     _require_positive("--universe-size", args.universe_size, most=len(_GRID_LABELS))
     _require_positive("--grid", args.grid)
-    cap = _generation_cap(args)
-    kwargs = {} if cap is None else {"budget": cap}
-    result = run_campaign(args.seeds, args.universe_size, args.grid, **kwargs)
+    result = run_campaign(args.seeds, args.universe_size, args.grid)
     report = {"command": "verify", **result.as_dict()}
     return report, EXIT_OK if result.ok else EXIT_NEGATIVE
 
@@ -256,16 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    # Options every subcommand takes.  ``--format`` is also accepted after
-    # the subcommand; SUPPRESS keeps the subcommand from overwriting a value
-    # given before it.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--cap", type=int, help="generation cap for subbasis documents (verify: enumeration budget)"
-    )
-    common.add_argument(
+    # ``--format`` is also accepted after the subcommand; SUPPRESS keeps the
+    # subcommand from overwriting a value given before it.  Every subcommand
+    # but verify also takes ``--cap``.
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument(
         "--format", choices=("text", "json"), default=argparse.SUPPRESS, help="report format"
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[formats])
+    common.add_argument("--cap", type=int, help="generation cap for subbasis documents")
 
     p_validate = sub.add_parser("validate", parents=[common], help="check a space document")
     p_validate.add_argument("space", help="space document (path or bundled name)")
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(handler=_cmd_search)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the randomized self-check campaign"
+        "verify", parents=[formats], help="run the randomized self-check campaign"
     )
     p_verify.add_argument("--seeds", type=int, default=100, help="number of seeded cases")
     p_verify.add_argument("--universe-size", type=int, default=3, help="points per universe")

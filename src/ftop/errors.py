@@ -1,8 +1,17 @@
 """Exception hierarchy shared across the package.
 
-Every error the library raises derives from :class:`FtopError`, so callers
-(notably the CLI) can map failures to exit codes without inspecting
-messages.
+The failures that belong to fuzzy topology derive from :class:`FtopError`:
+a degree outside [0, 1], sets over different universes or backends, a
+cap or budget exceeded, degrees off a grid, an invalid topology, a broken
+invariant, and a bad document.  Each also derives from the built-in class
+it refines, such as ``ValueError``.  A plain argument error raises the
+built-in class alone: a value of the wrong type raises ``TypeError``
+(``as_degree(0.5)``), an argument outside a function's stated range
+raises ``ValueError`` (``GridSpec(0, 2)``, ``generate([])``,
+``SearchTarget.parse("x")``), and a label outside a universe raises
+``KeyError``.  The CLI turns the argument errors of its input into a
+:class:`DocumentError` before they escape, so it maps failures to exit
+codes by class, without inspecting messages.
 """
 
 from __future__ import annotations

@@ -97,12 +97,12 @@ class FuzzyFunction:
 
     def preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:
         """Pull a codomain fuzzy set back along the map: ``x -> beta(f(x))``."""
-        self.codomain.members[0]._require_compatible(beta)
+        self.codomain._check_value(beta)
         return self._preimage(beta)
 
     def image(self, alpha: FiniteFuzzySet) -> FiniteFuzzySet:
         """Push a domain fuzzy set forward: sup over each fiber, 0 if empty."""
-        self.domain.members[0]._require_compatible(alpha)
+        self.domain._check_value(alpha)
         return self._image(alpha)
 
     def _preimage(self, beta: FiniteFuzzySet) -> FiniteFuzzySet:

@@ -89,26 +89,26 @@ _GRID_LABELS = string.ascii_lowercase
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Enumeration parameters: universe size, grid denominator, budget.
+    """Enumeration parameters: universe size and grid denominator.
 
-    The budget caps the number of grid sets, (k+1)**universe_size, so a
-    typo in k cannot silently turn a test run into an overnight job.
+    A grid holds (k+1)**universe_size sets; one above
+    ``DEFAULT_ENUMERATION_BUDGET`` raises ``ResourceCapError``, so a typo
+    in k cannot silently turn a test run into an overnight job.  Since
+    k >= 1 and 2**18 > 250,000, a grid has at most 17 points, labelled
+    a..q.
     """
 
     universe_size: int
     k: int
-    budget: int = DEFAULT_ENUMERATION_BUDGET
 
     def __post_init__(self) -> None:
         if self.universe_size < 1:
             raise ValueError(f"universe_size must be >= 1, got {self.universe_size}")
         if self.k < 1:
             raise ValueError(f"grid denominator must be >= 1, got {self.k}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.size > self.budget:
+        if self.size > DEFAULT_ENUMERATION_BUDGET:
             raise ResourceCapError(
-                f"grid holds {self.size} sets, above the budget of {self.budget}"
+                f"grid holds {self.size} sets, above the budget of {DEFAULT_ENUMERATION_BUDGET}"
             )
 
     @property
@@ -116,14 +116,8 @@ class GridSpec:
         return (self.k + 1) ** self.universe_size
 
     def universe(self) -> Universe:
-        """The points ``a``, ``b``, ...; raises ``ValueError`` beyond ``z``."""
-        labels = _GRID_LABELS[: self.universe_size]
-        if len(labels) != self.universe_size:
-            raise ValueError(
-                f"a grid universe has at most {len(_GRID_LABELS)} points, "
-                f"got {self.universe_size}"
-            )
-        return Universe.of(*labels)
+        """The points ``a``, ``b``, ..."""
+        return Universe.of(*_GRID_LABELS[: self.universe_size])
 
 
 def _require_on_grid(sets: Sequence[FiniteFuzzySet], k: int, what: str) -> None:
@@ -476,9 +470,7 @@ class CampaignResult:
 MAX_CAMPAIGN_SUBBASIS = 4
 
 
-def run_campaign(
-    seeds: int, universe_size: int, k: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> CampaignResult:
+def run_campaign(seeds: int, universe_size: int, k: int) -> CampaignResult:
     """Seeded sweep: space laws, closed-form agreement, function laws.
 
     Per seed i this builds a random space, runs :func:`check_space` on
@@ -491,11 +483,14 @@ def run_campaign(
     form off the grid is a disagreement, not a skipped comparison.  So
     ``agreements_checked`` and ``functions_checked`` equal ``seeds``.
     All randomness derives from the seed index, so reports are
-    bit-for-bit reproducible.
+    bit-for-bit reproducible.  The grid is a ``GridSpec``, so one above
+    ``DEFAULT_ENUMERATION_BUDGET`` sets raises ``ResourceCapError``; each
+    space comes from at most ``MAX_CAMPAIGN_SUBBASIS`` subbasis sets, at
+    most 168 members, well inside the default generation cap.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    spec = GridSpec(universe_size, k, budget)
+    spec = GridSpec(universe_size, k)
     failures: list[CampaignFailure] = []
     sets_checked = 0
     for seed in range(seeds):

@@ -199,6 +199,10 @@ MUTANTS = (
     Mutant("oracle-enumeration-below-one-short", "src/ftop/oracle.py",
            "range(n * k // below.scale + 1)", "range(n * k // below.scale)",
            ("tests/test_oracle.py::test_enumeration_below_a_set_keeps_the_grid_sets_below_it_in_order",)),
+    Mutant("oracle-budget-refuses-a-grid-of-exactly-the-budget", "src/ftop/oracle.py",
+           "if self.size > DEFAULT_ENUMERATION_BUDGET:",
+           "if self.size >= DEFAULT_ENUMERATION_BUDGET:",
+           ("tests/test_oracle.py::test_grid_spec_budget_guard",)),
     Mutant("oracle-member-half-of-law-1-dropped", "src/ftop/oracle.py",
            "if not m._leq(closures_of_interiors[j]) or grid.lows", "if grid.lows",
            ("tests/test_oracle.py::test_check_space_matches_the_literal_reference_on_corrupted_tables",)),

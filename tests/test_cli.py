@@ -199,21 +199,41 @@ def test_seeds_below_one_is_an_input_error(capsys):
 
 def test_universe_beyond_the_alphabet_is_an_input_error(capsys):
     """Grid universes are labelled a..z; 27 points is a flag error, not a bug."""
-    code, out, err = run(
-        capsys, "verify", "--seeds", "1", "--universe-size", "27", "--grid", "1",
-        "--cap", "200000000",
-    )
+    code, out, err = run(capsys, "verify", "--seeds", "1", "--universe-size", "27", "--grid", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error[bad-grid]: --universe-size: must be at most 26, got 27")
 
 
-@pytest.mark.parametrize("command", [["validate", "s.json"], ["verify", "--seeds", "1"]])
-def test_cap_below_one_is_an_input_error(capsys, tmp_path, monkeypatch, command):
-    write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *command, "--cap", "0")
+def test_cap_below_one_is_an_input_error(capsys, tmp_path):
+    path = write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
+    code, out, err = run(capsys, "validate", path, "--cap", "0")
     assert (code, out) == (2, "")
     assert "error[bad-cap]" in err
+
+
+VERIFY = ["--format", "json", "verify", "--seeds", "2", "--universe-size", "2", "--grid", "2"]
+
+
+@pytest.mark.parametrize("cap", ["5", "0"])
+def test_verify_takes_no_cap(capsys, cap):
+    """``--cap`` is the generation cap, which verify's spaces never reach, so
+    verify has no such flag: giving it one is a usage error."""
+    with pytest.raises(SystemExit) as exit_:
+        main([*VERIFY, "--cap", cap])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --cap" in captured.err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--cap" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["many", "1"])
+def test_verify_ignores_the_cap_variable(capsys, monkeypatch, value):
+    expected = run(capsys, *VERIFY)[:2]
+    monkeypatch.setenv("FTOP_CAP", value)
+    assert run(capsys, *VERIFY)[:2] == expected
+    assert expected[0] == 0
 
 
 def test_document_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
@@ -437,11 +457,10 @@ GOLDEN_INPUT = Path(__file__).parent / "golden" / "input"
     [
         (["search", "--target", "semiopen-not-open", "--space", "finite.json", "--grid", "600"], {}),
         (["verify", "--seeds", "1", "--universe-size", "8", "--grid", "9"], {}),
-        (["verify", "--seeds", "1", "--universe-size", "2", "--grid", "2", "--cap", "5"], {}),
         (["classify", "set", "q", "--space", "subbasis.json", "--cap", "2"], {}),
         (["classify", "fn", "--fn", "function.json"], {"FTOP_CAP": "2"}),
     ],
-    ids=["search-budget", "verify-budget", "verify-cap", "classify-set-cap", "classify-fn-env-cap"],
+    ids=["search-budget", "verify-budget", "classify-set-cap", "classify-fn-env-cap"],
 )
 def test_each_limit_exits_3(capsys, monkeypatch, argv, env):
     """Every resource limit a command can hit exits 3 with ``error[cap]`` and no report."""

@@ -28,6 +28,7 @@ from ftop import (
     semi_interior,
 )
 from ftop.oracle import (
+    DEFAULT_ENUMERATION_BUDGET,
     SET_CLASSES,
     GridSpec,
     SearchTarget,
@@ -66,21 +67,19 @@ def test_pl_spaces_are_rejected():
 
 
 def test_grid_spec_budget_guard():
-    with pytest.raises(ResourceCapError):
-        GridSpec(8, 9, budget=1000)
-    GridSpec(2, 2, budget=9)
+    """A grid of exactly DEFAULT_ENUMERATION_BUDGET sets builds, one set more
+    does not; so the widest grid has 17 points, labelled a..q."""
+    assert GridSpec(2, 499).size == DEFAULT_ENUMERATION_BUDGET == 250_000
+    assert GridSpec(17, 1).universe().labels[-1] == "q"
+    for args in [(2, 500), (18, 1)]:
+        with pytest.raises(ResourceCapError, match="above the budget of 250000"):
+            GridSpec(*args)
     for args, message in [
         ((0, 2), "universe_size must be >= 1, got 0"),
         ((2, 0), "grid denominator must be >= 1, got 0"),
-        ((2, 2, 0), "budget must be >= 1, got 0"),
     ]:
         with pytest.raises(ValueError, match=message):
             GridSpec(*args)
-    # Grid universes are labelled a to z: a 27-point spec is a sound count
-    # of sets, but has no universe.
-    assert GridSpec(26, 1, budget=2**26).universe().labels[-1] == "z"
-    with pytest.raises(ValueError, match="a grid universe has at most 26 points, got 27"):
-        GridSpec(27, 1, budget=2**27).universe()
 
 
 def test_enumeration_is_lexicographic_and_complete():
