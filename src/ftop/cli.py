@@ -26,6 +26,15 @@ not bad input: a broken internal invariant or any other exception.
 ``verify`` takes neither: its spaces stay far below the default cap, and
 its grids are bounded by the fixed ``oracle.DEFAULT_ENUMERATION_BUDGET``.
 
+The grammar is one table, ``_GRAMMAR``: its commands, with their words,
+handlers, help, positionals and options (flag, type, default, help).
+``build_parser`` builds the argparse parser from it, and ``_match`` reads
+it to take an argv in the table's exact forms without argparse: the
+command words in order, each flag spelt out in full and given once with
+its value in the next token, no other token starting with ``-``, and
+every required argument present.  Any other argv goes to argparse
+unchanged, so help, usage and every usage error are argparse's.
+
 A ``--space``/``--fn`` argument is opened once as a filesystem path.  If
 there is no file by that name (nothing there, a directory, or a path
 through a non-directory) and the name holds no ``/`` or ``\\``, it is
@@ -44,6 +53,7 @@ import argparse
 import os
 import sys
 import time
+from collections import namedtuple
 from importlib import resources
 from typing import Any, Sequence
 
@@ -57,7 +67,7 @@ from .documents import (
 )
 from .errors import DocumentError, HierarchyInvariantError, ResourceCapError
 from .functions import classify_function
-from .oracle import _GRID_LABELS, GridSpec, SearchTarget, find_witness, run_campaign
+from .oracle import GridSpec, SearchTarget, find_witness, run_campaign
 from .semiclass import classify_set, set_verdicts
 from .topology import InvalidTopologyError
 
@@ -92,7 +102,7 @@ def _read_document(name: str) -> str:
 
 
 def _generation_cap(args: argparse.Namespace) -> int | None:
-    cap, where, env = args.cap, "--cap", os.environ.get("FTOP_CAP")
+    cap, where, env = args.cap, _flag("cap"), os.environ.get("FTOP_CAP")
     if cap is None:
         if env is None:
             return None
@@ -106,15 +116,16 @@ def _generation_cap(args: argparse.Namespace) -> int | None:
     return cap
 
 
-def _require_positive(
-    flag: str, value: int, code: str = "bad-grid", most: int | None = None
-) -> None:
-    """Reject a ``--grid``, ``--universe-size`` or ``--seeds`` below 1, or above
-    ``most``, as an input error."""
-    if value < 1:
-        raise DocumentError(code, f"must be at least 1, got {value}", flag)
-    if most is not None and value > most:
-        raise DocumentError(code, f"must be at most {most}, got {value}", flag)
+def _flag(dest: str) -> str:
+    """The flag whose value argparse stores under ``dest``."""
+    return "--" + dest.replace("_", "-")
+
+
+def _require_positive(args: argparse.Namespace, *dests: str, code: str = "bad-grid") -> None:
+    """Reject a ``--grid``, ``--universe-size`` or ``--seeds`` below 1 as an input error."""
+    for dest in dests:
+        if (value := getattr(args, dest)) < 1:
+            raise DocumentError(code, f"must be at least 1, got {value}", _flag(dest))
 
 
 def _render_text(value: Any, lines: list[str], indent: int = 0, label: str | None = None) -> None:
@@ -216,8 +227,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
     try:
         target = SearchTarget.parse(args.target)
     except ValueError as exc:
-        raise DocumentError("bad-target", str(exc), "--target") from exc
-    _require_positive("--grid", args.grid)
+        raise DocumentError("bad-target", str(exc), _flag("target")) from exc
+    _require_positive(args, "grid")
     spec = GridSpec(len(doc.universe), args.grid)
     space = build_topology(doc, cap=_generation_cap(args))
     witness = find_witness(space, target, spec)
@@ -238,69 +249,107 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    _require_positive("--seeds", args.seeds, "bad-seeds")
-    _require_positive("--universe-size", args.universe_size, most=len(_GRID_LABELS))
-    _require_positive("--grid", args.grid)
+    _require_positive(args, "seeds", code="bad-seeds")
+    _require_positive(args, "universe_size", "grid")
     result = run_campaign(args.seeds, args.universe_size, args.grid)
     report = {"command": "verify", **result.as_dict()}
     return report, EXIT_OK if result.ok else EXIT_NEGATIVE
 
 
+# The CLI grammar, stated once: one row per parser, the root first, then each
+# command or group of commands in help order.  A row whose handler is None
+# holds subcommands, whose first and second words go to ``_DESTS``.  An
+# option's kind is ``int``, ``str``, or a tuple of choices, and its
+# default is ``_REQUIRED`` for a required option.  A command's ``--format``
+# defaults to SUPPRESS, so it keeps a value given before the command words.
+_Option = namedtuple("_Option", "flag kind default help")
+_Command = namedtuple("_Command", "words handler help positionals options", defaults=((), ()))
+_REQUIRED = object()
+_DESTS = ("subcommand", "what")
+_FORMAT = _Option("--format", ("text", "json"), argparse.SUPPRESS, "report format")
+_CAP = _Option("--cap", int, None, "generation cap for subbasis documents")
+_SPACE = _Option("--space", str, _REQUIRED, "space document (path or bundled name)")
+_GRID = _Option("--grid", int, _REQUIRED, "grid denominator k")
+_GRAMMAR = (
+    _Command((), None, "Exact computations in finite and piecewise-linear fuzzy topologies.", (),
+             (_FORMAT._replace(default="text"),)),
+    _Command(("validate",), _cmd_validate, "check a space document", (("space", _SPACE.help),),
+             (_FORMAT, _CAP)),
+    _Command(("classify",), None, "classify a set or a function"),
+    _Command(("classify", "set"), _cmd_classify_set, "four openness verdicts for one set",
+             (("name", "set name from the document (or 0/1)"),), (_FORMAT, _CAP, _SPACE)),
+    _Command(("classify", "fn"), _cmd_classify_fn, "eight verdicts for a crisp map", (),
+             (_FORMAT, _CAP,
+              _Option("--fn", str, _REQUIRED, "function document (path or bundled name)"))),
+    _Command(("search",), _cmd_search, "hunt for a class-separating set", (),
+             (_FORMAT, _CAP,
+              _Option("--target", str, _REQUIRED, "class combination, e.g. semiopen-not-open"),
+              _SPACE._replace(help="finite space document"), _GRID)),
+    _Command(("verify",), _cmd_verify, "run the randomized self-check campaign", (),
+             (_FORMAT, _Option("--seeds", int, 100, "number of seeded cases"),
+              _Option("--universe-size", int, 3, "points per universe"), _GRID._replace(default=3))),
+)
+_ROWS = {command.words: command for command in _GRAMMAR}
+_FLAGS = {command.words: {o.flag: o for o in command.options} for command in _GRAMMAR}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ftop",
-        description="Exact computations in finite and piecewise-linear fuzzy topologies.",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    root = argparse.ArgumentParser(prog="ftop", description=_ROWS[()].help)
+    groups: dict[tuple[str, ...], Any] = {}
+    for words, handler, text, positionals, options in _GRAMMAR:
+        parser = groups[words[:-1]].add_parser(words[-1], help=text) if words else root
+        # Positionals first: argparse names missing arguments in the order
+        # they were added, ``name`` before ``--space``.
+        for name, about in positionals:
+            parser.add_argument(name, help=about)
+        for flag, kind, default, about in options:
+            required, kinds = default is _REQUIRED, "choices" if isinstance(kind, tuple) else "type"
+            parser.add_argument(flag, required=required, default=None if required else default,
+                                help=about, **{kinds: kind})
+        if handler is None:
+            groups[words] = parser.add_subparsers(dest=_DESTS[len(words)], required=True)
+        else:
+            parser.set_defaults(handler=handler)
+    return root
 
-    # ``--format`` is also accepted after the subcommand; SUPPRESS keeps the
-    # subcommand from overwriting a value given before it.  Every subcommand
-    # but verify also takes ``--cap``.
-    formats = argparse.ArgumentParser(add_help=False)
-    formats.add_argument(
-        "--format", choices=("text", "json"), default=argparse.SUPPRESS, help="report format"
-    )
-    common = argparse.ArgumentParser(add_help=False, parents=[formats])
-    common.add_argument("--cap", type=int, help="generation cap for subbasis documents")
 
-    p_validate = sub.add_parser("validate", parents=[common], help="check a space document")
-    p_validate.add_argument("space", help="space document (path or bundled name)")
-    p_validate.set_defaults(handler=_cmd_validate)
-
-    p_classify = sub.add_parser("classify", help="classify a set or a function")
-    classify_sub = p_classify.add_subparsers(dest="what", required=True)
-
-    p_set = classify_sub.add_parser(
-        "set", parents=[common], help="four openness verdicts for one set"
-    )
-    p_set.add_argument("name", help="set name from the document (or 0/1)")
-    p_set.add_argument("--space", required=True, help="space document (path or bundled name)")
-    p_set.set_defaults(handler=_cmd_classify_set)
-
-    p_fn = classify_sub.add_parser("fn", parents=[common], help="eight verdicts for a crisp map")
-    p_fn.add_argument("--fn", required=True, help="function document (path or bundled name)")
-    p_fn.set_defaults(handler=_cmd_classify_fn)
-
-    p_search = sub.add_parser("search", parents=[common], help="hunt for a class-separating set")
-    p_search.add_argument(
-        "--target", required=True, help="class combination, e.g. semiopen-not-open"
-    )
-    p_search.add_argument("--space", required=True, help="finite space document")
-    p_search.add_argument("--grid", type=int, required=True, help="grid denominator k")
-    p_search.set_defaults(handler=_cmd_search)
-
-    p_verify = sub.add_parser(
-        "verify", parents=[formats], help="run the randomized self-check campaign"
-    )
-    p_verify.add_argument("--seeds", type=int, default=100, help="number of seeded cases")
-    p_verify.add_argument("--universe-size", type=int, default=3, help="points per universe")
-    p_verify.add_argument("--grid", type=int, default=3, help="grid denominator k")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    return parser
+def _match(argv: Sequence[str] | None = None) -> argparse.Namespace | None:
+    """The namespace ``_PARSER.parse_args(argv)`` returns, for an ``argv``
+    (``sys.argv[1:]`` when None, as for argparse) made only of the grammar's
+    exact forms; None for any other ``argv``, which argparse then parses: help, an abbreviated flag, ``--opt=value``, ``--``,
+    a value or positional starting with ``-``, a repeated option, an unknown
+    token, a missing argument, or a value argparse would reject."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    words, given, positionals = (), {}, []
+    for token in tokens:
+        if token[:1] == "-":
+            value = next(tokens, "-")
+            if token not in _FLAGS[words] or token in given or value[:1] == "-":
+                return None
+            given[token] = value
+        elif _ROWS[words].handler is None:
+            words += (token,)
+            if words not in _ROWS:
+                return None
+        else:
+            positionals.append(token)
+    command = _ROWS[words]
+    if command.handler is None or len(positionals) != len(command.positionals):
+        return None
+    found: dict[str, Any] = dict(zip(_DESTS, words), handler=command.handler)
+    for flag, kind, default, _ in (*_ROWS[()].options, *command.options):
+        value = given.get(flag, default)
+        if flag in given:
+            try:  # int() as argparse calls it; index() refuses a value outside the choices
+                value = kind(value) if callable(kind) else kind[kind.index(value)]
+            except ValueError:
+                return None
+        elif value is _REQUIRED:
+            return None
+        if value is not argparse.SUPPRESS:
+            found[flag[2:].replace("-", "_")] = value
+    found.update(zip([name for name, _ in command.positionals], positionals))
+    return argparse.Namespace(**found)
 
 
 # Built once per process: parsing leaves the parser unchanged, so every
@@ -309,7 +358,7 @@ _PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _match(argv) or _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         report, code = args.handler(args)

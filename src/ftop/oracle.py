@@ -106,6 +106,13 @@ class GridSpec:
             raise ValueError(f"universe_size must be >= 1, got {self.universe_size}")
         if self.k < 1:
             raise ValueError(f"grid denominator must be >= 1, got {self.k}")
+        if self.universe_size > DEFAULT_ENUMERATION_BUDGET.bit_length():
+            # At least 2**n sets: refused before (k+1)**n is computed, which
+            # for a large n would be too long to print or even to hold.
+            raise ResourceCapError(
+                f"grid holds at least 2**{self.universe_size} sets, above the budget of "
+                f"{DEFAULT_ENUMERATION_BUDGET}"
+            )
         if self.size > DEFAULT_ENUMERATION_BUDGET:
             raise ResourceCapError(
                 f"grid holds {self.size} sets, above the budget of {DEFAULT_ENUMERATION_BUDGET}"

@@ -14,10 +14,11 @@ Run it from anywhere; it takes no options::
     python tests/mutants.py
 
 Each entry is applied to a fresh copy of the trees the suite reads,
-``src/``, ``tests/``, ``tools/``, ``perfbench/`` and ``pyproject.toml``
-(``tests/test_code_lines.py`` runs ``tools/`` and
+``src/``, ``tests/``, ``tools/``, ``perfbench/``, ``.github/`` and
+``pyproject.toml`` (``tests/test_code_lines.py`` runs ``tools/``,
 ``tests/test_bench_digests.py`` runs ``perfbench/`` on the copied
-sources), in a temporary directory, and its selection runs
+sources, and ``tests/test_cli.py`` reads the ``ftop`` lines of the CI
+workflow), in a temporary directory, and its selection runs
 there with ``python -m pytest -x -q -p no:cacheprovider
 --hypothesis-seed=0``, leaving out ``tests/test_mutants.py``.  One line per entry says what happened; the exit
 status is 1 if any entry did not do what it expects, or its old text
@@ -47,7 +48,7 @@ PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-se
           "--ignore=tests/test_mutants.py"]
 OUTCOMES = {1: "killed", 0: "survives"}
 TIMEOUT_S = 900
-TREES = ("src", "tests", "tools", "perfbench")
+TREES = ("src", "tests", "tools", "perfbench", ".github")
 
 
 class Mutant(NamedTuple):
@@ -68,6 +69,10 @@ PARSER = "tests/test_degrees.py::TestIntegerParserMatchesFractionPath::test_pars
 MAP_REFERENCE = "tests/test_functions.py::test_classification_matches_the_predicate_reference"
 SET_DEFINITIONS = "tests/test_semiclass.py::test_classify_set_matches_definitions_on_finite_spaces"
 LITERAL_GRID = "tests/test_oracle.py::test_check_and_search_match_the_literal_reference"
+MATCHER = "tests/test_cli.py::test_the_matcher_returns_what_argparse_returns_or_declines"
+MATCHER_COVERAGE = (
+    "tests/test_golden.py::test_the_matcher_takes_every_request_of_the_goldens_ci_and_the_benchmark"
+)
 X_ORDER_RULE = """    for x0, x1 in zip(xs, xs[1:]):
         if x1 <= x0:
             raise ValueError(
@@ -149,6 +154,18 @@ MUTANTS = (
     Mutant("cli-text-scalars-unquoted", "src/ftop/cli.py", 'f"{pad}{label}: {_json_text(value)}"',
            'f"{pad}{label}: {value}"',
            ("tests/test_cli.py::test_text_scalars_are_printed_as_json",)),
+    # cli: the exact-form matcher against argparse.
+    Mutant("cli-matcher-accepts-a-flag-prefix", "src/ftop/cli.py",
+           'value = next(tokens, "-")\n',
+           'value = next(tokens, "-")\n'
+           '            token = next((f for f in _FLAGS[words] if f.startswith(token)), token)\n',
+           (MATCHER,)),
+    Mutant("cli-matcher-drops-the-defaults", "src/ftop/cli.py", "given.get(flag, default)",
+           "given.get(flag, default if default is _REQUIRED else argparse.SUPPRESS)", (MATCHER,)),
+    Mutant("cli-matcher-keeps-an-integer-as-text", "src/ftop/cli.py",
+           "kind(value) if callable(kind)", "value if callable(kind)", (MATCHER,)),
+    Mutant("cli-matcher-always-declines", "src/ftop/cli.py", "return argparse.Namespace(**found)",
+           "return None", (MATCHER_COVERAGE,)),
     # semiclass: the derivation of the four verdicts and the evidence.
     Mutant("semiclass-semiopen-against-the-closure", SEMI, "s._leq(closure_of_interior),",
            "s._leq(index.closure(s)),", (SET_DEFINITIONS,)),
@@ -203,6 +220,9 @@ MUTANTS = (
            "if self.size > DEFAULT_ENUMERATION_BUDGET:",
            "if self.size >= DEFAULT_ENUMERATION_BUDGET:",
            ("tests/test_oracle.py::test_grid_spec_budget_guard",)),
+    Mutant("oracle-large-universe-counted-before-refused", "src/ftop/oracle.py",
+           "if self.universe_size > DEFAULT_ENUMERATION_BUDGET.bit_length():", "if False:",
+           ("tests/test_cli.py::test_a_universe_beyond_the_budget_exits_3",)),
     Mutant("oracle-member-half-of-law-1-dropped", "src/ftop/oracle.py",
            "if not m._leq(closures_of_interiors[j]) or grid.lows", "if grid.lows",
            ("tests/test_oracle.py::test_check_space_matches_the_literal_reference_on_corrupted_tables",)),

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: reports, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ftop
-from ftop.cli import main
+from ftop import cli
+from ftop.cli import _PARSER, _match, main
 from ftop.errors import HierarchyInvariantError
 
 FINITE_SPACE = {
@@ -197,11 +202,13 @@ def test_seeds_below_one_is_an_input_error(capsys):
     assert "error[bad-seeds]" in err and "--seeds: must be at least 1, got -2" in err
 
 
-def test_universe_beyond_the_alphabet_is_an_input_error(capsys):
-    """Grid universes are labelled a..z; 27 points is a flag error, not a bug."""
-    code, out, err = run(capsys, "verify", "--seeds", "1", "--universe-size", "27", "--grid", "1")
-    assert (code, out) == (2, "")
-    assert err.startswith("error[bad-grid]: --universe-size: must be at most 26, got 27")
+@pytest.mark.parametrize("size", ["27", "20000"])
+def test_a_universe_beyond_the_budget_exits_3(capsys, size):
+    """From 18 points on even a grid of k = 1 holds more sets than the budget,
+    so the size is refused as a cap, also where 2**n has too many digits to print."""
+    code, out, err = run(capsys, "verify", "--seeds", "1", "--universe-size", size, "--grid", "1")
+    assert (code, out) == (3, "")
+    assert err == f"error[cap]: grid holds at least 2**{size} sets, above the budget of 250000\n"
 
 
 def test_cap_below_one_is_an_input_error(capsys, tmp_path):
@@ -530,8 +537,9 @@ def test_text_format_is_the_default(capsys):
 
 def test_repeated_calls_match_fresh_processes(capsys, tmp_path, monkeypatch):
     """One process reuses one parser: every call prints and exits as a fresh
-    ``python -m ftop.cli`` would, also after a usage error and with either
-    position of ``--format``."""
+    ``python -m ftop.cli`` would, also after a usage error, with either
+    position of ``--format``, and on both paths: the exact forms the matcher
+    takes, and an abbreviated flag and ``--format=json``, which argparse takes."""
     path = write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
     calls = [
         ["--format", "json", "validate", "example1.json"],
@@ -543,6 +551,8 @@ def test_repeated_calls_match_fresh_processes(capsys, tmp_path, monkeypatch):
         ["classify", "set", "beta", "--space", "example1.json"],
         ["search", "--target", "open-not-open", "--space", path, "--grid", "2"],
         ["--format", "json", "validate", path, "--cap", "3"],
+        ["classify", "set", "alpha", "--space", "example1.json", "--form", "json"],
+        ["--format=json", "validate", path],
     ]
     monkeypatch.chdir(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(ftop.__file__).parents[1]))
@@ -560,3 +570,124 @@ def test_repeated_calls_match_fresh_processes(capsys, tmp_path, monkeypatch):
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
         codes.add(code)
     assert codes == {0, 2, 3}
+
+
+# The grammar's words, flags and leaf commands, and token texts to put in
+# their places: integers argparse's int() takes and rejects, choices in and
+# out of the tuple, and texts that do and do not start with "-".
+LEAVES = [command for command in cli._GRAMMAR if command.handler]
+WORDS = sorted({word for command in cli._GRAMMAR for word in command.words})
+FLAGS = sorted({option.flag for command in cli._GRAMMAR for option in command.options})
+TEXTS = {
+    int: ["0", "2", "17", " 3", "3_0", "+4", "\u0663", "-2", "-0", "2.5", "x", "", "9" * 5000],
+    str: ["example1.json", "s.json", "alpha", "semiopen-not-open", "", " -x", "set", "-x", "a=b"],
+    tuple: ["json", "text", "xml", "JSON", " json", "-json"],
+}
+NOISE = st.one_of(
+    st.sampled_from([*WORDS, *FLAGS, "-h", "--help", "--", "-", "-x", "--bogus"]),
+    st.sampled_from(FLAGS).flatmap(lambda flag: st.sampled_from(
+        [flag[:n] for n in range(3, len(flag))] + [f"{flag}={text}" for text in TEXTS[tuple]])),
+    st.sampled_from([text for texts in TEXTS.values() for text in texts]),
+)
+
+
+def texts(kind):
+    return st.sampled_from(TEXTS[tuple if isinstance(kind, tuple) else kind])
+
+
+@st.composite
+def argvs(draw):
+    """An exact-form argv of one command, in a drawn order, then up to three
+    edits: a noise token inserted or put in place of one, a token deleted,
+    two tokens swapped, or a flag and its value repeated at the end."""
+    command = draw(st.sampled_from(LEAVES))
+    pieces = [[option.flag, draw(texts(option.kind))] for option in command.options
+              if option.default is cli._REQUIRED or draw(st.booleans())]
+    pieces += [[draw(texts(str))] for _ in command.positionals]
+    top = [["--format", draw(texts(tuple))]] if draw(st.booleans()) else []
+    argv = [token for piece in (*top, command.words, *draw(st.permutations(pieces)))
+            for token in piece]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(argv))), draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "swap", "repeat"]))
+        if edit == "insert":
+            argv.insert(i, draw(NOISE))
+        elif i == len(argv) or j == len(argv):
+            continue
+        elif edit == "replace":
+            argv[i] = draw(NOISE)
+        elif edit == "delete":
+            del argv[i]
+        elif edit == "swap":
+            argv[i], argv[j] = argv[j], argv[i]
+        else:
+            argv += argv[i : i + 2]
+    return argv
+
+
+# What the matcher leaves to argparse, one argv per form.
+DECLINED = {
+    "help": ["validate", "example1.json", "-h"],
+    "long-help": ["classify", "set", "alpha", "--space", "s.json", "--help"],
+    "unique-prefix": ["validate", "example1.json", "--form", "json"],
+    "ambiguous-prefix": ["classify", "fn", "--f", "json", "--fn", "fn.json"],
+    "equals": ["--format=json", "validate", "example1.json"],
+    "double-dash": ["validate", "--", "example1.json"],
+    "value-starting-with-dash": ["verify", "--seeds", "-2"],
+    "positional-starting-with-dash": ["validate", "-x"],
+    "repeated-option": ["verify", "--grid", "2", "--grid", "3"],
+    "format-before-and-after": ["--format", "json", "validate", "s.json", "--format", "text"],
+    "unknown-word": ["classify", "map", "--fn", "fn.json"],
+    "unknown-flag": ["verify", "--cap", "5"],
+    "extra-positional": ["validate", "s.json", "t.json"],
+    "missing-positional": ["classify", "set", "--space", "s.json"],
+    "missing-option": ["search", "--target", "semiopen-not-open", "--space", "s.json"],
+    "group-only": ["classify"],
+    "bad-choice": ["--format", "xml", "validate", "s.json"],
+    "bad-integer": ["verify", "--grid", "2.5"],
+    "integer-too-long": ["verify", "--seeds", "9" * 5000],
+}
+
+
+def parse(argv):
+    """argparse's namespace for ``argv``, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def examples(argvs):
+    """``@example(argv)`` for each of ``argvs``."""
+    def apply(test):
+        for argv in argvs:
+            test = example(argv)(test)
+        return test
+    return apply
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+@examples(DECLINED.values())
+def test_the_matcher_returns_what_argparse_returns_or_declines(argv):
+    matched = _match(argv)
+    if matched is not None:
+        parsed = parse(argv)
+        assert parsed is not None, "the matcher took an argv that argparse refuses"
+        assert vars(matched) == vars(parsed)
+
+
+@pytest.mark.parametrize("argv", DECLINED.values(), ids=DECLINED)
+def test_the_matcher_declines_what_argparse_owns(argv):
+    assert _match(argv) is None
+
+
+def test_main_without_argv_reads_sys_argv_through_the_matcher(capsys, monkeypatch):
+    """The installed ``ftop`` calls ``main()``, which reads ``sys.argv`` and
+    takes the exact form without asking argparse."""
+    argv = ["--format", "json", "classify", "set", "alpha", "--space", "example1.json"]
+    expected = run(capsys, *argv)[:2]
+    monkeypatch.setattr(sys, "argv", ["ftop", *argv])
+    monkeypatch.setattr(_PARSER, "parse_args", lambda *args: pytest.fail("argparse was asked"))
+    assert (main(), capsys.readouterr().out) == expected

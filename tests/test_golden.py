@@ -5,14 +5,19 @@ documents of ``tests/golden/input``, so reports echo relative names and
 bundled documents (``example1.json``) resolve by name.  The expected
 stdout lives in ``tests/golden/<case>.json``; regenerate a file only for
 a deliberate change of the report format, never to absorb a new result.
+Every case argv, and every request CI and the benchmark send, is in the
+exact form ``ftop.cli._match`` takes without argparse.
 """
 
+import importlib.util
+import re
+import shlex
 import shutil
 from pathlib import Path
 
 import pytest
 
-from ftop.cli import main
+from ftop.cli import _PARSER, _match, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,3 +109,42 @@ def test_json_report_matches_golden(case, tmp_path, monkeypatch, capsys):
     code, out = run_case(argv, tmp_path, monkeypatch, capsys)
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{case}.json").read_bytes()
+
+
+def load_perfbench_gen():
+    """``perfbench/gen.py``, which imports only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ci_argvs():
+    """The argv of each ``ftop`` line in CI's installed-package step."""
+    ci = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+    lines = re.findall(r"^\s*(?:\w+=\S+ )*ftop (.*?)(?: \|.*)?$", ci.read_text(), re.M)
+    return [shlex.split(line) for line in lines]
+
+
+def test_the_matcher_takes_every_request_of_the_goldens_ci_and_the_benchmark():
+    """Each golden argv, as ``run_case`` sends it and bare, each ``ftop``
+    line CI runs, and one request of each benchmark kind take the matcher,
+    and get argparse's namespace.  CI's one abbreviated line is there to
+    take argparse, and does."""
+    gen = load_perfbench_gen()
+    bench = [*gen.warmup_cases("cli"), *gen.warmup_cases("pl")]
+    assert {case["kind"] for case in bench} >= set(gen.CLI_KINDS)
+    ci = ci_argvs()
+    abbreviated = [argv for argv in ci if "--form" in argv]
+    assert (len(ci), len(abbreviated), _match(abbreviated[0])) == (12, 1, None)
+    requests = [
+        *(argv for argv, _ in CASES.values()),
+        *(["--format", "json", *argv] for argv, _ in CASES.values()),
+        *(argv for argv in ci if argv not in abbreviated),
+        *(["--format", "json", *case["argv"]] for case in bench),
+    ]
+    for argv in requests:
+        matched = _match(argv)
+        assert matched is not None, argv
+        assert vars(matched) == vars(_PARSER.parse_args(argv)), argv
