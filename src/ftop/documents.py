@@ -293,7 +293,7 @@ def _parse_pl_body(node: Any, where: str, table: dict) -> PLFuzzySet:
     obj = _expect(node, dict, where, "a pl set body")
     _reject_unknown_keys(obj, frozenset({"breakpoints"}), where)
     pairs_node = _expect(obj.get("breakpoints"), list, f"{where}.breakpoints", "breakpoints")
-    pairs = []
+    xs, ys = [], []
     for i, entry in enumerate(pairs_node):
         if not isinstance(entry, list) or len(entry) != 2:
             pair_where = f"{where}.breakpoints[{i}]"
@@ -302,11 +302,12 @@ def _parse_pl_body(node: Any, where: str, table: dict) -> PLFuzzySet:
                 "bad-breakpoints", "a breakpoint is a [x, y] pair of rational strings", pair_where
             )
         try:
-            pairs.append((*_degree(entry[0], table), *_degree(entry[1], table)))
+            xs.append(_degree(entry[0], table))
+            ys.append(_degree(entry[1], table))
         except ValueError as exc:
             raise _degree_error(exc, f"{where}.breakpoints[{i}]") from exc
     try:
-        return plin._from_ratios(pairs)
+        return plin._from_ratios(xs, ys)
     except ValueError as exc:
         raise DocumentError("bad-breakpoints", str(exc), f"{where}.breakpoints") from exc
 

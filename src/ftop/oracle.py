@@ -106,12 +106,17 @@ class GridSpec:
             raise ValueError(f"universe_size must be >= 1, got {self.universe_size}")
         if self.k < 1:
             raise ValueError(f"grid denominator must be >= 1, got {self.k}")
+        # At least 2**n and at least k + 1 sets: a grid past either bound is
+        # refused before (k+1)**n is computed, which for a large n or k
+        # would be too long to print or even to hold; k is never printed.
         if self.universe_size > DEFAULT_ENUMERATION_BUDGET.bit_length():
-            # At least 2**n sets: refused before (k+1)**n is computed, which
-            # for a large n would be too long to print or even to hold.
             raise ResourceCapError(
                 f"grid holds at least 2**{self.universe_size} sets, above the budget of "
                 f"{DEFAULT_ENUMERATION_BUDGET}"
+            )
+        if self.k >= DEFAULT_ENUMERATION_BUDGET:
+            raise ResourceCapError(
+                f"grid holds at least k + 1 sets, above the budget of {DEFAULT_ENUMERATION_BUDGET}"
             )
         if self.size > DEFAULT_ENUMERATION_BUDGET:
             raise ResourceCapError(

@@ -17,23 +17,27 @@ derived tuple of Fractions for the library API and ``repr``.
 
 Binary operations (meet, join, order) sweep both breakpoint lists once
 with two pointers, on the lcm of the two scales, so one of them on sets
-with m and n breakpoints costs O(m + n) integer steps.  Meet and join
-(:func:`_combine`) read the merged points from the generator
-:func:`_walk`; the order test :func:`_leq`, which interior and closure
-call once per member tried, is the same sweep written out as one loop
-that stops at the first violation.  A value interpolated on a segment
-of width ``d`` is kept as a numerator over ``d * scale``, so comparisons
-cross-multiply instead of dividing.  :func:`_meets`, whether
-``f /\\ g != 0``, is one more pass of :func:`_walk` that stops at the
-first cell where both sets are positive, and builds nothing.  Variadic
-meet and join fold pairwise.  The public ``meet``, ``join`` and ``leq``
-check that every argument is a PL set, then run these primitives; code
-that holds PL sets already calls them directly, as the methods
-``_meet``, ``_join``, ``_leq`` and ``_meets``, as in ``fset``.  Every
-set built from breakpoints, by the public constructor or the document
-reader, comes from integer ratios through the one entry
-:func:`_from_ratios`, which states the breakpoint rules; lattice
-results, computed from valid sets, skip it.
+with m and n breakpoints costs O(m + n) integer steps.  The order test
+:func:`_leq`, which interior and closure call once per member tried, is
+one loop that stops at the first violation.  :func:`_meets`, whether
+``f /\\ g != 0``, is a pass of the generator :func:`_walk` that stops at
+the first cell where both sets are positive, and builds nothing.  A
+value interpolated on a segment of width ``d`` is kept as a numerator
+over ``d * scale``, so comparisons cross-multiply instead of dividing.
+Meet and join (:func:`_combine`) build nothing that these tests decide:
+if ``f <= g`` the meet is f and the join is g, and the other way round
+if ``g <= f``; the meet of sets that do not meet is 0.  Only the
+remaining pairs, which cross, are swept constructively over the merged
+points of :func:`_walk`.  Variadic meet and join fold pairwise.  The
+public ``meet``, ``join`` and ``leq`` check that every argument is a PL
+set, then run these primitives; code that holds PL sets already calls
+them directly, as the methods ``_meet``, ``_join``, ``_leq`` and
+``_meets``, as in ``fset``.  Every set built from breakpoints, by the
+public constructor or the document reader, comes from two columns of
+integer ratios, the x and the y of each breakpoint, through the one
+entry :func:`_from_ratios`, which states the breakpoint rules; lattice
+results, computed from valid sets, skip it.  Both reach the one
+canonicalization, :func:`_reduced`, on integer columns.
 A topology's interior and closure select a member by its exact mass
 (``_MemberIndex``), with no join built; closure is the dual of interior,
 ``1 - Int(1 - s)``, and tests the order with the same ``_leq``.
@@ -87,7 +91,8 @@ class PLFuzzySet:
             if not isinstance(x, Fraction) or not isinstance(y, Fraction):
                 raise ValueError(f"breakpoint ({x!r}, {y!r}) is not exact-rational")
         canonical = _from_ratios(
-            [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points]
+            [(x.numerator, x.denominator) for x, _ in points],
+            [(y.numerator, y.denominator) for _, y in points],
         )
         _set_scale(self, canonical.scale)
         _set_xs(self, canonical.xs)
@@ -220,8 +225,8 @@ def _trusted(scale: int, xs: Ints, ys: Ints) -> PLFuzzySet:
     return value
 
 
-def _from_ratios(points: Sequence[tuple[int, int, int, int]]) -> PLFuzzySet:
-    """The set with breakpoints ``(px / qx, py / qy)``, given as integer quadruples.
+def _from_ratios(xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]) -> PLFuzzySet:
+    """The set with breakpoints ``(xs[i], ys[i])``, each an integer ratio ``(p, q)``.
 
     The one entry from breakpoints, for the public constructor and the
     document reader, and the one statement of the breakpoint rules: at
@@ -230,9 +235,9 @@ def _from_ratios(points: Sequence[tuple[int, int, int, int]]) -> PLFuzzySet:
     numerators over the lcm of the ``q``; a violation is a ``ValueError``
     naming the values.
     """
-    scale = math.lcm(*[q for _, qx, _, qy in points for q in (qx, qy)])
-    xs = [px * (scale // qx) for px, qx, _, _ in points]
-    ys = [py * (scale // qy) for _, _, py, qy in points]
+    scale = math.lcm(*[q for _, q in xs], *[q for _, q in ys])
+    xs = [p * (scale // q) for p, q in xs]
+    ys = [p * (scale // q) for p, q in ys]
     if len(xs) < 2:
         raise ValueError("need at least the two endpoint breakpoints")
     if xs[0] != 0 or xs[-1] != scale:
@@ -246,37 +251,47 @@ def _from_ratios(points: Sequence[tuple[int, int, int, int]]) -> PLFuzzySet:
     for y in ys:
         if y < 0 or y > scale:
             raise ValueError(f"membership value {format_ratio(y, scale)} outside [0, 1]")
-    return _trusted(*_reduced(scale, [(x, y, 1) for x, y in zip(xs, ys)]))
+    return _trusted(*_reduced(scale, xs, ys, [1] * len(xs)))
 
 
-def _reduced(scale: int, points: Sequence[tuple[int, int, int]]) -> tuple[int, Ints, Ints]:
-    """The canonical form of valid breakpoints ``(x / (k * scale), y / (k * scale))``.
+def _reduced(scale: int, xs: list[int], ys: list[int], ks: list[int]) -> tuple[int, Ints, Ints]:
+    """The canonical form of valid breakpoints, given as integer columns.
 
-    An interior point is dropped iff the segment from the last kept point
-    to the next point passes through it; testing against the last *kept*
-    point (not the raw predecessor) collapses whole collinear runs.  The
-    test cross-multiplies the slopes with each point's own ``k``, so it
-    runs on small numbers; only the kept points are brought to the lcm of
-    their ``k``.  Then ``gcd(scale, *xs, *ys)`` is divided out.
+    Breakpoint i is ``(xs[i] / (k * scale), ys[i] / (k * scale))`` with
+    ``k = ks[i]``: 1 for every point the reader gives, and the point's own
+    denominator for one a lattice sweep interpolated or found at a
+    crossing.  An interior point is dropped iff the segment from the last
+    kept point to the next point passes through it; testing against the
+    last *kept* point (not the raw predecessor) collapses whole collinear
+    runs.  The test cross-multiplies the slopes with each point's own
+    ``k``, so it runs on small numbers; only the kept points are brought
+    to the lcm of their ``k``.  Then the gcd of the scale and every kept
+    numerator is divided out.
     """
-    kept = [points[0]]
-    for i in range(1, len(points) - 1):
-        x0, y0, k0 = kept[-1]
-        x1, y1, k1 = points[i]
-        x2, y2, k2 = points[i + 1]
+    x0, y0, k0 = xs[0], ys[0], ks[0]
+    x1, y1, k1 = xs[1], ys[1], ks[1]
+    kept_x, kept_y, kept_k = [x0], [y0], [k0]
+    for x2, y2, k2 in zip(xs[2:], ys[2:], ks[2:]):
         if (y1 * k0 - y0 * k1) * (x2 * k1 - x1 * k2) != (y2 * k1 - y1 * k2) * (x1 * k0 - x0 * k1):
-            kept.append(points[i])
-    kept.append(points[-1])
-    common = math.lcm(*[k for _, _, k in kept])
-    scale *= common
-    xs = [x * (common // k) for x, _, k in kept]
-    ys = [y * (common // k) for _, y, k in kept]
-    g = math.gcd(scale, *xs, *ys)
+            kept_x.append(x1)
+            kept_y.append(y1)
+            kept_k.append(k1)
+            x0, y0, k0 = x1, y1, k1
+        x1, y1, k1 = x2, y2, k2
+    kept_x.append(x1)
+    kept_y.append(y1)
+    kept_k.append(k1)
+    common = math.lcm(*kept_k)
+    if common != 1:
+        scale *= common
+        kept_x = [x * (common // k) for x, k in zip(kept_x, kept_k)]
+        kept_y = [y * (common // k) for y, k in zip(kept_y, kept_k)]
+    g = math.gcd(scale, *kept_x, *kept_y)
     if g != 1:
         scale //= g
-        xs = [x // g for x in xs]
-        ys = [y // g for y in ys]
-    return scale, tuple(xs), tuple(ys)
+        kept_x = [x // g for x in kept_x]
+        kept_y = [y // g for y in kept_y]
+    return scale, tuple(kept_x), tuple(kept_y)
 
 
 def _on_scale(value: PLFuzzySet, scale: int) -> tuple[Column, Column]:
@@ -376,6 +391,12 @@ def _meets(f: PLFuzzySet, g: PLFuzzySet) -> bool:
 def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
     """``op`` (min or max) of f and g, crossings included, canonical.
 
+    An order sweep decides most pairs without building anything: if
+    ``f <= g`` the result is f for min and g for max, and the other way
+    round if ``g <= f``; a min of sets that do not :func:`_meets` is 0.
+    Only a pair that is neither comparable nor, for min, disjoint is
+    swept constructively.
+
     Between consecutive merged points both functions are linear, so their
     difference changes sign inside a cell only if it has strictly opposite
     signs at the cell ends.  With differences ``e0 / d0`` and ``e1 / d1``
@@ -386,8 +407,16 @@ def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
     with the factor ``gcd(k, x, y)`` divided out, until :func:`_reduced`
     brings the kept points to one scale.
     """
+    if _leq(f, g):
+        return f if op is min else g
+    if _leq(g, f):
+        return g if op is min else f
+    if op is min and not _meets(f, g):
+        return PLFuzzySet.zero()
     scale, fx, fy, gx, gy = _common(f, g)
-    out: list[tuple[int, int, int]] = []
+    xs: list[int] = []
+    ys: list[int] = []
+    ks: list[int] = []
     x0 = a0 = e0 = 0
     d0 = 1
     for x, a, b, d in _walk(fx, fy, gx, gy):
@@ -400,12 +429,16 @@ def _combine(op, f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
             cx = (x0 * td + tn * (x - x0)) * d0 * d
             cy = a0 * d * td + tn * (a * d0 - a0 * d)
             c = math.gcd(k, cx, cy)
-            out.append((cx // c, cy // c, k // c))
+            xs.append(cx // c)
+            ys.append(cy // c)
+            ks.append(k // c)
         y = op(a, b)
         c = math.gcd(d, y)  # x * d shares every factor of d
-        out.append((x * (d // c), y // c, d // c))
+        xs.append(x * (d // c))
+        ys.append(y // c)
+        ks.append(d // c)
         x0, a0, e0, d0 = x, a, e, d
-    return _trusted(*_reduced(scale, out))
+    return _trusted(*_reduced(scale, xs, ys, ks))
 
 
 def _meet(f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:

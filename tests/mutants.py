@@ -64,6 +64,7 @@ FSET, PLIN, SEMI = "src/ftop/fset.py", "src/ftop/plin.py", "src/ftop/semiclass.p
 FSET_INTEGERS = "tests/test_fset.py::TestIntegerRepresentationMatchesReference"
 PLIN_INTEGERS = "tests/test_plin.py::TestIntegerRepresentationMatchesReference"
 KERNEL = "tests/test_topology.py::TestFiniteKernelMatchesFold"
+PL_SHORTCUTS = "tests/test_plin.py::TestOrderShortcutsMatchReference"
 PL_ORDER = "tests/test_plin.py::TestSweepMatchesQuadraticReference::test_order_is_decided_at_a_breakpoint_of_one_side"
 PARSER = "tests/test_degrees.py::TestIntegerParserMatchesFractionPath::test_parse_degree_agrees"
 MAP_REFERENCE = "tests/test_functions.py::test_classification_matches_the_predicate_reference"
@@ -128,9 +129,16 @@ MUTANTS = (
            "if (a0 and a) and (b0 or b):", ("tests/test_plin.py::TestMeets",)),
     Mutant("plin-crossing-denominator-short", PLIN, "k = d0 * d * td", "k = d0 * td",
            (PLIN_INTEGERS,)),
-    Mutant("plin-no-gcd-step", PLIN, "g = math.gcd(scale, *xs, *ys)", "g = 1", (PLIN_INTEGERS,)),
+    Mutant("plin-no-gcd-step", PLIN, "g = math.gcd(scale, *kept_x, *kept_y)", "g = 1",
+           (PLIN_INTEGERS,)),
     Mutant("plin-fold-restarts-from-the-first-set", PLIN, "_combine(op, result, other)",
            "_combine(op, self, other)", (PLIN_INTEGERS,)),
+    Mutant("plin-comparable-meet-returns-the-other-argument", PLIN,
+           "return f if op is min else g", "return g if op is min else f", (PL_SHORTCUTS,)),
+    Mutant("plin-disjoint-max-is-zero-too", PLIN, "if op is min and not _meets(f, g):",
+           "if not _meets(f, g):", (PL_SHORTCUTS,)),
+    Mutant("plin-read-point-not-on-the-scale", PLIN, "[1] * len(xs)", "[2] * len(xs)",
+           (PLIN_INTEGERS,)),
     Mutant("plin-y-range-checked-before-x-order", PLIN, X_ORDER_RULE + Y_RANGE_RULE,
            Y_RANGE_RULE + X_ORDER_RULE, ("tests/test_plin.py::test_construction_rejects_bad_degrees",)),
     Mutant("plin-mass-by-the-left-endpoint", PLIN, "(x1 - x0) * (y0 + y1)", "(x1 - x0) * (y0 + y0)",
@@ -223,6 +231,9 @@ MUTANTS = (
     Mutant("oracle-large-universe-counted-before-refused", "src/ftop/oracle.py",
            "if self.universe_size > DEFAULT_ENUMERATION_BUDGET.bit_length():", "if False:",
            ("tests/test_cli.py::test_a_universe_beyond_the_budget_exits_3",)),
+    Mutant("oracle-large-grid-counted-before-refused", "src/ftop/oracle.py",
+           "if self.k >= DEFAULT_ENUMERATION_BUDGET:", "if False:",
+           ("tests/test_cli.py::test_a_grid_beyond_the_budget_exits_3",)),
     Mutant("oracle-member-half-of-law-1-dropped", "src/ftop/oracle.py",
            "if not m._leq(closures_of_interiors[j]) or grid.lows", "if grid.lows",
            ("tests/test_oracle.py::test_check_space_matches_the_literal_reference_on_corrupted_tables",)),

@@ -4,10 +4,13 @@ Each public entry checks the backend and universe of the sets it is
 given with ``_require_compatible``; the lattice work behind it runs on
 the unchecked primitives ``_leq``, ``_meet``, ``_join`` and ``_meets``
 and reads the space's member index directly.  These tests count the
-checks, and the finite sets built, for fixed inputs, so a change that
-brings back a check per internal call, or a set built only to be asked
-whether it is zero, fails here, whatever its effect on timing.
+checks, the finite sets built and the PL meets and joins swept, for
+fixed inputs, so a change that brings back a check per internal call, a
+set built only to be asked whether it is zero, or a sweep that an order
+test decides, fails here, whatever its effect on timing.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +25,8 @@ from ftop import (
     generate,
     set_verdicts,
 )
-from ftop import fset
+from ftop import fset, plin
+from ftop.documents import build_topology, parse_space
 
 from helpers import ALPHA, BETA, MU, fs, reference_map, t_fin, t_pl
 
@@ -94,28 +98,31 @@ def test_check_space_checks_only_its_classify_set_sample(checks):
     assert checks(check_space, t_fin(), GridSpec(2, 6)) == 7 * 2
 
 
+def counted(monkeypatch, module, name):
+    """``count(call, *args)``: runs ``call(*args)`` and returns how often
+    it called ``module.name``, which is patched for the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+    def count(call, *args):
+        calls.clear()
+        call(*args)
+        return len(calls)
+
+    return count
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Count the finite sets built, as calls of ``fset._trusted``, which
-    every finite set goes through.
-
-    ``builds(call, *args)`` runs ``call(*args)`` and returns the number of
-    sets it built.
-    """
-    built = []
-
-    def counting(*args, build=fset._trusted):
-        built.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(fset, "_trusted", counting)
-
-    def count(call, *args):
-        built.clear()
-        call(*args)
-        return len(built)
-
-    return count
+    every finite set goes through."""
+    return counted(monkeypatch, fset, "_trusted")
 
 
 def test_verdicts_build_no_set_and_the_evidence_two(builds):
@@ -136,3 +143,37 @@ def test_classify_function_builds_one_set_per_lift(builds):
     f = reference_map()
     f.domain._index, f.codomain._index
     assert builds(classify_function, f) == len(f.codomain.members) + len(f.domain.members) == 8
+
+
+GOLDEN_INPUT = Path(__file__).parent / "golden" / "input"
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Count the constructive PL sweeps, as calls of ``plin._reduced``, which
+    every PL meet or join that no order test decides reaches.  Documents
+    are read before counting, since the reader reaches ``_reduced`` too."""
+    return counted(monkeypatch, plin, "_reduced")
+
+
+@pytest.mark.parametrize("name, validating, query, member", [
+    ("pl-chain", 0, 2, 0),
+    ("pl-product", 70, 2, 0),
+    ("pl-incomplete", 14, None, None),
+])
+def test_pl_sweeps_only_what_no_order_sweep_decides(sweeps, name, validating, query, member):
+    """``check_axioms`` combines only incomparable pairs: none on the
+    chain, 35 on the product, each swept twice, and 9 on the incomplete
+    product, whose 4 disjoint pairs have the meet 0 without a sweep.
+    ``classify_set``: 2 for the golden query ``q``, whose semi-interior and
+    semi-closure cross it; 0 for the member listed last before ``1``, since
+    ``s <= Cl(Int(s))`` and ``s <= Int(Cl(s))`` for an open set.  The
+    index is built before counting."""
+    doc = parse_space((GOLDEN_INPUT / f"{name}.json").read_text(encoding="utf-8"))
+    members = [doc.resolve(listed) for listed in doc.topology]
+    assert sweeps(check_axioms, members) == validating
+    if query is not None:
+        space = build_topology(doc)
+        space._index
+        assert sweeps(classify_set, space, doc.resolve("q")) == query
+        assert sweeps(classify_set, space, members[-2]) == member

@@ -211,6 +211,26 @@ def test_a_universe_beyond_the_budget_exits_3(capsys, size):
     assert err == f"error[cap]: grid holds at least 2**{size} sets, above the budget of 250000\n"
 
 
+A_GRID_TOO_LONG_TO_PRINT = "1" + "0" * 4000
+GOLDEN_FINITE = str(Path(__file__).parent / "golden" / "input" / "finite.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--target", "semiopen-not-open", "--space", GOLDEN_FINITE],
+    ["verify", "--seeds", "1", "--universe-size", "2"],
+], ids=["search", "verify"])
+@pytest.mark.parametrize(
+    "grid", ["250000", A_GRID_TOO_LONG_TO_PRINT], ids=["budget", "4001-digits"]
+)
+def test_a_grid_beyond_the_budget_exits_3(capsys, argv, grid):
+    """From k = 250,000 on even a one-point grid holds more sets than the
+    budget, so k is refused as a cap without counting (k+1)**n, whose
+    digits, for a k of 4001 digits, are too many to print."""
+    code, out, err = run(capsys, *argv, "--grid", grid)
+    assert (code, out) == (3, "")
+    assert err == "error[cap]: grid holds at least k + 1 sets, above the budget of 250000\n"
+
+
 def test_cap_below_one_is_an_input_error(capsys, tmp_path):
     path = write_doc(tmp_path, "s.json", SUBBASIS_SPACE)
     code, out, err = run(capsys, "validate", path, "--cap", "0")

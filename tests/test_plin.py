@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ftop import (
@@ -397,6 +397,54 @@ class TestIntegerRepresentationMatchesReference:
                 assert twin == value and hash(twin) == hash(value)
 
 
+@st.composite
+def related_pl_pairs(draw):
+    """Two PL sets, drawn comparable, disjoint or crossing, as the reference's points.
+
+    Comparable: the second is the reference's max of the first and a third
+    set.  Disjoint: both on grids that share a split point, the first zero
+    from it on and the second zero up to it.  Crossing: neither below the
+    other, with some cell where both are positive.
+    """
+    relation = draw(st.sampled_from(["comparable", "disjoint", "crossing"]))
+    den = draw(st.sampled_from([2, 3, 4, 6, 12]))
+    split = draw(st.integers(0, den))
+
+    def points(keep):
+        inner = draw(st.lists(st.integers(1, den - 1), unique=True, max_size=den - 1))
+        xs = sorted({0, split, *inner, den})
+        return reference.canonicalize(tuple(
+            (Fraction(x, den), Fraction(draw(st.integers(0, 6)) if keep(x) else 0, 6)) for x in xs
+        ))
+
+    if relation == "disjoint":
+        p, q = points(lambda x: x < split), points(lambda x: x > split)
+    else:
+        p, q = points(lambda x: True), points(lambda x: True)
+        if relation == "comparable":
+            q = reference.fold(max, p, [q])
+        else:
+            assume(not reference.leq(p, q) and not reference.leq(q, p))
+            assume(any(y > 0 for _, y in reference.fold(min, p, [q])))
+    if draw(st.booleans()):
+        p, q = q, p
+    return p, q
+
+
+class TestOrderShortcutsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(related_pl_pairs())
+    def test_meet_and_join_match_the_reference(self, pair):
+        """``_meet`` and ``_join`` equal the reference's min and max, whether
+        an order sweep decides them (a comparable pair, or the min of a
+        disjoint pair) or the crossing sweep builds them."""
+        p, q = pair
+        f, g = PLFuzzySet(p), PLFuzzySet(q)
+        for a, b, ra, rb in ((f, g, p, q), (g, f, q, p)):
+            assert_same_set(a._meet(b), reference.fold(min, ra, [rb]))
+            assert_same_set(a._join(b), reference.fold(max, ra, [rb]))
+
+
 class TestMass:
     @given(pl_pairs())
     def test_mass_is_the_exact_integral(self, pair):
@@ -420,8 +468,11 @@ class TestMeets:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(sparse_pl_sets(), pl_sets()), st.one_of(sparse_pl_sets(), pl_sets()))
     def test_meets_iff_the_meet_is_not_zero(self, f, g):
-        """``_meets`` answers ``f /\\ g != 0`` without building the meet."""
-        assert f._meets(g) == (not f._meet(g).is_zero()) == g._meets(f)
+        """``_meets`` answers ``f /\\ g != 0`` without building the meet; the
+        reference's min says whether it is, since ``_meet`` itself asks
+        ``_meets``."""
+        meet = reference.fold(min, f.breakpoints, [g.breakpoints])
+        assert f._meets(g) == any(y > 0 for _, y in meet) == g._meets(f)
 
     @pytest.mark.parametrize("f, g, expected", [
         # each is zero at the other's only positive breakpoint, yet both
