@@ -54,7 +54,6 @@ import os
 import sys
 import time
 from collections import namedtuple
-from importlib import resources
 from typing import Any, Sequence
 
 from .documents import (
@@ -93,6 +92,8 @@ def _read_document(name: str) -> str:
         except _NOT_A_FILE:
             if "/" in name or "\\" in name:
                 raise
+            from importlib import resources  # here: only this fallback needs it, and it loads slowly
+
             return (resources.files("ftop") / "data" / name).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError("bad-encoding", f"{name} is not UTF-8 text: {exc.reason}") from exc

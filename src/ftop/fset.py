@@ -350,10 +350,22 @@ def _join(f: FiniteFuzzySet, g: FiniteFuzzySet) -> FiniteFuzzySet:
     return _combine(max, f, g)
 
 
+def _grid(members: Sequence[FiniteFuzzySet]) -> tuple[list[tuple[tuple[int, ...], None]], int]:
+    """Every member's numerators over the lcm of the member scales.
+
+    The finite form of ``plin._grid``: ``(nums, None)`` per member, since
+    every denominator is 1; the points of a finite universe bound no
+    cells, so the count is 0.
+    """
+    scale = math.lcm(*[member.scale for member in members])
+    return [(_rescaled(member, scale), None) for member in members], 0
+
+
 # The unchecked binary primitives, for callers that hold sets over one
 # universe already: lattice results and members of one space.
 FiniteFuzzySet._leq, FiniteFuzzySet._meet, FiniteFuzzySet._join = _leq, _meet, _join
 FiniteFuzzySet._meets = _meets
+FiniteFuzzySet._grid = staticmethod(_grid)
 
 
 class _MemberIndex:

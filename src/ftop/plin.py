@@ -41,6 +41,9 @@ canonicalization, :func:`_reduced`, on integer columns.
 A topology's interior and closure select a member by its exact mass
 (``_MemberIndex``), with no join built; closure is the dual of interior,
 ``1 - Int(1 - s)``, and tests the order with the same ``_leq``.
+Validating a listing sweeps no pair: :func:`_grid` reads every member
+once at the union of all members' breakpoints, and ``topology`` decides
+each pair's order, meet and join on those values.
 
 Tuples are built from lists, never from generators: CPython builds a
 tuple from a generator by resizing it, and when such a tuple is freed it
@@ -54,6 +57,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .degrees import ONE, ZERO, as_degree, format_ratio
@@ -298,8 +303,8 @@ def _on_scale(value: PLFuzzySet, scale: int) -> tuple[Column, Column]:
     """The ``xs`` and ``ys`` of ``value`` over ``scale``, a multiple of its own."""
     if value.scale == scale:
         return value.xs, value.ys
-    factor = scale // value.scale
-    return [x * factor for x in value.xs], [y * factor for y in value.ys]
+    factor = repeat(scale // value.scale)
+    return list(map(mul, value.xs, factor)), list(map(mul, value.ys, factor))
 
 
 def _common(f: PLFuzzySet, g: PLFuzzySet) -> tuple[int, Column, Column, Column, Column]:
@@ -449,9 +454,72 @@ def _join(f: PLFuzzySet, g: PLFuzzySet) -> PLFuzzySet:
     return _combine(max, f, g)
 
 
+def _grid(members: Sequence[PLFuzzySet]) -> tuple[list[tuple[Column, list[int] | None]], int]:
+    """Every member's exact values on the union ``U`` of all their breakpoints.
+
+    For each member, in the order given, ``(nums, dens)``: at point k of
+    ``U`` (over the lcm ``L`` of the member scales) the member takes
+    ``nums[k] / (dens[k] * L)``, and ``dens`` is None iff every
+    denominator is 1.  At its own breakpoint the denominator is 1; inside
+    its segment ``[x0, x1]``, at ``u``, it is the segment's width
+    ``d = x1 - x0``, with ``y0 d + (y1 - y0)(u - x0)`` over it, as in
+    :func:`_walk`, and the factor ``gcd(n, d)`` divided out, so equal
+    values are equal pairs.  Values of two members are compared by
+    cross-multiplying, so no number outgrows those of :func:`_leq`.  The
+    second item is the number of cells of ``U``, the intervals between
+    adjacent points, on each of which every member is linear.
+
+    A member with a breakpoint at every point of ``U`` keeps its ``ys``,
+    and a constant is its value repeated.  Any other member gets values
+    inserted only into the segments that hold points of ``U``, a flat
+    segment's without arithmetic.
+    """
+    scale = math.lcm(*[member.scale for member in members])
+    columns = [_on_scale(member, scale) for member in members]
+    union = set().union(*[xs for xs, _ in columns])
+    points = sorted(union)
+    vectors = []
+    for xs, ys in columns:
+        if len(xs) == len(points):
+            vectors.append((ys, None))
+            continue
+        if len(xs) == 2 and ys[0] == ys[1]:
+            vectors.append(([ys[0]] * len(points), None))
+            continue
+        nums, widths = list(ys), []
+        missing = sorted(union.difference(xs))
+        j = 0
+        while j < len(missing):
+            i = bisect_left(xs, missing[j])
+            x0, x1, y0, y1 = xs[i - 1], xs[i], ys[i - 1], ys[i]
+            k0 = bisect_left(points, x0)
+            k1 = bisect_left(points, x1, k0)
+            j += k1 - k0 - 1
+            if y0 == y1:
+                nums[k0 + 1 : k0 + 1] = [y0] * (k1 - k0 - 1)
+                continue
+            d = x1 - x0
+            inside = []
+            for k in range(k0 + 1, k1):
+                n = y0 * d + (y1 - y0) * (points[k] - x0)
+                c = math.gcd(n, d)
+                inside.append(n // c)
+                if c != d:
+                    widths.append((k, d // c))
+            nums[k0 + 1 : k0 + 1] = inside
+        dens = None
+        if widths:
+            dens = [1] * len(points)
+            for k, d in widths:
+                dens[k] = d
+        vectors.append((nums, dens))
+    return vectors, len(points) - 1
+
+
 # The unchecked binary primitives, as in ``fset``: every PL set is on [0, 1].
 PLFuzzySet._leq, PLFuzzySet._meet, PLFuzzySet._join = _leq, _meet, _join
 PLFuzzySet._meets = _meets
+PLFuzzySet._grid = staticmethod(_grid)
 
 
 def _mass(value: PLFuzzySet) -> int:

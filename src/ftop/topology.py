@@ -26,10 +26,21 @@ order test.
 Fuzzy sets under pointwise min and max form a distributive lattice, so
 the lattice a subbasis generates is the set of joins of its finite meets:
 :func:`generate` builds it in a meet pass and then a join pass, and adds
-the constants once at the end.  :func:`check_axioms` and both passes skip
-comparable pairs: if ``a <= b``, the meet is ``a`` and the join is ``b``.
-:func:`check_axioms` pairs no member with a constant, which is
-comparable with every set, so it does not sweep those pairs either.
+the constants once at the end.  Both passes skip comparable pairs: if
+``a <= b``, the meet is ``a`` and the join is ``b``.
+
+:func:`check_axioms` builds no meet or join to ask whether it is a
+member.  The backend's ``_grid`` gives every member's exact values on
+one grid of points ``U`` (the points of a finite universe, or the union
+of all members' PL breakpoints), and each member is linear on every cell
+of ``U``, the interval between adjacent points.  So ``a <= b`` iff it
+holds at ``U``; and a member equals ``min(a, b)`` iff it agrees with it
+at ``U`` and ``a - b`` changes sign strictly inside no cell, since such a
+change is a breakpoint of the min (and of the max) where no member has
+one.  The pair loop compares two value vectors, and looks the pointwise
+min and max up among the members' vectors; a set is built only as the
+witness of a reported violation.  No member is paired with a constant,
+which is comparable with every set.
 
 Only the finite backend can be enumerated or mapped point by point;
 :meth:`FuzzyTopology._finite_universe` is the one check that a space is
@@ -50,6 +61,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import le, mul, sub
 from typing import Iterable, Protocol, Sequence
 
 from .errors import BackendMismatchError, FtopError, ResourceCapError
@@ -82,7 +95,12 @@ class FuzzyValue(Protocol):
     built or checked already: a set is checked once, where it enters a
     public entry, and the lattice work behind that entry runs unchecked.
     ``_meets(other)``, also unchecked, is true iff the meet is not zero,
-    and builds no set.
+    and builds no set.  ``_grid(members)`` gives each member's exact values
+    on one grid of points, as ``(nums, dens)``: value k is
+    ``nums[k] / (dens[k] * L)`` over one scale ``L``, equal values have
+    equal pairs, and ``dens`` is None iff every denominator is 1; with
+    it comes the number of cells between adjacent points on which every
+    member is linear (0 for a finite universe).
     ``_index_type(members)`` builds the backend's greatest-member index,
     whose ``interior(s)`` and ``closure(s)`` select a member or its
     complement.  Every value holds its numerators over a positive integer
@@ -101,6 +119,8 @@ class FuzzyValue(Protocol):
     def _join(self, other: "FuzzyValue") -> "FuzzyValue": ...
     def _leq(self, other: "FuzzyValue") -> bool: ...
     def _meets(self, other: "FuzzyValue") -> bool: ...
+    @staticmethod
+    def _grid(members: Sequence["FuzzyValue"]) -> tuple[list, int]: ...
     def is_zero(self) -> bool: ...
     def bottom(self) -> "FuzzyValue": ...
     def top(self) -> "FuzzyValue": ...
@@ -148,7 +168,19 @@ def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
     ``(a, b)``, after any missing constant, with a pair's meet before its join.
     Each distinct member is checked against the first once, up front, so
     a family mixing backends or universes raises at its first odd member,
-    and the pairs are compared and combined unchecked.
+    and the pairs are compared unchecked.
+
+    The backend's ``_grid`` gives every member's exact values on one grid
+    of points ``U``, once: the points of a finite universe, or the union
+    of all members' PL breakpoints.  Every member is linear on each cell
+    of ``U``, the interval between adjacent points, so ``a <= b`` iff it
+    holds at ``U``, and a member equals ``min(a, b)`` iff it agrees with
+    it at ``U`` and ``a - b`` changes sign strictly inside no cell: such a
+    change is a breakpoint of ``min(a, b)`` and of ``max(a, b)`` inside a
+    cell, where no member has one, so both are violations.  Otherwise the
+    pointwise min and max at ``U`` are looked up among the members' values,
+    the constants included.  A meet or join is built only as the witness
+    of a reported violation.
     """
     if not opens:
         raise ValueError("a topology candidate must be a non-empty family")
@@ -163,21 +195,57 @@ def check_axioms(opens: Sequence[FuzzyValue]) -> list[AxiomViolation]:
         violations.append(AxiomViolation("i", "the constant-0 set is not a member", (bottom,)))
     if top not in member_set:
         violations.append(AxiomViolation("i", "the constant-1 set is not a member", (top,)))
-    inner = [member for member in members if member != bottom and member != top]
-    for i, a in enumerate(inner):
-        for b in inner[i + 1 :]:
-            if a._leq(b) or b._leq(a):
+    vectors, cells = first._grid(members)
+    inner = [pair for pair in zip(members, vectors) if pair[0] != bottom and pair[0] != top]
+    listed = None
+    for i, (a, (a_nums, a_dens)) in enumerate(inner):
+        for b, (b_nums, b_dens) in inner[i + 1 :]:
+            left, right = _over(a_nums, b_dens), _over(b_nums, a_dens)
+            if all(map(le, left, right)) or all(map(le, right, left)):
                 continue
-            low, high = a._meet(b), a._join(b)
-            if low not in member_set:
+            gaps = list(map(sub, left, right))
+            crossing = any(g0 > 0 > g1 or g0 < 0 < g1 for g0, g1 in zip(gaps[:cells], gaps[1:]))
+            if not crossing:
+                if listed is None:
+                    listed = {_key(*vector) for vector in vectors}
+                low = _pick(gaps, (a_nums, a_dens), (b_nums, b_dens))
+                high = _pick(gaps, (b_nums, b_dens), (a_nums, a_dens))
+            if crossing or low not in listed:
                 violations.append(
-                    AxiomViolation("ii", "a pairwise meet is not a member", (a, b, low))
+                    AxiomViolation("ii", "a pairwise meet is not a member", (a, b, a._meet(b)))
                 )
-            if high not in member_set:
+            if crossing or high not in listed:
                 violations.append(
-                    AxiomViolation("iii", "a pairwise join is not a member", (a, b, high))
+                    AxiomViolation("iii", "a pairwise join is not a member", (a, b, a._join(b)))
                 )
     return violations
+
+
+def _over(nums: Sequence[int], dens: Sequence[int] | None) -> Sequence[int]:
+    """``nums`` times ``dens`` pointwise, or ``nums`` where ``dens`` is None (all 1)."""
+    return nums if dens is None else list(map(mul, nums, dens))
+
+
+def _key(nums: Sequence[int], dens: Sequence[int] | None) -> tuple:
+    """Values as one hashable key, equal iff the values are: the numerators
+    where every denominator is 1, and else the ``(num, den)`` pairs."""
+    return tuple(nums) if dens is None else tuple(list(zip(nums, dens)))
+
+
+def _pick(gaps: list, first: tuple, second: tuple) -> tuple:
+    """The key of ``first``'s value where ``gaps`` is not positive, else ``second``'s.
+
+    ``first`` and ``second`` are ``(nums, dens)``.  With ``gaps`` the signs
+    of ``a - b`` at each point, ``_pick(gaps, a, b)`` is the key of
+    ``min(a, b)`` and ``_pick(gaps, b, a)`` that of ``max(a, b)``.
+    """
+    (a_nums, a_dens), (b_nums, b_dens) = first, second
+    nums = [x if gap <= 0 else y for gap, x, y in zip(gaps, a_nums, b_nums)]
+    if a_dens is None and b_dens is None:
+        return tuple(nums)
+    ones = repeat(1)
+    dens = [x if gap <= 0 else y for gap, x, y in zip(gaps, a_dens or ones, b_dens or ones)]
+    return _key(nums, dens if max(dens) > 1 else None)
 
 
 def validate(opens: Sequence[FuzzyValue]) -> "FuzzyTopology":

@@ -9,10 +9,14 @@ non-constant open is {u:1/2, v:0}.  ``grid(k)``
 is the degree grid the finite grid sets are drawn from, and
 ``exact_degrees()`` the hypothesis strategy for exact degrees; the other
 strategies below are shared by several test modules.  ``literal(value)``
-is a set as ``reference`` states it.
+is a set as ``reference`` states it.  ``recorded_builds()`` records each
+meet and join built while ``check_axioms`` runs, for the tests of its
+pair loop in ``test_topology`` and ``test_plin``.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
@@ -114,3 +118,33 @@ def pl_sets(draw):
     inner = draw(st.lists(exact_degrees(8).filter(lambda q: 0 < q < 1), unique=True, max_size=3))
     xs = [Fraction(0), *sorted(inner), Fraction(1)]
     return PLFuzzySet.from_breakpoints([(x, draw(exact_degrees(8))) for x in xs])
+
+
+@contextmanager
+def recorded_builds():
+    """Record each meet and join built, on both backends, as the axiom its
+    violation would name and the pair: ``("ii", a, b)`` for ``a._meet(b)``
+    and ``("iii", a, b)`` for ``a._join(b)``."""
+    built = []
+
+    def patched(cls):
+        meet, join = cls._meet, cls._join
+
+        def recorded_meet(self, other):
+            built.append(("ii", self, other))
+            return meet(self, other)
+
+        def recorded_join(self, other):
+            built.append(("iii", self, other))
+            return join(self, other)
+
+        return mock.patch.multiple(cls, _meet=recorded_meet, _join=recorded_join)
+
+    with patched(FiniteFuzzySet), patched(PLFuzzySet):
+        yield built
+
+
+def assert_built_only_for_reported_violations(violations, built):
+    """A meet or join is built only for a reported violation: ``built``
+    holds the axiom and pair of each pairwise violation, in order."""
+    assert built == [(v.axiom, *v.witnesses[:2]) for v in violations if v.axiom != "i"]

@@ -61,10 +61,12 @@ class Mutant(NamedTuple):
 
 
 FSET, PLIN, SEMI = "src/ftop/fset.py", "src/ftop/plin.py", "src/ftop/semiclass.py"
+TOPOLOGY = "src/ftop/topology.py"
 FSET_INTEGERS = "tests/test_fset.py::TestIntegerRepresentationMatchesReference"
 PLIN_INTEGERS = "tests/test_plin.py::TestIntegerRepresentationMatchesReference"
 KERNEL = "tests/test_topology.py::TestFiniteKernelMatchesFold"
 PL_SHORTCUTS = "tests/test_plin.py::TestOrderShortcutsMatchReference"
+GRID_LOOP = "tests/test_plin.py::TestGridPairLoopMatchesReference"
 PL_ORDER = "tests/test_plin.py::TestSweepMatchesQuadraticReference::test_order_is_decided_at_a_breakpoint_of_one_side"
 PARSER = "tests/test_degrees.py::TestIntegerParserMatchesFractionPath::test_parse_degree_agrees"
 MAP_REFERENCE = "tests/test_functions.py::test_classification_matches_the_predicate_reference"
@@ -202,9 +204,22 @@ MUTANTS = (
            "(zero or not interior.is_zero()) and s._leq(closure_of_interior),",
            ("tests",), "survives"),
     # topology: the pair loop and the constants of generate.
-    Mutant("topology-axioms-skip-one-sided", "src/ftop/topology.py",
-           "if a._leq(b) or b._leq(a):", "if a._leq(b):",
-           ("tests/test_topology.py::TestPairwiseStepMatchesReference::test_check_axioms",)),
+    Mutant("topology-axioms-skip-one-sided", TOPOLOGY,
+           "if all(map(le, left, right)) or all(map(le, right, left)):",
+           "if all(map(le, left, right)):",
+           ("tests/test_checks.py::test_check_axioms_looks_up_incomparable_pairs_only",)),
+    Mutant("topology-crossing-one-sided", TOPOLOGY, "g0 > 0 > g1 or g0 < 0 < g1", "g0 > 0 > g1",
+           (GRID_LOOP,)),
+    Mutant("topology-lookup-without-the-crossing-test", TOPOLOGY,
+           "crossing = any(", "crossing = False and any(", (GRID_LOOP,)),
+    Mutant("topology-constants-left-out-of-the-lookup", TOPOLOGY,
+           "{_key(*vector) for vector in vectors}", "{_key(*vector) for _, vector in inner}",
+           (GRID_LOOP,)),
+    Mutant("plin-grid-each-member-at-its-own-breakpoints", PLIN,
+           "missing = sorted(union.difference(xs))", "missing = []", (GRID_LOOP,)),
+    Mutant("plin-grid-interpolated-from-the-right-end", PLIN,
+           "n = y0 * d + (y1 - y0) * (points[k] - x0)", "n = y0 * d + (y1 - y0) * (x1 - points[k])",
+           (GRID_LOOP,)),
     Mutant("topology-generate-without-the-top", "src/ftop/topology.py",
            "dict.fromkeys((bottom, top))", "dict.fromkeys((bottom,))",
            ("tests/test_topology.py::TestPairwiseStepMatchesReference::test_generate",)),

@@ -148,6 +148,25 @@ def is_zero(value):
     return value == constant(value, ZERO)
 
 
+def check_axioms(members):
+    """Every axiom a candidate family breaks, in the order ftop reports them.
+
+    First ``("i", c)`` for each constant ``c``, 0 then 1, that is not
+    listed; then, for each pair ``(a, b)`` in listed order,
+    ``("ii", a, b, meet)`` and ``("iii", a, b, join)`` for a meet or join
+    that is not listed.
+    """
+    members = list(dict.fromkeys(members))
+    violations = [("i", c) for c in (constant(members[0], ZERO), constant(members[0], ONE))
+                  if c not in members]
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            for axiom, combined in (("ii", meet(a, b)), ("iii", join(a, b))):
+                if combined not in members:
+                    violations.append((axiom, a, b, combined))
+    return violations
+
+
 # --- operators and set verdicts on a space --------------------------------
 
 

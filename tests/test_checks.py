@@ -25,7 +25,7 @@ from ftop import (
     generate,
     set_verdicts,
 )
-from ftop import fset, plin
+from ftop import fset, plin, topology
 from ftop.documents import build_topology, parse_space
 
 from helpers import ALPHA, BETA, MU, fs, reference_map, t_fin, t_pl
@@ -118,6 +118,15 @@ def counted(monkeypatch, module, name):
     return count
 
 
+@pytest.mark.parametrize("space", [t_fin(), t_pl()], ids=["finite", "pl"])
+def test_check_axioms_looks_up_incomparable_pairs_only(monkeypatch, space):
+    """2: the meet and the join of the one incomparable pair, as two calls
+    of ``topology._pick``.  The members are listed from the top down, so
+    that in every comparable pair the second lies below the first."""
+    picks = counted(monkeypatch, topology, "_pick")
+    assert picks(check_axioms, list(reversed(space.members))) == 2
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Count the finite sets built, as calls of ``fset._trusted``, which
@@ -156,22 +165,35 @@ def sweeps(monkeypatch):
     return counted(monkeypatch, plin, "_reduced")
 
 
-@pytest.mark.parametrize("name, validating, query, member", [
-    ("pl-chain", 0, 2, 0),
-    ("pl-product", 70, 2, 0),
-    ("pl-incomplete", 14, None, None),
+@pytest.fixture
+def orders(monkeypatch):
+    """Count the PL order sweeps, as calls of ``plin._leq``, whether made
+    in ``plin`` or through the method ``_leq``."""
+    count = counted(monkeypatch, plin, "_leq")
+    monkeypatch.setattr(PLFuzzySet, "_leq", plin._leq)
+    return count
+
+
+@pytest.mark.parametrize("name, validating, compared, query, member", [
+    ("pl-chain", 0, 0, 2, 0),
+    ("pl-product", 0, 0, 2, 0),
+    ("pl-incomplete", 4, 8, None, None),
 ])
-def test_pl_sweeps_only_what_no_order_sweep_decides(sweeps, name, validating, query, member):
-    """``check_axioms`` combines only incomparable pairs: none on the
-    chain, 35 on the product, each swept twice, and 9 on the incomplete
-    product, whose 4 disjoint pairs have the meet 0 without a sweep.
-    ``classify_set``: 2 for the golden query ``q``, whose semi-interior and
-    semi-closure cross it; 0 for the member listed last before ``1``, since
-    ``s <= Cl(Int(s))`` and ``s <= Int(Cl(s))`` for an open set.  The
-    index is built before counting."""
+def test_pl_builds_only_reported_witnesses(sweeps, orders, name, validating, compared, query,
+                                           member):
+    """``check_axioms`` reads order, meets and joins off the members'
+    values on one grid, with no order sweep, and builds a meet or join
+    only as the witness of a violation: none on the chain and the
+    product, and on the incomplete product the 4 joins it reports, each
+    one constructive sweep after the 2 order sweeps of ``_combine`` that
+    fail.  ``classify_set``: 2 for the golden query ``q``, whose
+    semi-interior and semi-closure cross it; 0 for the member listed last
+    before ``1``, since ``s <= Cl(Int(s))`` and ``s <= Int(Cl(s))`` for an
+    open set.  The index is built before counting."""
     doc = parse_space((GOLDEN_INPUT / f"{name}.json").read_text(encoding="utf-8"))
     members = [doc.resolve(listed) for listed in doc.topology]
     assert sweeps(check_axioms, members) == validating
+    assert orders(check_axioms, members) == compared
     if query is not None:
         space = build_topology(doc)
         space._index

@@ -126,7 +126,7 @@ def load_perfbench_gen():
 def ci_argvs():
     """The argv of each ``ftop`` line in CI's installed-package step."""
     ci = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
-    lines = re.findall(r"^\s*(?:\w+=\S+ )*ftop (.*?)(?: \|.*)?$", ci.read_text(), re.M)
+    lines = re.findall(r"^\s*(?:\{ )?(?:\w+=\S+ )*ftop (.*?)(?: \|.*)?$", ci.read_text(), re.M)
     return [shlex.split(line) for line in lines]
 
 
@@ -140,7 +140,7 @@ def test_the_matcher_takes_every_request_of_the_goldens_ci_and_the_benchmark():
     assert {case["kind"] for case in bench} >= set(gen.CLI_KINDS)
     ci = ci_argvs()
     abbreviated = [argv for argv in ci if "--form" in argv]
-    assert (len(ci), len(abbreviated), _match(abbreviated[0])) == (14, 1, None)
+    assert (len(ci), len(abbreviated), _match(abbreviated[0])) == (15, 1, None)
     requests = [
         *(argv for argv, _ in CASES.values()),
         *(["--format", "json", *argv] for argv, _ in CASES.values()),

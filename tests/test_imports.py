@@ -91,3 +91,13 @@ def test_importing_the_package_leaves_the_cli_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(ftop.__file__).resolve().parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_leaves_importlib_resources_unloaded():
+    """Only the bundled-document fallback of ``_read_document`` reads
+    ``importlib.resources``, so ``import ftop.cli`` does not load it; ``-S``
+    keeps a site ``.pth`` file from loading it first."""
+    code = "import ftop.cli, sys; print('importlib.resources' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(ftop.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")

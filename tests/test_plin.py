@@ -11,6 +11,9 @@ Two independent checks back the lattice operations:
   and on the midpoint of every merged segment included;
 * a projection onto a finite universe: the PL operators, evaluated at the
   projection points, must equal the finite-backend operators there.
+
+``check_axioms`` decides PL pairs on the values of ``plin._grid``; its
+violations must be the reference's ``check_axioms`` on the breakpoints.
 """
 
 import copy
@@ -33,6 +36,7 @@ from ftop import (
     FuzzyTopology,
     PLFuzzySet,
     Universe,
+    check_axioms,
     classify_set,
     generate,
     semi_closure,
@@ -42,7 +46,10 @@ from ftop import (
 from ftop.plin import _mass
 
 import reference
-from helpers import ALPHA, BETA, LAM, MU, SIGMA, ZERO2, exact_degrees, pl, pl_sets
+from helpers import (
+    ALPHA, BETA, LAM, MU, SIGMA, ZERO2, assert_built_only_for_reported_violations, exact_degrees,
+    literal, pl, pl_sets, recorded_builds,
+)
 
 
 @st.composite
@@ -443,6 +450,84 @@ class TestOrderShortcutsMatchReference:
         for a, b, ra, rb in ((f, g, p, q), (g, f, q, p)):
             assert_same_set(a._meet(b), reference.fold(min, ra, [rb]))
             assert_same_set(a._join(b), reference.fold(max, ra, [rb]))
+
+
+@st.composite
+def grid_families(draw):
+    """PL families whose pairs the one-grid loop of ``check_axioms`` must
+    get right, with or without each constant.
+
+    Members are drawn on x grids from 1 to 1/6 and y scales from 1 to 1/6,
+    so they lie on different scales, and one member's breakpoint is often
+    a point where another is interpolated: on a coarser grid, or at a
+    breakpoint dropped as collinear.  Pairs cross inside a cell of every
+    grid; a ramp from v to 1 - v and its complement cross at 1/2, and
+    agree with the constants v and 1 - v at both ends, 0 and 1 for v = 0;
+    two sets split at a point have the meet 0 or the join 1.
+    Some meets and joins of drawn pairs are listed too, so lookups that
+    succeed are common.
+    """
+
+    zero, one = reference.ZERO, reference.ONE
+
+    def ys(count):
+        k = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        return [Fraction(draw(st.integers(0, k)), k) for _ in range(count)]
+
+    def coarse():
+        den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        inner = draw(st.lists(st.integers(1, max(den - 1, 1)), unique=True, max_size=den - 1))
+        xs = [Fraction(x, den) for x in [0, *sorted(inner), den]]
+        return list(zip(xs, ys(len(xs))))
+
+    def collinear():
+        points = coarse()
+        if len(points) > 2:
+            i = draw(st.integers(1, len(points) - 2))
+            (x0, y0), (x1, _), (x2, y2) = points[i - 1 : i + 2]
+            points[i] = (x1, y0 + (y2 - y0) * (x1 - x0) / (x2 - x0))
+        return points
+
+    def ramps():
+        low = ys(1)[0]
+        return [(zero, low), (one, 1 - low)], [(zero, 1 - low), (one, low)]
+
+    def split():
+        at = Fraction(draw(st.integers(1, 5)), 6)
+        value = ys(1)[0]
+        left = [(zero, value), (at, zero), (one, zero)]
+        right = [(zero, zero), (at, zero), (one, value)]
+        if draw(st.booleans()):
+            left, right = [(x, 1 - y) for x, y in right], [(x, 1 - y) for x, y in left]
+        return left, right
+
+    drawn = []
+    for _ in range(draw(st.integers(2, 4))):
+        shape = draw(st.sampled_from([coarse, collinear, ramps, split]))
+        made = shape()
+        drawn.extend(made if isinstance(made, tuple) else [made])
+    sets = [PLFuzzySet(points) for points in drawn]
+    for i, a in enumerate(sets[:4]):
+        for b in sets[i + 1 : 4]:
+            sets += [c for c in (a.meet(b), a.join(b)) if draw(st.booleans())]
+    if draw(st.booleans()):
+        sets.append(PLFuzzySet.zero())
+    if draw(st.booleans()):
+        sets.append(PLFuzzySet.one())
+    return draw(st.permutations(sets))
+
+
+class TestGridPairLoopMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_families())
+    def test_check_axioms_on_pl_families(self, family):
+        """The literal reference's violations, in its order, with a meet or
+        join built only for a reported violation."""
+        with recorded_builds() as built:
+            violations = check_axioms(family)
+        reported = [(v.axiom, *[literal(w) for w in v.witnesses]) for v in violations]
+        assert reported == reference.check_axioms([literal(member) for member in family])
+        assert_built_only_for_reported_violations(violations, built)
 
 
 class TestMass:

@@ -11,7 +11,6 @@ kept below as the reference for those two.
 """
 
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 from unittest import mock
@@ -41,7 +40,8 @@ from ftop.topology import DEFAULT_GENERATION_CAP, AxiomViolation, FuzzyValue
 import reference
 from helpers import (
     ALPHA, BETA, LAM, M1, M2, M3, MU, ONE2, SIGMA, ZERO2, exact_degrees, fs, literal,
-    literal_space, pair_sets, pl_sets, t_fin, t_pl,
+    assert_built_only_for_reported_violations, literal_space, pair_sets, pl_sets, recorded_builds,
+    t_fin, t_pl,
 )
 
 
@@ -447,47 +447,6 @@ def pl_subbases(draw):
 subbases = st.one_of(finite_subbases(), pl_subbases())
 
 
-@contextmanager
-def recorded_pairs():
-    """Record the pairs that ``_meet`` combines, on both backends.
-
-    ``_leq`` fails at once on an ordered pair it has already compared, so
-    a step that revisits pairs fails here instead of looping forever.  The
-    pairwise step compares and combines members it has checked already,
-    through these unchecked primitives.
-    """
-    compared, combined = set(), []
-
-    def patched(cls):
-        leq, meet = cls._leq, cls._meet
-
-        def once_leq(self, other):
-            assert (self, other) not in compared, "a pair was compared twice"
-            compared.add((self, other))
-            return leq(self, other)
-
-        def recorded_meet(self, other):
-            combined.append((self, other))
-            return meet(self, other)
-
-        return mock.patch.multiple(cls, _leq=once_leq, _meet=recorded_meet)
-
-    with patched(FiniteFuzzySet), patched(PLFuzzySet):
-        yield combined
-
-
-def assert_each_incomparable_pair_combined_once(members, combined):
-    """``combined`` holds every incomparable pair of ``members`` exactly once."""
-    incomparable = {
-        frozenset((a, b))
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-        if not (a.leq(b) or b.leq(a))
-    }
-    assert len(combined) == len(incomparable)
-    assert {frozenset(pair) for pair in combined} == incomparable
-
-
 def generated_or_capped(generator, subbasis, universe, cap):
     try:
         return generator(subbasis, universe=universe, cap=cap).members
@@ -507,10 +466,10 @@ class TestPairwiseStepMatchesReference:
         for family in (subbasis, holed, [*subbasis, *holed]):
             if not family:
                 continue
-            with recorded_pairs() as combined:
+            with recorded_builds() as built:
                 violations = check_axioms(family)
             assert violations == reference_check_axioms(family)
-            assert_each_incomparable_pair_combined_once(list(dict.fromkeys(family)), combined)
+            assert_built_only_for_reported_violations(violations, built)
 
     @settings(max_examples=150, deadline=None)
     @given(subbases)
